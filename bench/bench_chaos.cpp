@@ -103,7 +103,7 @@ int main(int argc, char** argv) {
       for (int t = 0; t < trials; ++t) {
         const auto metrics =
             core::run_trial(params, core::NetworkDesign::SurfNet, seeder(),
-                            args.sink(), args.selected_engine());
+                            args.sink());
         scheduled += metrics.codes_scheduled;
         delivered += metrics.codes_delivered;
         succeeded += static_cast<long long>(

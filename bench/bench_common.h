@@ -28,7 +28,6 @@
 #include <thread>
 #include <vector>
 
-#include "netsim/event_simulator.h"
 #include "obs/session.h"
 #include "obs/sink.h"
 
@@ -57,10 +56,6 @@ class ArgParser {
           const unsigned hw = std::thread::hardware_concurrency();
           threads_ = hw > 0 ? static_cast<int>(hw) : 1;
         }
-      } else if (std::strcmp(argv[i], "--engine") == 0 && i + 1 < argc) {
-        set_engine(argv[++i]);
-      } else if (std::strncmp(argv[i], "--engine=", 9) == 0) {
-        set_engine(argv[i] + 9);
       } else if (std::strcmp(argv[i], "--metrics-out") == 0 && i + 1 < argc) {
         metrics_out = argv[++i];
       } else if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc) {
@@ -91,28 +86,6 @@ class ArgParser {
   bool csv() const { return csv_; }
   bool json() const { return json_; }
 
-  /// Raw --engine value: "slot", "event", "both", or "" when unset.
-  const std::string& engine_name() const { return engine_; }
-
-  /// True when --engine allows running/timing `engine`. Unset and "both"
-  /// allow every engine; comparison benches use this to restrict which
-  /// engines they time.
-  bool engine_enabled(netsim::SimEngine engine) const {
-    if (engine_.empty() || engine_ == "both") return true;
-    return engine_ ==
-           (engine == netsim::SimEngine::Slot ? "slot" : "event");
-  }
-
-  /// The single engine picked by --engine, or `fallback` when unset or
-  /// "both". Benches that execute one engine per run pass this into
-  /// core::RunOptions::engine / netsim::make_simulator.
-  netsim::SimEngine selected_engine(
-      netsim::SimEngine fallback = netsim::SimEngine::Event) const {
-    if (engine_ == "slot") return netsim::SimEngine::Slot;
-    if (engine_ == "event") return netsim::SimEngine::Event;
-    return fallback;
-  }
-
   /// --trials wins; otherwise the bench default or the --full budget.
   int resolve_trials(int default_trials, int full_trials) const {
     if (trials_ > 0) return trials_;
@@ -142,7 +115,7 @@ class ArgParser {
   void print_usage(const char* argv0) const {
     std::printf(
         "usage: %s [--trials N] [--seed S] [--threads T] [--full] [--csv] "
-        "[--json] [--engine E] [--metrics-out FILE] [--trace-out FILE]\n"
+        "[--json] [--metrics-out FILE] [--trace-out FILE]\n"
         "  --trials N         Monte-Carlo trials per point (0 = bench "
         "default)\n"
         "  --seed S           base seed; results are thread-count invariant\n"
@@ -151,24 +124,10 @@ class ArgParser {
         "  --full             paper-scale trial budget\n"
         "  --csv              CSV tables (benches that support it)\n"
         "  --json             machine-readable envelope output\n"
-        "  --engine E         simulation engine: slot, event, or both\n"
-        "                     (both engines are bitwise-identical; this\n"
-        "                     picks which are executed/timed)\n"
         "  --metrics-out FILE write the metrics JSON document ('-' = "
         "stdout)\n"
         "  --trace-out FILE   stream the JSONL event trace ('-' = stdout)\n",
         argv0);
-  }
-
-  void set_engine(const char* value) {
-    if (std::strcmp(value, "slot") != 0 && std::strcmp(value, "event") != 0 &&
-        std::strcmp(value, "both") != 0) {
-      std::fprintf(stderr,
-                   "%s: --engine expects slot, event, or both (got '%s')\n",
-                   bench_.c_str(), value);
-      std::exit(2);
-    }
-    engine_ = value;
   }
 
   std::string bench_;
@@ -177,7 +136,6 @@ class ArgParser {
   bool full_ = false;
   bool csv_ = false;
   bool json_ = false;
-  std::string engine_;  ///< "", "slot", "event", or "both"
   int threads_ = 1;  ///< worker threads for trial fan-out (resolved)
   std::unique_ptr<obs::FileSession> session_;
 };

@@ -1,30 +1,30 @@
-// Engine comparison: dense slot oracle vs activity-proportional event
-// engine on the same workloads. Sweeps network size (grid side), activity
-// density (busy = a long stream of codes in constant motion; sparse = a
-// single code pinned behind a scripted fiber cut until its request times
-// out) and timeout length (short/long). Every cell runs both engines from
-// the same seed and asserts the SimulationResults are identical before
-// trusting the timings, so the speedup column can never come from
-// divergent work.
+// Engine speedup: the every-slot oracle vs the engine on the same
+// workloads. The oracle (detail::simulate_surfnet_every_slot) is the
+// engine forced to visit every slot and sweep every entanglement pool;
+// simulate_surfnet skips the slots it can prove idle. Sweeps network size
+// (grid side), activity density (busy = a long stream of codes in
+// constant motion; sparse = a single code pinned behind a scripted fiber
+// cut until its request times out) and timeout length (short/long).
+// Every cell runs both from the same seed and asserts the
+// SimulationResults are identical before trusting the timings, so the
+// speedup column can never come from divergent work.
 //
-// Expected shape: busy cells stay near 1x (both engines visit every slot;
-// the event engine trades queue upkeep against lazy per-fiber pools) while
-// sparse cells grow with timeout length x fiber count — the slot engine
-// pays O(fibers) per waited slot, the event engine jumps straight to the
-// fault expiry/timeout. The sparse long-timeout row is the headline: the
-// event engine must clear 5x there (scripts/check_overhead.py gates the
-// committed baseline).
+// Expected shape: busy cells stay near 1x (every slot is visited either
+// way; the engine trades queue upkeep against lazy per-fiber pools) while
+// sparse cells grow with timeout length x fiber count — the oracle pays
+// O(fibers) per waited slot, the engine jumps straight to the fault
+// expiry/timeout. The sparse long-timeout row is the headline: the engine
+// must clear 5x there (scripts/check_overhead.py gates the committed
+// baseline). JSON keys follow that baseline's schema: `slot_ms` is the
+// every-slot oracle, `event_ms` the engine.
 //
-// The engines run unobserved here on purpose: an attached sink forces the
-// event engine into dense mode, so a sink would measure observability
-// overhead, not engine overhead (bench_obs_overhead covers that).
-//
-// --engine slot|event restricts which engine is executed and timed (the
-// cross-engine equality assertion then has nothing to compare and is
-// skipped); the default runs and checks both.
+// Both run unobserved on purpose: an attached sink forces every-slot
+// visiting, so --metrics-out and --trace-out are refused (exit 2) rather
+// than timing a different program.
 
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -32,7 +32,7 @@
 
 #include "bench_common.h"
 #include "decoder/surfnet_decoder.h"
-#include "netsim/event_simulator.h"
+#include "netsim/sim_internal.h"
 #include "netsim/simulator.h"
 #include "netsim/topology.h"
 #include "util/rng.h"
@@ -114,7 +114,7 @@ netsim::SimulationParams make_params(const netsim::Topology& topology,
   return params;
 }
 
-/// Result fingerprint for the cross-engine equality assertion.
+/// Result fingerprint for the oracle-vs-engine equality assertion.
 std::string dump(const netsim::SimulationResult& r) {
   std::ostringstream out;
   out << r.codes_scheduled << '/' << r.codes_delivered << '/'
@@ -138,14 +138,24 @@ struct Row {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // Refuse a sink before ArgParser opens any output file.
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--metrics-out") == 0 ||
+        std::strcmp(argv[i], "--trace-out") == 0) {
+      std::fprintf(stderr,
+                   "event_core: %s unsupported: a sink forces the every-slot "
+                   "path, so the engine timing would measure a different "
+                   "program\n",
+                   argv[i]);
+      return 2;
+    }
+  }
   bench::ArgParser args("event_core", argc, argv);
   const int trials = args.resolve_trials(3, 10);
-  const bool run_slot = args.engine_enabled(netsim::SimEngine::Slot);
-  const bool run_event = args.engine_enabled(netsim::SimEngine::Event);
   const decoder::SurfNetDecoder dec;
 
   if (!args.json())
-    std::printf("Engine comparison: slot oracle vs event engine, %d "
+    std::printf("Engine speedup: every-slot oracle vs engine, %d "
                 "trial(s) per cell, seed %llu\n\n",
                 trials, static_cast<unsigned long long>(args.seed()));
 
@@ -170,31 +180,25 @@ int main(int argc, char** argv) {
     util::Rng seeder(args.seed());
     for (int t = 0; t < trials; ++t) {
       const std::uint64_t seed = seeder();
-      std::string slot_dump, event_dump;
-      if (run_slot) {
+      const auto timed = [&](decltype(&netsim::simulate_surfnet) simulate,
+                             std::int64_t& ns) {
         util::Rng rng(seed);
         const auto begin = std::chrono::steady_clock::now();
-        const auto result =
-            netsim::simulate_surfnet(topology, schedule, params, dec, rng);
-        slot_ns += std::chrono::duration_cast<std::chrono::nanoseconds>(
-                       std::chrono::steady_clock::now() - begin)
-                       .count();
-        slot_dump = dump(result);
-      }
-      if (run_event) {
-        util::Rng rng(seed);
-        const auto begin = std::chrono::steady_clock::now();
-        const auto result = netsim::simulate_surfnet_event(
-            topology, schedule, params, dec, rng);
-        event_ns += std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        std::chrono::steady_clock::now() - begin)
-                        .count();
-        event_dump = dump(result);
-      }
-      if (run_slot && run_event && slot_dump != event_dump) {
+        const auto result = simulate(topology, schedule, params, dec, rng);
+        ns += std::chrono::duration_cast<std::chrono::nanoseconds>(
+                  std::chrono::steady_clock::now() - begin)
+                  .count();
+        return dump(result);
+      };
+      const std::string slot_dump =
+          timed(&netsim::detail::simulate_surfnet_every_slot, slot_ns);
+      const std::string event_dump =
+          timed(&netsim::simulate_surfnet, event_ns);
+      if (slot_dump != event_dump) {
         std::fprintf(stderr,
-                     "FATAL: engines diverged on %s grid=%d seed=%llu\n"
-                     "slot:\n%s\nevent:\n%s\n",
+                     "FATAL: engine diverged from the every-slot oracle on "
+                     "%s grid=%d seed=%llu\n"
+                     "every-slot:\n%s\nengine:\n%s\n",
                      scenario.name.c_str(), scenario.grid,
                      static_cast<unsigned long long>(seed),
                      slot_dump.c_str(), event_dump.c_str());
@@ -203,13 +207,12 @@ int main(int argc, char** argv) {
     }
     row.slot_ms = static_cast<double>(slot_ns) / 1e6;
     row.event_ms = static_cast<double>(event_ns) / 1e6;
-    if (run_slot && run_event && event_ns > 0)
+    if (event_ns > 0)
       row.speedup = static_cast<double>(slot_ns) /
                     static_cast<double>(event_ns);
     rows.push_back(std::move(row));
   }
 
-  args.finish_observability();
   if (args.json()) {
     std::vector<std::string> records;
     records.reserve(rows.size());
@@ -231,7 +234,7 @@ int main(int argc, char** argv) {
   }
 
   util::Table table({"scenario", "grid", "fibers", "codes", "timeout",
-                     "slot ms", "event ms", "speedup"});
+                     "every-slot ms", "engine ms", "speedup"});
   for (const auto& r : rows)
     table.add_row({r.scenario.name, std::to_string(r.scenario.grid),
                    std::to_string(r.fibers),
@@ -242,7 +245,7 @@ int main(int argc, char** argv) {
                    util::Table::fmt(r.speedup, 1)});
   table.print(std::cout);
   std::printf("\nExpected shape: busy cells near 1x (every slot is active "
-              "under both engines); sparse cells scale with timeout x "
-              "fibers, far past the 5x acceptance floor on the long rows.\n");
+              "either way); sparse cells scale with timeout x fibers, far "
+              "past the 5x acceptance floor on the long rows.\n");
   return 0;
 }

@@ -34,7 +34,6 @@ int main(int argc, char** argv) {
   core::RunOptions options;
   options.seed = args.seed();
   options.threads = args.threads();
-  options.engine = args.selected_engine();
   options.sink = args.sink();
 
   util::Table table({"scenario", "fibers", "design", "throughput", "latency",

@@ -15,7 +15,7 @@ pairwise.
 
 ``--speedup-min`` asserts an absolute floor instead of comparing: every
 record in the single given file that carries a ``speedup`` field (e.g.
-bench_event_core's slot-vs-event rows) must meet the floor, optionally
+bench_event_core's oracle-vs-engine rows) must meet the floor, optionally
 restricted with ``--speedup-filter`` to records whose string fields
 contain the given substring. This is the acceptance gate for the event
 engine: ``--speedup-filter sparse_long --speedup-min 5``.

@@ -30,8 +30,9 @@ Rules (scoped per tree; see RULES below):
                       iteration). Virtual time must come only from the
                       event queue and handler order must be fully
                       deterministic; both leaks would silently break the
-                      bitwise slot-engine equivalence the differential
-                      tests pin down.
+                      bitwise equivalence between skip mode and the
+                      every-slot oracle that the differential tests pin
+                      down.
 
 The unordered-iteration rule that used to live here moved to the C++
 analyzer (`surfnet-analyze`, rule `unordered-state`), which sees real
@@ -231,7 +232,8 @@ class FileLinter:
                         f"{name} in the event engine; virtual time comes "
                         "from the event queue only and handler state must "
                         "iterate deterministically (vectors/sorted), or "
-                        "the slot-engine bitwise equivalence breaks")
+                        "the bitwise equivalence with the every-slot "
+                        "oracle breaks")
 
     def lint_header(self):
         if self.path.suffix not in (".h", ".hpp"):

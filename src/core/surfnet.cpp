@@ -85,8 +85,7 @@ TrialMetrics run_trial(const ScenarioParams& params, NetworkDesign design,
 }
 
 TrialMetrics run_trial(const ScenarioParams& params, NetworkDesign design,
-                       std::uint64_t seed, const obs::Sink& sink,
-                       SimEngine engine) {
+                       std::uint64_t seed, const obs::Sink& sink) {
   util::Rng rng(seed);
   const auto topology = netsim::make_random_topology(params.topology, rng);
   const auto requests = netsim::random_requests(
@@ -124,7 +123,7 @@ TrialMetrics run_trial(const ScenarioParams& params, NetworkDesign design,
   }
 
   const decoder::SurfNetDecoder dec;
-  const auto simulator = netsim::make_simulator(design, dec, engine);
+  const auto simulator = netsim::make_simulator(design, dec);
   const auto sim = simulator->run(topology, schedule, simulation, rng);
 
   TrialMetrics metrics;
@@ -183,8 +182,7 @@ AggregateMetrics run_trials(const ScenarioParams& params,
   if (workers == 1) {
     for (int t = 0; t < trials; ++t) {
       const auto i = static_cast<std::size_t>(t);
-      results[i] =
-          run_trial(params, design, seeds[i], trial_sink(i), options.engine);
+      results[i] = run_trial(params, design, seeds[i], trial_sink(i));
     }
   } else {
     std::vector<std::thread> pool;
@@ -193,8 +191,7 @@ AggregateMetrics run_trials(const ScenarioParams& params,
       pool.emplace_back([&, w] {
         for (int t = w; t < trials; t += workers) {
           const auto i = static_cast<std::size_t>(t);
-          results[i] = run_trial(params, design, seeds[i], trial_sink(i),
-                                 options.engine);
+          results[i] = run_trial(params, design, seeds[i], trial_sink(i));
         }
       });
     }
@@ -227,8 +224,7 @@ TrafficScenario make_traffic_scenario(FacilityLevel level,
 
 netsim::TrafficResult run_traffic_trial(const TrafficScenario& scenario,
                                         std::uint64_t seed,
-                                        const obs::Sink& sink,
-                                        SimEngine engine) {
+                                        const obs::Sink& sink) {
   util::Rng rng(seed);
   const auto topology =
       netsim::make_random_topology(scenario.topology, rng);
@@ -239,7 +235,7 @@ netsim::TrafficResult run_traffic_trial(const TrafficScenario& scenario,
 
   netsim::WorkloadParams workload = scenario.workload;
   workload.sink = sink;
-  return netsim::run_traffic(topology, provider, workload, rng, engine);
+  return netsim::run_traffic(topology, provider, workload, rng);
 }
 
 AggregateTraffic run_trials(const TrafficScenario& scenario, int trials,
@@ -271,9 +267,7 @@ AggregateTraffic run_trials(const TrafficScenario& scenario, int trials,
   if (workers == 1) {
     for (int t = 0; t < trials; ++t) {
       const auto i = static_cast<std::size_t>(t);
-      results[i] =
-          run_traffic_trial(scenario, seeds[i], trial_sink(i),
-                            options.engine);
+      results[i] = run_traffic_trial(scenario, seeds[i], trial_sink(i));
     }
   } else {
     std::vector<std::thread> pool;
@@ -282,8 +276,7 @@ AggregateTraffic run_trials(const TrafficScenario& scenario, int trials,
       pool.emplace_back([&, w] {
         for (int t = w; t < trials; t += workers) {
           const auto i = static_cast<std::size_t>(t);
-          results[i] = run_traffic_trial(scenario, seeds[i], trial_sink(i),
-                                         options.engine);
+          results[i] = run_traffic_trial(scenario, seeds[i], trial_sink(i));
         }
       });
     }

@@ -9,7 +9,7 @@
 // std::priority_queue, whose sift order leaves equal keys in an
 // unspecified relative order. Pop order is therefore a pure function of
 // the push sequence, which is what lets the event engine promise bitwise
-// replay of the slot engine.
+// replay of the every-slot oracle.
 
 #include <cstddef>
 #include <cstdint>

@@ -11,15 +11,15 @@
 
 // Engine equivalence argument (details in DESIGN.md §"Event engine").
 //
-// A *visited* slot executes the exact slot-engine phase sequence —
-// entanglement generation, FaultInjector::begin_slot, pool snapshot,
-// service-order shuffle, per-code processing — through the shared code in
-// netsim/sim_internal.h, so a visit can never diverge from the oracle.
-// The queue only decides WHICH slots are visited. A slot may be skipped
-// only when the slot engine provably (a) draws no random variate there,
-// (b) emits no sink event there, and (c) changes state only in ways a
-// closed form reproduces (deterministic pool gains, cooldown decrements,
-// failed-reroute counters). Three run modes make that proof easy:
+// A *visited* slot executes one fixed phase sequence — entanglement
+// generation, FaultInjector::begin_slot, pool snapshot, service-order
+// shuffle, per-code processing — through the shared code in
+// netsim/sim_internal.h. The queue only decides WHICH slots are visited.
+// A slot may be skipped only when visiting it would provably (a) draw no
+// random variate, (b) emit no sink event, and (c) change state only in
+// ways a closed form reproduces (deterministic pool gains, cooldown
+// decrements, failed-reroute counters). Four run modes make that proof
+// easy:
 //
 //   eager  — sink attached or fractional base rate: the gains sweep runs
 //            verbatim every slot (it draws / must be observed per slot).
@@ -27,6 +27,9 @@
 //            every slot is visited; pools may still be lazy.
 //   skip   — single request, scripted-only faults, integral base rate,
 //            no sink: slots between queued wake-ups are skipped.
+//   every-slot — eager and dense forced on every run
+//            (detail::simulate_surfnet_every_slot): the test oracle that
+//            skip mode and lazy pools are compared against.
 //
 // In skip mode, fault state is piecewise-constant between scripted
 // onset/expiry slots, and both of those are preloaded into the queue; so
@@ -52,14 +55,6 @@ std::string_view to_string(EventClass cls) {
   return "?";
 }
 
-std::string_view to_string(SimEngine engine) {
-  switch (engine) {
-    case SimEngine::Slot: return "slot";
-    case SimEngine::Event: return "event";
-  }
-  return "?";
-}
-
 namespace {
 
 using namespace detail;
@@ -68,18 +63,18 @@ constexpr int kNever = std::numeric_limits<int>::max();
 
 /// Per-fiber prepared-pair pools with lazily materialized gains.
 ///
-/// The slot engine adds `min(cap, pairs + gain)` to every fiber every
-/// slot. With an integral generation rate the gain is deterministic, so a
-/// fiber's level after k untouched slots has the closed form
-/// `min(cap, p0 + whole·k)` (saturation is absorbing because gains are
-/// non-negative, so one clamp at the end equals a clamp per slot). Each
-/// fiber carries a high-water slot (`as_of_`) and is materialized on
-/// demand. Fractional rates draw one Bernoulli per slot per fiber — those
-/// draws cannot be skipped without changing the RNG stream, so fibers
-/// inside a fractional-rate degradation window live in `fractional_` and
-/// are materialized (drawing, in ascending fiber order, exactly like the
-/// slot engine's sweep) at every slot while the window lasts; the engine
-/// visits every slot of such a window (fractional_until()).
+/// A visited slot adds `min(cap, pairs + gain)` to every fiber. With an
+/// integral generation rate the gain is deterministic, so a fiber's level
+/// after k untouched slots has the closed form `min(cap, p0 + whole·k)`
+/// (saturation is absorbing because gains are non-negative, so one clamp
+/// at the end equals a clamp per slot). Each fiber carries a high-water
+/// slot (`as_of_`) and is materialized on demand. Fractional rates draw
+/// one Bernoulli per slot per fiber — those draws cannot be skipped
+/// without changing the RNG stream, so fibers inside a fractional-rate
+/// degradation window live in `fractional_` and are materialized
+/// (drawing, in ascending fiber order, exactly like the eager sweep) at
+/// every slot while the window lasts; the engine visits every slot of
+/// such a window (fractional_until()).
 ///
 /// Rate history per fiber is "current degradation window, then base":
 /// the RateChangeListener hook materializes a fiber up to the mutation
@@ -99,7 +94,7 @@ class LazyPools final : public RateChangeListener {
         win_factor_(static_cast<std::size_t>(topology.num_fibers()), 1.0) {}
 
   /// Phase 1 of a visited slot: entanglement generation. Eager mode runs
-  /// the slot-engine sweep verbatim; lazy mode draws only for fibers
+  /// the per-slot sweep verbatim; lazy mode draws only for fibers
   /// inside a live fractional window (the only fibers the sweep draws
   /// for when the base rate is integral).
   void generate(int slot, util::Rng& rng) {
@@ -163,7 +158,7 @@ class LazyPools final : public RateChangeListener {
   /// Smallest slot t >= from with level(fiber, t) >= need assuming no
   /// consumption in between; kNever when unreachable, `from` when the
   /// crossing has no closed form (early wake-ups are harmless, late ones
-  /// would skip a jump the oracle makes).
+  /// would skip a jump the every-slot run makes).
   int first_ready(int fiber, int need, int from) {
     if (eager_) return from;
     const auto e = static_cast<std::size_t>(fiber);
@@ -376,14 +371,12 @@ void advance_gap(const RecoveryPolicy& policy, ActiveCode& code,
     code.failed_reroutes += gap;
 }
 
-}  // namespace
-
-SimulationResult simulate_surfnet_event(const Topology& topology,
-                                        const Schedule& schedule,
-                                        const SimulationParams& params,
-                                        const decoder::Decoder& decoder,
-                                        util::Rng& rng) {
-  using namespace detail;
+/// The engine. `every_slot` forces eager and dense mode: the test oracle.
+SimulationResult run_engine(const Topology& topology,
+                            const Schedule& schedule,
+                            const SimulationParams& params,
+                            const decoder::Decoder& decoder, util::Rng& rng,
+                            bool every_slot) {
   SimulationResult result;
   result.codes_scheduled = schedule.scheduled_codes();
   if (schedule.scheduled.empty()) return result;
@@ -412,7 +405,7 @@ SimulationResult simulate_surfnet_event(const Topology& topology,
 
   // Run-mode selection (header comment): eager replays the gains sweep
   // verbatim; dense visits every slot; otherwise slots are skipped.
-  const bool eager = sink.enabled() || rates.base_frac() > 0.0;
+  const bool eager = every_slot || sink.enabled() || rates.base_frac() > 0.0;
   const bool dense =
       eager || injector.stochastic().any() || plans.size() != 1;
   LazyPools pools(topology, rates, injector, eager);
@@ -449,7 +442,7 @@ SimulationResult simulate_surfnet_event(const Topology& topology,
     final_slot = slot;
     ++visited;
 
-    // A visit is the exact slot-engine phase sequence.
+    // A visit is the same phase sequence in every mode.
     pools.generate(slot, rng);
     injector.begin_slot(slot, rng, sink, &pools);
     pools.sync(slot);
@@ -473,7 +466,7 @@ SimulationResult simulate_surfnet_event(const Topology& topology,
       flags = StepFlags{};
       if (process_code(topology, injector, policy, params, decoder, plan,
                        active[idx], slot, pool, result, rng,
-                       &flags) == CodeStep::Finished) {
+                       flags) == CodeStep::Finished) {
         has_active[idx] = 0;
         --in_flight_or_pending;
       }
@@ -506,8 +499,8 @@ SimulationResult simulate_surfnet_event(const Topology& topology,
     slot = next;
   }
 
-  // The oracle sweeps every remaining slot (drawing nothing a skipped
-  // slot would have drawn) and censors in-flight codes at the cap.
+  // An every-slot run would sweep every remaining slot (drawing nothing a
+  // skipped slot would have drawn) and censor in-flight codes at the cap.
   if (in_flight_or_pending > 0 && params.max_slots > 0)
     final_slot = params.max_slots - 1;
   for (std::size_t idx = 0; idx < plans.size(); ++idx) {
@@ -522,9 +515,9 @@ SimulationResult simulate_surfnet_event(const Topology& topology,
           final_slot, plans[idx].sched->request_index, slots));
   }
 
-  // Engine-specific observability: the only sink keys the event engine
-  // adds over the slot engine, all under "sim.event_*" so differential
-  // comparisons can strip them.
+  // Engine observability under "sim.event_*": the queue peak and the
+  // visit/skip counters. A sink forces every-slot visiting, so observed
+  // runs report no skips.
   if (sink.metrics) {
     sink.metrics->gauge("sim.event_queue_peak",
                         static_cast<double>(queue.peak_size()));
@@ -534,24 +527,23 @@ SimulationResult simulate_surfnet_event(const Topology& topology,
   return result;
 }
 
-std::unique_ptr<Simulator> make_simulator(NetworkDesign design,
-                                          const decoder::Decoder& decoder,
-                                          SimEngine engine) {
-  switch (design) {
-    case NetworkDesign::SurfNet:
-    case NetworkDesign::Raw:
-      if (engine == SimEngine::Event)
-        return std::make_unique<EventSurfNetSimulator>(decoder);
-      return std::make_unique<SurfNetSimulator>(decoder);
-    case NetworkDesign::Purification1:
-    case NetworkDesign::Purification2:
-    case NetworkDesign::Purification9:
-      // Purification has no event engine; the slot loop is already
-      // pair-pool-bound and cheap.
-      return std::make_unique<PurificationSimulator>(
-          purification_rounds(design));
-  }
-  throw std::invalid_argument("unknown NetworkDesign");
+}  // namespace
+
+SimulationResult simulate_surfnet(const Topology& topology,
+                                  const Schedule& schedule,
+                                  const SimulationParams& params,
+                                  const decoder::Decoder& decoder,
+                                  util::Rng& rng) {
+  return run_engine(topology, schedule, params, decoder, rng,
+                    /*every_slot=*/false);
+}
+
+SimulationResult detail::simulate_surfnet_every_slot(
+    const Topology& topology, const Schedule& schedule,
+    const SimulationParams& params, const decoder::Decoder& decoder,
+    util::Rng& rng) {
+  return run_engine(topology, schedule, params, decoder, rng,
+                    /*every_slot=*/true);
 }
 
 }  // namespace surfnet::netsim

@@ -1,10 +1,8 @@
 #pragma once
 
-// Event-driven simulation engine for surface-code transfers.
+// The event engine behind simulate_surfnet (netsim/simulator.h).
 //
-// simulate_surfnet_event() computes the same function as
-// simulate_surfnet() — bitwise-identical SimulationResult, obs::Sink
-// events, "sim.*" metrics, and RNG stream — but its cost is proportional
+// It executes the slot model of simulator.h, but its cost is proportional
 // to *activity* instead of `slots × topology`. The engine keeps a
 // deterministic pending-event queue (netsim/event_queue.h) of slots at
 // which something can happen: scripted fault onsets/expiries, request
@@ -17,57 +15,13 @@
 // When a run cannot skip safely — an attached obs::Sink observes every
 // slot, stochastic fault processes draw every slot, several requests
 // contend through the per-slot service shuffle, or a fractional base rate
-// draws one Bernoulli per fiber per slot — the engine degrades to visiting
-// every slot. Visited slots execute the exact slot-engine phase sequence
-// (shared code in netsim/sim_internal.h), so equivalence never depends on
-// which mode a run lands in.
+// draws one Bernoulli per fiber per slot — the engine visits every slot.
+// A visited slot always runs the same phase sequence (shared code in
+// netsim/sim_internal.h), so skipping only decides which slots run. The
+// differential tests pin that against detail::simulate_surfnet_every_slot,
+// the same engine forced to visit every slot.
+//
+// This header declares nothing of its own: simulate_surfnet, SimEngine
+// and make_simulator live in netsim/simulator.h. perfbench/ includes it.
 
-#include <memory>
-#include <string_view>
-
-#include "decoder/decoder.h"
 #include "netsim/simulator.h"
-
-namespace surfnet::netsim {
-
-/// Which simulation engine executes a run. Both compute the identical
-/// function; Event is asymptotically cheaper on sparse/idle workloads.
-enum class SimEngine : std::uint8_t {
-  Slot,   ///< dense per-slot sweep (the differential oracle)
-  Event,  ///< deterministic event queue, activity-proportional
-};
-
-std::string_view to_string(SimEngine engine);
-
-/// Event-driven equivalent of simulate_surfnet().
-SimulationResult simulate_surfnet_event(const Topology& topology,
-                                        const Schedule& schedule,
-                                        const SimulationParams& params,
-                                        const decoder::Decoder& decoder,
-                                        util::Rng& rng);
-
-/// Surface-code transfer on the event engine. Drop-in for
-/// SurfNetSimulator; name() distinguishes the engines in reports.
-class EventSurfNetSimulator final : public Simulator {
- public:
-  explicit EventSurfNetSimulator(const decoder::Decoder& decoder)
-      : decoder_(&decoder) {}
-  SimulationResult run(const Topology& topology, const Schedule& schedule,
-                       const SimulationParams& params,
-                       util::Rng& rng) const override {
-    return simulate_surfnet_event(topology, schedule, params, *decoder_, rng);
-  }
-  std::string_view name() const override { return "surfnet-event"; }
-
- private:
-  const decoder::Decoder* decoder_;
-};
-
-/// Engine-selecting factory. Purification designs have no event engine
-/// (their per-slot loop is already cheap and pair-pool-bound); they get
-/// the slot-based PurificationSimulator under either engine choice.
-std::unique_ptr<Simulator> make_simulator(NetworkDesign design,
-                                          const decoder::Decoder& decoder,
-                                          SimEngine engine);
-
-}  // namespace surfnet::netsim

@@ -1,17 +1,18 @@
 #pragma once
 
-// Internal machinery shared by the two surface-code simulation engines
-// (the slot engine in simulator.cpp and the event engine in
-// event_simulator.cpp). NOT part of the public netsim API — include only
-// from netsim/*.cpp and tests that deliberately reach into engine
-// internals.
+// Internal machinery of the surface-code engine (event_simulator.cpp),
+// part of which simulate_purification (simulator.cpp) shares. NOT part of
+// the public netsim API — include only from netsim/*.cpp, from tests that
+// deliberately reach into engine internals, and from
+// bench/bench_event_core.cpp, which times the every-slot oracle below
+// against simulate_surfnet.
 //
-// Everything here is engine-agnostic: static request validation, the
-// in-flight code state, the decode/correction step, the recovery actions,
-// and the entanglement-rate buckets. Both engines instantiate
-// process_code() for their per-slot per-code work, so the scheduling
-// layers can differ while the observable behavior of one processed code —
-// including its RNG draw order and its sink events — cannot diverge.
+// Everything here is independent of which slots the engine visits: static
+// request validation, the in-flight code state, the decode/correction
+// step, the recovery actions, and the entanglement-rate buckets. Every
+// visited slot runs process_code() for its per-code work, so skipping
+// slots cannot change the observable behavior of one processed code —
+// including its RNG draw order and its sink events.
 
 #include <algorithm>
 #include <cmath>
@@ -296,8 +297,8 @@ class EntanglementRates {
                        : base_rate_;
   }
 
-  /// Advance every pool by one slot of generation (the per-slot sweep of
-  /// the slot engine). Bitwise-identical to the historical per-slot loop.
+  /// Advance every pool by one slot of generation: the verbatim per-slot
+  /// sweep of an eager run.
   void advance(std::vector<int>& pairs, const FaultInjector& injector,
                int slot, util::Rng& rng) const {
     if (!degradable_ && base_frac_ <= 0.0) {
@@ -343,19 +344,17 @@ enum class CodeStep {
   Finished,  ///< delivered or timed out; a CodeRecord was appended
 };
 
-/// Side facts the event engine needs for its wake computation; the slot
-/// engine passes nullptr. Recording these changes no behavior.
+/// Side facts the engine needs for its wake computation. Recording these
+/// changes no behavior.
 struct StepFlags {
   bool support_reroute_failed = false;  ///< blocked + local recovery failed
   bool core_reroute_failed = false;
 };
 
-/// One code's work in one slot: the exact per-code body of the slot
-/// engine's service loop (timeout budget, cooldown, Support hop, Core
-/// segment jump, barrier decode). `Pool` provides `int level(int fiber)`
-/// and `void consume(int fiber, int n)` over the prepared-pair inventory;
-/// both engines instantiate this template, so per-code behavior — RNG
-/// draw order included — cannot diverge between them.
+/// One code's work in one visited slot (timeout budget, cooldown, Support
+/// hop, Core segment jump, barrier decode). `Pool` provides
+/// `int level(int fiber)` and `void consume(int fiber, int n)` over the
+/// prepared-pair inventory.
 template <typename Pool>
 CodeStep process_code(const Topology& topology, const FaultInjector& injector,
                       const RecoveryPolicy& policy,
@@ -363,7 +362,7 @@ CodeStep process_code(const Topology& topology, const FaultInjector& injector,
                       const decoder::Decoder& decoder, const RequestPlan& plan,
                       ActiveCode& code, int slot, Pool& pool,
                       SimulationResult& result, util::Rng& rng,
-                      StepFlags* flags = nullptr) {
+                      StepFlags& flags) {
   const obs::Sink& sink = params.sink;
   // Per-code timeout budget: a starved code is abandoned individually
   // instead of pinning its request to the end of the run.
@@ -408,7 +407,7 @@ CodeStep process_code(const Topology& topology, const FaultInjector& injector,
       } else {
         reroute_failed(topology, injector, policy, sink, plan, code,
                        /*core_channel=*/false, slot);
-        if (flags) flags->support_reroute_failed = true;
+        flags.support_reroute_failed = true;
       }
     }
   }
@@ -445,7 +444,7 @@ CodeStep process_code(const Topology& topology, const FaultInjector& injector,
         } else {
           reroute_failed(topology, injector, policy, sink, plan, code,
                          /*core_channel=*/true, slot);
-          if (flags) flags->core_reroute_failed = true;
+          flags.core_reroute_failed = true;
         }
       }
     } else if (ready) {
@@ -537,15 +536,15 @@ CodeStep process_code(const Topology& topology, const FaultInjector& injector,
   return CodeStep::InFlight;
 }
 
-/// Pool adapter over the slot engine's plain per-fiber vector.
-struct VectorPool {
-  std::vector<int>& pairs;
-  int level(int fiber) const {
-    return pairs[static_cast<std::size_t>(fiber)];
-  }
-  void consume(int fiber, int n) {
-    pairs[static_cast<std::size_t>(fiber)] -= n;
-  }
-};
+/// The test oracle for slot skipping: simulate_surfnet forced to visit
+/// every slot and to sweep every entanglement pool verbatim (eager and
+/// dense mode on every run). simulate_surfnet must return the same result
+/// and leave the same RNG stream. A sink forces simulate_surfnet into this
+/// mode, so observed runs of the two are identical.
+SimulationResult simulate_surfnet_every_slot(const Topology& topology,
+                                             const Schedule& schedule,
+                                             const SimulationParams& params,
+                                             const decoder::Decoder& decoder,
+                                             util::Rng& rng);
 
 }  // namespace surfnet::netsim::detail

@@ -25,7 +25,7 @@ struct ActiveRequest {
 
 /// Inverse-transform interarrival gap in whole slots. Drawing exactly one
 /// uniform per gap — at the event-processing point, never per slot — is
-/// what keeps the slot and event engines on the same RNG stream.
+/// what lets the stream skip empty slots without changing its RNG stream.
 int draw_gap(const WorkloadParams& params, util::Rng& rng) {
   const double u = rng.uniform();
   double gap = 0.0;
@@ -71,7 +71,7 @@ double TrafficResult::latency_percentile(double p) const {
 
 TrafficResult run_traffic(const Topology& topology, RouteProvider& provider,
                           const WorkloadParams& params, util::Rng& rng,
-                          SimEngine engine) {
+                          SimEngine /*engine*/) {
   if (params.arrival_rate <= 0.0)
     throw std::invalid_argument("run_traffic: arrival_rate must be > 0");
   if (params.process == ArrivalProcess::Pareto && params.pareto_shape <= 1.0)
@@ -259,9 +259,9 @@ TrafficResult run_traffic(const Topology& topology, RouteProvider& provider,
   };
 
   // Degradation-window plumbing: the scale is a pure function of the
-  // event slot, and events are processed in nondecreasing slot order on
-  // both engines, so the provider sees the same boundary crossings in the
-  // same places on every replay.
+  // event slot, and events are processed in nondecreasing slot order, so
+  // the provider sees the same boundary crossings in the same places on
+  // every replay.
   const bool window_active =
       params.degrade_until_slot > params.degrade_from_slot &&
       params.degrade_noise_scale != 1.0;
@@ -295,19 +295,8 @@ TrafficResult run_traffic(const Topology& topology, RouteProvider& provider,
   };
 
   schedule_next_arrival(0);
-  if (engine == SimEngine::Event) {
-    // Jump from event to event; empty slots cost nothing.
-    while (!queue.empty()) process(queue.pop());
-  } else {
-    // Slot sweep: visit every slot in order, draining the events due at
-    // each. Pop order — and therefore the RNG stream and every result —
-    // is identical to the event engine's.
-    int slot = 0;
-    while (!queue.empty()) {
-      while (!queue.empty() && queue.top().slot == slot) process(queue.pop());
-      ++slot;
-    }
-  }
+  // Jump from event to event; empty slots cost nothing.
+  while (!queue.empty()) process(queue.pop());
 
   result.measured_slots =
       std::max(0, result.last_slot - params.warmup_slots + 1);

@@ -16,12 +16,11 @@
 // (slot, EventClass, seq) exactly like the simulator's own wake-ups;
 // EventClass::Departure outranks EventClass::Arrival so resources freed at
 // a slot are visible to same-slot admission decisions. Every random
-// variate is drawn at an event-processing point both engines visit in the
-// same order — interarrival gaps by inverse transform when an arrival is
-// processed, never per-slot Bernoulli draws — so a (seed, params) pair
-// replays bitwise on the slot and the event engine alike, and the
-// per-trial buffering of core::run_trials makes multi-trial traffic runs
-// thread-count invariant.
+// variate is drawn at an event-processing point — interarrival gaps by
+// inverse transform when an arrival is processed, never per-slot
+// Bernoulli draws — so empty slots are draw-free and skipped, a
+// (seed, params) pair replays bitwise, and the per-trial buffering of
+// core::run_trials makes multi-trial traffic runs thread-count invariant.
 //
 // The routing side of the stream is abstract: netsim knows only the
 // RouteProvider interface; routing::IncrementalRouter implements it with
@@ -32,7 +31,7 @@
 #include <optional>
 #include <vector>
 
-#include "netsim/event_simulator.h"
+#include "netsim/simulator.h"
 #include "netsim/topology.h"
 #include "obs/sink.h"
 #include "util/rng.h"
@@ -148,8 +147,8 @@ struct WorkloadParams {
   /// Boundary crossings are reported through
   /// RouteProvider::set_noise_scale at event-processing points — a pure
   /// function of the event slot, so replays stay bitwise identical across
-  /// engines and thread counts. degrade_until_slot <= degrade_from_slot
-  /// (the default) disables the window.
+  /// thread counts. degrade_until_slot <= degrade_from_slot (the default)
+  /// disables the window.
   int degrade_from_slot = 0;
   int degrade_until_slot = 0;
   double degrade_noise_scale = 1.0;
@@ -201,9 +200,9 @@ struct TrafficResult {
   }
 };
 
-/// Drive one open-loop traffic stream against `provider`. Both engines
-/// produce bitwise-identical results and observability output for the
-/// same (params, seed); the event engine skips empty slots.
+/// Drive one open-loop traffic stream against `provider`, jumping from
+/// event to event; the same (params, seed) replays bitwise. `engine` is
+/// unread (see SimEngine in netsim/simulator.h).
 TrafficResult run_traffic(const Topology& topology, RouteProvider& provider,
                           const WorkloadParams& params, util::Rng& rng,
                           SimEngine engine = SimEngine::Event);

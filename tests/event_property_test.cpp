@@ -1,8 +1,10 @@
-// Extended differential campaign: the event engine must reproduce the
-// slot oracle bitwise — SimulationResult, trace, and post-run RNG stream —
-// across randomized fault plans, recovery policies, entanglement rates
-// (integral and fractional), schedules, and observation modes. Each
-// failing case prints a SURFNET_PROP_SEED that replays it in isolation.
+// Extended differential campaign: simulate_surfnet, which skips idle slots
+// and keeps lazy pools, must reproduce the every-slot oracle
+// (detail::simulate_surfnet_every_slot) bitwise — SimulationResult and
+// post-run RNG stream — across randomized fault plans, recovery policies,
+// entanglement rates (integral and fractional), schedules, and oracle
+// observation modes. Each failing case prints a SURFNET_PROP_SEED that
+// replays it in isolation.
 
 #include "proptest.h"
 
@@ -13,7 +15,7 @@
 #include <vector>
 
 #include "decoder/surfnet_decoder.h"
-#include "netsim/event_simulator.h"
+#include "netsim/sim_internal.h"
 #include "netsim/simulator.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -25,7 +27,6 @@ namespace {
 using netsim::FaultEvent;
 using netsim::FaultKind;
 using netsim::FaultPlan;
-using netsim::SimEngine;
 using netsim::Topology;
 
 /// Ring fixture shared with the netsim tests: user(0) - sw(1) - server(2)
@@ -136,38 +137,34 @@ std::string dump(const netsim::SimulationResult& r) {
   return out.str();
 }
 
-std::string jsonl_of(const obs::TraceBuffer& buffer) {
-  std::string out;
-  for (const auto& event : buffer.events()) out += obs::to_jsonl(event) + "\n";
-  return out;
-}
-
 struct RunOutput {
   std::string result;
-  std::string trace;
   std::vector<std::uint64_t> rng_tail;
 };
 
-RunOutput run_engine(SimEngine engine, const Topology& topo,
+RunOutput run_engine(bool every_slot, const Topology& topo,
                      const netsim::Schedule& schedule,
                      netsim::SimulationParams params, std::uint64_t seed,
-                     bool observed, obs::TraceBuffer& trace,
-                     obs::MetricsRegistry& metrics) {
+                     bool observed) {
   const decoder::SurfNetDecoder dec;
+  obs::TraceBuffer trace;
+  obs::MetricsRegistry metrics;
   if (observed) params.sink = {&metrics, &trace};
   util::Rng rng(seed);
-  const auto simulator =
-      netsim::make_simulator(netsim::NetworkDesign::SurfNet, dec, engine);
-  const auto result = simulator->run(topo, schedule, params, rng);
+  const auto result =
+      every_slot ? netsim::detail::simulate_surfnet_every_slot(
+                       topo, schedule, params, dec, rng)
+                 : netsim::simulate_surfnet(topo, schedule, params, dec, rng);
   RunOutput out;
   out.result = dump(result);
-  out.trace = jsonl_of(trace);
   for (int i = 0; i < 4; ++i) out.rng_tail.push_back(rng());
   return out;
 }
 
-// P: for any (schedule, fault plan, policy, rate, seed, observation mode),
-// both engines produce the same result, trace, and RNG stream.
+// P: for any (schedule, fault plan, policy, rate, seed), the engine run
+// unobserved — free to skip slots and keep lazy pools — produces the same
+// result and RNG stream as the every-slot oracle, observed or not (a sink
+// never changes either).
 TEST(EventEngineProperty, MatchesSlotOracleBitwise) {
   const auto topo = ring_topology();
   proptest::Config config;
@@ -178,15 +175,12 @@ TEST(EventEngineProperty, MatchesSlotOracleBitwise) {
     const bool observed = proptest::chance(rng, 0.35);
     const std::uint64_t seed = rng();
 
-    obs::TraceBuffer trace_slot, trace_event;
-    obs::MetricsRegistry metrics_slot, metrics_event;
-    const auto slot = run_engine(SimEngine::Slot, topo, schedule, params,
-                                 seed, observed, trace_slot, metrics_slot);
-    const auto event = run_engine(SimEngine::Event, topo, schedule, params,
-                                  seed, observed, trace_event, metrics_event);
-    ASSERT_EQ(slot.result, event.result);
-    ASSERT_EQ(slot.trace, event.trace);
-    ASSERT_EQ(slot.rng_tail, event.rng_tail);
+    const auto oracle =
+        run_engine(true, topo, schedule, params, seed, observed);
+    const auto engine =
+        run_engine(false, topo, schedule, params, seed, /*observed=*/false);
+    ASSERT_EQ(oracle.result, engine.result);
+    ASSERT_EQ(oracle.rng_tail, engine.rng_tail);
   });
 }
 

@@ -16,8 +16,12 @@ Topology small_topology() {
 TEST(Dot, EmitsAllNodesAndFibers) {
   const auto topo = small_topology();
   const auto dot = to_dot(topo);
-  for (int v = 0; v < topo.num_nodes(); ++v)
-    EXPECT_NE(dot.find("n" + std::to_string(v) + " ["), std::string::npos);
+  for (int v = 0; v < topo.num_nodes(); ++v) {
+    std::string label = "n";
+    label += std::to_string(v);
+    label += " [";
+    EXPECT_NE(dot.find(label), std::string::npos);
+  }
   EXPECT_NE(dot.find("n0 -- n1"), std::string::npos);
   EXPECT_NE(dot.find("n2 -- n3"), std::string::npos);
   EXPECT_NE(dot.find("peripheries=2"), std::string::npos);  // the server

@@ -1,9 +1,12 @@
-// Differential tests for the event-driven engine: simulate_surfnet_event
-// must reproduce simulate_surfnet bitwise — SimulationResult, JSONL trace,
-// metrics document (modulo the engine's own "sim.event_*" keys), and the
+// Differential tests for the event engine: simulate_surfnet, which skips
+// idle slots and keeps lazy pools, must reproduce the every-slot oracle
+// (detail::simulate_surfnet_every_slot) bitwise — SimulationResult and the
 // RNG stream (verified by comparing draws *after* the runs) — plus unit
-// tests for the deterministic event queue itself. The heavy randomized
-// matrix lives in tests/event_property_test.cpp (extended label).
+// tests for the deterministic event queue itself. A sink forces
+// every-slot visiting, so the engine side of each differential runs
+// unobserved; the golden traces in golden_trace_test.cpp pin the observed
+// path. The heavy randomized matrix lives in tests/event_property_test.cpp
+// (extended label).
 
 #include <gtest/gtest.h>
 
@@ -15,10 +18,9 @@
 #include "core/surfnet.h"
 #include "decoder/surfnet_decoder.h"
 #include "netsim/event_queue.h"
-#include "netsim/event_simulator.h"
+#include "netsim/sim_internal.h"
 #include "netsim/simulator.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "util/rng.h"
 
 namespace surfnet::netsim {
@@ -64,21 +66,14 @@ TEST(EventQueue, TracksPeakAndPushCount) {
 }
 
 TEST(EventEngine, NamesAndFallbacks) {
-  EXPECT_EQ(to_string(SimEngine::Slot), "slot");
-  EXPECT_EQ(to_string(SimEngine::Event), "event");
   EXPECT_EQ(to_string(EventClass::FaultOnset), "fault_onset");
   EXPECT_EQ(to_string(EventClass::EntanglementReady), "entanglement_ready");
   const decoder::SurfNetDecoder dec;
-  EXPECT_EQ(make_simulator(NetworkDesign::SurfNet, dec, SimEngine::Event)
-                ->name(),
-            "surfnet-event");
-  EXPECT_EQ(make_simulator(NetworkDesign::Raw, dec, SimEngine::Slot)->name(),
-            "surfnet");
-  // Purification has no event engine: both selections run the slot loop.
-  EXPECT_EQ(
-      make_simulator(NetworkDesign::Purification2, dec, SimEngine::Event)
-          ->name(),
-      "purification");
+  EXPECT_EQ(make_simulator(NetworkDesign::SurfNet, dec)->name(), "surfnet");
+  EXPECT_EQ(make_simulator(NetworkDesign::Raw, dec)->name(), "surfnet");
+  // Purification has no event engine: it keeps its own slot loop.
+  EXPECT_EQ(make_simulator(NetworkDesign::Purification2, dec)->name(),
+            "purification");
 }
 
 // --------------------------------------------------- differential rigs --
@@ -120,86 +115,41 @@ std::string dump(const SimulationResult& r) {
   return out.str();
 }
 
-std::string jsonl_of(const obs::TraceBuffer& buffer) {
-  std::string out;
-  for (const auto& event : buffer.events()) out += obs::to_jsonl(event) + "\n";
-  return out;
-}
-
-/// Blank the "timers" section of a metrics document (measured wall-clock,
-/// the one legitimately run-varying part).
-std::string without_timers(std::string json) {
-  const auto begin = json.find("\"timers\": {");
-  if (begin == std::string::npos) return json;
-  const auto end = json.find('}', begin);
-  return json.erase(begin, end - begin + 1);
-}
-
-/// Drop the event engine's own observability keys ("sim.event_*": queue
-/// peak and visit/skip counters) — the documented, deliberate metric
-/// difference between the engines. Everything else must match bitwise.
-std::string without_event_engine_keys(std::string json) {
-  for (;;) {
-    const auto pos = json.find("\"sim.event_");
-    if (pos == std::string::npos) return json;
-    auto end = json.find_first_of(",}", pos);  // values are plain numbers
-    std::size_t begin = pos;
-    if (end != std::string::npos && json[end] == ',') {
-      ++end;
-      while (end < json.size() && (json[end] == ' ' || json[end] == '\n'))
-        ++end;
-    } else {
-      const auto prev = json.find_last_of(",{", pos);
-      if (prev != std::string::npos && json[prev] == ',') begin = prev;
-    }
-    json.erase(begin, end - begin);
-  }
-}
-
 struct RunOutput {
   std::string result;
-  std::string trace;
-  std::string metrics;
   std::vector<std::uint64_t> rng_tail;  ///< draws after the run
 };
 
-RunOutput run_engine(SimEngine engine, const Topology& topo,
-                     const Schedule& schedule, SimulationParams params,
-                     std::uint64_t seed, bool observed) {
+RunOutput run(bool every_slot, const Topology& topo, const Schedule& schedule,
+              const SimulationParams& params, std::uint64_t seed) {
   const decoder::SurfNetDecoder dec;
-  obs::TraceBuffer trace;
-  obs::MetricsRegistry metrics;
-  if (observed) params.sink = {&metrics, &trace};
   util::Rng rng(seed);
-  const auto simulator = make_simulator(NetworkDesign::SurfNet, dec, engine);
-  const auto result = simulator->run(topo, schedule, params, rng);
+  const auto result =
+      every_slot ? detail::simulate_surfnet_every_slot(topo, schedule, params,
+                                                       dec, rng)
+                 : simulate_surfnet(topo, schedule, params, dec, rng);
   RunOutput out;
   out.result = dump(result);
-  out.trace = jsonl_of(trace);
-  out.metrics = without_event_engine_keys(without_timers(metrics.to_json()));
   for (int i = 0; i < 4; ++i) out.rng_tail.push_back(rng());
   return out;
 }
 
 void expect_bitwise(const Topology& topo, const Schedule& schedule,
                     const SimulationParams& params, std::uint64_t seed,
-                    bool observed, const char* label) {
-  const auto slot = run_engine(SimEngine::Slot, topo, schedule, params, seed,
-                               observed);
-  const auto event = run_engine(SimEngine::Event, topo, schedule, params,
-                                seed, observed);
-  EXPECT_EQ(slot.result, event.result) << label << ": SimulationResult";
-  EXPECT_EQ(slot.trace, event.trace) << label << ": trace";
-  EXPECT_EQ(slot.metrics, event.metrics) << label << ": metrics";
-  EXPECT_EQ(slot.rng_tail, event.rng_tail) << label << ": RNG stream";
+                    const char* label) {
+  const auto oracle = run(true, topo, schedule, params, seed);
+  const auto engine = run(false, topo, schedule, params, seed);
+  EXPECT_EQ(oracle.result, engine.result) << label << ": SimulationResult";
+  EXPECT_EQ(oracle.rng_tail, engine.rng_tail) << label << ": RNG stream";
 }
 
 // ------------------------------------------------------- differentials --
 
 TEST(EventEngineDifferential, GoldenFaultCampaignBitwise) {
-  // The exact configuration pinned by golden/ring_faults.jsonl: scripted
-  // events of every kind (including a fractional-rate degradation window:
-  // 3.0 * 0.3) plus a stochastic fiber-cut process, fully observed.
+  // The configuration pinned by golden/ring_faults.jsonl, unobserved:
+  // scripted events of every kind (including a fractional-rate
+  // degradation window: 3.0 * 0.3) plus a stochastic fiber-cut process,
+  // which visits every slot over lazy pools.
   SimulationParams params;
   params.max_slots = 300;
   params.entanglement_rate = 3.0;
@@ -211,12 +161,13 @@ TEST(EventEngineDifferential, GoldenFaultCampaignBitwise) {
   params.faults.stochastic.fiber_cut_rate = 0.02;
   params.faults.stochastic.fiber_cut_duration = 15;
   expect_bitwise(ring_topology(), one_request(6, true, {2}), params, 20240806,
-                 /*observed=*/true, "fault campaign");
+                 "fault campaign");
 }
 
 TEST(EventEngineDifferential, GoldenRecoveryCampaignBitwise) {
-  // The golden/ring_recovery.jsonl configuration: permanent cut, flaky
-  // swaps, aggressive recovery, per-code timeout budget.
+  // The golden/ring_recovery.jsonl configuration, unobserved so that the
+  // engine skips: permanent cut, flaky swaps, aggressive recovery,
+  // per-code timeout budget.
   SimulationParams params;
   params.max_slots = 600;
   params.swap_success = 0.5;
@@ -224,7 +175,7 @@ TEST(EventEngineDifferential, GoldenRecoveryCampaignBitwise) {
   params.recovery.code_timeout_slots = 120;
   params.faults.scripted.push_back({FaultKind::FiberCut, 5, 1, 5000, 1.0});
   expect_bitwise(ring_topology(), one_request(4, true, {2}), params, 424242,
-                 /*observed=*/true, "recovery campaign");
+                 "recovery campaign");
 }
 
 TEST(EventEngineDifferential, SkipModeScriptedFaultsBitwise) {
@@ -247,7 +198,7 @@ TEST(EventEngineDifferential, SkipModeScriptedFaultsBitwise) {
   for (const bool dual : {true, false})
     for (const std::uint64_t seed : {7u, 99u, 20240808u})
       expect_bitwise(ring_topology(), one_request(5, dual, {2}), params, seed,
-                     /*observed=*/false, "skip mode");
+                     "skip mode");
 }
 
 TEST(EventEngineDifferential, QuiescentStarvedRunCensorsAtCapBitwise) {
@@ -259,7 +210,7 @@ TEST(EventEngineDifferential, QuiescentStarvedRunCensorsAtCapBitwise) {
   params.entanglement_rate = 0.0;
   params.recovery.code_timeout_slots = 0;  // no budget: runs to the cap
   expect_bitwise(ring_topology(), one_request(2, true, {2}), params, 11,
-                 /*observed=*/false, "starved run");
+                 "starved run");
 }
 
 TEST(EventEngineDifferential, HeldWithoutRecoveryBitwise) {
@@ -272,42 +223,46 @@ TEST(EventEngineDifferential, HeldWithoutRecoveryBitwise) {
   params.faults.scripted.push_back({FaultKind::FiberCut, 3, 0, 400, 1.0});
   params.faults.scripted.push_back({FaultKind::NodeOutage, 500, 2, 200, 1.0});
   expect_bitwise(ring_topology(), one_request(3, true, {2}), params, 5150,
-                 /*observed=*/false, "held code");
+                 "held code");
 }
 
-TEST(EventEngineDifferential, EnginesAgreeThroughRunTrials) {
-  // Facade-level check: core::run_trials with engine = Slot vs Event over
-  // a chaotic multi-request scenario — merged trace, merged metrics
-  // (modulo sim.event_*), identical RNG seeding per trial.
+TEST(EventEngineDifferential, EverySlotModeAgreesThroughRunTrials) {
+  // Facade-level check over a chaotic multi-request scenario. A sink
+  // forces every trial into every-slot mode, so the observed batch runs
+  // the oracle on one thread while the unobserved batch runs the engine
+  // over lazy pools on four. Every aggregate must agree bitwise.
   auto params = core::make_scenario(core::FacilityLevel::Sufficient,
                                     core::ConnectionQuality::Poor);
-  params.simulation.faults.stochastic.correlated_cut_rate = 0.01;
-  params.simulation.faults.stochastic.node_outage_rate = 0.002;
-  params.simulation.faults.stochastic.degradation_rate = 0.01;
+  params.simulation.faults.stochastic.correlated_cut_rate = 0.05;
+  params.simulation.faults.stochastic.node_outage_rate = 0.01;
+  params.simulation.faults.stochastic.degradation_rate = 0.1;
   params.simulation.faults.stochastic.degradation_factor = 0.4;
   params.simulation.swap_success = 0.85;
   params.simulation.recovery = RecoveryPolicy::aggressive();
 
-  auto run = [&](core::SimEngine engine) {
-    obs::TraceBuffer trace;
-    obs::MetricsRegistry metrics;
+  obs::MetricsRegistry metrics;
+  auto run = [&](bool observed, int threads) {
     core::RunOptions options;
     options.seed = 20240806;
-    options.engine = engine;
-    options.sink = {&metrics, &trace};
+    options.threads = threads;
+    if (observed) options.sink.metrics = &metrics;
     const auto agg =
-        core::run_trials(params, core::NetworkDesign::SurfNet, 4, options);
-    std::ostringstream summary;
-    summary << agg.fidelity.mean() << ' ' << agg.latency.mean() << ' '
-            << agg.throughput.mean();
-    return std::make_pair(
-        jsonl_of(trace) + summary.str(),
-        without_event_engine_keys(without_timers(metrics.to_json())));
+        core::run_trials(params, core::NetworkDesign::SurfNet, 8, options);
+    std::vector<double> stats;
+    for (const auto* stat : {&agg.fidelity, &agg.latency, &agg.throughput})
+      stats.insert(stats.end(), {static_cast<double>(stat->count()),
+                                 stat->mean(), stat->variance(), stat->min(),
+                                 stat->max()});
+    return stats;
   };
-  const auto slot = run(core::SimEngine::Slot);
-  const auto event = run(core::SimEngine::Event);
-  EXPECT_EQ(slot.first, event.first);
-  EXPECT_EQ(slot.second, event.second);
+  const auto oracle = run(/*observed=*/true, 1);
+  const auto engine = run(/*observed=*/false, 4);
+  EXPECT_EQ(oracle, engine);
+  // The comparison covers real work: codes were decoded under faults.
+  EXPECT_GT(metrics.counter("sim.decodes"), 0);
+  EXPECT_GT(metrics.counter("sim.fiber_failures"), 0);
+  EXPECT_GT(metrics.counter("sim.node_outages"), 0);
+  EXPECT_GT(metrics.counter("sim.degradations"), 0);
 }
 
 }  // namespace

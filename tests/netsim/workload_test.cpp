@@ -1,9 +1,9 @@
 // Dynamic-traffic engine tests (netsim/workload.h).
 //
 // The determinism contract under test: a (seed, params) traffic stream
-// replays bitwise on the slot and event engines, across 1 and 8 worker
-// threads (through core::run_trials' trial-ordered merge), and against a
-// committed golden trace. Admission-control semantics (load cap, headroom
+// replays bitwise from the same seed, across 1 and 8 worker threads
+// (through core::run_trials' trial-ordered merge), with or without a
+// sink, and against a committed golden trace. Admission-control semantics (load cap, headroom
 // shedding, fidelity floor, deadline, warmup cutoff) are pinned with a
 // scripted provider so they do not depend on the live router.
 //
@@ -109,8 +109,7 @@ struct TrafficRun {
   std::uint64_t next_draw = 0;  ///< post-run RNG probe
 };
 
-TrafficRun run_once(const WorkloadParams& base, std::uint64_t seed,
-                    SimEngine engine) {
+TrafficRun run_once(const WorkloadParams& base, std::uint64_t seed) {
   const auto topology = ring_topology();
   obs::TraceBuffer trace;
   obs::MetricsRegistry metrics;
@@ -123,45 +122,45 @@ TrafficRun run_once(const WorkloadParams& base, std::uint64_t seed,
 
   util::Rng rng(seed);
   TrafficRun run;
-  run.result = run_traffic(topology, provider, params, rng, engine);
+  run.result = run_traffic(topology, provider, params, rng);
   run.trace = jsonl_of(trace);
   run.metrics = without_timers(metrics);
   run.next_draw = rng();
   return run;
 }
 
-TEST(Workload, SlotAndEventEnginesAreBitwiseIdentical) {
+TEST(Workload, SameSeedStreamReplaysBitwise) {
   const auto params = busy_params();
-  const auto event = run_once(params, 2024, SimEngine::Event);
-  const auto slot = run_once(params, 2024, SimEngine::Slot);
+  const auto first = run_once(params, 2024);
+  const auto second = run_once(params, 2024);
 
-  expect_results_equal(event.result, slot.result);
-  EXPECT_EQ(event.trace, slot.trace);
-  EXPECT_EQ(event.metrics, slot.metrics);
-  // The engines consumed the identical RNG stream: the next draw agrees.
-  EXPECT_EQ(event.next_draw, slot.next_draw);
+  expect_results_equal(first.result, second.result);
+  EXPECT_EQ(first.trace, second.trace);
+  EXPECT_EQ(first.metrics, second.metrics);
+  // Both runs consumed the identical RNG stream: the next draw agrees.
+  EXPECT_EQ(first.next_draw, second.next_draw);
   // The run did something worth comparing.
-  EXPECT_GT(event.result.arrivals, 100);
-  EXPECT_GT(event.result.admitted, 0);
-  EXPECT_GT(event.result.departures, 0);
+  EXPECT_GT(first.result.arrivals, 100);
+  EXPECT_GT(first.result.admitted, 0);
+  EXPECT_GT(first.result.departures, 0);
 }
 
-TEST(Workload, ParetoStreamIsEngineInvariantToo) {
+TEST(Workload, ParetoStreamReplaysBitwiseToo) {
   auto params = busy_params();
   params.process = ArrivalProcess::Pareto;
   params.pareto_shape = 1.8;
-  const auto event = run_once(params, 7, SimEngine::Event);
-  const auto slot = run_once(params, 7, SimEngine::Slot);
-  expect_results_equal(event.result, slot.result);
-  EXPECT_EQ(event.trace, slot.trace);
-  EXPECT_EQ(event.next_draw, slot.next_draw);
-  EXPECT_GT(event.result.arrivals, 0);
+  const auto first = run_once(params, 7);
+  const auto second = run_once(params, 7);
+  expect_results_equal(first.result, second.result);
+  EXPECT_EQ(first.trace, second.trace);
+  EXPECT_EQ(first.next_draw, second.next_draw);
+  EXPECT_GT(first.result.arrivals, 0);
 }
 
 TEST(Workload, MaxRequestsCapsTheStream) {
   auto params = busy_params();
   params.max_requests = 25;
-  const auto run = run_once(params, 11, SimEngine::Event);
+  const auto run = run_once(params, 11);
   EXPECT_LE(run.result.arrivals, 25);
   // Every admitted request eventually departs once arrivals stop.
   EXPECT_EQ(run.result.departures, run.result.admitted);
@@ -170,7 +169,7 @@ TEST(Workload, MaxRequestsCapsTheStream) {
 TEST(Workload, WarmupSlotsExcludeEarlyEventsFromMeasurement) {
   auto params = busy_params();
   params.warmup_slots = 300;  // half the horizon
-  const auto run = run_once(params, 5, SimEngine::Event);
+  const auto run = run_once(params, 5);
   EXPECT_LT(run.result.measured_arrivals, run.result.arrivals);
   EXPECT_EQ(run.result.measured_slots,
             run.result.last_slot - params.warmup_slots + 1);
@@ -223,8 +222,7 @@ TEST(Workload, LoadCapBlocksWithoutConsultingProvider) {
   params.service_per_hop = 0;
   params.service_jitter = 0;
   util::Rng rng(3);
-  const auto result =
-      run_traffic(ring_topology(), provider, params, rng, SimEngine::Event);
+  const auto result = run_traffic(ring_topology(), provider, params, rng);
   EXPECT_GT(result.blocked_by[static_cast<int>(BlockReason::Load)], 0);
   // Load blocks never reached the provider: one admit per admitted
   // request, one release per departure, nothing else.
@@ -238,8 +236,7 @@ TEST(Workload, FidelityFloorBlocksAndReleasesTheRoute) {
   auto params = scripted_params();
   params.classes = {{1.0, 1, 0, /*fidelity_floor=*/0.9, 0}};
   util::Rng rng(3);
-  const auto result =
-      run_traffic(ring_topology(), provider, params, rng, SimEngine::Event);
+  const auto result = run_traffic(ring_topology(), provider, params, rng);
   EXPECT_EQ(result.admitted, 0);
   EXPECT_EQ(result.blocked, result.arrivals);
   EXPECT_EQ(result.blocked_by[static_cast<int>(BlockReason::Fidelity)],
@@ -255,8 +252,7 @@ TEST(Workload, DeadlineBlocksSlowRoutes) {
   params.service_per_hop = 2;  // estimate = 4 + 2*4 = 12
   params.classes = {{1.0, 1, 0, 0.0, /*deadline_slots=*/10}};
   util::Rng rng(3);
-  const auto result =
-      run_traffic(ring_topology(), provider, params, rng, SimEngine::Event);
+  const auto result = run_traffic(ring_topology(), provider, params, rng);
   EXPECT_EQ(result.admitted, 0);
   EXPECT_EQ(result.blocked_by[static_cast<int>(BlockReason::Deadline)],
             result.measured_blocked);
@@ -268,8 +264,7 @@ TEST(Workload, ProviderRefusalBlocksAsCapacity) {
   provider.refuse = true;
   auto params = scripted_params();
   util::Rng rng(3);
-  const auto result =
-      run_traffic(ring_topology(), provider, params, rng, SimEngine::Event);
+  const auto result = run_traffic(ring_topology(), provider, params, rng);
   EXPECT_EQ(result.admitted, 0);
   EXPECT_EQ(result.blocked_by[static_cast<int>(BlockReason::Capacity)],
             result.measured_blocked);
@@ -283,8 +278,7 @@ TEST(Workload, HeadroomSheddingBlocksLowPriorityClasses) {
   params.admission.shed_below_priority = 1;
   params.classes = {{1.0, 1, /*priority=*/0, 0.0, 0}};
   util::Rng rng(3);
-  const auto result =
-      run_traffic(ring_topology(), provider, params, rng, SimEngine::Event);
+  const auto result = run_traffic(ring_topology(), provider, params, rng);
   // The first admit reports zero headroom; everything after is shed.
   EXPECT_GT(result.blocked_by[static_cast<int>(BlockReason::Load)], 0);
   EXPECT_GT(provider.reoptimizes, 0);
@@ -336,39 +330,47 @@ struct BatchRun {
   std::string metrics;
   double admitted_per_slot = 0.0;
   double blocking = 0.0;
+  double p99_latency = 0.0;
 };
 
-BatchRun run_batch(int threads, SimEngine engine) {
+BatchRun run_batch(int threads, bool observed = true) {
   obs::TraceBuffer trace;
   obs::MetricsRegistry metrics;
   core::RunOptions options;
   options.threads = threads;
-  options.engine = engine;
-  options.sink = obs::Sink{&metrics, &trace};
+  if (observed) options.sink = obs::Sink{&metrics, &trace};
   const auto aggregate = core::run_trials(small_scenario(), 6, options);
   BatchRun run;
   run.trace = jsonl_of(trace);
   run.metrics = without_timers(metrics);
   run.admitted_per_slot = aggregate.admitted_per_slot.mean();
   run.blocking = aggregate.blocking_probability.mean();
+  run.p99_latency = aggregate.p99_latency.mean();
   return run;
 }
 
 TEST(Workload, TrafficTrialsAreThreadCountInvariant) {
-  const auto one = run_batch(1, SimEngine::Event);
-  const auto eight = run_batch(8, SimEngine::Event);
+  const auto one = run_batch(1);
+  const auto eight = run_batch(8);
   EXPECT_EQ(one.trace, eight.trace);
   EXPECT_EQ(one.metrics, eight.metrics);
   EXPECT_EQ(one.admitted_per_slot, eight.admitted_per_slot);
   EXPECT_EQ(one.blocking, eight.blocking);
+  EXPECT_EQ(one.p99_latency, eight.p99_latency);
   EXPECT_FALSE(one.trace.empty());
 }
 
-TEST(Workload, TrafficTrialsAreEngineInvariant) {
-  const auto event = run_batch(1, SimEngine::Event);
-  const auto slot = run_batch(1, SimEngine::Slot);
-  EXPECT_EQ(event.trace, slot.trace);
-  EXPECT_EQ(event.metrics, slot.metrics);
+TEST(Workload, TrafficTrialsAreSinkInvariant) {
+  // The sink reaches the workload stream and every LP solve of the
+  // incremental router; observing a batch must not change one decision.
+  const auto observed = run_batch(1);
+  const auto bare = run_batch(1, /*observed=*/false);
+  EXPECT_EQ(observed.admitted_per_slot, bare.admitted_per_slot);
+  EXPECT_EQ(observed.blocking, bare.blocking);
+  EXPECT_EQ(observed.p99_latency, bare.p99_latency);
+  EXPECT_TRUE(bare.trace.empty());
+  EXPECT_GT(bare.admitted_per_slot, 0.0);
+  EXPECT_GT(bare.blocking, 0.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -382,7 +384,7 @@ TEST(Workload, GoldenTrafficTrace) {
   auto params = busy_params();
   params.horizon_slots = 200;
   params.warmup_slots = 20;
-  const auto run = run_once(params, 20240607, SimEngine::Event);
+  const auto run = run_once(params, 20240607);
 
   const auto path = golden_path("traffic_stream.jsonl");
   if (std::getenv("SURFNET_REGEN_GOLDEN") != nullptr) {
@@ -419,7 +421,7 @@ WorkloadParams adaptive_window_params() {
 /// Adaptive-distance stream over a clean ring: outside the window routes
 /// carry compact distance-3 codes, inside it the doubled noise pushes the
 /// planner into the distance-4 band.
-TrafficRun run_adaptive_once(std::uint64_t seed, SimEngine engine) {
+TrafficRun run_adaptive_once(std::uint64_t seed) {
   const auto topology = ring_topology(0.97);
   obs::TraceBuffer trace;
   obs::MetricsRegistry metrics;
@@ -433,7 +435,7 @@ TrafficRun run_adaptive_once(std::uint64_t seed, SimEngine engine) {
 
   util::Rng rng(seed);
   TrafficRun run;
-  run.result = run_traffic(topology, provider, params, rng, engine);
+  run.result = run_traffic(topology, provider, params, rng);
   run.trace = jsonl_of(trace);
   run.metrics = without_timers(metrics);
   run.next_draw = rng();
@@ -465,8 +467,8 @@ std::vector<AdmitRecord> admit_records(const std::string& trace) {
 }
 
 TEST(Workload, AdaptiveDistanceFollowsTheDegradationWindow) {
-  const auto event = run_adaptive_once(20240607, SimEngine::Event);
-  const auto records = admit_records(event.trace);
+  const auto run = run_adaptive_once(20240607);
+  const auto records = admit_records(run.trace);
   ASSERT_FALSE(records.empty());
 
   int inside = 0;
@@ -487,18 +489,12 @@ TEST(Workload, AdaptiveDistanceFollowsTheDegradationWindow) {
   EXPECT_GT(inside, 0);
   EXPECT_GT(compact_outside, 0);
   // The window opened and closed exactly once.
-  EXPECT_NE(event.metrics.find("traffic.noise_scale_changes"),
+  EXPECT_NE(run.metrics.find("traffic.noise_scale_changes"),
             std::string::npos);
-
-  // The adaptive stream replays bitwise on the slot engine.
-  const auto slot = run_adaptive_once(20240607, SimEngine::Slot);
-  EXPECT_EQ(event.trace, slot.trace);
-  EXPECT_EQ(event.metrics, slot.metrics);
-  EXPECT_EQ(event.next_draw, slot.next_draw);
 }
 
 TEST(Workload, GoldenAdaptiveTrafficTrace) {
-  const auto run = run_adaptive_once(20240607, SimEngine::Event);
+  const auto run = run_adaptive_once(20240607);
 
   const auto path = golden_path("traffic_adaptive.jsonl");
   if (std::getenv("SURFNET_REGEN_GOLDEN") != nullptr) {
@@ -525,7 +521,6 @@ TEST(Workload, AdaptiveTrafficIsThreadCountInvariant) {
     obs::MetricsRegistry metrics;
     core::RunOptions options;
     options.threads = threads;
-    options.engine = SimEngine::Event;
     options.sink = obs::Sink{&metrics, &trace};
     auto scenario = small_scenario();
     scenario.routing.adaptive_code_distance = true;
