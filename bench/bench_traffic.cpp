@@ -1,17 +1,21 @@
 // Dynamic-traffic throughput: open-loop arrival/departure streams driving
-// the incremental warm-started router (netsim/workload.h +
+// the greedy-only incremental router (netsim/workload.h +
 // routing/incremental.h), swept over arrival rate x network size, plus a
 // sustained-load cell that pushes one million requests through a single
 // stream. Every traffic row reports steady-state metrics (blocking
 // probability, p50/p99 delivery latency, admitted codes per slot) next to
-// the engine throughput in simulated requests per wall-clock second.
+// the engine throughput in simulated requests per wall-clock second. The
+// traffic sweep solves no LP: admission is plan_code over the live
+// capacity tracker, and the headroom probe reads the tracker.
 //
-// The second section isolates the warm-start claim: for each delta size
-// (requests per incremental re-solve) it solves the identical routing LP
-// cold (fresh basis every call) and warm (basis carried across calls, the
-// incremental router's steady state) and asserts the warm solve needs
-// strictly fewer simplex iterations at EVERY delta size — the bench
-// exits nonzero otherwise, and CI gates the committed Release baseline
+// The second section measures the warm restarts of the batch LP router:
+// route_lp threads one simplex basis through its rounding re-solves,
+// each of which changes request limits and capacities but not the
+// formulation's shape. For each delta size (requests per re-solve) it
+// solves the identical routing LP cold (fresh basis every call) and warm
+// (basis carried across calls) and asserts the warm solve needs strictly
+// fewer simplex iterations at EVERY delta size — the bench exits nonzero
+// otherwise, and CI gates the committed Release baseline
 // (bench/baselines/traffic_release.json) with scripts/check_overhead.py
 // on the shared requests_per_sec metric.
 //
@@ -99,9 +103,6 @@ TrafficRow run_cell(const TrafficCell& cell, std::uint64_t seed,
       static_cast<int>(cell.requests / cell.rate) * 4 + 100000;
   scenario.workload.warmup_slots = 500;
   scenario.workload.admission.max_active_codes = cell.max_active_codes;
-  // The capped cell measures raw stream throughput; periodic LP headroom
-  // probes belong to the shedding policy it does not use.
-  if (cell.max_active_codes > 0) scenario.workload.reoptimize_every = 0;
 
   TrafficRow row;
   row.cell = cell;
@@ -115,7 +116,7 @@ TrafficRow run_cell(const TrafficCell& cell, std::uint64_t seed,
 }
 
 // ---------------------------------------------------------------------------
-// Warm-started vs cold incremental re-solve.
+// Warm-started vs cold LP re-solve.
 
 struct WarmRow {
   int delta = 1;  ///< requests per re-solve
@@ -126,9 +127,9 @@ struct WarmRow {
   double requests_per_sec = 0.0;  ///< warm-path requests routed per second
 };
 
-/// One incremental step at delta size d: toggle one request's admitted
-/// limit (the shape-stable bound mutation the incremental router issues
-/// per delta) and re-solve the d-commodity formulation. The cold pass
+/// One re-solve step at delta size d: toggle one request's admitted
+/// limit (a shape-stable bound mutation, like route_lp's residual
+/// re-solves) and re-solve the d-commodity formulation. The cold pass
 /// solves every step from a fresh basis, the warm pass carries the basis
 /// across steps — both see the identical mutation sequence.
 WarmRow run_delta(int delta, std::uint64_t seed, int reps) {
@@ -147,8 +148,7 @@ WarmRow run_delta(int delta, std::uint64_t seed, int reps) {
     f.set_request_limit(step % delta, step % 2 == 0 ? 0.0 : 1.0);
   };
 
-  // Cold: every re-solve starts from scratch, the pre-incremental cost
-  // of a delta-sized re-route.
+  // Cold: every re-solve starts from scratch.
   {
     routing::RoutingFormulation formulation(topology, requests, params);
     const auto begin = std::chrono::steady_clock::now();
@@ -162,8 +162,7 @@ WarmRow run_delta(int delta, std::uint64_t seed, int reps) {
     row.cold_ms = ms_since(begin) / reps;
   }
 
-  // Warm: the basis carries across re-solves — the incremental router's
-  // steady state for a shape-stable commodity set.
+  // Warm: the basis carries across re-solves, as route_lp carries it.
   {
     routing::RoutingFormulation formulation(topology, requests, params);
     routing::SimplexState state;
@@ -191,7 +190,7 @@ int main(int argc, char** argv) {
 
   if (!args.json())
     std::printf("Dynamic-traffic engine: open-loop streams over the "
-                "incremental router, seed %llu\n\n",
+                "greedy-only incremental router, seed %llu\n\n",
                 static_cast<unsigned long long>(args.seed()));
 
   // --metrics-out/--trace-out attach a live sink; note a trace sink
@@ -281,7 +280,7 @@ int main(int argc, char** argv) {
                    util::Table::fmt(r.requests_per_sec, 0)});
   sweep.print(std::cout);
 
-  std::printf("\nWarm-started vs cold incremental re-solve (%d reps):\n",
+  std::printf("\nWarm-started vs cold LP re-solve (%d reps):\n",
               reps);
   util::Table resolve({"delta", "cold iters", "warm iters", "cold ms",
                        "warm ms", "iter ratio"});

@@ -18,8 +18,8 @@
 // thread count.
 //
 // Dynamic traffic: TrafficScenario + run_traffic_trial / run_trials run
-// an open-loop arrival/departure stream (netsim/workload.h) against an
-// incremental warm-started router (routing/incremental.h) instead of a
+// an open-loop arrival/departure stream (netsim/workload.h) against the
+// greedy-only incremental router (routing/incremental.h) instead of a
 // fixed request batch, with the same seed-derivation and trial-ordered
 // merge discipline.
 
@@ -105,8 +105,8 @@ AggregateMetrics run_trials(const ScenarioParams& params,
                             NetworkDesign design, int trials,
                             const RunOptions& options = {});
 
-/// One dynamic-traffic experiment: a random topology, an incremental
-/// warm-started router over it, and an open-loop workload stream.
+/// One dynamic-traffic experiment: a random topology, the incremental
+/// router over it, and an open-loop workload stream.
 struct TrafficScenario {
   netsim::TopologySpec topology;
   routing::RoutingParams routing;
@@ -120,8 +120,8 @@ TrafficScenario make_traffic_scenario(FacilityLevel level,
                                       ConnectionQuality quality);
 
 /// Run one seeded traffic trial. The sink observes the workload stream
-/// (arrival/admit/blocked/depart events, "traffic.*" counters) and every
-/// LP solve of the incremental router.
+/// (arrival/admit/blocked/depart events, "traffic.*" counters) and the
+/// incremental router's "route.incremental.*" counters.
 netsim::TrafficResult run_traffic_trial(const TrafficScenario& scenario,
                                         std::uint64_t seed,
                                         const obs::Sink& sink = {});

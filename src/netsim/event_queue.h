@@ -41,7 +41,7 @@ class EventQueue {
   }
 
   /// Largest number of simultaneously pending events so far (reported as
-  /// the "sim.event_queue_peak" gauge).
+  /// the "traffic.event_queue_peak" gauge).
   std::size_t peak_size() const { return peak_; }
   /// Total events ever pushed (sequence ids are dense from 0).
   std::uint64_t pushed() const { return next_seq_; }

@@ -434,7 +434,6 @@ SimulationResult run_engine(const Topology& topology,
   int in_flight_or_pending = result.codes_scheduled;
   int final_slot = 0;
   std::int64_t visited = 0;
-  std::int64_t skipped_total = 0;
   int last_scheduled_wake = -1;
 
   int slot = 0;
@@ -491,11 +490,8 @@ SimulationResult run_engine(const Topology& topology,
     int next = queue.empty() ? kNever : queue.top().slot;
     if (pools.fractional_until() > slot + 1) next = slot + 1;
     if (next == kNever) break;  // provably quiescent until the cap
-    if (next > slot + 1) {
-      if (has_active[0])
-        advance_gap(policy, active[0], flags, next - slot - 1);
-      skipped_total += next - slot - 1;
-    }
+    if (next > slot + 1 && has_active[0])
+      advance_gap(policy, active[0], flags, next - slot - 1);
     slot = next;
   }
 
@@ -515,15 +511,9 @@ SimulationResult run_engine(const Topology& topology,
           final_slot, plans[idx].sched->request_index, slots));
   }
 
-  // Engine observability under "sim.event_*": the queue peak and the
-  // visit/skip counters. A sink forces every-slot visiting, so observed
-  // runs report no skips.
-  if (sink.metrics) {
-    sink.metrics->gauge("sim.event_queue_peak",
-                        static_cast<double>(queue.peak_size()));
-    sink.metrics->count("sim.event_slots_visited", visited);
-    sink.metrics->count("sim.event_slots_skipped", skipped_total);
-  }
+  // A sink forces every-slot visiting, so the visit count is the only
+  // engine metric an observed run can report.
+  if (sink.metrics) sink.metrics->count("sim.event_slots_visited", visited);
   return result;
 }
 

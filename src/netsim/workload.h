@@ -24,8 +24,8 @@
 //
 // The routing side of the stream is abstract: netsim knows only the
 // RouteProvider interface; routing::IncrementalRouter implements it with
-// a greedy fast path, warm-started LP assists and exact capacity
-// release (routing/incremental.h).
+// greedy-only admission and exact capacity release
+// (routing/incremental.h).
 
 #include <cstdint>
 #include <optional>
@@ -39,10 +39,13 @@
 namespace surfnet::netsim {
 
 /// How an admitted request's route was found (trace "admit" source field).
+/// IncrementalRouter admits greedily only; Warm and Cold named its former
+/// LP assists and stay because the trace schema and the repository
+/// benchmark still carry all three values.
 enum class AdmitSource : std::uint8_t {
-  Greedy = 0,  ///< greedy fast path (no LP solve)
-  Warm = 1,    ///< warm-started incremental LP assist
-  Cold = 2,    ///< shape-changing cold LP solve
+  Greedy = 0,  ///< greedy planner (no LP solve)
+  Warm = 1,    ///< warm-started LP assist
+  Cold = 2,    ///< cold LP solve
 };
 
 /// Why admission control rejected a request (trace "blocked" reason field).
@@ -75,10 +78,11 @@ class RouteProvider {
   virtual ~RouteProvider() = default;
   virtual std::optional<AdmittedRoute> admit(int src, int dst, int codes) = 0;
   virtual void release(const AdmittedRoute& route) = 0;
-  /// Re-optimize over the residual network and return its headroom: the
-  /// fractional number of additional codes it could still carry. Called
+  /// Return the residual network's headroom: an estimate, in fractional
+  /// codes, of how many more codes it could still carry. Called
   /// periodically by the engine (WorkloadParams::reoptimize_every); the
-  /// result feeds priority shedding.
+  /// result feeds only priority shedding. IncrementalRouter reads it off
+  /// its capacity tracker without solving anything.
   virtual double reoptimize() = 0;
   /// The engine reports a change of the network-wide noise scale (a
   /// fidelity-degradation window opening or closing): every fiber's

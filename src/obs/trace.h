@@ -57,8 +57,9 @@
 //   admit        {"ev","trial","slot","request","codes","hops",
 //                 "est_slots","source","distance"}
 //                admission control accepted the request; source is
-//                "greedy" (fast path), "warm" (warm-started LP assist)
-//                or "cold" (shape-changing cold LP solve); distance is
+//                "greedy" (greedy planner), "warm" (warm-started LP
+//                assist) or "cold" (cold LP solve) — IncrementalRouter
+//                admits greedily only, so it emits "greedy"; distance is
 //                the code distance the provider selected (0 = the
 //                configuration default, adaptive selection disabled)
 //   blocked      {"ev","trial","slot","request","reason"}

@@ -1,9 +1,8 @@
 #pragma once
 
-// Flow decomposition shared by the batch LP router (routing/lp_router.h)
-// and the incremental router (routing/incremental.h): strip a relaxed
-// per-edge flow vector into src->dst paths, then allocate an integral
-// code count across them.
+// Flow decomposition for the batch LP router (routing/lp_router.h):
+// strip a relaxed per-edge flow vector into src->dst paths, then allocate
+// an integral code count across them.
 
 #include <vector>
 

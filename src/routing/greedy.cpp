@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
-#include <queue>
 
 #include "netsim/channel.h"
 #include "routing/validate.h"
@@ -54,6 +54,7 @@ void CapacityTracker::commit(const std::vector<int>& path) {
 
 void CapacityTracker::commit(const std::vector<int>& path, double node_demand,
                              double pair_demand) {
+  ++version_;
   for (std::size_t i = 1; i + 1 < path.size(); ++i)
     node_capacity_[static_cast<std::size_t>(path[i])] -= node_demand;
   if (params_.dual_channel) {
@@ -70,6 +71,7 @@ void CapacityTracker::release(const std::vector<int>& path) {
 
 void CapacityTracker::release(const std::vector<int>& path,
                               double node_demand, double pair_demand) {
+  ++version_;
   for (std::size_t i = 1; i + 1 < path.size(); ++i)
     node_capacity_[static_cast<std::size_t>(path[i])] += node_demand;
   if (params_.dual_channel) {
@@ -82,6 +84,7 @@ void CapacityTracker::release(const std::vector<int>& path,
 
 void CapacityTracker::release_split(const std::vector<int>& core_path,
                                     const std::vector<int>& support_path) {
+  ++version_;
   const double support_demand =
       params_.dual_channel ? params_.support_qubits : params_.total_qubits();
   for (std::size_t i = 1; i + 1 < support_path.size(); ++i)
@@ -136,6 +139,7 @@ bool CapacityTracker::split_feasible(
 
 void CapacityTracker::commit_split(const std::vector<int>& core_path,
                                    const std::vector<int>& support_path) {
+  ++version_;
   const double support_demand =
       params_.dual_channel ? params_.support_qubits : params_.total_qubits();
   for (std::size_t i = 1; i + 1 < support_path.size(); ++i)
@@ -150,123 +154,121 @@ void CapacityTracker::commit_split(const std::vector<int>& core_path,
   }
 }
 
-namespace {
+void PlanWorkspace::clear() {
+  topology_ = nullptr;
+  tracker_ = nullptr;
+}
 
-/// Dijkstra over nodes with remaining capacity, minimizing accumulated
-/// noise. Only the request's endpoints may be users.
-std::optional<std::vector<int>> min_noise_path(const Topology& topology,
-                                               const CapacityTracker& tracker,
-                                               const RoutingParams& params,
-                                               int src, int dst) {
+void PlanWorkspace::bind(const Topology& topology,
+                         const CapacityTracker& tracker,
+                         const RoutingParams& params) {
+  if (&topology != topology_) {
+    topology_ = &topology;
+    fiber_noise_.resize(static_cast<std::size_t>(topology.num_fibers()));
+    for (int e = 0; e < topology.num_fibers(); ++e)
+      fiber_noise_[static_cast<std::size_t>(e)] = topology.fiber_noise(e);
+    servers_ = topology.servers();
+    tracker_ = nullptr;  // trees of another topology are meaningless
+  }
   const double node_demand = params.total_qubits();
   const double pair_demand = params.core_qubits;
-  const double inf = std::numeric_limits<double>::infinity();
-  std::vector<double> dist(static_cast<std::size_t>(topology.num_nodes()),
-                           inf);
-  std::vector<int> parent(static_cast<std::size_t>(topology.num_nodes()), -1);
-  using Item = std::pair<double, int>;
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
-  dist[static_cast<std::size_t>(src)] = 0.0;
-  heap.push({0.0, src});
-  while (!heap.empty()) {
-    const auto [d, u] = heap.top();
-    heap.pop();
-    if (d > dist[static_cast<std::size_t>(u)]) continue;
-    if (u == dst) break;
+  if (&tracker != tracker_ || tracker.version() != version_ ||
+      node_demand != node_demand_ || pair_demand != pair_demand_ ||
+      params.dual_channel != dual_channel_) {
+    tracker_ = &tracker;
+    version_ = tracker.version();
+    node_demand_ = node_demand;
+    pair_demand_ = pair_demand;
+    dual_channel_ = params.dual_channel;
+    tree_slot_.assign(static_cast<std::size_t>(topology.num_nodes()), -1);
+    trees_ = 0;
+  }
+}
+
+std::size_t PlanWorkspace::tree(int root) {
+  SURFNET_EXPECTS(root >= 0 &&
+                  static_cast<std::size_t>(root) < tree_slot_.size());
+  int& slot = tree_slot_[static_cast<std::size_t>(root)];
+  if (slot >= 0) return static_cast<std::size_t>(slot);
+  slot = static_cast<int>(trees_++);
+
+  // Dijkstra from root over the whole network, minimizing accumulated
+  // noise. Relaxation order, the strict < test and the (noise, node) heap
+  // order are those of a point-to-point search, and a node that may not
+  // carry a code onward is labelled but never expanded, so every label
+  // and parent chain equals the point-to-point search to that target.
+  const Topology& topology = *topology_;
+  const auto n = static_cast<std::size_t>(topology.num_nodes());
+  const std::size_t base = static_cast<std::size_t>(slot) * n;
+  if (dist_.size() < base + n) {
+    dist_.resize(base + n);
+    parent_.resize(base + n);
+  }
+  double* dist = dist_.data() + base;
+  int* parent = parent_.data() + base;
+  std::fill(dist, dist + n, std::numeric_limits<double>::infinity());
+  std::fill(parent, parent + n, -1);
+  dist[root] = 0.0;
+  heap_.clear();
+  heap_.emplace_back(0.0, root);
+  while (!heap_.empty()) {
+    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
+    const auto [d, u] = heap_.back();
+    heap_.pop_back();
+    if (d > dist[u]) continue;
+    // Users and nodes without storage for one code end a route.
+    if (u != root && (!topology.is_switch_or_server(u) ||
+                      tracker_->node_remaining(u) < node_demand_))
+      continue;
     for (int e : topology.incident(u)) {
-      const int v = topology.other_end(e, u);
-      // Only the destination user is enterable; transit nodes need storage.
-      if (v != dst) {
-        if (!topology.is_switch_or_server(v)) continue;
-        if (tracker.node_remaining(v) < node_demand) continue;
-      }
-      if (params.dual_channel &&
-          tracker.fiber_pairs_remaining(e) < pair_demand)
+      if (dual_channel_ && tracker_->fiber_pairs_remaining(e) < pair_demand_)
         continue;
-      const double nd = d + topology.fiber_noise(e);
-      if (nd < dist[static_cast<std::size_t>(v)]) {
-        dist[static_cast<std::size_t>(v)] = nd;
-        parent[static_cast<std::size_t>(v)] = u;
-        heap.push({nd, v});
+      const int v = topology.other_end(e, u);
+      const double nd = d + fiber_noise_[static_cast<std::size_t>(e)];
+      if (nd < dist[v]) {
+        dist[v] = nd;
+        parent[v] = u;
+        heap_.emplace_back(nd, v);
+        std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
       }
     }
   }
-  if (dist[static_cast<std::size_t>(dst)] == inf) return std::nullopt;
-  std::vector<int> path;
-  for (int v = dst; v != -1; v = parent[static_cast<std::size_t>(v)])
+  return static_cast<std::size_t>(slot);
+}
+
+bool PlanWorkspace::route(int root, int target, std::vector<int>& path) {
+  SURFNET_EXPECTS(target >= 0 &&
+                  static_cast<std::size_t>(target) < tree_slot_.size());
+  const std::size_t base =
+      tree(root) * static_cast<std::size_t>(topology_->num_nodes());
+  if (dist_[base + static_cast<std::size_t>(target)] ==
+      std::numeric_limits<double>::infinity())
+    return false;
+  path.clear();
+  for (int v = target; v != -1; v = parent_[base + static_cast<std::size_t>(v)])
     path.push_back(v);
   std::reverse(path.begin(), path.end());
-  return path;
+  return true;
 }
 
-}  // namespace
-
-std::optional<PlannedCode> plan_code(const Topology& topology,
-                                     const CapacityTracker& tracker,
-                                     const RoutingParams& params, int src,
-                                     int dst) {
-  const auto direct = min_noise_path(topology, tracker, params, src, dst);
-  if (direct) {
-    if (auto plan = check_path(topology, params, *direct)) return plan;
-  }
-  // The minimum-noise route may fail the thresholds simply because it
-  // passes too few servers: detour through one server — or an ordered pair
-  // of servers — (the hierarchical equivalent of the LP routing its flow
-  // through EC sites) and keep the lowest-noise feasible composite.
-  auto is_simple = [](const std::vector<int>& path) {
-    for (std::size_t i = 0; i < path.size(); ++i)
-      for (std::size_t j = i + 1; j < path.size(); ++j)
-        if (path[i] == path[j]) return false;
-    return true;
-  };
-  auto join = [&](const std::vector<int>& a,
-                  const std::vector<int>& b) {
-    std::vector<int> composite = a;
-    composite.insert(composite.end(), b.begin() + 1, b.end());
-    return composite;
-  };
-
-  std::optional<PlannedCode> best;
-  double best_mu = std::numeric_limits<double>::infinity();
-  auto consider = [&](const std::vector<int>& composite) {
-    if (!is_simple(composite)) return;
-    const double mu = netsim::path_noise(topology, composite);
-    if (mu >= best_mu) return;
-    if (auto plan = check_path(topology, params, composite)) {
-      best = std::move(plan);
-      best_mu = mu;
-    }
-  };
-
-  const auto servers = topology.servers();
-  for (const int server : servers) {
-    if (server == src || server == dst) continue;
-    const auto first = min_noise_path(topology, tracker, params, src, server);
-    if (!first) continue;
-    const auto second =
-        min_noise_path(topology, tracker, params, server, dst);
-    if (second) consider(join(*first, *second));
-    for (const int other : servers) {
-      if (other == server || other == src || other == dst) continue;
-      const auto middle =
-          min_noise_path(topology, tracker, params, server, other);
-      if (!middle) continue;
-      const auto last =
-          min_noise_path(topology, tracker, params, other, dst);
-      if (last) consider(join(join(*first, *middle), *last));
-    }
-  }
-  return best;
+double PlanWorkspace::path_noise(const std::vector<int>& path) const {
+  double mu = 0.0;
+  for (std::size_t i = 0; i + 1 < path.size(); ++i)
+    mu += fiber_noise_[static_cast<std::size_t>(
+        topology_->fiber_between(path[i], path[i + 1]))];
+  return mu;
 }
 
+namespace {
+
+/// check_path with the path's noise already summed.
 std::optional<PlannedCode> check_path(const Topology& topology,
                                       const RoutingParams& params,
-                                      const std::vector<int>& path_arg) {
-  const auto* path = &path_arg;
-  const double mu_total = netsim::path_noise(topology, *path);
+                                      const std::vector<int>& path,
+                                      double mu_total) {
   std::vector<int> servers_on_path;
-  for (std::size_t i = 1; i + 1 < path->size(); ++i)
-    if (topology.is_server((*path)[i])) servers_on_path.push_back((*path)[i]);
+  for (std::size_t i = 1; i + 1 < path.size(); ++i)
+    if (topology.is_server(path[i])) servers_on_path.push_back(path[i]);
 
   // Schedule as many corrections as the lower noise bound allows
   // (Eq. 6: core noise after corrections must stay >= 0).
@@ -304,11 +306,85 @@ std::optional<PlannedCode> check_path(const Topology& topology,
   }
 
   PlannedCode plan;
-  plan.path = *path;
+  plan.path = path;
   plan.ec_servers.assign(servers_on_path.begin(),
                          servers_on_path.begin() + ec_count);
   plan.distance = distance;
   return plan;
+}
+
+bool is_simple(const std::vector<int>& path) {
+  for (std::size_t i = 0; i < path.size(); ++i)
+    for (std::size_t j = i + 1; j < path.size(); ++j)
+      if (path[i] == path[j]) return false;
+  return true;
+}
+
+}  // namespace
+
+std::optional<PlannedCode> check_path(const Topology& topology,
+                                      const RoutingParams& params,
+                                      const std::vector<int>& path) {
+  return check_path(topology, params, path,
+                    netsim::path_noise(topology, path));
+}
+
+std::optional<PlannedCode> plan_code(const Topology& topology,
+                                     const CapacityTracker& tracker,
+                                     const RoutingParams& params, int src,
+                                     int dst, PlanWorkspace& ws) {
+  ws.bind(topology, tracker, params);
+  std::vector<int> path;
+  if (ws.route(src, dst, path)) {
+    if (auto plan = check_path(topology, params, path, ws.path_noise(path)))
+      return plan;
+  }
+  // The minimum-noise route may fail the thresholds simply because it
+  // passes too few servers: detour through one server — or an ordered pair
+  // of servers — (the hierarchical equivalent of the LP routing its flow
+  // through EC sites) and keep the lowest-noise feasible composite.
+  std::optional<PlannedCode> best;
+  double best_mu = std::numeric_limits<double>::infinity();
+  auto consider = [&](const std::vector<int>& composite) {
+    if (!is_simple(composite)) return;
+    const double mu = ws.path_noise(composite);
+    if (mu >= best_mu) return;
+    if (auto plan = check_path(topology, params, composite, mu)) {
+      best = std::move(plan);
+      best_mu = mu;
+    }
+  };
+
+  // Composites are built in `path`, one leg (without its first node) at
+  // a time.
+  std::vector<int> leg;
+  const auto append = [&](int root, int target) {
+    if (!ws.route(root, target, leg)) return false;
+    path.insert(path.end(), leg.begin() + 1, leg.end());
+    return true;
+  };
+  for (const int server : ws.servers_) {
+    if (server == src || server == dst) continue;
+    path.assign(1, src);
+    if (!append(src, server)) continue;
+    const std::size_t first = path.size();
+    if (append(server, dst)) consider(path);
+    for (const int other : ws.servers_) {
+      if (other == server || other == src || other == dst) continue;
+      path.resize(first);
+      if (!append(server, other)) continue;
+      if (append(other, dst)) consider(path);
+    }
+  }
+  return best;
+}
+
+std::optional<PlannedCode> plan_code(const Topology& topology,
+                                     const CapacityTracker& tracker,
+                                     const RoutingParams& params, int src,
+                                     int dst) {
+  PlanWorkspace ws;
+  return plan_code(topology, tracker, params, src, dst, ws);
 }
 
 Schedule route_greedy(const Topology& topology,
@@ -318,6 +394,7 @@ Schedule route_greedy(const Topology& topology,
   for (const auto& r : requests) schedule.requested_codes += r.codes;
 
   CapacityTracker tracker(topology, params);
+  PlanWorkspace ws;
   std::vector<std::size_t> order(requests.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
   for (std::size_t i = order.size(); i > 1; --i)
@@ -326,8 +403,8 @@ Schedule route_greedy(const Topology& topology,
   for (std::size_t k : order) {
     const Request& req = requests[k];
     for (int code = 0; code < req.codes; ++code) {
-      const auto plan = plan_code(topology, tracker, params, req.src,
-                                  req.dst);
+      const auto plan =
+          plan_code(topology, tracker, params, req.src, req.dst, ws);
       if (!plan) break;
       const double node_demand =
           plan->distance > 0

@@ -12,8 +12,17 @@
 // on the dual channel, remaining entangled pairs), schedules error
 // correction at as many on-path servers as the noise budget allows, checks
 // the Eq. (6) thresholds, and commits the resources.
+//
+// Planning reads minimum-noise trees: one from the request's source and
+// one from each server, which answer the direct route and every
+// server-detour leg. A PlanWorkspace keeps those trees for as long as the
+// CapacityTracker's version holds, so consecutive plans over an unchanged
+// tracker (a blocked arrival commits nothing) share them.
 
+#include <cstdint>
 #include <optional>
+#include <utility>
+#include <vector>
 
 #include "netsim/schedule.h"
 #include "netsim/topology.h"
@@ -28,6 +37,11 @@ class CapacityTracker {
  public:
   CapacityTracker(const netsim::Topology& topology,
                   const RoutingParams& params);
+
+  /// Capacity epoch: every commit, release, commit_split and
+  /// release_split bumps it, so equal versions of one tracker mean equal
+  /// remaining capacities.
+  std::uint64_t version() const { return version_; }
 
   double node_remaining(int node) const {
     SURFNET_EXPECTS(node >= 0 &&
@@ -76,6 +90,7 @@ class CapacityTracker {
   RoutingParams params_;
   std::vector<double> node_capacity_;
   std::vector<double> fiber_pairs_;
+  std::uint64_t version_ = 0;
 };
 
 /// Result of planning a single code.
@@ -87,6 +102,55 @@ struct PlannedCode {
   int distance = 0;
 };
 
+/// Reusable planner state, following the decoder::DecodeWorkspace idiom:
+/// one topology's fiber noise and server list, plus the minimum-noise
+/// trees grown for one tracker at one version. plan_code rebinds it when
+/// handed a different topology or tracker object, a new tracker version
+/// or different per-code demands; buffers are reused, never assumed
+/// clean. Identity is by address, so call clear() after changing a bound
+/// topology's fidelities in place, and before reusing a workspace with a
+/// new object at a bound object's address.
+class PlanWorkspace {
+ public:
+  /// Forget the bound topology, tracker and every tree.
+  void clear();
+
+ private:
+  friend std::optional<PlannedCode> plan_code(
+      const netsim::Topology& topology, const CapacityTracker& tracker,
+      const RoutingParams& params, int src, int dst, PlanWorkspace& ws);
+
+  /// Bind to (topology, tracker, demands of params), dropping what the
+  /// change invalidates.
+  void bind(const netsim::Topology& topology, const CapacityTracker& tracker,
+            const RoutingParams& params);
+  /// Minimum-noise route from root to target under the bound tracker, or
+  /// false when target is unreachable. Equals a point-to-point search
+  /// from root to target: transit nodes need storage for one code,
+  /// fibers (dual channel) need pairs for one, and only target may be a
+  /// user or lack storage.
+  bool route(int root, int target, std::vector<int>& path);
+  /// Slot of root's tree in dist_/parent_, grown on first use.
+  std::size_t tree(int root);
+  /// netsim::path_noise over the bound topology, bit for bit, from the
+  /// cached fiber noise.
+  double path_noise(const std::vector<int>& path) const;
+
+  const netsim::Topology* topology_ = nullptr;
+  const CapacityTracker* tracker_ = nullptr;
+  std::uint64_t version_ = 0;
+  double node_demand_ = 0.0;
+  double pair_demand_ = 0.0;
+  bool dual_channel_ = false;
+  std::vector<double> fiber_noise_;  ///< per fiber of topology_
+  std::vector<int> servers_;         ///< topology_->servers()
+  std::vector<int> tree_slot_;       ///< per root node; -1 = not grown
+  std::size_t trees_ = 0;            ///< trees grown at this binding
+  std::vector<double> dist_;         ///< trees_ x num_nodes noise labels
+  std::vector<int> parent_;          ///< trees_ x num_nodes, -1 = none
+  std::vector<std::pair<double, int>> heap_;  ///< Dijkstra frontier
+};
+
 /// Distance selection for the adaptive-code-size extension: the residual
 /// noise a route leaves after its corrections decides how much protection
 /// the code needs.
@@ -96,14 +160,22 @@ int adaptive_distance(double residual_noise);
 /// bounds: schedules as many EC stops as the noise budget allows and
 /// returns the planned code, or nullopt when the residual noise exceeds
 /// the thresholds. Capacity is NOT checked here — pair with
-/// CapacityTracker::path_feasible. Used by plan_code internally and by
-/// the incremental router to vet LP-decomposed candidate paths.
+/// CapacityTracker::path_feasible.
 std::optional<PlannedCode> check_path(const netsim::Topology& topology,
                                       const RoutingParams& params,
                                       const std::vector<int>& path);
 
 /// Find the minimum-noise feasible path for one code of (src, dst), or
-/// nullopt when no path satisfies capacity and the noise thresholds.
+/// nullopt when no path satisfies capacity and the noise thresholds. The
+/// direct minimum-noise route wins when it passes the thresholds;
+/// otherwise the lowest-noise simple detour through one server, or an
+/// ordered pair of servers, that passes them.
+std::optional<PlannedCode> plan_code(const netsim::Topology& topology,
+                                     const CapacityTracker& tracker,
+                                     const RoutingParams& params, int src,
+                                     int dst, PlanWorkspace& ws);
+
+/// As above with a workspace local to the call.
 std::optional<PlannedCode> plan_code(const netsim::Topology& topology,
                                      const CapacityTracker& tracker,
                                      const RoutingParams& params, int src,

@@ -5,7 +5,6 @@
 
 #include "netsim/channel.h"
 #include "obs/metrics.h"
-#include "routing/flow.h"
 #include "util/contracts.h"
 
 namespace surfnet::routing {
@@ -13,184 +12,30 @@ namespace surfnet::routing {
 using netsim::AdmitSource;
 using netsim::AdmittedRoute;
 
-namespace {
-constexpr double kCodeEps = 1e-4;
-/// Probe limit per commodity for reoptimize(): far above any realistic
-/// single-network headroom, so the capacity rows bind, not the limits.
-constexpr double kProbeLimit = 1e3;
-}  // namespace
-
 IncrementalRouter::IncrementalRouter(const netsim::Topology& topology,
                                      const RoutingParams& params)
-    : topology_(&topology),
-      params_(params),
-      tracker_(topology, params),
-      pristine_(topology, params) {}
-
-int IncrementalRouter::commodity_index(int src, int dst) {
-  for (std::size_t k = 0; k < commodities_.size(); ++k)
-    if (commodities_[k].src == src && commodities_[k].dst == dst)
-      return static_cast<int>(k);
-  Commodity commodity;
-  commodity.src = src;
-  commodity.dst = dst;
-  // One-time noise-feasibility check on the pristine full-capacity
-  // network: a pair the planner cannot route with every resource free
-  // fails on noise thresholds alone, and no release can change that
-  // while the noise profile holds (set_noise_scale re-runs the check).
-  commodity.infeasible =
-      !plan_code(routing_topology(), pristine_, params_, src, dst)
-           .has_value();
-  commodities_.push_back(std::move(commodity));
-  return static_cast<int>(commodities_.size()) - 1;
-}
-
-void IncrementalRouter::sync_capacities(RoutingFormulation& formulation) {
-  for (int v = 0; v < topology_->num_nodes(); ++v)
-    formulation.set_storage_capacity(
-        v, std::max(0.0, tracker_.node_remaining(v)));
-  for (int e = 0; e < topology_->num_fibers(); ++e)
-    formulation.set_entanglement_capacity(
-        e, std::max(0.0, tracker_.fiber_pairs_remaining(e)));
-}
-
-LpSolution IncrementalRouter::solve_commodity(Commodity& commodity,
-                                              double limit) {
-  if (!commodity.formulation.has_value()) {
-    const std::vector<netsim::Request> requests{
-        netsim::Request{commodity.src, commodity.dst, 1}};
-    // Built from the measured topology so the Eq. (6) noise coefficients
-    // reflect the live profile; set_noise_scale drops stale formulations.
-    commodity.formulation.emplace(routing_topology(), requests, params_);
-    commodity.state.clear();
-  }
-  // Limits and right-hand sides change between solves, the shape never
-  // does: every solve after the commodity's first warm-starts from the
-  // basis the previous one left behind.
-  commodity.formulation->set_request_limit(0, limit);
-  sync_capacities(*commodity.formulation);
-  const LpSolution solution =
-      solve_lp(commodity.formulation->problem(), commodity.state,
-               params_.sink);
-  if (solution.warm_started) {
-    ++stats_.warm_solves;
-    stats_.warm_iterations += solution.iterations;
-  } else {
-    ++stats_.cold_solves;
-    stats_.cold_iterations += solution.iterations;
-  }
-  return solution;
-}
-
-std::optional<AdmittedRoute> IncrementalRouter::lp_admit(int commodity,
-                                                         int codes) {
-  SURFNET_EXPECTS(commodity >= 0 &&
-                  static_cast<std::size_t>(commodity) < commodities_.size());
-  Commodity& c = commodities_[static_cast<std::size_t>(commodity)];
-  const LpSolution solution =
-      solve_commodity(c, static_cast<double>(codes));
-  if (solution.status != LpStatus::Optimal) return std::nullopt;
-
-  const auto& vars = c.formulation->vars(0);
-  const double y = solution.x[static_cast<std::size_t>(vars.y)];
-  if (y < 1.0 - kCodeEps) return std::nullopt;
-
-  // Decompose the commodity's support flow and vet the candidate paths:
-  // the LP certifies aggregate feasibility, each path must still pass the
-  // per-path Eq. (6) thresholds and the tracker's integral capacities.
-  const double support_unit = params_.dual_channel
-                                  ? params_.support_qubits
-                                  : params_.total_qubits();
-  const int de_count = c.formulation->num_directed_edges();
-  std::vector<double> flow(static_cast<std::size_t>(de_count), 0.0);
-  for (int de = 0; de < de_count; ++de) {
-    const int vb = vars.b[static_cast<std::size_t>(de)];
-    if (vb >= 0)
-      flow[static_cast<std::size_t>(de)] =
-          solution.x[static_cast<std::size_t>(vb)] / support_unit;
-  }
-  auto paths = decompose_flow(*c.formulation, topology_->num_nodes(),
-                              std::move(flow), c.src, c.dst);
-  std::stable_sort(paths.begin(), paths.end(),
-                   [](const FlowPath& a, const FlowPath& b) {
-                     return a.weight > b.weight;
-                   });
-
-  for (const auto& candidate : paths) {
-    const auto plan = check_path(routing_topology(), params_,
-                                 candidate.nodes);
-    if (!plan) continue;
-    const double node_demand = node_demand_for(plan->distance) * codes;
-    const double pair_demand = pair_demand_for(plan->distance) * codes;
-    if (!tracker_.path_feasible(candidate.nodes, node_demand, pair_demand))
-      continue;
-    tracker_.commit(candidate.nodes, node_demand, pair_demand);
-    AdmittedRoute route;
-    route.path = plan->path;
-    route.ec_servers = plan->ec_servers;
-    route.noise = netsim::path_noise(routing_topology(), plan->path);
-    route.codes = codes;
-    route.distance = plan->distance;
-    route.source =
-        solution.warm_started ? AdmitSource::Warm : AdmitSource::Cold;
-    return route;
-  }
-  return std::nullopt;
-}
+    : topology_(&topology), params_(params), tracker_(topology, params) {}
 
 std::optional<AdmittedRoute> IncrementalRouter::admit(int src, int dst,
                                                       int codes) {
-  const obs::Sink& sink = params_.sink;
-
-  // Greedy fast path: Dijkstra + thresholds over the live tracker, no LP.
-  if (const auto plan =
-          plan_code(routing_topology(), tracker_, params_, src, dst)) {
-    const double node_demand = node_demand_for(plan->distance) * codes;
-    const double pair_demand = pair_demand_for(plan->distance) * codes;
-    if (tracker_.path_feasible(plan->path, node_demand, pair_demand)) {
-      tracker_.commit(plan->path, node_demand, pair_demand);
-      ++stats_.greedy_admits;
-      if (sink.metrics) sink.metrics->count("route.incremental.greedy");
-      AdmittedRoute route;
-      route.path = plan->path;
-      route.ec_servers = plan->ec_servers;
-      route.noise = netsim::path_noise(routing_topology(), plan->path);
-      route.codes = codes;
-      route.distance = plan->distance;
-      route.source = AdmitSource::Greedy;
-      return route;
-    }
-  }
-
-  // Warm LP assist. Pairs with no noise-feasible route are rejected in
-  // O(1) forever; a commodity whose full ladder already failed stays
-  // rejected without another solve until capacity comes back.
-  const int k = commodity_index(src, dst);
-  Commodity& commodity = commodities_[static_cast<std::size_t>(k)];
-  if (commodity.infeasible) {
-    ++stats_.infeasible_skips;
-    if (sink.metrics) sink.metrics->count("route.incremental.infeasible");
+  const auto plan = plan_code(routing_topology(), tracker_, params_, src, dst,
+                              workspace_);
+  if (!plan) return std::nullopt;
+  const double node_demand = node_demand_for(plan->distance) * codes;
+  const double pair_demand = pair_demand_for(plan->distance) * codes;
+  if (!tracker_.path_feasible(plan->path, node_demand, pair_demand))
     return std::nullopt;
-  }
-  if (commodity.saturated) {
-    ++stats_.saturation_skips;
-    if (sink.metrics) sink.metrics->count("route.incremental.saturated");
-    return std::nullopt;
-  }
-  auto route = lp_admit(k, codes);
-  if (!route) {
-    commodity.saturated = true;
-    ++stats_.lp_rejects;
-    if (sink.metrics) sink.metrics->count("route.incremental.lp_reject");
-    return std::nullopt;
-  }
-  if (route->source == AdmitSource::Warm) {
-    ++stats_.warm_admits;
-    if (sink.metrics) sink.metrics->count("route.incremental.warm");
-  } else {
-    ++stats_.cold_admits;
-    if (sink.metrics) sink.metrics->count("route.incremental.cold");
-  }
+  tracker_.commit(plan->path, node_demand, pair_demand);
+  ++stats_.greedy_admits;
+  if (params_.sink.metrics)
+    params_.sink.metrics->count("route.incremental.greedy");
+  AdmittedRoute route;
+  route.path = plan->path;
+  route.ec_servers = plan->ec_servers;
+  route.noise = netsim::path_noise(routing_topology(), plan->path);
+  route.codes = codes;
+  route.distance = plan->distance;
+  route.source = AdmitSource::Greedy;
   return route;
 }
 
@@ -200,8 +45,6 @@ void IncrementalRouter::release(const AdmittedRoute& route) {
   // non-default code size or the noise profile changed since.
   tracker_.release(route.path, node_demand_for(route.distance) * route.codes,
                    pair_demand_for(route.distance) * route.codes);
-  // Returned capacity may unblock any saturated commodity.
-  for (auto& c : commodities_) c.saturated = false;
 }
 
 void IncrementalRouter::set_noise_scale(double scale) {
@@ -212,46 +55,29 @@ void IncrementalRouter::set_noise_scale(double scale) {
   if (scale != 1.0) {
     // Measured view: fidelity gamma degrades to gamma^scale, i.e. fiber
     // noise mu = ln(1/gamma) scales linearly. Structure and capacities
-    // are untouched, so the trackers keep working on the real topology.
+    // are untouched, so the tracker keeps working on the real topology.
     scaled_ = *topology_;
     for (int e = 0; e < scaled_.num_fibers(); ++e)
       scaled_.fiber(e).fidelity =
           std::pow(topology_->fiber(e).fidelity, scale);
   }
-  // Every standing formulation baked the previous profile's noise
-  // coefficients into its Eq. (6) rows: drop them (the next assist
-  // cold-solves once, then warm-starts again), clear the saturation
-  // caches, and re-run the noise-feasibility check under the new profile.
-  for (auto& c : commodities_) {
-    c.formulation.reset();
-    c.state.clear();
-    c.saturated = false;
-    c.infeasible =
-        !plan_code(routing_topology(), pristine_, params_, c.src, c.dst)
-             .has_value();
-  }
+  // scaled_ changed its fidelities in place: the workspace's fiber noise
+  // and trees describe the previous profile.
+  workspace_.clear();
   if (params_.sink.metrics)
     params_.sink.metrics->count("route.incremental.profile_change");
 }
 
 double IncrementalRouter::reoptimize() {
-  // Probe every feasible commodity's standing formulation over the
-  // residual network and sum the fractional codes it could still carry.
-  bool probed = false;
-  double headroom = 0.0;
-  for (auto& c : commodities_) {
-    if (c.infeasible) continue;
-    const LpSolution solution = solve_commodity(c, kProbeLimit);
-    probed = true;
-    c.saturated = false;
-    if (solution.status != LpStatus::Optimal) continue;
-    headroom += solution.x[static_cast<std::size_t>(
-        c.formulation->vars(0).y)];
-  }
-  // Nothing has ever needed the LP: the network is effectively
-  // unconstrained from the stream's point of view.
-  if (!probed) return kProbeLimit;
-  return headroom;
+  double storage = 0.0;
+  for (int v = 0; v < topology_->num_nodes(); ++v)
+    if (topology_->is_switch_or_server(v))
+      storage += tracker_.node_remaining(v) / params_.total_qubits();
+  if (!params_.dual_channel) return storage;
+  double pairs = 0.0;
+  for (int e = 0; e < topology_->num_fibers(); ++e)
+    pairs += tracker_.fiber_pairs_remaining(e) / params_.core_qubits;
+  return std::min(storage, pairs);
 }
 
 }  // namespace surfnet::routing

@@ -1,39 +1,25 @@
 #pragma once
 
-// Incremental warm-started routing for the dynamic-traffic engine.
+// Incremental routing for the dynamic-traffic engine.
 //
 // The offline LP router (routing/lp_router.h) answers "route this batch";
 // the IncrementalRouter answers a stream of single-request deltas from
 // netsim::run_traffic: admit one request now, release one later, with the
 // network state carried across deltas instead of rebuilt per call.
 //
-// Per-delta cost ladder:
-//   * greedy fast path — plan_code over the live CapacityTracker; no LP
-//     is touched. Covers the overwhelming majority of admits.
-//   * warm LP assist — when greedy fails, the router solves the
-//     commodity's standing single-request formulation with the request
-//     limit set to the requested codes and capacities set to the
-//     tracker's residuals. Each (src, dst) commodity keeps its own
-//     formulation and simplex basis: the shape never changes after the
-//     commodity is first seen, so every re-solve after the first
-//     warm-starts and needs a small fraction of the cold iteration
-//     count. (A single standing multi-commodity formulation would grow
-//     with every pair ever seen and cold-solve on each growth — O(users^2)
-//     commodities make that quadratically more expensive per delta than
-//     per-commodity problems of constant shape.)
-//   * cold solve — only on a commodity's first assist (shape comes into
-//     existence) — never again while the router lives.
+// Admission is greedy-only, the paper's per-code hierarchical scheduler
+// (Sec. V-B): admit() runs plan_code over the live CapacityTracker, checks
+// that the plan's codes fit (path_feasible) and commits them. No LP is
+// solved on the online path; the LP stays where the paper puts it, in
+// batch planning (Sec. V-A). The router owns one PlanWorkspace, so
+// arrivals that meet an unchanged tracker — every arrival after a blocked
+// one, since a block commits nothing — reuse the minimum-noise trees the
+// previous plan grew. Admits are counted as "route.incremental.greedy".
 //
-// Commodities whose endpoints admit no noise-feasible route at all (the
-// paper's Eq. (6) thresholds fail on every candidate path even on an
-// empty network) are marked infeasible once and rejected in O(1)
-// thereafter: their failures are load-independent *within one noise
-// profile*, so no amount of released capacity can revive them. A feasible
-// commodity that fails the full ladder is marked saturated; further
-// greedy-failing admits for it are rejected without an LP solve until a
-// release or reoptimize() restores capacity. Admit sources are counted as
-// "route.incremental.{greedy,warm,cold}" and every LP solve flows through
-// the usual solve_lp observability ("lp.*" counters, lp_solve events).
+// reoptimize() reports the residual headroom the tracker already knows,
+// in O(nodes + fibers): the smaller of the codes the switches' and
+// servers' remaining storage could hold and, on the dual channel, the
+// codes the fibers' remaining pairs could carry.
 //
 // Adaptive code selection. With RoutingParams::adaptive_code_distance the
 // planner picks a distance (3/4/5) per route from its measured residual
@@ -45,27 +31,21 @@
 //
 // Noise profile changes. set_noise_scale (the RouteProvider seam driven
 // by the traffic engine's fidelity-degradation windows) re-measures every
-// fiber as fidelity^scale. All routing decisions (greedy planning, LP
-// noise coefficients, candidate vetting, reported route noise) read the
-// scaled view; capacity bookkeeping is unaffected. A scale change
-// invalidates every standing formulation (their Eq. (6) noise
-// coefficients are stale), clears the saturated flags, and re-runs the
-// per-commodity noise-feasibility check — so "infeasible, never cleared"
-// is scoped to a fixed profile, and the cold-solve-once guarantee becomes
-// once per (commodity, profile).
+// fiber as fidelity^scale. Planning and the reported route noise read the
+// scaled view; capacity bookkeeping is unaffected. The scaled view keeps
+// one address while its fidelities change, so a scale change clears the
+// planner workspace.
 
 #include <optional>
 #include <vector>
 
 #include "netsim/workload.h"
-#include "routing/formulation.h"
 #include "routing/greedy.h"
-#include "routing/simplex.h"
 
 namespace surfnet::routing {
 
-/// netsim::RouteProvider over a live CapacityTracker with warm-started
-/// LP assists. Single-threaded; one instance per traffic stream.
+/// netsim::RouteProvider over a live CapacityTracker with greedy-only
+/// admission. Single-threaded; one instance per traffic stream.
 class IncrementalRouter final : public netsim::RouteProvider {
  public:
   IncrementalRouter(const netsim::Topology& topology,
@@ -80,14 +60,17 @@ class IncrementalRouter final : public netsim::RouteProvider {
   const CapacityTracker& tracker() const { return tracker_; }
   double noise_scale() const { return noise_scale_; }
 
-  /// Cumulative solve statistics for benchmarks and tests.
+  /// Cumulative statistics for benchmarks and tests. Only greedy_admits
+  /// and profile_changes move. The other fields counted the LP assist
+  /// this router no longer has and always read 0; they stay because the
+  /// repository benchmark (perfbench/) reads every field.
   struct Stats {
     long long greedy_admits = 0;
     long long warm_admits = 0;
     long long cold_admits = 0;
-    long long lp_rejects = 0;    ///< LP consulted, no feasible route
-    long long saturation_skips = 0;  ///< rejected without consulting the LP
-    long long infeasible_skips = 0;  ///< no noise-feasible route exists
+    long long lp_rejects = 0;
+    long long saturation_skips = 0;
+    long long infeasible_skips = 0;
     int profile_changes = 0;     ///< set_noise_scale transitions seen
     int cold_solves = 0;
     int warm_solves = 0;
@@ -97,27 +80,6 @@ class IncrementalRouter final : public netsim::RouteProvider {
   const Stats& stats() const { return stats_; }
 
  private:
-  struct Commodity {
-    int src = -1;
-    int dst = -1;
-    bool saturated = false;   ///< full ladder failed; cleared on release
-    bool infeasible = false;  ///< no noise-feasible route; never cleared
-    /// Standing single-request formulation + warm-start basis. Built on
-    /// the commodity's first LP assist, shape-stable forever after.
-    std::optional<RoutingFormulation> formulation;
-    SimplexState state;
-  };
-
-  /// Index of the (src, dst) commodity, creating it (and running the
-  /// one-time noise-feasibility check) on first sight.
-  int commodity_index(int src, int dst);
-  /// Point the formulation's capacities at the tracker's residuals.
-  void sync_capacities(RoutingFormulation& formulation);
-  /// Solve one commodity's standing formulation with the given request
-  /// limit, updating the warm/cold statistics.
-  LpSolution solve_commodity(Commodity& commodity, double limit);
-  /// LP-assisted admit for one commodity; greedy has already failed.
-  std::optional<netsim::AdmittedRoute> lp_admit(int commodity, int codes);
   /// The topology as currently measured: the scaled copy while a
   /// degradation window is open, the real one otherwise.
   const netsim::Topology& routing_topology() const {
@@ -136,15 +98,12 @@ class IncrementalRouter final : public netsim::RouteProvider {
   const netsim::Topology* topology_;
   RoutingParams params_;
   CapacityTracker tracker_;
-  /// Untouched full-capacity tracker for the one-time per-commodity
-  /// noise-feasibility check.
-  CapacityTracker pristine_;
+  PlanWorkspace workspace_;
   /// Measured view under the current noise scale (valid when
   /// noise_scale_ != 1). Same structure and capacities as *topology_,
-  /// only fiber fidelities differ — trackers stay valid across changes.
+  /// only fiber fidelities differ — the tracker stays valid across changes.
   netsim::Topology scaled_;
   double noise_scale_ = 1.0;
-  std::vector<Commodity> commodities_;
   Stats stats_;
 };
 

@@ -225,11 +225,12 @@ LpRouteResult route_lp(const Topology& topology,
 
   // Greedy top-up: reclaim codes the rounding dropped, while capacities and
   // noise thresholds still allow.
+  PlanWorkspace ws;
   for (std::size_t k : order) {
     const Request& req = requests[k];
     while (scheduled_codes[k] < req.codes) {
       const auto plan =
-          plan_code(topology, tracker, params, req.src, req.dst);
+          plan_code(topology, tracker, params, req.src, req.dst, ws);
       if (!plan || !tracker.path_feasible(plan->path)) break;
       tracker.commit(plan->path);
       ++scheduled_codes[k];

@@ -36,8 +36,8 @@ LpRouteResult route_lp(const netsim::Topology& topology,
                        const RoutingParams& params, util::Rng& rng);
 
 /// As above, but the simplex basis lives in the caller's `state`: a valid
-/// state warm-starts the first solve (the dynamic-traffic path hands back
-/// the basis of the previous solve over the same formulation shape), and
+/// state warm-starts the first solve (route() hands back the basis of the
+/// previous solve over the same formulation shape), and
 /// the state left behind warm-starts the caller's next solve. Pass a
 /// default-constructed state for a cold solve.
 LpRouteResult route_lp(const netsim::Topology& topology,

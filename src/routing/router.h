@@ -14,8 +14,7 @@
 // The returned RouteResult carries the SimplexState the LP solve left
 // behind; passing the same result's state pointer back through
 // RouteOptions::warm_state warm-starts the next route() over an
-// unchanged formulation shape (same topology and request list lengths) —
-// the batch-level analogue of the incremental router's standing basis.
+// unchanged formulation shape (same topology and request list lengths).
 //
 // route_lp() and route_greedy() remain available as the underlying
 // implementations for one more release; new call sites should prefer

@@ -284,6 +284,56 @@ TEST(Workload, HeadroomSheddingBlocksLowPriorityClasses) {
   EXPECT_GT(provider.reoptimizes, 0);
 }
 
+TEST(Workload, RouterHeadroomShedsLowPriorityOnceTheRingFills) {
+  // The live router's headroom: the ring's six fibers carry 300 pairs,
+  // 300 / 7 codes while empty, and every admitted code takes 28 of them,
+  // 4 codes of headroom. Shedding below half the pristine value starts
+  // after the sixth long-lived admit.
+  const auto topology = ring_topology();
+  const routing::RoutingParams routing = ring_routing();
+  routing::IncrementalRouter router(topology, routing);
+  const double pristine = router.reoptimize();
+
+  obs::TraceBuffer trace;
+  auto params = scripted_params();
+  params.sink = obs::Sink{nullptr, &trace};
+  params.service_base = 150;  // requests outlive the arrivals around them
+  params.reoptimize_every = 1;
+  params.admission.shed_headroom = pristine / 2;
+  params.admission.shed_below_priority = 1;
+  params.classes = {{1.0, 1, /*priority=*/0, 0.0, 0},
+                    {1.0, 1, /*priority=*/1, 0.0, 0}};
+  util::Rng rng(3);
+  const auto result = run_traffic(topology, router, params, rng);
+
+  std::vector<int> class_of;  // by request id
+  bool shedding = false;
+  int admits_before_shedding = 0;
+  int priority_admits_after = 0;
+  int sheds = 0;
+  for (const auto& event : trace.events()) {
+    if (event.kind == obs::EventKind::Arrival) class_of.push_back(event.d);
+    const auto cls = [&] {
+      return class_of[static_cast<std::size_t>(event.a)];
+    };
+    if (event.kind == obs::EventKind::Admit) {
+      if (!shedding) ++admits_before_shedding;
+      else if (cls() == 1) ++priority_admits_after;
+    }
+    if (event.kind == obs::EventKind::Blocked &&
+        event.b == static_cast<int>(BlockReason::Load)) {
+      EXPECT_EQ(cls(), 0) << "request " << event.a;  // only priority 0 sheds
+      shedding = true;
+      ++sheds;
+    }
+  }
+  EXPECT_GT(sheds, 0);
+  EXPECT_EQ(result.blocked_by[static_cast<int>(BlockReason::Load)], sheds);
+  EXPECT_GE(admits_before_shedding, 6);
+  // Priority 1 still reaches the router once shedding has begun.
+  EXPECT_GT(priority_admits_after, 0);
+}
+
 TEST(Workload, ParameterValidation) {
   ScriptedProvider provider;
   const auto topology = ring_topology();
@@ -361,8 +411,8 @@ TEST(Workload, TrafficTrialsAreThreadCountInvariant) {
 }
 
 TEST(Workload, TrafficTrialsAreSinkInvariant) {
-  // The sink reaches the workload stream and every LP solve of the
-  // incremental router; observing a batch must not change one decision.
+  // The sink reaches the workload stream and the incremental router's
+  // counters; observing a batch must not change one decision.
   const auto observed = run_batch(1);
   const auto bare = run_batch(1, /*observed=*/false);
   EXPECT_EQ(observed.admitted_per_slot, bare.admitted_per_slot);
