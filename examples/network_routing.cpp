@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
 
   const auto routed = routing::route(
       topology, requests, params.routing, rng,
-      routing::RouteOptions{routing::RouteStrategy::Lp, nullptr});
+      routing::RouteOptions{routing::RouteStrategy::Lp});
   std::printf("\nLP relaxation objective (upper bound on executed codes): "
               "%.2f\n", routed.lp_objective);
   std::printf("scheduled %d of %d requested codes (throughput %.2f)\n\n",

@@ -196,7 +196,7 @@ int run_topology(const Args& args) {
       topology, params.num_requests, params.max_codes_per_request, rng);
   const auto routed = routing::route(
       topology, requests, params.routing, rng,
-      routing::RouteOptions{routing::RouteStrategy::Lp, nullptr});
+      routing::RouteOptions{routing::RouteStrategy::Lp});
   std::cout << netsim::to_dot(topology, routed.schedule);
   return 0;
 }

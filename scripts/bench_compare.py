@@ -5,6 +5,7 @@ Usage:
     bench_compare.py baseline.json candidate.json [--threshold 0.10]
     bench_compare.py --validate FILE [FILE ...]
     bench_compare.py run.json --speedup-min 5 [--speedup-filter sparse_long]
+    bench_compare.py metrics.json --counters-max BASELINE.json
 
 Each input is either the shared bench envelope
 ``{"bench": ..., "schema_version": 1, "results": [...]}`` (emitted by every
@@ -19,6 +20,13 @@ bench_event_core's oracle-vs-engine rows) must meet the floor, optionally
 restricted with ``--speedup-filter`` to records whose string fields
 contain the given substring. This is the acceptance gate for the event
 engine: ``--speedup-filter sparse_long --speedup-min 5``.
+
+``--counters-max`` gates deterministic work counts instead of timings:
+every counter named in the baseline document's ``counters`` object must
+appear in the single given --metrics-out document and must not exceed the
+baseline value. The LP pivot gate uses it on ``lp.iterations`` of
+``bench_fig6a --trials 40 --threads 1 --metrics-out``, an exact sum that
+needs no tolerance (bench/baselines/lp_pivots_release.json).
 
 ``--validate`` checks files structurally instead of comparing: bench
 envelopes, observability metrics documents (``{"schema_version": ...,
@@ -278,6 +286,39 @@ def run_speedup_floor(path, floor, substring):
     return 0
 
 
+def run_counters_max(path, baseline_path):
+    """Assert no baseline counter is exceeded in a metrics document."""
+    documents = []
+    for name in (baseline_path, path):
+        try:
+            with open(name, "r", encoding="utf-8") as fh:
+                documents.append(json.load(fh))
+        except (OSError, json.JSONDecodeError) as err:
+            print(f"bench_compare: cannot read {name}: {err}",
+                  file=sys.stderr)
+            return 2
+    limits = documents[0].get("counters")
+    counters = documents[1].get("counters")
+    if not isinstance(limits, dict) or not limits \
+            or not isinstance(counters, dict):
+        print(f"bench_compare: {baseline_path} and {path} both need a "
+              "'counters' object (the baseline a nonempty one)",
+              file=sys.stderr)
+        return 2
+    failures = 0
+    for name, limit in sorted(limits.items()):
+        value = counters.get(name)
+        ok = isinstance(value, int) and value <= limit
+        print(f"{'ok' if ok else 'FAIL'}  {name}: {value} "
+              f"(baseline max {limit})")
+        failures += not ok
+    if failures:
+        print(f"bench_compare: {failures}/{len(limits)} counter(s) missing "
+              f"or above {baseline_path}", file=sys.stderr)
+        return 1
+    return 0
+
+
 def main():
     parser = argparse.ArgumentParser(
         description="Diff two --json bench outputs, flag regressions; or "
@@ -296,6 +337,10 @@ def main():
     parser.add_argument("--speedup-filter", metavar="SUBSTR",
                         help="with --speedup-min: only check records whose "
                              "string fields contain SUBSTR")
+    parser.add_argument("--counters-max", metavar="BASELINE",
+                        help="assert every counter in BASELINE's 'counters' "
+                             "is present and not exceeded in the single "
+                             "given metrics document")
     args = parser.parse_args()
 
     if args.validate:
@@ -303,6 +348,10 @@ def main():
             parser.error("--validate takes its own file list; do not also "
                          "pass baseline/candidate")
         return run_validate(args.validate)
+    if args.counters_max:
+        if not args.baseline or args.candidate:
+            parser.error("--counters-max takes exactly one metrics file")
+        return run_counters_max(args.baseline, args.counters_max)
     if args.speedup_min is not None:
         if not args.baseline or args.candidate:
             parser.error("--speedup-min takes exactly one file")

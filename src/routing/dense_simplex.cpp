@@ -222,13 +222,17 @@ LpSolution solve_lp_dense(const LpProblem& problem,
       }
       if (entering == total) return LpStatus::Optimal;
 
-      // Ratio test (Bland tie-break on the leaving basis variable).
+      // Ratio test (Bland tie-break on the leaving basis variable). A
+      // basic column that may not enter — an artificial phase 1 left in
+      // the basis at zero — must not move either, so it blocks whichever
+      // way the entering column pushes it.
       std::size_t leaving = m;
       double best_ratio = std::numeric_limits<double>::infinity();
       for (std::size_t r = 0; r < m; ++r) {
         const double a = tableau.at(r, entering);
-        if (a > kEps) {
-          const double ratio = tableau.at(r, rhs_col) / a;
+        if (a > kEps ||
+            (a < -kEps && !allowed[static_cast<std::size_t>(basis[r])])) {
+          const double ratio = tableau.at(r, rhs_col) / std::abs(a);
           if (ratio < best_ratio - kEps ||
               (ratio < best_ratio + kEps && leaving < m &&
                basis[r] < basis[leaving])) {

@@ -1,6 +1,9 @@
 #include "routing/formulation.h"
 
 #include <cmath>
+#include <functional>
+#include <limits>
+#include <queue>
 #include <stdexcept>
 
 namespace surfnet::routing {
@@ -36,6 +39,58 @@ void RoutingFormulation::set_entanglement_capacity(int fiber,
                                                    double capacity) {
   const int row = entanglement_row(fiber);
   if (row >= 0) lp_.set_rhs(row, capacity);
+}
+
+std::vector<std::pair<int, int>> RoutingFormulation::crash_hint() const {
+  const Topology& topo = *topology_;
+  const auto nodes = static_cast<std::size_t>(topo.num_nodes());
+  std::vector<std::vector<int>> out_arcs(nodes);
+  for (int de = 0; de < num_directed_edges(); ++de)
+    out_arcs[static_cast<std::size_t>(edge_tail(de))].push_back(de);
+
+  std::vector<std::pair<int, int>> hint;
+  std::vector<double> dist;
+  std::vector<int> in_arc;
+  using Item = std::pair<double, int>;  // (noise from src, node)
+  std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
+  for (std::size_t k = 0; k < vars_.size(); ++k) {
+    const VarIndex& v = vars_[k];
+    const RowIndex& rows = rows_[k];
+    dist.assign(nodes, std::numeric_limits<double>::infinity());
+    in_arc.assign(nodes, -1);
+    dist[static_cast<std::size_t>(rows.src)] = 0.0;
+    heap.push({0.0, rows.src});
+    while (!heap.empty()) {
+      const auto [d, u] = heap.top();
+      heap.pop();
+      if (d > dist[static_cast<std::size_t>(u)]) continue;
+      for (const int de : out_arcs[static_cast<std::size_t>(u)]) {
+        if (v.b[static_cast<std::size_t>(de)] < 0) continue;
+        const auto w = static_cast<std::size_t>(edge_head(de));
+        const double nd = d + topo.fiber_noise(edge_fiber(de));
+        if (nd < dist[w]) {
+          dist[w] = nd;
+          in_arc[w] = de;
+          heap.push({nd, static_cast<int>(w)});
+        }
+      }
+    }
+
+    // A reached node is the destination or a switch/server with an in-arc
+    // variable, so build() emitted a row for it on every channel.
+    for (std::size_t node = 0; node < nodes; ++node) {
+      const int de = in_arc[node];
+      if (de < 0) continue;
+      const auto sde = static_cast<std::size_t>(de);
+      if (params_.dual_channel)
+        hint.emplace_back(v.a[sde], rows.a_node[node]);
+      hint.emplace_back(v.b[sde], rows.b_node[node]);
+    }
+    for (std::size_t r = 0; r < servers_.size(); ++r)
+      if (in_arc[static_cast<std::size_t>(servers_[r])] >= 0)
+        hint.emplace_back(v.x[r], rows.coupling[r]);
+  }
+  return hint;
 }
 
 void RoutingFormulation::build(const std::vector<Request>& requests) {
@@ -102,9 +157,15 @@ void RoutingFormulation::build(const std::vector<Request>& requests) {
 
   // --- Per-request constraints: Eqs. (3), (4), (6). Rows stream straight
   // into the problem's compressed form; nothing is buffered per row. ---
+  rows_.resize(requests.size());
   for (std::size_t k = 0; k < requests.size(); ++k) {
     const Request& req = requests[k];
     const VarIndex& v = vars_[k];
+    RowIndex& rows = rows_[k];
+    rows.src = req.src;
+    rows.a_node.assign(static_cast<std::size_t>(topo.num_nodes()), -1);
+    rows.b_node.assign(static_cast<std::size_t>(topo.num_nodes()), -1);
+    rows.coupling.assign(servers_.size(), -1);
 
     auto add_flow_equation = [&](const std::vector<int>& edges,
                                  const std::vector<int>& var_of_edge,
@@ -116,14 +177,18 @@ void RoutingFormulation::build(const std::vector<Request>& requests) {
       }
       lp_.add_term(v.y, y_coeff);
     };
+    const auto dst = static_cast<std::size_t>(req.dst);
 
     // Eq. 3: inflow(dst) = outflow(src) = n*Y (Core) and m*Y (Support).
     if (params_.dual_channel) {
+      rows.a_node[dst] = lp_.num_rows();
       add_flow_equation(in_edges(req.dst), v.a, -static_cast<double>(n));
       add_flow_equation(out_edges(req.src), v.a, -static_cast<double>(n));
+      rows.b_node[dst] = lp_.num_rows();
       add_flow_equation(in_edges(req.dst), v.b, -static_cast<double>(m));
       add_flow_equation(out_edges(req.src), v.b, -static_cast<double>(m));
     } else {
+      rows.b_node[dst] = lp_.num_rows();
       add_flow_equation(in_edges(req.dst), v.b,
                         -static_cast<double>(total_qubits));
       add_flow_equation(out_edges(req.src), v.b,
@@ -134,13 +199,15 @@ void RoutingFormulation::build(const std::vector<Request>& requests) {
     for (int node : topo.switches_and_servers()) {
       const auto in = in_edges(node);
       const auto out = out_edges(node);
-      auto add_conservation = [&](const std::vector<int>& var_of_edge) {
+      auto add_conservation = [&](const std::vector<int>& var_of_edge,
+                                  std::vector<int>& node_row) {
         bool any = false;
         for (int de : in)
           if (var_of_edge[static_cast<std::size_t>(de)] >= 0) any = true;
         for (int de : out)
           if (var_of_edge[static_cast<std::size_t>(de)] >= 0) any = true;
         if (!any) return;
+        node_row[static_cast<std::size_t>(node)] = lp_.num_rows();
         lp_.begin_constraint(ConstraintType::Equal, 0.0);
         for (int de : in) {
           const int var = var_of_edge[static_cast<std::size_t>(de)];
@@ -151,12 +218,13 @@ void RoutingFormulation::build(const std::vector<Request>& requests) {
           if (var >= 0) lp_.add_term(var, -1.0);
         }
       };
-      if (params_.dual_channel) add_conservation(v.a);
-      add_conservation(v.b);
+      if (params_.dual_channel) add_conservation(v.a, rows.a_node);
+      add_conservation(v.b, rows.b_node);
     }
     for (std::size_t r = 0; r < servers_.size(); ++r) {
       const int node = servers_[r];
       const auto in = in_edges(node);
+      rows.coupling[r] = lp_.num_rows();  // the first of the server's rows
       auto add_coupling = [&](const std::vector<int>& var_of_edge,
                               double qubits) {
         lp_.begin_constraint(ConstraintType::Equal, 0.0);

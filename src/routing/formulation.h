@@ -16,6 +16,7 @@
 // available in servers, and switches get a capacity bonus because they no
 // longer prepare entanglement.
 
+#include <utility>
 #include <vector>
 
 #include "netsim/schedule.h"
@@ -100,6 +101,17 @@ class RoutingFormulation {
     return entanglement_row_[static_cast<std::size_t>(fiber)];
   }
 
+  /// Crash-start hint for the first solve (simplex.h crash_state): the
+  /// (column, row) pairs of one spanning flow tree per request. Per
+  /// request, a Dijkstra from the source over the arcs that have variables,
+  /// with fiber noise — the arc cost of the secondary objective — as the
+  /// length, relaxing arcs in directed-edge order and popping by (noise,
+  /// node). Every reached node other than the source gets its tree in-arc
+  /// on its own row — its conservation row, or the in(dst) flow equation
+  /// for the destination — on each channel, and every reached server gets
+  /// its EC variable on its coupling row (the Core row when dual-channel).
+  std::vector<std::pair<int, int>> crash_hint() const;
+
   int num_requests() const { return static_cast<int>(vars_.size()); }
   const VarIndex& vars(int k) const {
     SURFNET_EXPECTS(k >= 0 && static_cast<std::size_t>(k) < vars_.size());
@@ -113,10 +125,20 @@ class RoutingFormulation {
   int edge_head(int de) const;
 
  private:
+  /// One request's source and the rows build() emitted for its flows,
+  /// recorded as they are emitted; -1 = no row.
+  struct RowIndex {
+    int src = -1;               ///< the request's source node
+    std::vector<int> a_node;    ///< per node: Core conservation / in(dst) row
+    std::vector<int> b_node;    ///< per node: same for the Support channel
+    std::vector<int> coupling;  ///< per server: coupling row that takes x
+  };
+
   const netsim::Topology* topology_;
   RoutingParams params_;
   std::vector<int> servers_;
   std::vector<VarIndex> vars_;
+  std::vector<RowIndex> rows_;
   std::vector<int> storage_row_;       ///< per node; -1 = no row
   std::vector<int> entanglement_row_;  ///< per fiber; -1 = no row
   LpProblem lp_;

@@ -5,6 +5,7 @@
 #include <queue>
 
 #include "netsim/channel.h"
+#include "obs/metrics.h"
 #include "routing/flow.h"
 #include "routing/greedy.h"
 #include "routing/validate.h"
@@ -59,19 +60,21 @@ std::vector<int> choose_ec_servers(const Topology& topology,
 LpRouteResult route_lp(const Topology& topology,
                        const std::vector<Request>& requests,
                        const RoutingParams& params, util::Rng& rng) {
-  SimplexState state;
-  return route_lp(topology, requests, params, rng, state);
-}
-
-LpRouteResult route_lp(const Topology& topology,
-                       const std::vector<Request>& requests,
-                       const RoutingParams& params, util::Rng& rng,
-                       SimplexState& state) {
   LpRouteResult result;
   for (const auto& r : requests) result.schedule.requested_codes += r.codes;
 
   RoutingFormulation formulation(topology, requests, params);
-  const LpSolution lp = solve_lp(formulation.problem(), state, params.sink);
+  // The first solve starts from the formulation's flow trees; every later
+  // solve starts from the basis the previous one left in `state`.
+  SimplexState state =
+      crash_state(formulation.problem(), formulation.crash_hint());
+  const auto solve = [&] {
+    LpSolution sol = solve_lp(formulation.problem(), state, params.sink);
+    if (sol.status == LpStatus::IterationLimit && params.sink.metrics)
+      params.sink.metrics->count("route.lp_iteration_limits");
+    return sol;
+  };
+  const LpSolution lp = solve();
   result.status = lp.status;
   result.cold_iterations = lp.iterations;
   // Report the throughput part of the objective (sum of Y_k), not the
@@ -214,8 +217,7 @@ LpRouteResult route_lp(const Topology& topology,
       formulation.set_entanglement_capacity(
           e, std::max(0.0, tracker.fiber_pairs_remaining(e)));
 
-    const LpSolution relp =
-        solve_lp(formulation.problem(), state, params.sink);
+    const LpSolution relp = solve();
     ++result.resolves;
     result.warm_iterations += relp.iterations;
     if (relp.status != LpStatus::Optimal) break;

@@ -18,16 +18,12 @@ RouteResult route(const netsim::Topology& topology,
     return result;
   }
 
-  SimplexState local_state;
-  SimplexState& state =
-      options.warm_state ? *options.warm_state : local_state;
-  LpRouteResult lp = route_lp(topology, requests, params, rng, state);
+  LpRouteResult lp = route_lp(topology, requests, params, rng);
   result.status = lp.status;
   result.lp_objective = lp.lp_objective;
   result.resolves = lp.resolves;
   result.cold_iterations = lp.cold_iterations;
   result.warm_iterations = lp.warm_iterations;
-  result.state = state;
 
   if (lp.status == LpStatus::Optimal ||
       options.strategy == RouteStrategy::Lp) {

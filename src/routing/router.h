@@ -2,8 +2,7 @@
 
 // Unified routing facade: one entry point over the LP relaxation router
 // (routing/lp_router.h) and the greedy hierarchical scheduler
-// (routing/greedy.h), returning one RouteResult that owns the simplex
-// warm-start handle.
+// (routing/greedy.h), returning one RouteResult.
 //
 // route() with RouteStrategy::Auto reproduces the historical core-layer
 // seam exactly: solve the LP relaxation; when it cannot be solved
@@ -11,10 +10,9 @@
 // "route.greedy_fallbacks" metric and fall back to the standalone greedy
 // scheduler instead of executing nothing. Lp and Greedy force one arm.
 //
-// The returned RouteResult carries the SimplexState the LP solve left
-// behind; passing the same result's state pointer back through
-// RouteOptions::warm_state warm-starts the next route() over an
-// unchanged formulation shape (same topology and request list lengths).
+// Every call is self-contained: route_lp crash-starts its first solve from
+// the formulation's flow trees and warm-starts its own re-solves, so no
+// simplex state crosses route() calls.
 //
 // route_lp() and route_greedy() remain available as the underlying
 // implementations for one more release; new call sites should prefer
@@ -37,10 +35,6 @@ enum class RouteStrategy : std::uint8_t {
 
 struct RouteOptions {
   RouteStrategy strategy = RouteStrategy::Auto;
-  /// Optional external warm-start basis: when non-null, the LP solve
-  /// starts from it and leaves its final basis there (RouteResult::state
-  /// then holds a copy). Null = self-contained cold solve.
-  SimplexState* warm_state = nullptr;
 };
 
 struct RouteResult {
@@ -48,13 +42,10 @@ struct RouteResult {
   LpStatus status = LpStatus::Infeasible;
   double lp_objective = 0.0;  ///< relaxed optimum (0 on the greedy arm)
   int resolves = 0;           ///< warm re-solves after the first solve
-  long cold_iterations = 0;
-  long warm_iterations = 0;
+  long cold_iterations = 0;   ///< iterations of the first (crash-started) solve
+  long warm_iterations = 0;   ///< iterations across the warm re-solves
   bool used_lp = false;           ///< the schedule came from the LP arm
   bool greedy_fallback = false;   ///< Auto fell back to greedy
-  /// Warm-start handle of the LP solve (invalid on the greedy arm); feed
-  /// it back via RouteOptions::warm_state to warm-start the next call.
-  SimplexState state;
 };
 
 /// Route `requests` over `topology` with the selected strategy.

@@ -33,23 +33,59 @@ constexpr int kBlandStreak = 256;   ///< degenerate pivots before Bland's rule
 
 enum VarStatus : signed char { kAtLower = 0, kAtUpper = 1, kBasic = 2 };
 
+/// Internal column of each row's slack (inequality rows) or artificial
+/// (equality rows): the slacks follow the structural columns in row order,
+/// the artificials follow the slacks. The solver and crash_state() number
+/// auxiliary columns through this one function.
+std::vector<int> aux_columns(const LpProblem& problem) {
+  const int m = problem.num_rows();
+  int num_slack = 0;
+  for (int r = 0; r < m; ++r)
+    if (problem.row_type(r) != ConstraintType::Equal) ++num_slack;
+  int slack_cursor = problem.num_vars();
+  int art_cursor = problem.num_vars() + num_slack;
+  std::vector<int> aux(static_cast<std::size_t>(m));
+  for (int r = 0; r < m; ++r)
+    aux[static_cast<std::size_t>(r)] =
+        problem.row_type(r) == ConstraintType::Equal ? art_cursor++
+                                                     : slack_cursor++;
+  return aux;
+}
+
 /// Bounded-variable revised simplex over the equality form
 ///   maximize c^T x   s.t.   A x (+ slacks) = b,   0 <= x_j <= u_j.
 /// Inequality rows fold into slack columns (so box constraints never become
 /// rows); equality rows get an artificial column fixed at [0, 0]. The basis
 /// inverse is kept as a product-form eta file, rebuilt from scratch every
 /// kRefactorInterval pivots (Gauss-Jordan with partial pivoting over the
-/// current basis columns). Infeasible starting bases — the cold slack basis
-/// with negative right-hand sides as well as warm-started bases whose
-/// bounds shifted — are repaired by a composite phase 1 that minimizes the
-/// total bound violation of the basic variables, so cold and warm solves
-/// share one iteration loop.
+/// current basis columns). An installed basis that is dual feasible but
+/// primal infeasible — a warm start whose bounds or right-hand sides
+/// shifted — is repaired by a dual simplex phase first. Every other
+/// infeasible starting basis (the cold slack basis with negative
+/// right-hand sides, crash bases, foreign states, dual-phase handovers) is
+/// repaired by a composite phase 1 that minimizes the total bound
+/// violation of the basic variables, so all starts share one primal loop,
+/// which also certifies the result.
 class RevisedSimplex {
  public:
   explicit RevisedSimplex(const LpProblem& problem);
   LpSolution solve(SimplexState& state);
 
  private:
+  /// Nonbasic and not fixed at zero: the column can enter the basis.
+  bool movable(std::size_t j) const {
+    return vstat_[j] != kBasic && upper_[j] > 0.0;
+  }
+
+  /// d - a_j . y, subtracting term by term (pricing and reduced costs).
+  double minus_column_dot(std::size_t j, double d,
+                          const std::vector<double>& y) const {
+    for (int k = col_start_[j]; k < col_start_[j + 1]; ++k)
+      d -= col_val_[static_cast<std::size_t>(k)] *
+           y[static_cast<std::size_t>(col_row_[static_cast<std::size_t>(k)])];
+    return d;
+  }
+
   void load_column(int j, std::vector<double>& v) const {
     std::fill(v.begin(), v.end(), 0.0);
     for (int k = col_start_[static_cast<std::size_t>(j)];
@@ -276,6 +312,144 @@ class RevisedSimplex {
     }
   }
 
+  /// Phase-2 reduced costs d_j = c_j - a_j^T B^{-T} c_B of every nonbasic
+  /// column that can move (basic and fixed columns are left untouched).
+  void compute_reduced_costs() {
+    for (int r = 0; r < m_; ++r)
+      y_[static_cast<std::size_t>(r)] =
+          cost_[static_cast<std::size_t>(basis_[static_cast<std::size_t>(r)])];
+    btran(y_);
+    for (std::size_t j = 0; j < static_cast<std::size_t>(ncols_); ++j)
+      if (movable(j)) reduced_[j] = minus_column_dot(j, cost_[j], y_);
+  }
+
+  /// Row of the largest bound violation among the basic variables, or -1
+  /// when the basis is primal feasible; `to_upper` tells which bound the
+  /// row's variable must return to.
+  int worst_violation(bool& to_upper) const {
+    int row = -1;
+    double worst = kFeasTol;
+    for (int r = 0; r < m_; ++r) {
+      const double v = x_basic_[static_cast<std::size_t>(r)];
+      const double u =
+          upper_[static_cast<std::size_t>(basis_[static_cast<std::size_t>(r)])];
+      if (-v > worst) {
+        worst = -v;
+        row = r;
+        to_upper = false;
+      } else if (v - u > worst) {
+        worst = v - u;
+        row = r;
+        to_upper = true;
+      }
+    }
+    return row;
+  }
+
+  /// Dual simplex phase over the installed basis. Runs only when the basis
+  /// is primal infeasible and every movable nonbasic column's reduced cost
+  /// has the optimal sign, which holds for a warm start after bound and
+  /// right-hand-side changes. Each pivot takes the row of the largest bound
+  /// violation out, brings in the eligible column with the smallest
+  /// |d_j / alpha_rj| (ties to the larger |alpha_rj|), and puts the leaving
+  /// variable exactly on its violated bound. Stops at primal feasibility;
+  /// hands over to the primal loop when no column can repair the row, the
+  /// pivot is below kPivotTol, or kBlandStreak dual-degenerate pivots pass
+  /// in a row. Returns false only when a refactorization fails.
+  bool dual_phase(long& iterations, long max_iterations, int& dual_pivots) {
+    bool to_upper = false;
+    if (worst_violation(to_upper) < 0) return true;
+    compute_reduced_costs();
+    for (std::size_t j = 0; j < static_cast<std::size_t>(ncols_); ++j)
+      if (movable(j) && (vstat_[j] == kAtLower ? reduced_[j] > kOptTol
+                                               : reduced_[j] < -kOptTol))
+        return true;  // not dual feasible: the primal loop takes it all
+
+    int degenerate_streak = 0;
+    while (iterations < max_iterations) {
+      const int r = worst_violation(to_upper);
+      if (r < 0) return true;
+      const auto sr = static_cast<std::size_t>(r);
+
+      // rho = B^{-T} e_r; alpha_rj = rho . a_j is row r of B^{-1} A.
+      std::fill(y_.begin(), y_.end(), 0.0);
+      y_[sr] = 1.0;
+      btran(y_);
+
+      // Moving column j off its bound by t shifts x_B[r] by -alpha_rj * t
+      // (at lower, t > 0) or +alpha_rj * |t| (at upper); it is eligible
+      // when that moves x_B[r] back toward the violated bound.
+      int entering = -1;
+      double best_ratio = kInf;
+      double best_alpha = 0.0;
+      for (int j = 0; j < ncols_; ++j) {
+        const auto sj = static_cast<std::size_t>(j);
+        if (!movable(sj)) continue;
+        const double alpha = -minus_column_dot(sj, 0.0, y_);
+        row_alpha_[sj] = alpha;
+        const bool at_lower = vstat_[sj] == kAtLower;
+        const double push = at_lower ? -alpha : alpha;
+        if (to_upper ? push > -kPivotTol : push < kPivotTol) continue;
+        const double ratio =
+            std::max(0.0, at_lower ? -reduced_[sj] : reduced_[sj]) /
+            std::abs(alpha);
+        if (ratio < best_ratio - kRatioTol ||
+            (ratio < best_ratio + kRatioTol &&
+             std::abs(alpha) > std::abs(best_alpha))) {
+          best_ratio = std::min(best_ratio, ratio);
+          best_alpha = alpha;
+          entering = j;
+        }
+      }
+      if (entering < 0) return true;  // hand over: phase 1 decides
+
+      const auto se = static_cast<std::size_t>(entering);
+      load_column(entering, work_);
+      ftran(work_);
+      const double pivot = work_[sr];
+      if (std::abs(pivot) < kPivotTol) return true;  // hand over
+
+      const int leaving = basis_[sr];
+      const double target =
+          to_upper ? upper_[static_cast<std::size_t>(leaving)] : 0.0;
+      const double step = (x_basic_[sr] - target) / pivot;
+      for (int i = 0; i < m_; ++i)
+        x_basic_[static_cast<std::size_t>(i)] -=
+            work_[static_cast<std::size_t>(i)] * step;
+      const double entering_value =
+          (vstat_[se] == kAtUpper ? upper_[se] : 0.0) + step;
+
+      // Dual step: d_j -= theta * alpha_rj keeps every movable column's
+      // reduced cost on its optimal side; the leaving column gets -theta.
+      const double theta = reduced_[se] / best_alpha;
+      for (std::size_t j = 0; j < static_cast<std::size_t>(ncols_); ++j)
+        if (movable(j)) reduced_[j] -= theta * row_alpha_[j];
+      reduced_[static_cast<std::size_t>(leaving)] = -theta;
+
+      // A column fixed at zero leaves at lower: both bounds coincide.
+      vstat_[static_cast<std::size_t>(leaving)] =
+          to_upper && target > 0.0 ? kAtUpper : kAtLower;
+      basis_[sr] = entering;
+      vstat_[se] = kBasic;
+      x_basic_[sr] = entering_value;
+      append_eta(work_, r);
+      ++iterations;
+      ++dual_pivots;
+      if (++pivots_since_refactor_ >= kRefactorInterval) {
+        if (!refactorize()) return false;
+        compute_basic_values();
+        compute_reduced_costs();
+      }
+
+      if (std::abs(theta) > kRatioTol) {
+        degenerate_streak = 0;
+      } else if (++degenerate_streak >= kBlandStreak) {
+        return true;  // hand over rather than risk a dual cycle
+      }
+    }
+    return true;
+  }
+
   bool install_state(const SimplexState& state) {
     if (!state.valid() || state.num_rows != m_ || state.num_cols != ncols_ ||
         static_cast<int>(state.basis.size()) != m_ ||
@@ -387,6 +561,7 @@ class RevisedSimplex {
         state.at_upper[static_cast<std::size_t>(j)] = 1;
     state.num_rows = m_;
     state.num_cols = ncols_;
+    state.crash = false;
   }
 
   const LpProblem* problem_;
@@ -422,6 +597,11 @@ class RevisedSimplex {
   std::vector<double> y_;     ///< dense row-sized scratch (BTRAN target)
   std::vector<double> cb_;    ///< basic costs of the current phase
 
+  // Dual phase, per column: phase-2 reduced cost and the leaving row's
+  // entry of B^{-1} A (both only meaningful for movable nonbasic columns).
+  std::vector<double> reduced_;
+  std::vector<double> row_alpha_;
+
   // Refactorization scratch (rebuilt each refactorize; kept as members so
   // the buffers only grow).
   std::vector<int> fac_col_start_, fac_row_, fac_stamp_, fac_rowpos_start_,
@@ -434,15 +614,8 @@ class RevisedSimplex {
 RevisedSimplex::RevisedSimplex(const LpProblem& problem) : problem_(&problem) {
   m_ = problem.num_rows();
   nstruct_ = problem.num_vars();
-
-  int num_slack = 0, num_artificial = 0;
-  for (int r = 0; r < m_; ++r) {
-    if (problem.row_type(r) == ConstraintType::Equal)
-      ++num_artificial;
-    else
-      ++num_slack;
-  }
-  ncols_ = nstruct_ + num_slack + num_artificial;
+  ncols_ = nstruct_ + m_;  // one slack or artificial per row
+  row_aux_col_ = aux_columns(problem);
 
   // Transpose the problem's CSR rows into CSC structural columns.
   const int nnz = problem.num_nonzeros();
@@ -458,7 +631,7 @@ RevisedSimplex::RevisedSimplex(const LpProblem& problem) : problem_(&problem) {
     col_start_[static_cast<std::size_t>(j) + 1] =
         col_start_[static_cast<std::size_t>(j)] + 1;
 
-  col_row_.resize(static_cast<std::size_t>(nnz) + static_cast<std::size_t>(num_slack + num_artificial));
+  col_row_.resize(static_cast<std::size_t>(nnz) + static_cast<std::size_t>(m_));
   col_val_.resize(col_row_.size());
   std::vector<int> fill(col_start_.begin(), col_start_.end() - 1);
   for (int r = 0; r < m_; ++r) {
@@ -480,26 +653,18 @@ RevisedSimplex::RevisedSimplex(const LpProblem& problem) : problem_(&problem) {
   }
 
   b_.resize(static_cast<std::size_t>(m_));
-  row_aux_col_.resize(static_cast<std::size_t>(m_));
-  int slack_cursor = nstruct_;
-  int art_cursor = nstruct_ + num_slack;
   for (int r = 0; r < m_; ++r) {
     b_[static_cast<std::size_t>(r)] = problem.rhs(r);
-    int aux;
-    double coeff;
+    const int aux = row_aux_col_[static_cast<std::size_t>(r)];
+    double coeff = 1.0;
     switch (problem.row_type(r)) {
       case ConstraintType::LessEqual:
-        aux = slack_cursor++;
-        coeff = 1.0;
         break;
       case ConstraintType::GreaterEqual:
-        aux = slack_cursor++;
         coeff = -1.0;
         break;
       case ConstraintType::Equal:
       default:
-        aux = art_cursor++;
-        coeff = 1.0;
         upper_[static_cast<std::size_t>(aux)] = 0.0;  // fixed at zero
         break;
     }
@@ -507,13 +672,14 @@ RevisedSimplex::RevisedSimplex(const LpProblem& problem) : problem_(&problem) {
         static_cast<std::size_t>(col_start_[static_cast<std::size_t>(aux)]);
     col_row_[slot] = r;
     col_val_[slot] = coeff;
-    row_aux_col_[static_cast<std::size_t>(r)] = aux;
   }
 
   x_basic_.resize(static_cast<std::size_t>(m_));
   work_.resize(static_cast<std::size_t>(m_));
   y_.resize(static_cast<std::size_t>(m_));
   cb_.resize(static_cast<std::size_t>(m_));
+  reduced_.resize(static_cast<std::size_t>(ncols_));
+  row_alpha_.resize(static_cast<std::size_t>(ncols_));
   eta_start_.assign(1, 0);
 }
 
@@ -528,24 +694,28 @@ LpSolution RevisedSimplex::solve(SimplexState& state) {
     }
   }
 
-  const bool warm = install_state(state);
-  if (!warm) {
+  const bool installed = install_state(state);
+  if (!installed) {
     cold_basis();
     refactorize();  // singleton basis columns: cannot fail
   }
-  solution.warm_started = warm;
+  solution.warm_started = installed && !state.crash;
+  solution.crash_started = installed && state.crash;
   compute_basic_values();
   check_primal_residual();
 
   const long max_iterations = 4096 + 32L * (m_ + nstruct_);
   long iterations = 0;
+  const bool dual_ok =
+      !installed ||
+      dual_phase(iterations, max_iterations, solution.dual_iterations);
   int degenerate_streak = 0;
   bool bland = false;
   std::vector<char> banned(static_cast<std::size_t>(ncols_), 0);
   std::vector<int> banned_list;
 
   for (;;) {
-    if (iterations >= max_iterations) {
+    if (!dual_ok || iterations >= max_iterations) {
       solution.status = LpStatus::IterationLimit;
       break;
     }
@@ -581,12 +751,8 @@ LpSolution RevisedSimplex::solve(SimplexState& state) {
     double best_score = 0.0;
     for (int j = 0; j < ncols_; ++j) {
       const auto sj = static_cast<std::size_t>(j);
-      if (vstat_[sj] == kBasic || banned[sj]) continue;
-      if (upper_[sj] <= 0.0) continue;  // fixed at zero: never moves
-      double d = phase1 ? 0.0 : cost_[sj];
-      for (int k = col_start_[sj]; k < col_start_[sj + 1]; ++k)
-        d -= col_val_[static_cast<std::size_t>(k)] *
-             y_[static_cast<std::size_t>(col_row_[static_cast<std::size_t>(k)])];
+      if (!movable(sj) || banned[sj]) continue;
+      const double d = minus_column_dot(sj, phase1 ? 0.0 : cost_[sj], y_);
       const bool improving =
           vstat_[sj] == kAtLower ? (d > kOptTol) : (d < -kOptTol);
       if (!improving) continue;
@@ -649,7 +815,8 @@ LpSolution RevisedSimplex::solve(SimplexState& state) {
       if (take) {
         if (t < best_t) best_t = t;
         block_row = r;
-        leave_at_upper = target == u && std::isfinite(u);
+        // A column fixed at zero leaves at lower: both bounds coincide.
+        leave_at_upper = target == u && std::isfinite(u) && u > 0.0;
       }
     }
 
@@ -753,6 +920,32 @@ LpSolution RevisedSimplex::solve(SimplexState& state) {
 
 }  // namespace
 
+SimplexState crash_state(const LpProblem& problem,
+                         std::span<const std::pair<int, int>> column_rows) {
+  const int rows = problem.num_rows();
+  const int structural = problem.num_vars();
+  SimplexState state;
+  const std::vector<int> aux = aux_columns(problem);
+  state.basis.assign(aux.begin(), aux.end());
+  state.at_upper.assign(static_cast<std::size_t>(structural + rows), 0);
+  state.num_rows = rows;
+  state.num_cols = structural + rows;
+  state.crash = true;
+  std::vector<char> placed(static_cast<std::size_t>(structural), 0);
+  std::vector<char> taken(static_cast<std::size_t>(rows), 0);
+  for (const auto& [col, row] : column_rows) {
+    if (col < 0 || col >= structural || row < 0 || row >= rows)
+      throw std::invalid_argument("simplex: crash column or row out of range");
+    if (placed[static_cast<std::size_t>(col)] ||
+        taken[static_cast<std::size_t>(row)])
+      continue;
+    placed[static_cast<std::size_t>(col)] = 1;
+    taken[static_cast<std::size_t>(row)] = 1;
+    state.basis[static_cast<std::size_t>(row)] = col;
+  }
+  return state;
+}
+
 LpSolution solve_lp(const LpProblem& problem) {
   SimplexState state;
   return solve_lp(problem, state);
@@ -776,8 +969,10 @@ LpSolution solve_lp(const LpProblem& problem, SimplexState& state,
   if (sink.metrics) {
     sink.metrics->count("lp.solves");
     sink.metrics->count("lp.iterations", solution.iterations);
+    sink.metrics->count("lp.dual_iterations", solution.dual_iterations);
     sink.metrics->count("lp.refactorizations", solution.refactorizations);
     if (solution.warm_started) sink.metrics->count("lp.warm_starts");
+    if (solution.crash_started) sink.metrics->count("lp.crash_starts");
   }
   if (sink.trace)
     sink.trace->record(obs::Event::lp_solve(

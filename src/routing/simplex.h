@@ -14,11 +14,22 @@
 // explicit rows — and a Bland's-rule fallback guards against cycling on
 // the massively degenerate network-flow LPs the scheduler produces.
 //
-// Warm starts: a SimplexState snapshots the basis between solves. Passing
-// the state of a previous solve of a same-shaped problem (same rows and
-// columns; bounds and right-hand sides may differ) restarts from that
-// basis, which typically re-optimizes in a handful of pivots. lp_router
-// threads one state through its rounding re-solves.
+// Start bases. A SimplexState passed to solve_lp is installed as the
+// starting basis when it matches the problem's shape; otherwise, or when
+// its basis is singular, the solve starts from the all-slack/artificial
+// basis (the cold start). A state comes from one of two places:
+//   * a warm start: the state a previous solve of a same-shaped problem
+//     left behind (same rows and columns; bounds and right-hand sides may
+//     differ). lp_router threads one state through its rounding re-solves.
+//   * a crash start: crash_state() places caller-chosen structural columns
+//     on caller-chosen rows, e.g. a network flow's spanning trees, so the
+//     first solve starts next to the optimum instead of at the slacks.
+// After an installed basis, a dual simplex phase runs when the basis is
+// dual feasible but primal infeasible — exactly what a warm start sees
+// after only bounds and right-hand sides changed. It stops at primal
+// feasibility, or hands over to the primal composite phase 1 when no
+// column can repair the leaving row or the pivot is too small. The primal
+// loop always runs last and certifies the result.
 
 #include <cstdint>
 #include <limits>
@@ -139,9 +150,11 @@ struct LpSolution {
   LpStatus status = LpStatus::Infeasible;
   std::vector<double> x;
   double objective = 0.0;
-  int iterations = 0;        ///< simplex pivots + bound flips, both phases
+  int iterations = 0;        ///< simplex pivots + bound flips, all phases
+  int dual_iterations = 0;   ///< pivots of the dual phase (in `iterations`)
   int refactorizations = 0;  ///< basis rebuilds (periodic + recovery + final)
-  bool warm_started = false; ///< a prior basis was installed successfully
+  bool warm_started = false; ///< a basis saved by an earlier solve was installed
+  bool crash_started = false;  ///< a crash_state() basis was installed
 };
 
 /// Reusable basis snapshot for warm-started re-solves. Opaque to callers:
@@ -152,26 +165,41 @@ struct SimplexState {
   std::vector<std::uint8_t> at_upper;  ///< nonbasic-at-upper flag per column
   int num_rows = 0;
   int num_cols = 0;  ///< internal columns (structural + slack + artificial)
+  bool crash = false;  ///< built by crash_state(), not saved by a solve
 
   bool valid() const { return !basis.empty(); }
   void clear() {
     basis.clear();
     at_upper.clear();
     num_rows = num_cols = 0;
+    crash = false;
   }
 };
+
+/// Crash start basis: each (structural column, row) pair of `column_rows`
+/// puts that column in the basis on that row; every other row keeps its
+/// own slack or artificial, and every nonbasic column rests at its lower
+/// bound. Pairs whose column was already placed or whose row is already
+/// taken are skipped; an out-of-range column or row throws
+/// std::invalid_argument. Nonsingularity is left to solve_lp, which falls
+/// back to the cold start when the basis cannot be factorized.
+SimplexState crash_state(const LpProblem& problem,
+                         std::span<const std::pair<int, int>> column_rows);
 
 /// Solve from scratch (cold start).
 LpSolution solve_lp(const LpProblem& problem);
 
-/// Solve reusing `state` when it matches the problem's shape (warm start);
-/// the final basis is stored back into `state` either way.
+/// Solve starting from `state` when it matches the problem's shape (a
+/// warm or crash start); the final basis is stored back into `state`
+/// either way, so it warm-starts the next solve.
 LpSolution solve_lp(const LpProblem& problem, SimplexState& state);
 
 /// Observed solve: additionally times the solve into the sink's metrics
 /// ("lp.solve_seconds", counters "lp.solves" / "lp.iterations" /
-/// "lp.refactorizations" / "lp.warm_starts") and records one lp_solve
-/// trace event. A null sink behaves exactly like the overload above.
+/// "lp.dual_iterations" / "lp.refactorizations" / "lp.warm_starts" /
+/// "lp.crash_starts") and records one lp_solve trace event, whose
+/// warm_start key means a warm start only. A null sink behaves exactly
+/// like the overload above.
 LpSolution solve_lp(const LpProblem& problem, SimplexState& state,
                     const obs::Sink& sink);
 

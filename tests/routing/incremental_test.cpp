@@ -7,9 +7,8 @@
 // headroom.
 //
 // The facade contract: RouteStrategy::Auto reproduces the historical
-// route_lp-with-greedy-fallback seam bitwise, the forced arms match the
-// underlying routers, and a warm_state handle fed back into a
-// shape-stable repeat solve cuts its iteration count.
+// route_lp-with-greedy-fallback seam bitwise, and the forced arms match the
+// underlying routers.
 
 #include <algorithm>
 #include <optional>
@@ -351,7 +350,7 @@ TEST(RouteFacade, GreedyStrategyMatchesRouteGreedy) {
   util::Rng rng_manual(17);
   const auto facade =
       route(instance.topology, instance.requests, params, rng_facade,
-            RouteOptions{RouteStrategy::Greedy, nullptr});
+            RouteOptions{RouteStrategy::Greedy});
   const auto manual =
       route_greedy(instance.topology, instance.requests, params, rng_manual);
   EXPECT_FALSE(facade.used_lp);
@@ -366,39 +365,12 @@ TEST(RouteFacade, LpStrategyMatchesRouteLp) {
   util::Rng rng_manual(23);
   const auto facade =
       route(instance.topology, instance.requests, params, rng_facade,
-            RouteOptions{RouteStrategy::Lp, nullptr});
+            RouteOptions{RouteStrategy::Lp});
   const auto manual =
       route_lp(instance.topology, instance.requests, params, rng_manual);
   EXPECT_EQ(facade.status, manual.status);
   EXPECT_EQ(facade.lp_objective, manual.lp_objective);
   expect_schedules_equal(facade.schedule, manual.schedule);
-}
-
-TEST(RouteFacade, WarmStateCutsRepeatSolveIterations) {
-  const auto instance = random_instance(3);
-  RoutingParams params;
-  SimplexState state;
-  RouteOptions options{RouteStrategy::Lp, &state};
-
-  util::Rng rng_a(77);
-  const auto cold =
-      route(instance.topology, instance.requests, params, rng_a, options);
-  ASSERT_EQ(cold.status, LpStatus::Optimal);
-  ASSERT_GT(cold.cold_iterations, 0);
-  ASSERT_TRUE(state.valid());
-
-  // Same shape, warm basis: the repeat solve starts where the last one
-  // ended and needs strictly fewer iterations.
-  util::Rng rng_b(77);
-  const auto warm =
-      route(instance.topology, instance.requests, params, rng_b, options);
-  EXPECT_EQ(warm.status, LpStatus::Optimal);
-  EXPECT_LT(warm.cold_iterations, cold.cold_iterations);
-  expect_schedules_equal(warm.schedule, cold.schedule);
-
-  // The result also carries a copy of the final basis.
-  EXPECT_TRUE(warm.state.valid());
-  EXPECT_EQ(warm.state.basis, state.basis);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <map>
 
 #include "netsim/channel.h"
+#include "obs/metrics.h"
 #include "routing/formulation.h"
 #include "routing/greedy.h"
 #include "routing/lp_router.h"
@@ -211,6 +212,76 @@ TEST(LpRouter, WarmResolveStatsAreConsistent) {
   }
   // The assertion above must not be vacuous across the seed set.
   EXPECT_GT(observed_resolves, 0);
+}
+
+TEST(LpRouter, CountsCrashStartsAndDualPivots) {
+  // Every route_lp call crash-starts its first solve from the formulation's
+  // flow trees (not a warm start), and its re-solves carry the basis, which
+  // the dual phase repairs after the residual bounds tightened.
+  obs::MetricsRegistry metrics;
+  RoutingParams params = params_for_tests();
+  params.sink.metrics = &metrics;
+  util::Rng rng(11);
+  const auto topo = netsim::make_random_topology(spec_for_tests(), rng);
+  const auto requests = netsim::random_requests(topo, 8, 4, rng);
+  const int calls = 2;
+  int resolves = 0;
+  for (int call = 0; call < calls; ++call) {
+    util::Rng route_rng(100 + static_cast<std::uint64_t>(call));
+    const auto result = route_lp(topo, requests, params, route_rng);
+    ASSERT_EQ(result.status, LpStatus::Optimal);
+    resolves += result.resolves;
+  }
+  ASSERT_GT(resolves, 0);
+  EXPECT_EQ(metrics.counter("lp.crash_starts"), calls);
+  EXPECT_EQ(metrics.counter("lp.warm_starts"), resolves);
+  EXPECT_EQ(metrics.counter("lp.solves"), calls + resolves);
+  EXPECT_GT(metrics.counter("lp.dual_iterations"), 0);
+  EXPECT_LE(metrics.counter("lp.dual_iterations"),
+            metrics.counter("lp.iterations"));
+  EXPECT_EQ(metrics.counter("route.lp_iteration_limits"), 0);
+}
+
+TEST(Formulation, CrashHintSpansEveryRequestOnEveryChannel) {
+  // One tree in-arc per reached non-source node and channel, one EC
+  // variable per reached server, no column or row twice, and the basis it
+  // builds must factorize (a crash start, not the slack fallback).
+  util::Rng rng(12);
+  const auto topo = netsim::make_random_topology(spec_for_tests(), rng);
+  const auto requests = netsim::random_requests(topo, 6, 3, rng);
+  for (const bool dual : {true, false}) {
+    RoutingParams params = params_for_tests();
+    params.dual_channel = dual;
+    const RoutingFormulation formulation(topo, requests, params);
+    const auto hint = formulation.crash_hint();
+    ASSERT_FALSE(hint.empty());
+    std::map<int, int> cols, rows;
+    for (const auto& [col, row] : hint) {
+      EXPECT_EQ(++cols[col], 1) << "column " << col;
+      EXPECT_EQ(++rows[row], 1) << "row " << row;
+    }
+    for (int k = 0; k < formulation.num_requests(); ++k) {
+      const auto& v = formulation.vars(k);
+      int placed_a = 0, placed_b = 0;
+      for (std::size_t de = 0; de < v.b.size(); ++de) {
+        if (v.b[de] >= 0 && cols.count(v.b[de])) ++placed_b;
+        if (dual && v.a[de] >= 0 && cols.count(v.a[de])) ++placed_a;
+      }
+      EXPECT_GT(placed_b, 0) << "request " << k;
+      EXPECT_EQ(placed_a, dual ? placed_b : 0) << "request " << k;
+      EXPECT_EQ(cols.count(v.y), 0u);
+    }
+    SimplexState state = crash_state(formulation.problem(), hint);
+    const auto crash = solve_lp(formulation.problem(), state);
+    const auto slack = solve_lp(formulation.problem());
+    ASSERT_EQ(crash.status, LpStatus::Optimal);
+    ASSERT_EQ(slack.status, LpStatus::Optimal);
+    EXPECT_TRUE(crash.crash_started);
+    EXPECT_FALSE(crash.warm_started);
+    EXPECT_NEAR(crash.objective, slack.objective,
+                1e-7 * std::max(1.0, std::abs(slack.objective)));
+    EXPECT_LT(crash.iterations, slack.iterations);
+  }
 }
 
 TEST(Greedy, NoCapacityMeansNothingScheduled) {

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <utility>
+#include <vector>
+
+#include "routing/dense_simplex.h"
+#include "routing/validate.h"
 #include "util/rng.h"
 
 namespace surfnet::routing {
@@ -304,6 +310,164 @@ TEST(Simplex, MismatchedStateFallsBackToColdStart) {
   EXPECT_FALSE(sol.warm_started);
   EXPECT_NEAR(sol.objective, 12.0, 1e-6);
   EXPECT_EQ(state.num_rows, big.num_rows());
+}
+
+// --- Dual phase and crash starts. ---
+
+/// max 3x + 2y  s.t.  x + y <= 4,  x + y >= 1,  x in [0, 3]: x = 3, y = 1.
+LpProblem dual_phase_problem() {
+  LpProblem lp;
+  const int x = lp.add_variable(3.0, 3.0);
+  const int y = lp.add_variable(2.0);
+  lp.add_constraint({{{x, 1.0}, {y, 1.0}}, ConstraintType::LessEqual, 4.0});
+  lp.add_constraint({{{x, 1.0}, {y, 1.0}}, ConstraintType::GreaterEqual, 1.0});
+  return lp;
+}
+
+TEST(Simplex, DualPhaseRepairsTightenedRightHandSide) {
+  // Tightening x + y <= 4 to <= 2 leaves the optimal basis dual feasible
+  // but drives y negative; the dual phase trades x down instead.
+  LpProblem lp = dual_phase_problem();
+  SimplexState state;
+  const auto first = solve_lp(lp, state);
+  ASSERT_EQ(first.status, LpStatus::Optimal);
+  EXPECT_NEAR(first.objective, 11.0, 1e-9);
+  EXPECT_EQ(first.dual_iterations, 0);
+
+  lp.set_rhs(0, 2.0);
+  const auto warm = solve_lp(lp, state);
+  ASSERT_EQ(warm.status, LpStatus::Optimal);
+  EXPECT_TRUE(warm.warm_started);
+  EXPECT_GT(warm.dual_iterations, 0);
+  EXPECT_EQ(warm.iterations, warm.dual_iterations);  // nothing left for primal
+  EXPECT_NEAR(warm.objective, 6.0, 1e-9);
+  EXPECT_NEAR(warm.x[0], 2.0, 1e-9);
+  EXPECT_NEAR(warm.x[1], 0.0, 1e-9);
+}
+
+TEST(Simplex, DualPhaseHandsOverWhenTighteningMakesInfeasible) {
+  // x + y <= 0.5 against x + y >= 1: the dual phase finds no column that
+  // repairs the surplus row, hands over, and phase 1 proves infeasibility.
+  LpProblem lp = dual_phase_problem();
+  SimplexState state;
+  ASSERT_EQ(solve_lp(lp, state).status, LpStatus::Optimal);
+  lp.set_rhs(0, 0.5);
+  const auto warm = solve_lp(lp, state);
+  EXPECT_TRUE(warm.warm_started);
+  EXPECT_EQ(warm.status, LpStatus::Infeasible);
+  EXPECT_EQ(solve_lp_dense(lp).status, LpStatus::Infeasible);
+
+  // Loosening again recovers the original optimum from whatever basis
+  // the infeasible solve left.
+  lp.set_rhs(0, 4.0);
+  const auto back = solve_lp(lp, state);
+  ASSERT_EQ(back.status, LpStatus::Optimal);
+  EXPECT_NEAR(back.objective, 11.0, 1e-9);
+}
+
+TEST(Simplex, CrashStateSkipsRepeatsAndRejectsOutOfRange) {
+  LpProblem lp = dual_phase_problem();  // 2 structural columns, 2 rows
+  const std::vector<std::pair<int, int>> hint{{1, 0}, {1, 1}, {0, 0}, {0, 1}};
+  const SimplexState state = crash_state(lp, hint);
+  EXPECT_TRUE(state.crash);
+  EXPECT_EQ(state.num_rows, 2);
+  EXPECT_EQ(state.num_cols, 4);  // 2 structural + 2 slacks
+  // (1, 0) placed; (1, 1) repeats column 1; (0, 0) finds row 0 taken;
+  // (0, 1) is placed.
+  EXPECT_EQ(state.basis, (std::vector<std::int32_t>{1, 0}));
+  EXPECT_EQ(state.at_upper, (std::vector<std::uint8_t>(4, 0)));
+
+  for (const auto& bad : std::vector<std::pair<int, int>>{
+           {-1, 0}, {2, 0}, {0, -1}, {0, 2}}) {
+    const std::vector<std::pair<int, int>> one{bad};
+    EXPECT_THROW(crash_state(lp, one), std::invalid_argument);
+  }
+
+  // An empty hint is the slack basis itself, installed as a crash start.
+  SimplexState slack = crash_state(lp, {});
+  const auto sol = solve_lp(lp, slack);
+  ASSERT_EQ(sol.status, LpStatus::Optimal);
+  EXPECT_TRUE(sol.crash_started);
+  EXPECT_FALSE(sol.warm_started);
+  EXPECT_NEAR(sol.objective, 11.0, 1e-9);
+  EXPECT_FALSE(slack.crash);
+}
+
+TEST(Simplex, SingularCrashBasisFallsBackToSlackStart) {
+  // Columns x and z are parallel: placing both makes the basis singular,
+  // so the solve starts from the slacks and still reaches the optimum.
+  LpProblem lp;
+  const int x = lp.add_variable(1.0);
+  const int z = lp.add_variable(1.0);
+  lp.add_constraint({{{x, 1.0}, {z, 2.0}}, ConstraintType::LessEqual, 4.0});
+  lp.add_constraint({{{x, 1.0}, {z, 2.0}}, ConstraintType::LessEqual, 6.0});
+  const std::vector<std::pair<int, int>> hint{{x, 0}, {z, 1}};
+  SimplexState state = crash_state(lp, hint);
+  const auto sol = solve_lp(lp, state);
+  ASSERT_EQ(sol.status, LpStatus::Optimal);
+  EXPECT_FALSE(sol.crash_started);
+  EXPECT_FALSE(sol.warm_started);
+  EXPECT_NEAR(sol.objective, 4.0, 1e-9);
+}
+
+// --- Regressions found by the LP property campaign
+// (simplex_property_test.cpp). ---
+
+TEST(Simplex, FixedColumnLeavesTheBasisAtLower) {
+  // A crash basis may hold a column fixed at zero. Driven out of the basis
+  // it must be recorded at its lower bound: an at-upper flag on a fixed
+  // structural column is not an installable state (the snapshot validator
+  // rejects it), although both bounds coincide.
+  LpProblem lp;
+  const int x = lp.add_variable(1.0);
+  const int fixed = lp.add_variable(1.0, 0.0);
+  lp.add_constraint({{{x, 1.0}, {fixed, 1.0}}, ConstraintType::LessEqual,
+                     2.0});
+  const std::vector<std::pair<int, int>> hint{{fixed, 0}};
+  SimplexState state = crash_state(lp, hint);
+  const auto sol = solve_lp(lp, state);
+  ASSERT_EQ(sol.status, LpStatus::Optimal);
+  EXPECT_TRUE(sol.crash_started);
+  EXPECT_NEAR(sol.objective, 2.0, 1e-9);
+  EXPECT_EQ(state.at_upper[static_cast<std::size_t>(fixed)], 0);
+  check_simplex_state_invariants(lp, state);
+
+  // The dual phase drives a basic column whose bound dropped to zero out
+  // the same way.
+  LpProblem shrink = dual_phase_problem();
+  SimplexState warm;
+  ASSERT_EQ(solve_lp(shrink, warm).status, LpStatus::Optimal);
+  shrink.set_upper_bound(1, 0.0);  // y was basic at 1
+  const auto resolved = solve_lp(shrink, warm);
+  ASSERT_EQ(resolved.status, LpStatus::Optimal);
+  EXPECT_NEAR(resolved.objective, 9.0, 1e-9);
+  EXPECT_EQ(warm.at_upper[1], 0);
+  check_simplex_state_invariants(shrink, warm);
+}
+
+TEST(Simplex, DenseOracleKeepsPhaseOneArtificialsAtZero) {
+  // -2 x0 = 0 pins x0 to zero, but the dense oracle left that row's
+  // artificial basic at zero after phase 1, and phase 2 let it rise while
+  // x0 entered (objective 21.5 with x0 = 1.5). Both solvers must report
+  // 20.5 with x0 = 0.
+  LpProblem lp;
+  const int x0 = lp.add_variable(1.0, 3.0);
+  const int x1 = lp.add_variable(2.0, 4.0);
+  const int x2 = lp.add_variable(2.0, 6.0);
+  const int x3 = lp.add_variable(0.5, 2.0);
+  lp.begin_constraint(ConstraintType::GreaterEqual, 0.0);  // empty row
+  lp.add_constraint(
+      {{{x0, -1.0}, {x0, 1.0}, {x1, 2.0}}, ConstraintType::GreaterEqual, 2.0});
+  lp.add_constraint({{{x0, 3.0}, {x3, 3.0}}, ConstraintType::LessEqual, 9.0});
+  lp.add_constraint({{{x0, -1.0}}, ConstraintType::LessEqual, 1.0});
+  lp.add_constraint({{{x0, 2.0}, {x3, 3.0}}, ConstraintType::LessEqual, 3.0});
+  lp.add_constraint({{{x0, -2.0}}, ConstraintType::Equal, 0.0});
+  (void)x2;
+  for (const auto& sol : {solve_lp(lp), solve_lp_dense(lp)}) {
+    ASSERT_EQ(sol.status, LpStatus::Optimal);
+    EXPECT_NEAR(sol.objective, 20.5, 1e-6);
+    EXPECT_NEAR(sol.x[static_cast<std::size_t>(x0)], 0.0, 1e-6);
+  }
 }
 
 }  // namespace
