@@ -20,7 +20,7 @@
 //     the --json records is a deterministic function of (params, seed) —
 //     no wall-clock metrics — so CI gates them against a committed
 //     baseline (bench/baselines/ablation_adaptive_release.json) with a
-//     tight tolerance via scripts/check_overhead.py.
+//     tight threshold via scripts/bench_compare.py --key/--metric.
 //
 // Expected shape: adaptive beats every fixed distance on delivered good
 // codes per slot in both scenarios — fixed d=3 goes dark inside the

@@ -14,7 +14,7 @@
 // sparse cells grow with timeout length x fiber count — the oracle pays
 // O(fibers) per waited slot, the engine jumps straight to the fault
 // expiry/timeout. The sparse long-timeout row is the headline: the engine
-// must clear 5x there (scripts/check_overhead.py gates the committed
+// must clear 5x there (scripts/bench_compare.py gates the committed
 // baseline). JSON keys follow that baseline's schema: `slot_ms` is the
 // every-slot oracle, `event_ms` the engine.
 //

@@ -16,8 +16,8 @@
 // (basis carried across calls) and asserts the warm solve needs strictly
 // fewer simplex iterations at EVERY delta size — the bench exits nonzero
 // otherwise, and CI gates the committed Release baseline
-// (bench/baselines/traffic_release.json) with scripts/check_overhead.py
-// on the shared requests_per_sec metric.
+// (bench/baselines/traffic_release.json) with scripts/bench_compare.py
+// --key cell --metric requests_per_sec.
 //
 // All rows are single-stream by construction (an open-loop stream is one
 // causal chain); --trials scales the warm/cold timing repetitions.

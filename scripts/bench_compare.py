@@ -3,6 +3,8 @@
 
 Usage:
     bench_compare.py baseline.json candidate.json [--threshold 0.10]
+    bench_compare.py BASELINE RUN [RUN ...] --key F1,F2 --metric M
+                     [--threshold 0.10]
     bench_compare.py --validate FILE [FILE ...]
     bench_compare.py run.json --speedup-min 5 [--speedup-filter sparse_long]
     bench_compare.py metrics.json --counters-max BASELINE.json
@@ -13,6 +15,12 @@ bench's --json mode) or, for backward compatibility, a bare JSON array of
 flat records. Records are joined on their string/identity fields (e.g.
 decoder + distance, or grid + requests); numeric fields are then compared
 pairwise.
+
+``--key``/``--metric`` gate runs against a baseline row by row instead:
+each ``--key`` row's higher-is-better ``--metric`` is its best over the
+runs (the stable estimator on noisy shared machines), and the gate fails
+if it fell more than ``--threshold`` below the baseline or if the row
+sets differ, so a bench cannot silently shrink its coverage.
 
 ``--speedup-min`` asserts an absolute floor instead of comparing: every
 record in the single given file that carries a ``speedup`` field (e.g.
@@ -319,15 +327,62 @@ def run_counters_max(path, baseline_path):
     return 0
 
 
+def usage_error(message):
+    print(f"bench_compare: {message}", file=sys.stderr)
+    sys.exit(2)
+
+
+def run_keyed_gate(baseline_path, run_paths, key_fields, metric, threshold):
+    """Gate each keyed row's best metric over the runs against a baseline."""
+    def rows(paths):
+        best = {}
+        for path in paths:
+            for record in load(path):
+                missing = [f for f in key_fields + [metric]
+                           if f not in record]
+                if missing:
+                    usage_error(f"{path}: record lacks field(s) {missing}")
+                key = tuple(record[f] for f in key_fields)
+                best[key] = max(record[metric], best.get(key, record[metric]))
+        return best
+
+    baseline, best = rows([baseline_path]), rows(run_paths)
+    failures = 0
+    if set(baseline) != set(best):
+        failures += 1
+        print(f"bench_compare: row sets differ: baseline-only "
+              f"{sorted(set(baseline) - set(best))}, run-only "
+              f"{sorted(set(best) - set(baseline))}", file=sys.stderr)
+    for key in sorted(set(baseline) & set(best)):
+        base, cand = baseline[key], best[key]
+        label = " ".join(f"{f}={v}" for f, v in zip(key_fields, key))
+        if base <= 0:
+            usage_error(f"{baseline_path}: {label}: {metric} {base} is not "
+                        "positive")
+        drop = (base - cand) / base
+        failures += drop > threshold
+        print(f"{'FAIL' if drop > threshold else 'ok'}  {label:<40} "
+              f"{base:>12.1f} -> {cand:>12.1f} {metric} ({drop:+.1%})")
+    if failures:
+        print(f"bench_compare: {failures} failure(s) against {baseline_path} "
+              f"(threshold {threshold:.0%})", file=sys.stderr)
+    return 1 if failures else 0
+
+
 def main():
     parser = argparse.ArgumentParser(
         description="Diff two --json bench outputs, flag regressions; or "
                     "--validate observability outputs structurally.")
     parser.add_argument("baseline", nargs="?")
-    parser.add_argument("candidate", nargs="?")
+    parser.add_argument("candidate", nargs="*",
+                        help="one file; with --key/--metric, one or more runs")
     parser.add_argument("--threshold", type=float, default=0.10,
                         help="relative change that counts as a regression "
                              "(default 0.10 = 10%%)")
+    parser.add_argument("--key", metavar="F1,F2",
+                        help="record fields naming a row for the keyed gate")
+    parser.add_argument("--metric", metavar="M",
+                        help="higher-is-better field the keyed gate checks")
     parser.add_argument("--validate", nargs="+", metavar="FILE",
                         help="validate files (bench envelopes, metrics "
                              "documents, JSONL traces) instead of comparing")
@@ -359,12 +414,19 @@ def main():
                                  args.speedup_filter)
     if args.speedup_filter:
         parser.error("--speedup-filter requires --speedup-min")
-    if not args.baseline or not args.candidate:
+    if args.key or args.metric:
+        if not (args.key and args.metric and args.candidate):
+            parser.error("--key and --metric go together and take a "
+                         "baseline and at least one run")
+        return run_keyed_gate(args.baseline, args.candidate,
+                              args.key.split(","), args.metric,
+                              args.threshold)
+    if not args.baseline or len(args.candidate) != 1:
         parser.error("baseline and candidate are required unless --validate "
                      "is given")
 
     base = {record_key(r): r for r in load(args.baseline)}
-    cand = {record_key(r): r for r in load(args.candidate)}
+    cand = {record_key(r): r for r in load(args.candidate[0])}
 
     shared = [k for k in base if k in cand]
     if not shared:

@@ -137,62 +137,43 @@ TrialMetrics run_trial(const ScenarioParams& params, NetworkDesign design,
 
 namespace {
 
-AggregateMetrics aggregate_in_order(const std::vector<TrialMetrics>& all) {
-  AggregateMetrics aggregate;
-  for (const auto& metrics : all) {
-    // Fidelity/latency are averages over executed communications; trials
-    // that executed nothing contribute throughput only.
-    if (metrics.codes_delivered > 0) {
-      aggregate.fidelity.add(metrics.fidelity);
-      aggregate.latency.add(metrics.latency);
-    }
-    aggregate.throughput.add(metrics.throughput);
-  }
-  return aggregate;
-}
-
-}  // namespace
-
-AggregateMetrics run_trials(const ScenarioParams& params,
-                            NetworkDesign design, int trials,
-                            const RunOptions& options) {
+/// Runs `trial(seed, sink)` for every trial and returns the results in trial
+/// order. Seeds derive from options.seed alone, and each trial records into
+/// private buffers that are merged in trial order after the workers join, so
+/// results, metrics and traces do not depend on the worker count.
+template <typename Trial>
+auto run_in_trial_order(int trials, const RunOptions& options,
+                        const Trial& trial) {
   if (trials < 0) throw std::invalid_argument("negative trial count");
-  std::vector<std::uint64_t> seeds(static_cast<std::size_t>(trials));
+  const auto count = static_cast<std::size_t>(trials);
+  std::vector<std::uint64_t> seeds(count);
   util::Rng seeder(options.seed);
   for (auto& s : seeds) s = seeder();
 
-  // Each trial records into private buffers; the merge below runs in trial
-  // order, so metrics and traces do not depend on the worker count.
   std::vector<obs::TraceBuffer> traces;
   std::vector<obs::MetricsRegistry> registries;
-  if (options.sink.trace) traces.resize(static_cast<std::size_t>(trials));
-  if (options.sink.metrics)
-    registries.resize(static_cast<std::size_t>(trials));
+  if (options.sink.trace) traces.resize(count);
+  if (options.sink.metrics) registries.resize(count);
 
-  auto trial_sink = [&](std::size_t t) {
+  auto run = [&](std::size_t t) {
     obs::Sink sink;
     if (options.sink.metrics) sink.metrics = &registries[t];
     if (options.sink.trace) sink.trace = &traces[t];
-    return sink;
+    return trial(seeds[t], sink);
   };
 
-  std::vector<TrialMetrics> results(static_cast<std::size_t>(trials));
+  std::vector<decltype(run(0))> results(count);
   const int workers =
       std::max(1, std::min(options.threads, trials > 0 ? trials : 1));
   if (workers == 1) {
-    for (int t = 0; t < trials; ++t) {
-      const auto i = static_cast<std::size_t>(t);
-      results[i] = run_trial(params, design, seeds[i], trial_sink(i));
-    }
+    for (std::size_t t = 0; t < count; ++t) results[t] = run(t);
   } else {
+    const auto stride = static_cast<std::size_t>(workers);
     std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(workers));
-    for (int w = 0; w < workers; ++w) {
+    pool.reserve(stride);
+    for (std::size_t w = 0; w < stride; ++w) {
       pool.emplace_back([&, w] {
-        for (int t = w; t < trials; t += workers) {
-          const auto i = static_cast<std::size_t>(t);
-          results[i] = run_trial(params, design, seeds[i], trial_sink(i));
-        }
+        for (std::size_t t = w; t < count; t += stride) results[t] = run(t);
       });
     }
     for (auto& th : pool) th.join();
@@ -204,7 +185,29 @@ AggregateMetrics run_trials(const ScenarioParams& params,
   if (options.sink.trace)
     for (std::size_t t = 0; t < traces.size(); ++t)
       traces[t].flush_to(*options.sink.trace, static_cast<std::int32_t>(t));
-  return aggregate_in_order(results);
+  return results;
+}
+
+}  // namespace
+
+AggregateMetrics run_trials(const ScenarioParams& params,
+                            NetworkDesign design, int trials,
+                            const RunOptions& options) {
+  const auto results = run_in_trial_order(
+      trials, options, [&](std::uint64_t seed, const obs::Sink& sink) {
+        return run_trial(params, design, seed, sink);
+      });
+  AggregateMetrics aggregate;
+  for (const auto& metrics : results) {
+    // Fidelity/latency are averages over executed communications; trials
+    // that executed nothing contribute throughput only.
+    if (metrics.codes_delivered > 0) {
+      aggregate.fidelity.add(metrics.fidelity);
+      aggregate.latency.add(metrics.latency);
+    }
+    aggregate.throughput.add(metrics.throughput);
+  }
+  return aggregate;
 }
 
 TrafficScenario make_traffic_scenario(FacilityLevel level,
@@ -240,56 +243,10 @@ netsim::TrafficResult run_traffic_trial(const TrafficScenario& scenario,
 
 AggregateTraffic run_trials(const TrafficScenario& scenario, int trials,
                             const RunOptions& options) {
-  if (trials < 0) throw std::invalid_argument("negative trial count");
-  std::vector<std::uint64_t> seeds(static_cast<std::size_t>(trials));
-  util::Rng seeder(options.seed);
-  for (auto& s : seeds) s = seeder();
-
-  // Same discipline as the batch overload: private per-trial buffers,
-  // merged in trial order after the workers join.
-  std::vector<obs::TraceBuffer> traces;
-  std::vector<obs::MetricsRegistry> registries;
-  if (options.sink.trace) traces.resize(static_cast<std::size_t>(trials));
-  if (options.sink.metrics)
-    registries.resize(static_cast<std::size_t>(trials));
-
-  auto trial_sink = [&](std::size_t t) {
-    obs::Sink sink;
-    if (options.sink.metrics) sink.metrics = &registries[t];
-    if (options.sink.trace) sink.trace = &traces[t];
-    return sink;
-  };
-
-  std::vector<netsim::TrafficResult> results(
-      static_cast<std::size_t>(trials));
-  const int workers =
-      std::max(1, std::min(options.threads, trials > 0 ? trials : 1));
-  if (workers == 1) {
-    for (int t = 0; t < trials; ++t) {
-      const auto i = static_cast<std::size_t>(t);
-      results[i] = run_traffic_trial(scenario, seeds[i], trial_sink(i));
-    }
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(workers));
-    for (int w = 0; w < workers; ++w) {
-      pool.emplace_back([&, w] {
-        for (int t = w; t < trials; t += workers) {
-          const auto i = static_cast<std::size_t>(t);
-          results[i] = run_traffic_trial(scenario, seeds[i], trial_sink(i));
-        }
+  const auto results = run_in_trial_order(
+      trials, options, [&](std::uint64_t seed, const obs::Sink& sink) {
+        return run_traffic_trial(scenario, seed, sink);
       });
-    }
-    for (auto& th : pool) th.join();
-  }
-
-  if (options.sink.metrics)
-    for (const auto& registry : registries)
-      options.sink.metrics->merge(registry);
-  if (options.sink.trace)
-    for (std::size_t t = 0; t < traces.size(); ++t)
-      traces[t].flush_to(*options.sink.trace, static_cast<std::int32_t>(t));
-
   AggregateTraffic aggregate;
   for (const auto& r : results) {
     aggregate.admitted_per_slot.add(r.admitted_per_slot());

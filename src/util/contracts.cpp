@@ -17,7 +17,7 @@ std::atomic<ContractHandler> g_handler{nullptr};
 [[noreturn]] void default_handler(const ContractFailure& failure) {
   // Goes straight to stderr, not through obs: a contract failure must be
   // reportable even when no observability session exists, and the process
-  // is about to die. lint: allow(stdio-in-src)
+  // is about to die.
   std::fprintf(stderr, "surfnet: %s\n",
                format_contract_failure(failure).c_str());
   std::fflush(stderr);

@@ -4,9 +4,8 @@
 // finding by (rule, file, key) — never by line, so entries survive
 // unrelated edits — and must say WHY the finding is acceptable. A baseline
 // match suppresses the finding; an entry that matches nothing is reported
-// so the ledger shrinks as debt is paid. Prefer fixing over baselining;
-// prefer a baseline entry (reviewed, central, justified) over a
-// `lint: allow` comment (file-wide, easy to forget).
+// so the ledger shrinks as debt is paid. Prefer fixing over baselining.
+// The baseline is the only suppression: no in-source escape hatch exists.
 
 #include <string>
 #include <vector>

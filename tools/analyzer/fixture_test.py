@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Golden-fixture driver for surfnet-analyze.
 
-Each subdirectory of --fixtures is a miniature repo root: a `src/` tree,
-optional config files (`layers.json`, `trace_schema.json`, `baseline.json`),
-an `expected.txt` with the exact finding lines the analyzer must print
-(missing or empty = the fixture must be clean), and an optional
+Each subdirectory of --fixtures is a miniature repo root: top-level trees
+(`src/`, `tests/`, ...) that are all analyzed, optional config files
+(`layers.json`, `trace_schema.json`, `baseline.json`), an `expected.txt`
+with the exact finding lines the analyzer must print (missing or empty =
+the fixture must be clean), and an optional
 `expect_exit` overriding the derived exit code (used by the config-error
 fixtures).
 
@@ -22,8 +23,9 @@ FINDING_RE = re.compile(r"^\S+:\d+: \[[a-z-]+\] ")
 
 
 def run_fixture(analyzer: str, fixture: Path):
+    trees = sorted(p.name for p in fixture.iterdir() if p.is_dir())
     cmd = [
-        analyzer, "src",
+        analyzer, *trees,
         "--repo-root", str(fixture),
         "--layers", "layers.json",
         "--trace-schema", "trace_schema.json",

@@ -157,7 +157,10 @@ class Lexer {
         return;
       }
     }
-    emit(TokKind::PpOther, directive, start_line);
+    std::size_t end = body.size();
+    while (end > i && std::isspace(static_cast<unsigned char>(body[end - 1])))
+      --end;
+    emit(TokKind::PpOther, body.substr(i, end - i), start_line);
   }
 
   void lex_identifier_or_prefixed_literal() {

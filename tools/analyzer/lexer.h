@@ -21,7 +21,8 @@ enum class TokKind {
   CharLit,    ///< character literal; text is the contents
   Punct,      ///< one operator/punctuator; "::", "&&", "||", "->" combined
   PpInclude,  ///< #include; text keeps the delimiter: "qec/graph.h or <vector
-  PpOther,    ///< any other preprocessor logical line; text is the directive
+  PpOther,    ///< any other preprocessor logical line; text is the whole
+              ///< directive after '#', trimmed ("pragma once", "ifndef X_H")
 };
 
 struct Token {

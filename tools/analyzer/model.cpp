@@ -372,18 +372,6 @@ class ModelBuilder {
   std::vector<Scope> scopes_;
 };
 
-void scan_allow_markers(const std::string& text, std::set<std::string>& out) {
-  const std::string needle = "lint: allow(";
-  std::size_t pos = 0;
-  while ((pos = text.find(needle, pos)) != std::string::npos) {
-    pos += needle.size();
-    std::size_t end = text.find(')', pos);
-    if (end == std::string::npos) break;
-    out.insert(text.substr(pos, end - pos));
-    pos = end;
-  }
-}
-
 }  // namespace
 
 std::size_t match_forward(const std::vector<Token>& toks, std::size_t open) {
@@ -416,7 +404,6 @@ FileModel build_model(const std::string& rel_path, const std::string& text) {
   LexResult lexed = lex(text);
   model.tokens = std::move(lexed.tokens);
   model.lex_errors = std::move(lexed.errors);
-  scan_allow_markers(text, model.allowed_rules);
   ModelBuilder(model).run();
   return model;
 }

@@ -3,10 +3,10 @@
 // Lightweight declaration/scope model built from the token stream: function
 // definitions with parsed parameter lists and body ranges, class membership
 // and access at the definition point, file-wide unordered-container
-// declarations, includes, and `lint: allow(<rule>)` suppressions. This is
-// deliberately not a C++ parser — it recognizes the project's idiomatic
-// shapes (the same ones clang-format enforces) and degrades gracefully on
-// anything exotic; the golden fixtures pin the shapes it must understand.
+// declarations, and includes. This is deliberately not a C++ parser — it
+// recognizes the project's idiomatic shapes (the same ones clang-format
+// enforces) and degrades gracefully on anything exotic; the golden fixtures
+// pin the shapes it must understand.
 
 #include <set>
 #include <string>
@@ -52,7 +52,6 @@ struct FileModel {
   std::vector<Include> includes;
   std::vector<Function> functions;
   std::vector<UnorderedDecl> unordered;
-  std::set<std::string> allowed_rules;      ///< lint: allow(<rule>) markers
   std::set<std::string> header_decl_names;  ///< function names declared at
                                             ///< class/namespace scope
   bool is_header = false;

@@ -25,6 +25,14 @@
 //   contract-coverage   a public function in a qec/decoder/routing header
 //                       subscripts with an integral parameter before any
 //                       SURFNET_EXPECTS/SURFNET_ASSERT mentions it
+//   wallclock-seeding   std::rand, srand, random_device, system_clock,
+//                       gettimeofday, std::time or a free time(NULL) anywhere
+//   stdio-in-src        std::cout/cerr, <iostream>, fprintf(stdout, ...), or
+//                       a printf/puts call however qualified, in src/
+//   header-hygiene      a header whose first token is not #pragma once, or
+//                       an #ifndef <X>_H include guard
+//   event-core-purity   any clock, free time() call or std::unordered_* in
+//                       src/netsim/event* and src/netsim/workload*
 
 #include <map>
 #include <set>
@@ -72,9 +80,12 @@ void rule_rng(const AnalyzerContext& ctx, std::vector<Finding>& out);
 void rule_unordered(const AnalyzerContext& ctx, std::vector<Finding>& out);
 void rule_trace_schema(const AnalyzerContext& ctx, std::vector<Finding>& out);
 void rule_contracts(const AnalyzerContext& ctx, std::vector<Finding>& out);
+/// wallclock-seeding, stdio-in-src and event-core-purity.
+void rule_tokens(const AnalyzerContext& ctx, std::vector<Finding>& out);
+void rule_headers(const AnalyzerContext& ctx, std::vector<Finding>& out);
 
-/// Run every rule and return the findings sorted (file, line, rule, key),
-/// with `lint: allow(<rule>)` file-level suppressions already applied.
+/// Run every rule and return the findings sorted (file, line, rule, key)
+/// and deduplicated. The committed baseline is the only suppression.
 std::vector<Finding> run_rules(const AnalyzerContext& ctx);
 
 }  // namespace surfnet::analyze

@@ -88,26 +88,17 @@ std::vector<Finding> run_rules(const AnalyzerContext& ctx) {
   rule_unordered(ctx, findings);
   rule_trace_schema(ctx, findings);
   rule_contracts(ctx, findings);
+  rule_tokens(ctx, findings);
+  rule_headers(ctx, findings);
 
-  // File-level `lint: allow(<rule>)` suppression, same contract as
-  // scripts/lint_surfnet.py.
-  std::map<std::string, const FileModel*> by_rel;
-  for (const FileModel& f : ctx.files) by_rel[f.rel_path] = &f;
-  std::vector<Finding> kept;
-  for (Finding& finding : findings) {
-    auto it = by_rel.find(finding.file);
-    if (it != by_rel.end() && it->second->allowed_rules.count(finding.rule))
-      continue;
-    kept.push_back(std::move(finding));
-  }
-  std::sort(kept.begin(), kept.end());
-  kept.erase(std::unique(kept.begin(), kept.end(),
-                         [](const Finding& a, const Finding& b) {
-                           return a.file == b.file && a.line == b.line &&
-                                  a.rule == b.rule && a.key == b.key;
-                         }),
-             kept.end());
-  return kept;
+  std::sort(findings.begin(), findings.end());
+  findings.erase(std::unique(findings.begin(), findings.end(),
+                             [](const Finding& a, const Finding& b) {
+                               return a.file == b.file && a.line == b.line &&
+                                      a.rule == b.rule && a.key == b.key;
+                             }),
+                 findings.end());
+  return findings;
 }
 
 }  // namespace surfnet::analyze
