@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
 
   const decoder::UnionFindDecoder union_find;
   const decoder::SurfNetDecoder surfnet;
-  const decoder::Decoder* decoders[] = {&union_find, &surfnet};
+  const std::vector<const decoder::Decoder*> decoders{&union_find, &surfnet};
 
   // rates[decoder][distance][point]
   std::vector<std::vector<std::vector<double>>> rates(
@@ -50,20 +50,20 @@ int main(int argc, char** argv) {
     for (std::size_t pi = 0; pi < pauli_rates.size(); ++pi) {
       const auto profile = qec::NoiseProfile::core_support(
           partition, pauli_rates[pi], erasure);
-      for (int dec = 0; dec < 2; ++dec) {
-        decoder::TrialRunnerOptions opts;
-        opts.threads = args.threads();
-        opts.sink = args.sink();
-        opts.seed = args.seed() + 1000 * di + pi;
-        const auto report = decoder::run_logical_error_trials(
-            lattice, profile, qec::PauliChannel::IndependentXZ,
-            *decoders[dec], trials, opts);
-        rates[static_cast<std::size_t>(dec)][di][pi] = report.error_rate();
-      }
+      decoder::TrialRunnerOptions opts;
+      opts.threads = args.threads();
+      opts.sink = args.sink();
+      opts.seed = args.seed() + 1000 * di + pi;
+      // Paired: each trial samples once and both decoders decode it.
+      const auto reports = decoder::run_paired_logical_error_trials(
+          lattice, profile, qec::PauliChannel::IndependentXZ, decoders,
+          trials, opts);
+      for (std::size_t dec = 0; dec < decoders.size(); ++dec)
+        rates[dec][di][pi] = reports[dec].error_rate();
     }
   }
 
-  for (int dec = 0; dec < 2; ++dec) {
+  for (std::size_t dec = 0; dec < decoders.size(); ++dec) {
     std::printf("--- %s ---\n", decoders[dec]->name().data());
     std::vector<std::string> header{"pauli"};
     for (int d : distances) header.push_back("d=" + std::to_string(d));
@@ -71,8 +71,7 @@ int main(int argc, char** argv) {
     for (std::size_t pi = 0; pi < pauli_rates.size(); ++pi) {
       std::vector<std::string> row{util::Table::pct(pauli_rates[pi], 2)};
       for (std::size_t di = 0; di < distances.size(); ++di)
-        row.push_back(util::Table::fmt(
-            rates[static_cast<std::size_t>(dec)][di][pi], 4));
+        row.push_back(util::Table::fmt(rates[dec][di][pi], 4));
       table.add_row(std::move(row));
     }
     if (args.csv()) table.print_csv(std::cout);
@@ -87,8 +86,8 @@ int main(int argc, char** argv) {
   std::printf("threshold estimates (mean over distance-pair crossings, "
               "[min, max]):\n");
   double thresholds[2] = {0.0, 0.0};
-  for (int dec = 0; dec < 2; ++dec) {
-    const auto& r = rates[static_cast<std::size_t>(dec)];
+  for (std::size_t dec = 0; dec < decoders.size(); ++dec) {
+    const auto& r = rates[dec];
     double sum = 0.0, lo_est = 1.0, hi_est = 0.0;
     int count = 0;
     for (std::size_t a = 0; a < distances.size(); ++a)

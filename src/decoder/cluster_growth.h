@@ -33,18 +33,39 @@ struct GrowthConfig {
   int max_rounds = 1 << 20;
 };
 
-/// Reusable growth state. Cluster metadata (parity, boundary flag, frontier
-/// edge list) is stored per vertex and is authoritative only at DSU roots.
-/// Buffers are reinitialized — never freed — per decode, so steady-state
-/// growth performs no heap allocations.
+/// Reusable growth state. Cluster metadata (parity, boundary flag,
+/// frontier) is stored per vertex and is authoritative only at DSU roots.
+/// The DSU also holds the boundary vertices, as singletons nothing joins.
+///
+/// A cluster's frontier is a linked list of its members' frontier segments:
+/// slices of `slots`, each copied from the graph's incidence list when its
+/// vertex first joins a cluster, compacted in place as edges turn interior,
+/// and unlinked once empty. Fusion splices two lists in O(1) and keeps the
+/// frontier order of concatenated per-cluster lists.
+///
+/// The workspace records every vertex and edge a decode touches and
+/// restores only those entries before the next decode, so the per-decode
+/// cost follows what the decode touches. Only grow_clusters writes the
+/// growth state; a workspace may arrive from any decoder or graph size.
+/// Buffers are never freed, so steady-state growth performs no heap
+/// allocations.
 struct GrowthWorkspace {
   Dsu dsu;
   std::vector<char> parity;
   std::vector<char> touches_boundary;
-  std::vector<std::vector<int>> frontier;
   std::vector<double> growth;
   std::vector<char> region;
-  std::vector<int> stamp;
+  std::vector<int> slots;        ///< frontier segments, in touch order
+  int slots_used = 0;
+  std::vector<int> seg_begin;    ///< per vertex: its segment in `slots`
+  std::vector<int> seg_len;      ///< per vertex: live segment length
+  std::vector<int> next_member;  ///< per vertex: next nonempty segment
+  std::vector<int> head;         ///< per root: first nonempty segment
+  std::vector<int> tail;         ///< per root: last nonempty segment
+  std::vector<int> stamp;        ///< per root: last round it was listed
+  std::vector<char> touched;     ///< per vertex: joined a cluster
+  std::vector<int> touched_vertices;
+  std::vector<int> touched_edges;  ///< edges grown or pregrown
   std::vector<int> active;
   std::vector<int> next_active;
   std::vector<std::size_t> newly_grown;

@@ -42,6 +42,7 @@ CodeTrialResult decode_sample(const qec::CodeLattice& lattice,
     qec::edge_flips(lattice, kind, sample.error, ws.flips);
     ws.input.graph = &graph;
     qec::syndrome_bitmap(graph, ws.flips, ws.input.syndrome);
+    for (const char s : ws.input.syndrome) result.syndromes += s ? 1 : 0;
     qec::erased_edges(lattice, kind, sample.erased, ws.input.erased);
     ws.input.error_prob.resize(graph.num_edges());
     for (std::size_t e = 0; e < graph.num_edges(); ++e)
@@ -53,15 +54,6 @@ CodeTrialResult decode_sample(const qec::CodeLattice& lattice,
     (kind == qec::GraphKind::Z ? result.z_graph : result.x_graph) = outcome;
   }
   return result;
-}
-
-CodeTrialResult run_code_trial(const qec::CodeLattice& lattice,
-                               const qec::NoiseProfile& profile,
-                               qec::PauliChannel channel,
-                               const Decoder& decoder, util::Rng& rng) {
-  const auto sample = qec::sample_errors(profile, channel, rng);
-  const auto prior = profile.component_error_prob(channel);
-  return decode_sample(lattice, sample, prior, decoder);
 }
 
 double logical_error_rate(const qec::CodeLattice& lattice,

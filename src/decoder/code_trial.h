@@ -18,6 +18,7 @@ namespace surfnet::decoder {
 struct CodeTrialResult {
   qec::DecodeOutcome z_graph;  ///< X-type error correction outcome
   qec::DecodeOutcome x_graph;  ///< Z-type error correction outcome
+  int syndromes = 0;           ///< lit syndrome vertices, both graphs
   bool success() const { return z_graph.success() && x_graph.success(); }
 };
 
@@ -50,12 +51,6 @@ CodeTrialResult decode_sample(const qec::CodeLattice& lattice,
                               const qec::ErrorSample& sample,
                               const std::vector<double>& component_prior,
                               const Decoder& decoder, CodeTrialWorkspace& ws);
-
-/// Sample-and-decode convenience.
-CodeTrialResult run_code_trial(const qec::CodeLattice& lattice,
-                               const qec::NoiseProfile& profile,
-                               qec::PauliChannel channel,
-                               const Decoder& decoder, util::Rng& rng);
 
 /// Monte-Carlo logical error rate over `trials` samples.
 double logical_error_rate(const qec::CodeLattice& lattice,

@@ -19,13 +19,18 @@ std::vector<double> effective_error_prob(const DecodeInput& input) {
   return prob;
 }
 
-void effective_error_prob(const DecodeInput& input,
-                          std::vector<double>& out) {
+void check_decode_input(const DecodeInput& input) {
   if (input.graph == nullptr)
     throw std::invalid_argument("DecodeInput: null graph");
   const std::size_t m = input.graph->num_edges();
   if (input.erased.size() != m || input.error_prob.size() != m)
     throw std::invalid_argument("DecodeInput: per-edge size mismatch");
+}
+
+void effective_error_prob(const DecodeInput& input,
+                          std::vector<double>& out) {
+  check_decode_input(input);
+  const std::size_t m = input.graph->num_edges();
   out.resize(m);
   for (std::size_t e = 0; e < m; ++e)
     out[e] = input.erased[e] ? 0.5 : input.error_prob[e];

@@ -25,6 +25,10 @@ struct DecodeInput {
 /// probability is clamped away from {0, 1} for numerical safety.
 double edge_weight(double error_prob);
 
+/// Throws std::invalid_argument unless `input` names a graph and carries
+/// one erasure flag and one prior per edge of it.
+void check_decode_input(const DecodeInput& input);
+
 /// Effective per-edge error probability: 1/2 on erased edges, the prior
 /// otherwise.
 std::vector<double> effective_error_prob(const DecodeInput& input);

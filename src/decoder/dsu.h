@@ -25,6 +25,23 @@ class Dsu {
     std::iota(parent_.begin(), parent_.end(), 0);
   }
 
+  /// Resize to n elements; added elements are singletons. Dropped
+  /// elements must be singletons nothing else points at.
+  void resize(std::size_t n) {
+    const std::size_t old = parent_.size();
+    parent_.resize(n);
+    size_.resize(n, 1);
+    for (std::size_t i = old; i < n; ++i) parent_[i] = static_cast<int>(i);
+  }
+
+  /// Make x a singleton again. Valid only when every element of x's set is
+  /// being restored the same way (a workspace undoing one decode's unions).
+  void make_singleton(int x) {
+    SURFNET_EXPECTS(x >= 0 && static_cast<std::size_t>(x) < parent_.size());
+    parent_[static_cast<std::size_t>(x)] = x;
+    size_[static_cast<std::size_t>(x)] = 1;
+  }
+
   std::size_t num_elements() const { return parent_.size(); }
 
   int find(int x) {

@@ -49,7 +49,7 @@ MlDecision decode_ml(const qec::CodeLattice& lattice, qec::GraphKind kind,
 
 /// Decoder-interface adapter over decode_ml. The graph kind of each call
 /// is resolved by comparing input.graph against the lattice's two graphs,
-/// so the adapter slots into decode_sample/run_code_trial unchanged.
+/// so the adapter slots into decode_sample unchanged.
 class ExhaustiveMLDecoder final : public Decoder {
  public:
   /// The lattice is borrowed and must outlive the decoder. Contract FATAL

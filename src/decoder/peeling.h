@@ -23,9 +23,9 @@ struct PeelWorkspace {
     int parent;
     int child;
   };
-  std::vector<char> visited;
-  std::vector<char> syndrome;  ///< mutable copy of the input bitmap
-  std::vector<TreeEdge> forest;
+  std::vector<char> visited;      ///< per vertex: on region, in forest
+  std::vector<char> syndrome;     ///< mutable copy of the input, per vertex
+  std::vector<TreeEdge> forest;   ///< tree edges in discovery order
   std::vector<int> stack;
   std::vector<char> correction;
   /// Scratch of check_peel_invariants (SURFNET_CHECKS); owned by the

@@ -108,4 +108,14 @@ TrialReport run_logical_error_trials(const qec::CodeLattice& lattice,
                                      std::int64_t trials,
                                      const TrialRunnerOptions& options);
 
+/// Paired code trials: every trial samples one error and decodes it with
+/// each decoder. Report i, for decoders[i], has the counts that
+/// run_logical_error_trials gives for that decoder under the same options
+/// (same seeds, so the same samples), at one sampling cost for all of them;
+/// the timings are the paired run's.
+std::vector<TrialReport> run_paired_logical_error_trials(
+    const qec::CodeLattice& lattice, const qec::NoiseProfile& profile,
+    qec::PauliChannel channel, const std::vector<const Decoder*>& decoders,
+    std::int64_t trials, const TrialRunnerOptions& options);
+
 }  // namespace surfnet::decoder

@@ -4,9 +4,11 @@
 // decoders need (growth state, peeling state, effective probabilities,
 // growth config, correction output), so a hot loop that keeps one workspace
 // per thread performs no steady-state heap allocations per decode. Any
-// decoder can be handed any workspace — buffers are reinitialized, never
-// assumed clean — and the same workspace may be reused across graphs of
-// different sizes (buffers only ever grow).
+// decoder can be handed any workspace, and the same workspace may be
+// reused across graphs of different sizes (buffers only ever grow). Buffers
+// are reinitialized per decode, except the growth state: only grow_clusters
+// writes it, and it restores exactly the entries its previous decode
+// touched (decoder/cluster_growth.h).
 
 #include <utility>
 #include <vector>

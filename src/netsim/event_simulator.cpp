@@ -416,6 +416,8 @@ SimulationResult run_engine(const Topology& topology,
   for (std::size_t i = 0; i < plans.size(); ++i)
     codes_remaining[i] = plans[i].sched->codes;
 
+  CorrectionWorkspace decode_ws;  // reused by every correction of the run
+
   std::vector<std::size_t> order(plans.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
 
@@ -463,8 +465,8 @@ SimulationResult run_engine(const Topology& topology,
       }
       LazyPoolView pool{&pools, slot};
       flags = StepFlags{};
-      if (process_code(topology, injector, policy, params, decoder, plan,
-                       active[idx], slot, pool, result, rng,
+      if (process_code(topology, injector, policy, params, decoder,
+                       decode_ws, plan, active[idx], slot, pool, result, rng,
                        flags) == CodeStep::Finished) {
         has_active[idx] = 0;
         --in_flight_or_pending;

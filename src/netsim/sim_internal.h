@@ -28,8 +28,8 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "qec/core_support.h"
+#include "qec/error_model.h"
 #include "qec/lattice.h"
-#include "qec/syndrome.h"
 
 namespace surfnet::netsim::detail {
 
@@ -195,14 +195,25 @@ inline void reroute_failed(const Topology& topology,
   }
 }
 
-/// Decode over the noise accumulated since the last correction. The
-/// tracing path samples and decodes explicitly so that it can report
-/// erasure and syndrome counts; it draws the same random-variate sequence
-/// as run_code_trial, so traced and untraced runs stay bitwise-identical.
+/// Decode scratch owned by one simulation run and reused by every
+/// correction in it: the code-trial workspace, a noise profile whose
+/// per-qubit rates are overwritten in place, and the decoder prior. After
+/// warm-up a correction allocates nothing.
+struct CorrectionWorkspace {
+  decoder::CodeTrialWorkspace trial;
+  qec::NoiseProfile profile;
+  std::vector<double> prior;
+};
+
+/// Decode over the noise accumulated since the last correction: rates into
+/// the run's profile, then one sample and one decode of both graphs on the
+/// run's workspace. Traced and untraced runs take this same path, so they
+/// draw the same random-variate sequence and stay bitwise-identical.
 inline void run_correction(const RequestPlan& plan, ActiveCode& code, int slot,
                            int node, bool is_ec,
                            const SimulationParams& params,
-                           const decoder::Decoder& decoder, util::Rng& rng) {
+                           const decoder::Decoder& decoder,
+                           CorrectionWorkspace& ws, util::Rng& rng) {
   const obs::Sink& sink = params.sink;
   const auto& geometry = *plan.geometry;
   const double support_pauli =
@@ -219,38 +230,26 @@ inline void run_correction(const RequestPlan& plan, ActiveCode& code, int slot,
       params.purification_factor * params.noise_scale * code.acc_core_mu +
       op_mu);
 
-  std::vector<qec::QubitNoise> rates(
-      static_cast<std::size_t>(geometry.lattice.num_data_qubits()));
-  for (int q = 0; q < geometry.lattice.num_data_qubits(); ++q) {
+  const int qubits = geometry.lattice.num_data_qubits();
+  ws.profile.resize(qubits);
+  for (int q = 0; q < qubits; ++q) {
     const bool core =
         !plan.raw && geometry.partition.is_core[static_cast<std::size_t>(q)];
-    rates[static_cast<std::size_t>(q)] =
-        core ? qec::QubitNoise{core_pauli, 0.0}
-             : qec::QubitNoise{support_pauli, support_erasure};
+    ws.profile.qubit(q) = core
+                              ? qec::QubitNoise{core_pauli, 0.0}
+                              : qec::QubitNoise{support_pauli, support_erasure};
   }
-  const qec::NoiseProfile profile{std::move(rates)};
-  bool success;
+  ws.profile.component_error_prob(params.channel, ws.prior);
+  qec::sample_errors(ws.profile, params.channel, rng, ws.trial.sample);
+  const auto outcome = decoder::decode_sample(
+      geometry.lattice, ws.trial.sample, ws.prior, decoder, ws.trial);
+  const bool success = outcome.success();
   if (sink.trace) {
-    const auto sample = qec::sample_errors(profile, params.channel, rng);
-    const auto prior = profile.component_error_prob(params.channel);
-    success = decoder::decode_sample(geometry.lattice, sample, prior, decoder)
-                  .success();
     int erasures = 0;
-    for (const char e : sample.erased) erasures += e ? 1 : 0;
-    int syndromes = 0;
-    for (const auto kind : {qec::GraphKind::Z, qec::GraphKind::X}) {
-      const auto flips = qec::edge_flips(geometry.lattice, kind, sample.error);
-      const auto bitmap =
-          qec::syndrome_bitmap(geometry.lattice.graph(kind), flips);
-      for (const char s : bitmap) syndromes += s ? 1 : 0;
-    }
+    for (const char e : ws.trial.sample.erased) erasures += e ? 1 : 0;
     sink.trace->record(obs::Event::decode(slot, plan.sched->request_index,
-                                          node, is_ec, erasures, syndromes,
-                                          !success));
-  } else {
-    success = decoder::run_code_trial(geometry.lattice, profile,
-                                      params.channel, decoder, rng)
-                  .success();
+                                          node, is_ec, erasures,
+                                          outcome.syndromes, !success));
   }
   if (sink.metrics) {
     sink.metrics->count("sim.decodes");
@@ -352,14 +351,15 @@ struct StepFlags {
 };
 
 /// One code's work in one visited slot (timeout budget, cooldown, Support
-/// hop, Core segment jump, barrier decode). `Pool` provides
-/// `int level(int fiber)` and `void consume(int fiber, int n)` over the
-/// prepared-pair inventory.
+/// hop, Core segment jump, barrier decode on the run's `decode_ws`).
+/// `Pool` provides `int level(int fiber)` and `void consume(int fiber,
+/// int n)` over the prepared-pair inventory.
 template <typename Pool>
 CodeStep process_code(const Topology& topology, const FaultInjector& injector,
                       const RecoveryPolicy& policy,
                       const SimulationParams& params,
-                      const decoder::Decoder& decoder, const RequestPlan& plan,
+                      const decoder::Decoder& decoder,
+                      CorrectionWorkspace& decode_ws, const RequestPlan& plan,
                       ActiveCode& code, int slot, Pool& pool,
                       SimulationResult& result, util::Rng& rng,
                       StepFlags& flags) {
@@ -506,7 +506,7 @@ CodeStep process_code(const Topology& topology, const FaultInjector& injector,
   if (support_done && core_done && !injector.node_down(barrier.node, slot) &&
       !injector.decode_stalled(slot)) {
     run_correction(plan, code, slot, barrier.node, barrier.is_ec, params,
-                   decoder, rng);
+                   decoder, decode_ws, rng);
     const bool final_barrier =
         code.barrier + 1 == static_cast<int>(plan.barriers.size());
     if (final_barrier) {

@@ -21,16 +21,27 @@ NoiseProfile NoiseProfile::core_support(const CoreSupportPartition& partition,
   return NoiseProfile(std::move(rates));
 }
 
+void NoiseProfile::resize(int num_qubits) {
+  if (num_qubits < 0) throw std::invalid_argument("negative qubit count");
+  per_qubit_.resize(static_cast<std::size_t>(num_qubits));
+}
+
 std::vector<double> NoiseProfile::component_error_prob(
     PauliChannel channel) const {
-  std::vector<double> prob(per_qubit_.size());
+  std::vector<double> prob;
+  component_error_prob(channel, prob);
+  return prob;
+}
+
+void NoiseProfile::component_error_prob(PauliChannel channel,
+                                        std::vector<double>& out) const {
+  out.resize(per_qubit_.size());
   for (std::size_t q = 0; q < per_qubit_.size(); ++q) {
     const double p = per_qubit_[q].pauli;
     // IndependentXZ flips each component with probability p; depolarizing
     // flips a given component for 2 of the 3 equally likely Paulis.
-    prob[q] = (channel == PauliChannel::IndependentXZ) ? p : 2.0 * p / 3.0;
+    out[q] = (channel == PauliChannel::IndependentXZ) ? p : 2.0 * p / 3.0;
   }
-  return prob;
 }
 
 ErrorSample sample_errors(const NoiseProfile& profile, PauliChannel channel,

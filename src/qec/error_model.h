@@ -49,6 +49,10 @@ class NoiseProfile {
                                    double pauli, double erasure);
 
   int num_qubits() const { return static_cast<int>(per_qubit_.size()); }
+
+  /// Resize to `num_qubits` qubits (added ones noiseless), keeping the
+  /// storage: a profile reused across codes overwrites its rates in place.
+  void resize(int num_qubits);
   const QubitNoise& qubit(int q) const {
     SURFNET_EXPECTS(q >= 0 && static_cast<std::size_t>(q) < per_qubit_.size());
     return per_qubit_[static_cast<std::size_t>(q)];
@@ -62,6 +66,11 @@ class NoiseProfile {
   /// flipped by the *Pauli* noise alone (erasures excluded), per qubit.
   /// This is what decoders use as prior error probability 1 - rho.
   std::vector<double> component_error_prob(PauliChannel channel) const;
+
+  /// Allocation-free variant: writes into `out` (resized to the qubit
+  /// count).
+  void component_error_prob(PauliChannel channel,
+                            std::vector<double>& out) const;
 
  private:
   std::vector<QubitNoise> per_qubit_;

@@ -42,12 +42,14 @@ TEST_P(DecoderValidityTest, CorrectionAlwaysReproducesSyndrome) {
   const SurfaceCodeLattice lattice(d);
   const auto profile =
       qec::NoiseProfile::uniform(lattice.num_data_qubits(), pauli, erasure);
+  const auto channel = qec::PauliChannel::IndependentXZ;
+  const auto prior = profile.component_error_prob(channel);
   util::Rng rng(static_cast<unsigned>(d * 1000) +
                 static_cast<unsigned>(pauli * 100));
   const int trials = 120;
   for (int t = 0; t < trials; ++t) {
-    const auto result = run_code_trial(
-        lattice, profile, qec::PauliChannel::IndependentXZ, *decoder, rng);
+    const auto result = decode_sample(
+        lattice, qec::sample_errors(profile, channel, rng), prior, *decoder);
     EXPECT_TRUE(result.z_graph.valid) << name << " d=" << d << " t=" << t;
     EXPECT_TRUE(result.x_graph.valid) << name << " d=" << d << " t=" << t;
   }
@@ -238,10 +240,12 @@ TEST(ErasureDecoder, ValidityOnErasureOnlyNoise) {
   const SurfaceCodeLattice lattice(5);
   const auto profile =
       qec::NoiseProfile::uniform(lattice.num_data_qubits(), 0.0, 0.35);
+  const auto channel = qec::PauliChannel::IndependentXZ;
+  const auto prior = profile.component_error_prob(channel);
   util::Rng rng(314);
   for (int t = 0; t < 200; ++t) {
-    const auto result = run_code_trial(
-        lattice, profile, qec::PauliChannel::IndependentXZ, decoder, rng);
+    const auto result = decode_sample(
+        lattice, qec::sample_errors(profile, channel, rng), prior, decoder);
     EXPECT_TRUE(result.z_graph.valid);
     EXPECT_TRUE(result.x_graph.valid);
   }

@@ -205,10 +205,12 @@ TEST(ExhaustiveMl, AdapterResolvesBothGraphs) {
   EXPECT_EQ(ml.name(), "ExhaustiveML");
   const auto profile =
       qec::NoiseProfile::uniform(lattice.num_data_qubits(), 0.12, 0.20);
+  const auto channel = qec::PauliChannel::IndependentXZ;
+  const auto prior = profile.component_error_prob(channel);
   util::Rng rng(99);
   for (int t = 0; t < 200; ++t) {
-    const auto result = run_code_trial(
-        lattice, profile, qec::PauliChannel::IndependentXZ, ml, rng);
+    const auto result = decode_sample(
+        lattice, qec::sample_errors(profile, channel, rng), prior, ml);
     EXPECT_TRUE(result.z_graph.valid) << "trial " << t;
     EXPECT_TRUE(result.x_graph.valid) << "trial " << t;
   }

@@ -16,6 +16,7 @@
 #include "decoder/trial_runner.h"
 #include "decoder/union_find.h"
 #include "decoder/workspace.h"
+#include "obs/metrics.h"
 #include "qec/core_support.h"
 #include "qec/lattice.h"
 #include "qec/rotated_lattice.h"
@@ -117,24 +118,68 @@ TEST(LogicalErrorTrials, MatchesHandRolledSerialLoop) {
   const qec::SurfaceCodeLattice lattice(5);
   const auto profile =
       qec::NoiseProfile::uniform(lattice.num_data_qubits(), 0.06, 0.15);
+  const auto channel = qec::PauliChannel::IndependentXZ;
   const UnionFindDecoder decoder;
   const std::int64_t trials = 400;
 
   TrialRunnerOptions opts;
   opts.seed = 4242;
   opts.threads = 2;
-  const auto report = run_logical_error_trials(
-      lattice, profile, qec::PauliChannel::IndependentXZ, decoder, trials,
-      opts);
+  const auto report = run_logical_error_trials(lattice, profile, channel,
+                                               decoder, trials, opts);
 
+  const auto prior = profile.component_error_prob(channel);
   std::int64_t failures = 0;
   for (std::int64_t t = 0; t < trials; ++t) {
     util::Rng rng(trial_seed(opts.seed, static_cast<std::uint64_t>(t)));
-    const auto result = run_code_trial(
-        lattice, profile, qec::PauliChannel::IndependentXZ, decoder, rng);
+    const auto result = decode_sample(
+        lattice, qec::sample_errors(profile, channel, rng), prior, decoder);
     if (!result.success()) ++failures;
   }
   EXPECT_EQ(report.failures, failures);
+}
+
+TEST(LogicalErrorTrials, PairedRunMatchesOneRunPerDecoder) {
+  // One sample per trial decoded by both decoders must count exactly what
+  // two separate runs under the same seed count, at any thread count, and
+  // report the same counters into the sink.
+  const qec::SurfaceCodeLattice lattice(9);
+  const auto partition = qec::make_core_support(lattice);
+  const auto profile = qec::NoiseProfile::core_support(partition, 0.07, 0.15);
+  const UnionFindDecoder union_find;
+  const SurfNetDecoder surfnet;
+  const std::vector<const Decoder*> decoders{&union_find, &surfnet};
+  const auto channel = qec::PauliChannel::IndependentXZ;
+
+  TrialRunnerOptions opts;
+  opts.seed = 77;
+  obs::MetricsRegistry separate_metrics;
+  opts.sink.metrics = &separate_metrics;
+  std::vector<TrialReport> separate;
+  for (const Decoder* decoder : decoders)
+    separate.push_back(run_logical_error_trials(lattice, profile, channel,
+                                                *decoder, 500, opts));
+  for (int threads : {1, 4}) {
+    opts.threads = threads;
+    obs::MetricsRegistry paired_metrics;
+    opts.sink.metrics = &paired_metrics;
+    const auto paired = run_paired_logical_error_trials(
+        lattice, profile, channel, decoders, 500, opts);
+    ASSERT_EQ(paired.size(), decoders.size());
+    for (std::size_t i = 0; i < decoders.size(); ++i) {
+      SCOPED_TRACE(testing::Message() << decoders[i]->name() << " threads="
+                                      << threads);
+      EXPECT_EQ(paired[i].trials, separate[i].trials);
+      EXPECT_EQ(paired[i].failures, separate[i].failures);
+      EXPECT_EQ(paired[i].invalid, separate[i].invalid);
+      EXPECT_EQ(paired[i].valid_but_wrong, separate[i].valid_but_wrong);
+    }
+    for (const char* name : {"trials.count", "trials.failures",
+                             "trials.invalid", "trials.valid_but_wrong"})
+      EXPECT_EQ(paired_metrics.counter(name), separate_metrics.counter(name))
+          << name;
+  }
+  EXPECT_GT(separate[0].failures, 0);
 }
 
 TEST(TrialReport, WilsonIntervalMatchesStatsHelper) {

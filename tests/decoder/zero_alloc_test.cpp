@@ -1,9 +1,11 @@
 // Verifies the headline perf property: once a trial workspace is warm, the
 // sample → decode → evaluate pipeline performs ZERO heap allocations per
-// trial. Global operator new/delete are overridden with a counting shim;
-// the counter is armed only after a warm-up pass over the SAME
-// counter-seeded trial sequence, so the replayed trials place identical
-// demands on every buffer.
+// trial, and the network simulator's per-correction decode (rates into the
+// run's noise profile, sample, decode both graphs, evaluate) performs none
+// per correction. Global operator new/delete are overridden with a
+// counting shim; the counter is armed only after a warm-up pass over the
+// SAME counter-seeded sequence, so the replay places identical demands on
+// every buffer.
 //
 // This test lives in its own binary: the replacement operators are global
 // and would skew allocation behaviour of unrelated tests.
@@ -20,6 +22,7 @@
 #include "decoder/surfnet_decoder.h"
 #include "decoder/trial_runner.h"
 #include "decoder/union_find.h"
+#include "netsim/sim_internal.h"
 #include "qec/core_support.h"
 #include "qec/lattice.h"
 
@@ -108,6 +111,64 @@ TEST(ZeroAlloc, UnionFindSteadyState) {
 
 TEST(ZeroAlloc, SurfNetDecoderSteadyState) {
   expect_zero_steady_state_allocations(SurfNetDecoder());
+}
+
+/// Corrections [0, n) of a fixed sequence through one run workspace:
+/// codes of two distances, SurfNet and Raw plans, varying accumulated
+/// noise, each on its own counter-seeded stream.
+void run_corrections(const std::vector<netsim::detail::RequestPlan>& plans,
+                     const netsim::SimulationParams& params,
+                     const Decoder& decoder, int n,
+                     netsim::detail::CorrectionWorkspace& ws,
+                     std::int64_t* failures) {
+  for (int i = 0; i < n; ++i) {
+    netsim::detail::ActiveCode code;
+    code.acc_support_mu = 1.0 + 0.25 * (i % 5);
+    code.acc_core_mu = 0.5 + 0.5 * (i % 3);
+    code.acc_support_hops = 1 + i % 3;
+    code.jumps_since_ec = i % 4;
+    util::Rng rng(trial_seed(20240607, static_cast<std::uint64_t>(i)));
+    netsim::detail::run_correction(
+        plans[static_cast<std::size_t>(i) % plans.size()], code, i,
+        /*node=*/0, /*is_ec=*/true, params, decoder, ws, rng);
+    if (failures && code.corrupted) ++*failures;
+  }
+}
+
+void expect_zero_allocations_per_correction(const Decoder& decoder) {
+  const netsim::detail::CodeGeometry d9(9);
+  const netsim::detail::CodeGeometry d13(13);
+  const netsim::ScheduledRequest request;
+  std::vector<netsim::detail::RequestPlan> plans(3);
+  plans[0].geometry = &d9;
+  plans[1].geometry = &d13;
+  plans[2].geometry = &d9;
+  plans[2].raw = true;  // no Core path: every qubit rides the plain channel
+  for (auto& plan : plans) plan.sched = &request;
+  const netsim::SimulationParams params;
+  const int corrections = 150;
+
+  netsim::detail::CorrectionWorkspace ws;
+  run_corrections(plans, params, decoder, corrections, ws, nullptr);
+
+  std::int64_t failures = 0;
+  g_allocations.store(0);
+  g_armed.store(true);
+  run_corrections(plans, params, decoder, corrections, ws, &failures);
+  g_armed.store(false);
+
+  EXPECT_EQ(g_allocations.load(), 0)
+      << decoder.name() << ": steady-state corrections allocated";
+  EXPECT_GT(failures, 0);
+  EXPECT_LT(failures, corrections);
+}
+
+TEST(ZeroAlloc, UnionFindPerCorrection) {
+  expect_zero_allocations_per_correction(UnionFindDecoder());
+}
+
+TEST(ZeroAlloc, SurfNetDecoderPerCorrection) {
+  expect_zero_allocations_per_correction(SurfNetDecoder());
 }
 
 TEST(ZeroAlloc, CountingShimIsLive) {

@@ -140,8 +140,10 @@ TEST(Property, DecoderCorrectionsReproduceTheSyndrome) {
         lattice.num_data_qubits(), proptest::real_in(rng, 0.0, 0.15),
         proptest::real_in(rng, 0.0, 0.30));
     const auto* dec = proptest::pick(rng, decoders);
-    const auto result = decoder::run_code_trial(
-        lattice, profile, qec::PauliChannel::IndependentXZ, *dec, rng);
+    const auto channel = qec::PauliChannel::IndependentXZ;
+    const auto result = decoder::decode_sample(
+        lattice, qec::sample_errors(profile, channel, rng),
+        profile.component_error_prob(channel), *dec);
     EXPECT_TRUE(result.z_graph.valid) << dec->name() << " d=" << d;
     EXPECT_TRUE(result.x_graph.valid) << dec->name() << " d=" << d;
   });

@@ -96,6 +96,8 @@ TEST_P(RotatedLatticeTest, DecodersAreValidOnRandomNoise) {
   const RotatedSurfaceCodeLattice lattice(GetParam());
   const auto profile =
       NoiseProfile::uniform(lattice.num_data_qubits(), 0.08, 0.15);
+  const auto prior =
+      profile.component_error_prob(PauliChannel::IndependentXZ);
   const decoder::SurfNetDecoder surfnet;
   const decoder::UnionFindDecoder union_find;
   util::Rng rng(31 + static_cast<unsigned>(GetParam()));
@@ -103,8 +105,9 @@ TEST_P(RotatedLatticeTest, DecodersAreValidOnRandomNoise) {
     for (const decoder::Decoder* dec :
          {static_cast<const decoder::Decoder*>(&surfnet),
           static_cast<const decoder::Decoder*>(&union_find)}) {
-      const auto result = decoder::run_code_trial(
-          lattice, profile, PauliChannel::IndependentXZ, *dec, rng);
+      const auto result = decoder::decode_sample(
+          lattice, sample_errors(profile, PauliChannel::IndependentXZ, rng),
+          prior, *dec);
       EXPECT_TRUE(result.z_graph.valid);
       EXPECT_TRUE(result.x_graph.valid);
     }
