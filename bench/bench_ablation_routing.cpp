@@ -6,23 +6,19 @@
 //     shape: matched fidelity at every load; the LP's aggregate noise
 //     accounting schedules more codes, the per-code hierarchical scheduler
 //     is slightly more selective.
-//  2. LP scaling: the sparse revised simplex vs the dense tableau
-//     reference on grid topologies, swept over grid size x request count.
-//     The dense path gets a wall-clock budget per point (it would run for
-//     hours on the large points); when it hits the budget the reported
-//     speedup is a lower bound. Warm re-solves of a tightened residual
-//     problem are compared against cold re-solves of the same problem.
+//  2. LP scaling: the sparse revised simplex on grid topologies, swept
+//     over grid size x request count. Warm re-solves of a tightened
+//     residual problem are compared against cold re-solves of the same
+//     problem.
 //
 // --json emits one record per scaling sweep point in the shared bench
 // envelope — the record schema is stable across commits:
 //   {"grid", "requests", "lp_rows", "lp_cols", "lp_nonzeros",
 //    "sparse_ms", "sparse_iterations", "warm_ms", "warm_iterations",
-//    "cold_resolve_iterations", "dense_ms", "dense_timed_out",
-//    "speedup", "objective"}
+//    "cold_resolve_iterations", "objective"}
 // so saved outputs can be diffed (scripts/bench_compare.py) to track the
 // perf trajectory.
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <iostream>
@@ -33,7 +29,6 @@
 #include "core/surfnet.h"
 #include "decoder/surfnet_decoder.h"
 #include "netsim/simulator.h"
-#include "routing/dense_simplex.h"
 #include "routing/greedy.h"
 #include "routing/lp_router.h"
 #include "util/table.h"
@@ -59,14 +54,10 @@ struct ScalingRow {
   double warm_ms = 0.0;
   int warm_iterations = 0;
   int cold_resolve_iterations = 0;
-  double dense_ms = 0.0;
-  bool dense_timed_out = false;
-  double speedup = 0.0;
   double objective = 0.0;
 };
 
-ScalingRow run_scaling_point(int grid, int num_requests, std::uint64_t seed,
-                             double dense_budget_ms) {
+ScalingRow run_scaling_point(int grid, int num_requests, std::uint64_t seed) {
   netsim::GridSpec gspec;
   gspec.width = grid;
   gspec.height = grid;
@@ -115,19 +106,6 @@ ScalingRow run_scaling_point(int grid, int num_requests, std::uint64_t seed,
   row.warm_iterations = warm.iterations;
   const auto cold_again = routing::solve_lp(formulation.problem());
   row.cold_resolve_iterations = cold_again.iterations;
-
-  // Dense reference on the residual problem's pristine twin: rebuild so
-  // the dense solver sees the exact problem the sparse cold solve saw.
-  // The budget scales with the sparse time so a budget-capped dense run
-  // can still certify a >= 6x speedup lower bound.
-  const routing::RoutingFormulation fresh(topology, requests, params);
-  routing::DenseSolveOptions dense_opts;
-  dense_opts.max_millis = std::max(dense_budget_ms, 6.5 * row.sparse_ms);
-  t0 = now_ms();
-  const auto dense = routing::solve_lp_dense(fresh.problem(), dense_opts);
-  row.dense_ms = now_ms() - t0;
-  row.dense_timed_out = dense.status == routing::LpStatus::IterationLimit;
-  row.speedup = row.sparse_ms > 0.0 ? row.dense_ms / row.sparse_ms : 0.0;
   return row;
 }
 
@@ -137,14 +115,10 @@ int main(int argc, char** argv) {
   bench::ArgParser args("ablation_routing", argc, argv);
 
   // --- LP scaling sweep (always computed: it is the --json payload). ---
-  // Dense budget per point: enough to finish the small points exactly and
-  // to certify a >= 5x lower bound on the large ones without taking hours.
-  const double dense_budget_ms = args.full() ? 120000.0 : 4000.0;
   std::vector<ScalingRow> scaling;
   for (const int grid : {4, 6, 8})
     for (const int num_requests : {8, 16, 32, 64})
-      scaling.push_back(run_scaling_point(grid, num_requests, args.seed(),
-                                          dense_budget_ms));
+      scaling.push_back(run_scaling_point(grid, num_requests, args.seed()));
 
   if (args.json()) {
     std::vector<std::string> records;
@@ -157,12 +131,10 @@ int main(int argc, char** argv) {
           "\"lp_cols\": %d, \"lp_nonzeros\": %d, \"sparse_ms\": %.2f, "
           "\"sparse_iterations\": %d, \"warm_ms\": %.2f, "
           "\"warm_iterations\": %d, \"cold_resolve_iterations\": %d, "
-          "\"dense_ms\": %.2f, \"dense_timed_out\": %s, \"speedup\": %.1f, "
           "\"objective\": %.4f}",
           r.grid, r.requests, r.lp_rows, r.lp_cols, r.lp_nonzeros,
           r.sparse_ms, r.sparse_iterations, r.warm_ms, r.warm_iterations,
-          r.cold_resolve_iterations, r.dense_ms,
-          r.dense_timed_out ? "true" : "false", r.speedup, r.objective);
+          r.cold_resolve_iterations, r.objective);
       records.emplace_back(record);
     }
     args.finish_observability();
@@ -218,12 +190,11 @@ int main(int argc, char** argv) {
               "selective (slightly higher fidelity, lower throughput).\n");
 
   // --- LP scaling table. ---
-  std::printf("\nLP scaling: sparse revised simplex vs dense tableau on "
-              "grid topologies (dense budget %.0f ms/point)\n\n",
-              dense_budget_ms);
+  std::printf("\nLP scaling: sparse revised simplex on grid "
+              "topologies\n\n");
   util::Table scale_table({"grid", "requests", "rows", "cols", "nnz",
-                           "sparse ms", "iters", "warm iters", "cold iters",
-                           "dense ms", "speedup"});
+                           "sparse ms", "iters", "warm iters",
+                           "cold iters"});
   for (const auto& r : scaling)
     scale_table.add_row(
         {std::to_string(r.grid) + "x" + std::to_string(r.grid),
@@ -232,14 +203,10 @@ int main(int argc, char** argv) {
          util::Table::fmt(r.sparse_ms, 1),
          std::to_string(r.sparse_iterations),
          std::to_string(r.warm_iterations),
-         std::to_string(r.cold_resolve_iterations),
-         util::Table::fmt(r.dense_ms, 1) + (r.dense_timed_out ? "+" : ""),
-         util::Table::fmt(r.speedup, 1) + (r.dense_timed_out ? "+" : "")});
+         std::to_string(r.cold_resolve_iterations)});
   scale_table.print(std::cout);
-  std::printf("\n\"+\" marks points where the dense reference hit its "
-              "wall-clock budget: its time (and the speedup) is a lower "
-              "bound. Warm re-solves restart from the previous basis and "
-              "need far fewer iterations than cold re-solves of the same "
+  std::printf("\nWarm re-solves restart from the previous basis and need "
+              "far fewer iterations than cold re-solves of the same "
               "residual problem.\n");
   return 0;
 }

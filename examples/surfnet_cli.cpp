@@ -1,7 +1,7 @@
 // Command-line driver for the SurfNet library.
 //
-//   surfnet_cli decode   [--distance D] [--rotated] [--pauli P]
-//                        [--erasure E] [--decoder uf|surfnet|mwpm]
+//   surfnet_cli decode   [--distance D] [--pauli P] [--erasure E]
+//                        [--decoder uf|surfnet|mwpm]
 //                        [--trials N] [--seed S] [--threads T] [--draw]
 //   surfnet_cli trial    [--facilities abundant|sufficient|insufficient]
 //                        [--fibers good|poor]
@@ -10,17 +10,27 @@
 //   surfnet_cli topology [--facilities ...] [--fibers ...] [--seed S]
 //                        [--routes]         (emits Graphviz DOT on stdout)
 //
+// Every value is checked here, before any work starts: numbers must parse
+// as a whole token, D >= 2, N >= 0, P and E in [0, 1], and names must be
+// one of those listed above. Anything else exits 2 with one line on
+// stderr that names the flag.
+//
 // Observability (decode and trial): --metrics-out FILE writes the metrics
 // JSON document, --trace-out FILE streams the JSONL event trace ("-" =
 // stdout for either). The trial trace carries the simulator's per-slot
 // events (pool levels, segment jumps, decodes, deliveries); decode runs
 // report engine counters and timers into the metrics document.
 
+#include <algorithm>
+#include <charconv>
+#include <climits>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <memory>
 #include <string>
+#include <system_error>
 
 #include "core/surfnet.h"
 #include "decoder/code_trial.h"
@@ -33,7 +43,6 @@
 #include "qec/core_support.h"
 #include "qec/lattice.h"
 #include "qec/render.h"
-#include "qec/rotated_lattice.h"
 #include "routing/router.h"
 #include "util/rng.h"
 
@@ -41,16 +50,46 @@ namespace {
 
 using namespace surfnet;
 
+/// One accepted spelling of a named option value.
+template <typename T>
+struct Named {
+  const char* name;
+  T value;
+};
+
+template <typename D>
+std::unique_ptr<decoder::Decoder> make_decoder() {
+  return std::make_unique<D>();
+}
+using DecoderFactory = std::unique_ptr<decoder::Decoder> (*)();
+
+constexpr Named<DecoderFactory> kDecoders[] = {
+    {"uf", &make_decoder<decoder::UnionFindDecoder>},
+    {"surfnet", &make_decoder<decoder::SurfNetDecoder>},
+    {"mwpm", &make_decoder<decoder::MwpmDecoder>}};
+constexpr Named<core::FacilityLevel> kFacilities[] = {
+    {"abundant", core::FacilityLevel::Abundant},
+    {"sufficient", core::FacilityLevel::Sufficient},
+    {"insufficient", core::FacilityLevel::Insufficient}};
+constexpr Named<core::ConnectionQuality> kFibers[] = {
+    {"good", core::ConnectionQuality::Good},
+    {"poor", core::ConnectionQuality::Poor}};
+constexpr Named<core::NetworkDesign> kDesigns[] = {
+    {"surfnet", core::NetworkDesign::SurfNet},
+    {"raw", core::NetworkDesign::Raw},
+    {"p1", core::NetworkDesign::Purification1},
+    {"p2", core::NetworkDesign::Purification2},
+    {"p9", core::NetworkDesign::Purification9}};
+
 struct Args {
   std::string command;
   int distance = 5;
-  bool rotated = false;
   double pauli = 0.05;
   double erasure = 0.15;
-  std::string decoder = "surfnet";
-  std::string facilities = "sufficient";
-  std::string fibers = "good";
-  std::string design = "surfnet";
+  Named<DecoderFactory> decoder = kDecoders[1];
+  Named<core::FacilityLevel> facilities = kFacilities[1];
+  Named<core::ConnectionQuality> fibers = kFibers[0];
+  Named<core::NetworkDesign> design = kDesigns[0];
   int trials = 2000;
   std::uint64_t seed = 42;
   int threads = 1;
@@ -59,6 +98,48 @@ struct Args {
   std::string metrics_out;
   std::string trace_out;
 };
+
+[[noreturn]] void reject(const char* flag, const char* expected,
+                         const char* value) {
+  std::fprintf(stderr, "surfnet_cli: %s expects %s, got '%s'\n", flag,
+               expected, value);
+  std::exit(2);
+}
+
+/// `text` parsed as a whole token by std::from_chars, so a leading '+' or
+/// space and any trailing character fail ("+5", " 5", "5x").
+template <typename T>
+bool parse_whole(const char* text, T& out) {
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, out);
+  return ec == std::errc() && ptr == end;
+}
+
+int parse_int(const char* flag, const char* text, int min,
+              const char* expected) {
+  int value = 0;
+  if (!parse_whole(text, value) || value < min) reject(flag, expected, text);
+  return value;
+}
+
+double parse_rate(const char* flag, const char* text) {
+  double value = 0.0;
+  // Written so that NaN fails the range test.
+  if (!parse_whole(text, value) || !(value >= 0.0 && value <= 1.0))
+    reject(flag, "a rate in [0, 1]", text);
+  return value;
+}
+
+template <typename T, std::size_t N>
+Named<T> parse_name(const char* flag, const char* text,
+                    const Named<T> (&table)[N]) {
+  for (const auto& entry : table)
+    if (std::strcmp(entry.name, text) == 0) return entry;
+  std::string known = "one of ";
+  for (std::size_t i = 0; i < N; ++i)
+    known += std::string(i == 0 ? "" : "|") + table[i].name;
+  reject(flag, known.c_str(), text);
+}
 
 Args parse(int argc, char** argv) {
   Args args;
@@ -69,29 +150,41 @@ Args parse(int argc, char** argv) {
   }
   args.command = argv[1];
   for (int i = 2; i < argc; ++i) {
-    auto value = [&](const char* flag) -> const char* {
-      if (std::strcmp(argv[i], flag) == 0 && i + 1 < argc) return argv[++i];
-      return nullptr;
+    const char* flag = argv[i];
+    const auto is = [&](const char* name) {
+      return std::strcmp(flag, name) == 0;
     };
-    if (const char* v = value("--distance")) args.distance = std::atoi(v);
-    else if (const char* v2 = value("--pauli")) args.pauli = std::atof(v2);
-    else if (const char* v3 = value("--erasure")) args.erasure = std::atof(v3);
-    else if (const char* v4 = value("--decoder")) args.decoder = v4;
-    else if (const char* v5 = value("--facilities")) args.facilities = v5;
-    else if (const char* v6 = value("--fibers")) args.fibers = v6;
-    else if (const char* v7 = value("--design")) args.design = v7;
-    else if (const char* v8 = value("--trials")) args.trials = std::atoi(v8);
-    else if (const char* v9 = value("--seed"))
-      args.seed = std::strtoull(v9, nullptr, 10);
-    else if (const char* v10 = value("--threads"))
-      args.threads = std::atoi(v10);
-    else if (const char* v11 = value("--metrics-out")) args.metrics_out = v11;
-    else if (const char* v12 = value("--trace-out")) args.trace_out = v12;
-    else if (std::strcmp(argv[i], "--rotated") == 0) args.rotated = true;
-    else if (std::strcmp(argv[i], "--draw") == 0) args.draw = true;
-    else if (std::strcmp(argv[i], "--routes") == 0) args.routes = true;
+    const auto value = [&]() -> const char* {
+      if (i + 1 >= argc) {
+        std::fprintf(stderr, "surfnet_cli: %s needs a value\n", flag);
+        std::exit(2);
+      }
+      return argv[++i];
+    };
+    if (is("--distance"))
+      args.distance = parse_int(flag, value(), 2, "an integer >= 2");
+    else if (is("--pauli")) args.pauli = parse_rate(flag, value());
+    else if (is("--erasure")) args.erasure = parse_rate(flag, value());
+    else if (is("--decoder"))
+      args.decoder = parse_name(flag, value(), kDecoders);
+    else if (is("--facilities"))
+      args.facilities = parse_name(flag, value(), kFacilities);
+    else if (is("--fibers")) args.fibers = parse_name(flag, value(), kFibers);
+    else if (is("--design")) args.design = parse_name(flag, value(), kDesigns);
+    else if (is("--trials"))
+      args.trials = parse_int(flag, value(), 0, "an integer >= 0");
+    else if (is("--seed")) {
+      const char* v = value();
+      if (!parse_whole(v, args.seed))
+        reject(flag, "an unsigned 64-bit integer", v);
+    } else if (is("--threads"))
+      args.threads = parse_int(flag, value(), INT_MIN, "an integer");
+    else if (is("--metrics-out")) args.metrics_out = value();
+    else if (is("--trace-out")) args.trace_out = value();
+    else if (is("--draw")) args.draw = true;
+    else if (is("--routes")) args.routes = true;
     else {
-      std::fprintf(stderr, "unknown option %s\n", argv[i]);
+      std::fprintf(stderr, "surfnet_cli: unknown option %s\n", flag);
       std::exit(2);
     }
   }
@@ -99,31 +192,23 @@ Args parse(int argc, char** argv) {
 }
 
 int run_decode(const Args& args) {
-  std::unique_ptr<qec::CodeLattice> lattice;
-  if (args.rotated)
-    lattice = std::make_unique<qec::RotatedSurfaceCodeLattice>(args.distance);
-  else
-    lattice = std::make_unique<qec::SurfaceCodeLattice>(args.distance);
+  const qec::SurfaceCodeLattice lattice(args.distance);
+  const auto dec = args.decoder.value();
 
-  std::unique_ptr<decoder::Decoder> dec;
-  if (args.decoder == "uf") dec = std::make_unique<decoder::UnionFindDecoder>();
-  else if (args.decoder == "mwpm") dec = std::make_unique<decoder::MwpmDecoder>();
-  else dec = std::make_unique<decoder::SurfNetDecoder>();
-
-  const auto partition = qec::make_core_support(*lattice);
+  const auto partition = qec::make_core_support(lattice);
   const auto profile =
       qec::NoiseProfile::core_support(partition, args.pauli, args.erasure);
   util::Rng rng(args.seed);
 
   if (args.draw) {
-    std::printf("%s lattice, distance %d (%d data qubits, %d Core):\n\n%s\n",
-                args.rotated ? "rotated" : "planar", args.distance,
-                lattice->num_data_qubits(), partition.num_core,
-                qec::render_core(*lattice).c_str());
+    std::printf("planar lattice, distance %d (%d data qubits, %d Core):\n\n"
+                "%s\n",
+                args.distance, lattice.num_data_qubits(), partition.num_core,
+                qec::render_core(lattice).c_str());
     const auto sample =
         qec::sample_errors(profile, qec::PauliChannel::IndependentXZ, rng);
     std::printf("sampled errors + Z-graph syndromes (*):\n\n%s\n",
-                qec::render_errors(*lattice, qec::GraphKind::Z, sample)
+                qec::render_errors(lattice, qec::GraphKind::Z, sample)
                     .c_str());
   }
 
@@ -133,7 +218,7 @@ int run_decode(const Args& args) {
   options.seed = args.seed;
   options.sink = session.sink();
   const auto report = decoder::run_logical_error_trials(
-      *lattice, profile, qec::PauliChannel::IndependentXZ, *dec, args.trials,
+      lattice, profile, qec::PauliChannel::IndependentXZ, *dec, args.trials,
       options);
   session.finish();
   std::printf("%s decoder, d=%d, pauli=%.3f, erasure=%.3f: logical error "
@@ -144,48 +229,30 @@ int run_decode(const Args& args) {
   return 0;
 }
 
-core::FacilityLevel facilities_of(const std::string& name) {
-  if (name == "abundant") return core::FacilityLevel::Abundant;
-  if (name == "insufficient") return core::FacilityLevel::Insufficient;
-  return core::FacilityLevel::Sufficient;
-}
-
-core::NetworkDesign design_of(const std::string& name) {
-  if (name == "raw") return core::NetworkDesign::Raw;
-  if (name == "p1") return core::NetworkDesign::Purification1;
-  if (name == "p2") return core::NetworkDesign::Purification2;
-  if (name == "p9") return core::NetworkDesign::Purification9;
-  return core::NetworkDesign::SurfNet;
-}
-
 int run_trial(const Args& args) {
-  const auto params = core::make_scenario(
-      facilities_of(args.facilities),
-      args.fibers == "poor" ? core::ConnectionQuality::Poor
-                            : core::ConnectionQuality::Good);
+  const auto params =
+      core::make_scenario(args.facilities.value, args.fibers.value);
   const int trials = std::max(1, args.trials / 100);
   obs::FileSession session(args.metrics_out, args.trace_out);
   core::RunOptions options;
   options.seed = args.seed;
   options.threads = args.threads;
   options.sink = session.sink();
-  const auto agg =
-      core::run_trials(params, design_of(args.design), trials, options);
+  const auto agg = core::run_trials(params, args.design.value, trials,
+                                    options);
   session.finish();
   std::printf("%s on %s/%s (%d trials): fidelity %.3f +- %.3f, latency "
               "%.1f slots, throughput %.3f\n",
-              core::to_string(design_of(args.design)).data(),
-              args.facilities.c_str(), args.fibers.c_str(), trials,
+              core::to_string(args.design.value).data(),
+              args.facilities.name, args.fibers.name, trials,
               agg.fidelity.mean(), agg.fidelity.ci95(), agg.latency.mean(),
               agg.throughput.mean());
   return 0;
 }
 
 int run_topology(const Args& args) {
-  const auto params = core::make_scenario(
-      facilities_of(args.facilities),
-      args.fibers == "poor" ? core::ConnectionQuality::Poor
-                            : core::ConnectionQuality::Good);
+  const auto params =
+      core::make_scenario(args.facilities.value, args.fibers.value);
   util::Rng rng(args.seed);
   const auto topology = netsim::make_random_topology(params.topology, rng);
   if (!args.routes) {

@@ -26,7 +26,7 @@ if [[ "${1:-}" == "--fix" ]]; then
 fi
 
 mapfile -t files < <(git ls-files 'src/**/*.h' 'src/**/*.cpp' \
-  'bench/*.h' 'bench/*.cpp' 'tests/**/*.cpp' 'tests/*.cpp' \
+  'bench/*.h' 'bench/*.cpp' 'tests/**/*.h' 'tests/**/*.cpp' 'tests/*.cpp' \
   'examples/*.cpp')
 
 # shellcheck disable=SC2086

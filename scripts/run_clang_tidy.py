@@ -7,9 +7,11 @@ already forces), filters to first-party translation units, and runs
 clang-tidy on each in parallel. The check set lives in .clang-tidy.
 
 Headers are not translation units, so `--changed BASE` maps a changed
-header to every first-party TU that directly #includes it (by the
-project's include spellings: repo-root-relative and src-relative) and
-lints those. Transitive includes are not chased; a header-only change
+header to every first-party TU that directly #includes it and lints
+those. Each quoted include is resolved the way the build resolves it:
+against the including file's directory first (how tests and benches
+include their local headers), then against src/ (the include root of
+every target). Transitive includes are not chased; a header-only change
 that matters two hops away still surfaces in the full run.
 
 If no clang-tidy binary is available (the local toolchain only ships
@@ -32,6 +34,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 FIRST_PARTY = ("src", "bench", "tests", "examples", "tools")
 HEADER_SUFFIXES = (".h", ".hpp")
+INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"', re.MULTILINE)
 TOOL_CANDIDATES = ("clang-tidy", "clang-tidy-18", "clang-tidy-17",
                    "clang-tidy-16", "clang-tidy-15", "clang-tidy-14")
 
@@ -68,40 +71,34 @@ def first_party_units(build_dir):
     return sorted(set(units))
 
 
-def include_spellings(header):
-    """How the tree may spell an #include of this repo-relative header."""
-    try:
-        rel = Path(header).relative_to(REPO)
-    except ValueError:
-        return set()
-    spellings = {rel.as_posix()}
-    if rel.parts[0] == "src":  # src/ is the include root for library code
-        spellings.add(Path(*rel.parts[1:]).as_posix())
-    return spellings
+def resolve_include(spelling, including_file):
+    """The file a quoted #include in `including_file` names, or None."""
+    for base in (Path(including_file).parent, REPO / "src"):
+        candidate = (base / spelling).resolve()
+        if candidate.is_file():
+            return candidate
+    return None
 
 
 def expand_headers(selected, units):
     """Replace headers in `selected` with the TUs that include them.
 
     Headers never appear in the compilation database, so a changed-header
-    run would otherwise lint nothing. Scans each first-party TU for a
-    direct `#include "..."` of the header under its project spellings.
+    run would otherwise lint nothing. Resolves each first-party TU's direct
+    `#include "..."` lines and keeps the TUs that name a selected header.
     """
     headers = {f for f in selected if f.endswith(HEADER_SUFFIXES)}
     out = {f for f in selected if f not in headers}
     if not headers:
         return out
-    include_re = re.compile(r'^\s*#\s*include\s*"([^"]+)"', re.MULTILINE)
-    wanted = {}
-    for header in headers:
-        for spelling in include_spellings(header):
-            wanted.setdefault(spelling, set()).add(header)
+    wanted = {Path(h).resolve() for h in headers}
     for unit in units:
         try:
             text = Path(unit).read_text(encoding="utf-8", errors="replace")
         except OSError:
             continue
-        if any(inc in wanted for inc in include_re.findall(text)):
+        if any(resolve_include(inc, unit) in wanted
+               for inc in INCLUDE_RE.findall(text)):
             out.add(unit)
     return out
 

@@ -27,9 +27,9 @@
 //   5. on a degenerate erasure whose peeled correction lands in class 1,
 //      XORs the recorded odd cycle (witness edge plus both endpoints'
 //      root paths; shared segments cancel) into the correction, so ties
-//      always resolve to class 0 — the same pinned tie-break as
-//      decoder/exhaustive, making the two decoders equivalent including
-//      tie handling wherever both run.
+//      always resolve to class 0 — the same pinned tie-break as the
+//      exhaustive test oracle (tests/decoder/exhaustive.h), making the two
+//      decoders equivalent including tie handling wherever both run.
 //
 // Contract: like the plain peeling decoder, the syndrome must be
 // explainable by the erased region alone (std::logic_error otherwise);

@@ -1,8 +1,10 @@
 #pragma once
 
 // Abstract surface-code lattice: everything the decoders, the syndrome
-// machinery and the Core/Support partition need, independent of the
-// concrete layout (unrotated planar or rotated).
+// machinery and the Core/Support partition need. The one layout is the
+// unrotated planar SurfaceCodeLattice (qec/lattice.h); the interface lets
+// tests substitute a deliberately corrupted lattice
+// (tests/qec/validate_test.cpp).
 
 #include <vector>
 

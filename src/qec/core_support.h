@@ -4,10 +4,9 @@
 //
 // Along every axis of a logical operator at least one high-fidelity data
 // qubit prevents a logical error on that axis. The paper fixes the Core to
-// a cross topology; each lattice layout implements its own central cross
-// via CodeLattice::core_partition() — for the unrotated planar code the
-// central column plus central row of site data qubits (2d-1 Core qubits,
-// matching the paper's 7-of-25 distance-4 example).
+// a cross topology, built by CodeLattice::core_partition(): the central
+// column plus central row of site data qubits (2d-1 Core qubits, matching
+// the paper's 7-of-25 distance-4 example).
 
 #include "qec/code_lattice.h"
 

@@ -1,26 +1,16 @@
 #include "qec/render.h"
 
-#include <algorithm>
-
-#include "qec/lattice.h"
 #include "qec/syndrome.h"
 
 namespace surfnet::qec {
 
 namespace {
 
-/// Character canvas over data coordinates (rows x cols of the lattice).
+/// Character canvas over the lattice's (2d-1) x (2d-1) site grid.
 class Canvas {
  public:
-  explicit Canvas(const CodeLattice& lattice) {
-    int max_r = 0, max_c = 0;
-    for (int q = 0; q < lattice.num_data_qubits(); ++q) {
-      const Coord rc = lattice.data_coord(q);
-      max_r = std::max(max_r, rc.r);
-      max_c = std::max(max_c, rc.c);
-    }
-    rows_ = max_r + 1;
-    cols_ = max_c + 1;
+  explicit Canvas(const SurfaceCodeLattice& lattice)
+      : rows_(2 * lattice.distance() - 1), cols_(rows_) {
     cells_.assign(static_cast<std::size_t>(rows_) * cols_, ' ');
   }
 
@@ -48,10 +38,10 @@ class Canvas {
   std::vector<char> cells_;
 };
 
-/// Grid coordinate of a measurement vertex of the planar lattice, or
-/// nullptr-equivalent (-1,-1) for virtual boundaries / other layouts.
-Coord planar_vertex_coord(const SurfaceCodeLattice& lattice, GraphKind kind,
-                          int vertex) {
+/// Grid coordinate of a measurement vertex, or (-1,-1) (off the canvas)
+/// for a virtual boundary vertex.
+Coord vertex_coord(const SurfaceCodeLattice& lattice, GraphKind kind,
+                   int vertex) {
   const int d = lattice.distance();
   if (vertex >= lattice.graph(kind).num_real_vertices()) return {-1, -1};
   if (kind == GraphKind::Z) {
@@ -68,21 +58,18 @@ Coord planar_vertex_coord(const SurfaceCodeLattice& lattice, GraphKind kind,
 
 }  // namespace
 
-std::string render_lattice(const CodeLattice& lattice) {
+std::string render_lattice(const SurfaceCodeLattice& lattice) {
   Canvas canvas(lattice);
   for (int q = 0; q < lattice.num_data_qubits(); ++q)
     canvas.put(lattice.data_coord(q), 'o');
-  if (const auto* planar =
-          dynamic_cast<const SurfaceCodeLattice*>(&lattice)) {
-    for (int v = 0; v < planar->num_measure_z(); ++v)
-      canvas.put(planar_vertex_coord(*planar, GraphKind::Z, v), 'Z');
-    for (int v = 0; v < planar->num_measure_x(); ++v)
-      canvas.put(planar_vertex_coord(*planar, GraphKind::X, v), 'X');
-  }
+  for (int v = 0; v < lattice.num_measure_z(); ++v)
+    canvas.put(vertex_coord(lattice, GraphKind::Z, v), 'Z');
+  for (int v = 0; v < lattice.num_measure_x(); ++v)
+    canvas.put(vertex_coord(lattice, GraphKind::X, v), 'X');
   return canvas.str();
 }
 
-std::string render_errors(const CodeLattice& lattice, GraphKind kind,
+std::string render_errors(const SurfaceCodeLattice& lattice, GraphKind kind,
                           const ErrorSample& sample,
                           const std::vector<char>* correction) {
   Canvas canvas(lattice);
@@ -101,23 +88,12 @@ std::string render_errors(const CodeLattice& lattice, GraphKind kind,
   }
 
   const auto flips = edge_flips(lattice, kind, sample.error);
-  const auto syndromes = syndrome_vertices(lattice.graph(kind), flips);
-  if (const auto* planar =
-          dynamic_cast<const SurfaceCodeLattice*>(&lattice)) {
-    // The planar layout has room for '*' markers at the measurement sites.
-    for (int v : syndromes)
-      canvas.put(planar_vertex_coord(*planar, kind, v), '*');
-    return canvas.str();
-  }
-  // Other layouts: list the syndrome vertex ids below the grid.
-  std::string out = canvas.str();
-  out += "syndromes:";
-  for (int v : syndromes) out += ' ' + std::to_string(v);
-  out += '\n';
-  return out;
+  for (int v : syndrome_vertices(lattice.graph(kind), flips))
+    canvas.put(vertex_coord(lattice, kind, v), '*');
+  return canvas.str();
 }
 
-std::string render_core(const CodeLattice& lattice) {
+std::string render_core(const SurfaceCodeLattice& lattice) {
   const auto partition = lattice.core_partition();
   Canvas canvas(lattice);
   for (int q = 0; q < lattice.num_data_qubits(); ++q)

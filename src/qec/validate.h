@@ -26,8 +26,8 @@ void check_graph_invariants(const DecodingGraph& graph);
 ///   * each logical cut is nonempty, in range, and crossed an odd number
 ///     of times by the representative logical operator;
 ///   * the Core/Support partition counts are consistent with its mask.
-/// Layout-specific counts (d^2 + (d-1)^2 for the unrotated planar code,
-/// d^2 for the rotated code) are asserted by the concrete constructors.
+/// The layout-specific count (d^2 + (d-1)^2 data qubits) is asserted by
+/// the SurfaceCodeLattice constructor.
 void check_lattice_invariants(const CodeLattice& lattice);
 
 }  // namespace surfnet::qec

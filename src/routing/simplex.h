@@ -5,8 +5,8 @@
 // relaxation and rounded, exactly as the paper's evaluation does.
 //
 // The solver maximizes c^T x subject to mixed <= / >= / = constraints and
-// 0 <= x <= u. Unlike the original dense tableau (kept as a reference in
-// routing/dense_simplex.h), the constraint matrix stays compressed-sparse
+// 0 <= x <= u. Unlike the original dense tableau (kept as a test oracle in
+// tests/routing/dense_simplex.h), the constraint matrix stays compressed-sparse
 // end to end: rows are emitted in CSR form by the formulation, transposed
 // once to CSC inside the solver, and the basis is maintained as a
 // product-form (eta-file) factorization with periodic refactorization.

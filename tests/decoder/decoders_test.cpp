@@ -85,6 +85,37 @@ INSTANTIATE_TEST_SUITE_P(Sweep, DecoderLowNoiseTest,
                                                               "MWPM"),
                                             ::testing::Values(3, 5, 7)));
 
+using SingleErrorParam = std::tuple<std::string, int>;
+
+class SingleErrorTest : public ::testing::TestWithParam<SingleErrorParam> {};
+
+TEST_P(SingleErrorTest, EverySingleQubitErrorIsCorrected) {
+  // A distance-d code corrects every error of weight <= (d - 1) / 2, so at
+  // d >= 3 each decoder must undo X, Y and Z on any one data qubit.
+  const auto& [name, d] = GetParam();
+  const auto decoder = make_decoder(name);
+  const SurfaceCodeLattice lattice(d);
+  const auto n = static_cast<std::size_t>(lattice.num_data_qubits());
+  const std::vector<double> prior(n, 0.01);
+  for (std::size_t q = 0; q < n; ++q) {
+    for (const qec::Pauli p : {qec::Pauli::X, qec::Pauli::Y, qec::Pauli::Z}) {
+      qec::ErrorSample sample;
+      sample.error.assign(n, qec::Pauli::I);
+      sample.erased.assign(n, 0);
+      sample.error[q] = p;
+      const auto result = decode_sample(lattice, sample, prior, *decoder);
+      EXPECT_TRUE(result.success())
+          << name << " d=" << d << " qubit " << q << " " << qec::to_string(p);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, SingleErrorTest,
+                         ::testing::Combine(::testing::Values("UnionFind",
+                                                              "SurfNetDecoder",
+                                                              "MWPM"),
+                                            ::testing::Values(3, 4, 5, 7)));
+
 TEST(DecoderScaling, LargerDistanceSuppressesLogicalErrors) {
   // Below threshold, distance 7 must beat distance 3 for every decoder.
   for (const char* name : {"UnionFind", "SurfNetDecoder", "MWPM"}) {

@@ -31,12 +31,12 @@
 
 #include "decoder/code_trial.h"
 #include "decoder/erasure_decoder.h"
-#include "decoder/exhaustive.h"
 #include "decoder/mwpm.h"
 #include "decoder/surfnet_decoder.h"
 #include "decoder/trial_runner.h"
 #include "decoder/union_find.h"
 #include "decoder/workspace.h"
+#include "exhaustive.h"
 #include "qec/code_lattice.h"
 #include "qec/error_model.h"
 #include "qec/logical.h"

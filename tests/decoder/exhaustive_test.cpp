@@ -1,11 +1,11 @@
 // Differential tests against the exact maximum-likelihood decoder
-// (decoder/exhaustive.h). On codes small enough to enumerate (d <= 3) the
-// ML decoder is the accuracy ceiling: no approximate decoder may beat it
-// on matched error streams, and on pure erasure noise the peeling decoder
-// must match it exactly (Delfosse-Zemor). These sweeps run 1000 seeded
-// trials each and are labeled `extended` in CTest.
+// (tests/decoder/exhaustive.h). On codes small enough to enumerate
+// (d <= 3) the ML decoder is the accuracy ceiling: no approximate decoder
+// may beat it on matched error streams, and on pure erasure noise the
+// peeling decoder must match it exactly (Delfosse-Zemor). These sweeps run
+// 1000 seeded trials each and are labeled `extended` in CTest.
 
-#include "decoder/exhaustive.h"
+#include "exhaustive.h"
 
 #include <gtest/gtest.h>
 

@@ -19,7 +19,6 @@
 #include "obs/metrics.h"
 #include "qec/core_support.h"
 #include "qec/lattice.h"
-#include "qec/rotated_lattice.h"
 #include "util/stats.h"
 
 namespace surfnet::decoder {
@@ -219,28 +218,21 @@ void expect_workspace_equivalence(const qec::CodeLattice& lattice,
   }
 }
 
-TEST(WorkspaceEquivalence, UnionFindPlanarAndRotated) {
+TEST(WorkspaceEquivalence, UnionFindPlanar) {
   const UnionFindDecoder decoder;
   const qec::SurfaceCodeLattice planar(7);
-  const qec::RotatedSurfaceCodeLattice rotated(7);
-  const auto noise = [](const qec::CodeLattice& lattice) {
-    return qec::NoiseProfile::uniform(lattice.num_data_qubits(), 0.08, 0.15);
-  };
-  expect_workspace_equivalence(planar, decoder, noise(planar), 11);
-  expect_workspace_equivalence(rotated, decoder, noise(rotated), 12);
+  expect_workspace_equivalence(
+      planar, decoder,
+      qec::NoiseProfile::uniform(planar.num_data_qubits(), 0.08, 0.15), 11);
 }
 
-TEST(WorkspaceEquivalence, SurfNetDecoderPlanarAndRotated) {
+TEST(WorkspaceEquivalence, SurfNetDecoderPlanar) {
   const SurfNetDecoder decoder;
   const qec::SurfaceCodeLattice planar(7);
-  const qec::RotatedSurfaceCodeLattice rotated(7);
   const auto split = qec::make_core_support(planar);
   expect_workspace_equivalence(
       planar, decoder, qec::NoiseProfile::core_support(split, 0.08, 0.15),
       21);
-  expect_workspace_equivalence(
-      rotated, decoder,
-      qec::NoiseProfile::uniform(rotated.num_data_qubits(), 0.08, 0.15), 22);
 }
 
 TEST(WorkspaceEquivalence, ErasureDecoderOnErasureOnlyNoise) {

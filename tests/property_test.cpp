@@ -15,7 +15,6 @@
 #include "decoder/surfnet_decoder.h"
 #include "decoder/union_find.h"
 #include "netsim/faults.h"
-#include "netsim/io.h"
 #include "netsim/recovery.h"
 #include "netsim/simulator.h"
 #include "obs/metrics.h"
@@ -345,27 +344,6 @@ TEST(Property, ReroutesSatisfyTheStructuralInvariants) {
                                                           barriers));
       }
     }
-  });
-}
-
-// P7: topology serialization round-trips exactly for arbitrary generated
-// networks (writer -> reader -> writer is a fixed point).
-TEST(Property, TopologyIoRoundTripsExactly) {
-  proptest::Config config;
-  config.iterations = 80;
-  proptest::check("topology_io_roundtrip", config, [&](util::Rng& rng) {
-    netsim::TopologySpec spec;
-    spec.num_servers = proptest::int_in(rng, 1, 4);
-    spec.num_switches = proptest::int_in(rng, 2, 8);
-    // Leave room for at least a handful of user endpoints.
-    spec.num_nodes = spec.num_servers + spec.num_switches +
-                     proptest::int_in(rng, 4, 16);
-    spec.storage_capacity = proptest::int_in(rng, 1, 100);
-    spec.entanglement_capacity = proptest::int_in(rng, 1, 30);
-    const auto topo = netsim::make_random_topology(spec, rng);
-    const auto text = netsim::topology_to_string(topo);
-    const auto restored = netsim::topology_from_string(text);
-    EXPECT_EQ(netsim::topology_to_string(restored), text);
   });
 }
 

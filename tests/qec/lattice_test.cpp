@@ -5,6 +5,9 @@
 #include <set>
 
 #include "qec/core_support.h"
+#include "qec/logical.h"
+#include "qec/syndrome.h"
+#include "util/rng.h"
 
 namespace surfnet::qec {
 namespace {
@@ -116,6 +119,82 @@ TEST_P(LatticeTest, DataIndexRoundTrip) {
     EXPECT_EQ(lattice.data_index(lattice.data_coord(q)), q);
   EXPECT_EQ(lattice.data_index({0, 1}), -1);  // measurement site
   EXPECT_EQ(lattice.data_index({-1, 0}), -1);
+}
+
+// The Pauli that `kind`'s graph detects: X on the Z-graph, Z on the X-graph.
+Pauli detected_by(GraphKind kind) {
+  return kind == GraphKind::Z ? Pauli::X : Pauli::Z;
+}
+
+GraphKind other(GraphKind kind) {
+  return kind == GraphKind::Z ? GraphKind::X : GraphKind::Z;
+}
+
+/// Multiply `error` by the stabilizer measured at `vertex` of the graph
+/// opposite to `kind`: the data qubits around it, as `kind`'s Pauli.
+void apply_stabilizer(const SurfaceCodeLattice& lattice, GraphKind kind,
+                      int vertex, std::vector<Pauli>& error) {
+  const auto& stabilizers = lattice.graph(other(kind));
+  for (const int e : stabilizers.incident(vertex)) {
+    auto& p = error[static_cast<std::size_t>(
+        stabilizers.edge(static_cast<std::size_t>(e)).data_qubit)];
+    p = p * detected_by(kind);
+  }
+}
+
+TEST_P(LatticeTest, EveryStabilizerHasEmptySyndromeAndNoLogicalFlip) {
+  // The data qubits around a measure-X qubit form an X-stabilizer: as X
+  // errors they close a cycle in the Z-graph, so they light no syndrome and
+  // never cross the logical cut an odd number of times (and likewise each
+  // Z-stabilizer in the X-graph).
+  const int d = GetParam();
+  const SurfaceCodeLattice lattice(d);
+  for (auto kind : {GraphKind::Z, GraphKind::X}) {
+    const auto& stabilizers = lattice.graph(other(kind));
+    for (int v = 0; v < stabilizers.num_real_vertices(); ++v) {
+      std::vector<Pauli> error(
+          static_cast<std::size_t>(lattice.num_data_qubits()), Pauli::I);
+      apply_stabilizer(lattice, kind, v, error);
+      const auto flips = edge_flips(lattice, kind, error);
+      EXPECT_TRUE(syndrome_vertices(lattice.graph(kind), flips).empty())
+          << "d=" << d << " stabilizer " << v;
+      EXPECT_FALSE(logical_flip(lattice, kind, flips))
+          << "d=" << d << " stabilizer " << v;
+    }
+  }
+}
+
+TEST_P(LatticeTest, LogicalFlipIsInvariantUnderStabilizers) {
+  // Every representative of the logical operator (the straight chain times
+  // any product of stabilizers) is invisible to the syndrome and flips the
+  // logical; a product of stabilizers alone never does.
+  const int d = GetParam();
+  const SurfaceCodeLattice lattice(d);
+  util::Rng rng(500 + static_cast<unsigned>(d));
+  for (auto kind : {GraphKind::Z, GraphKind::X}) {
+    const int num_stabilizers =
+        lattice.graph(other(kind)).num_real_vertices();
+    for (int t = 0; t < 25; ++t) {
+      std::vector<Pauli> trivial(
+          static_cast<std::size_t>(lattice.num_data_qubits()), Pauli::I);
+      for (int v = 0; v < num_stabilizers; ++v)
+        if (rng.bernoulli(0.5)) apply_stabilizer(lattice, kind, v, trivial);
+      auto logical = trivial;
+      for (const int q : lattice.logical_operator(kind)) {
+        auto& p = logical[static_cast<std::size_t>(q)];
+        p = p * detected_by(kind);
+      }
+      const auto trivial_flips = edge_flips(lattice, kind, trivial);
+      const auto logical_flips = edge_flips(lattice, kind, logical);
+      EXPECT_TRUE(
+          syndrome_vertices(lattice.graph(kind), logical_flips).empty())
+          << "d=" << d << " t=" << t;
+      EXPECT_FALSE(logical_flip(lattice, kind, trivial_flips))
+          << "d=" << d << " t=" << t;
+      EXPECT_TRUE(logical_flip(lattice, kind, logical_flips))
+          << "d=" << d << " t=" << t;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Distances, LatticeTest,

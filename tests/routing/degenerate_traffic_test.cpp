@@ -1,13 +1,18 @@
-// Degenerate networks on the online path: traffic streams through the
-// IncrementalRouter over a network with no servers, with zero storage,
-// with zero entangled pairs, and split into two components — Raw and
-// dual channel, each with adaptive distance on and off.
+// Degenerate networks — no servers, zero storage, zero entangled pairs,
+// or split into two components — on both routing paths, Raw and dual
+// channel, each with adaptive distance on and off.
 //
-// Whatever the stream does, the books must balance: nothing throws, no
-// NaN reaches a route or a result, every arrival is admitted or blocked,
-// every admitted request departs, the drained tracker equals a fresh
-// one, and the headroom reoptimize() reports is finite, never negative,
-// and back at its pristine value after the drain.
+// Online path: traffic streams through the IncrementalRouter. Whatever
+// the stream does, the books must balance: nothing throws, no NaN reaches
+// a route or a result, every arrival is admitted or blocked, every
+// admitted request departs, the drained tracker equals a fresh one, and
+// the headroom reoptimize() reports is finite, never negative, and back
+// at its pristine value after the drain.
+//
+// Batch path: routing::route() under every strategy returns without
+// throwing, with a finite relaxed optimum and a schedule that satisfies
+// the program's invariants (Eqs. (1)-(6)) under the throwing contract
+// handler.
 
 #include <cmath>
 #include <optional>
@@ -20,6 +25,9 @@
 #include "netsim/workload.h"
 #include "../proptest.h"
 #include "routing/incremental.h"
+#include "routing/router.h"
+#include "routing/validate.h"
+#include "util/contracts.h"
 #include "util/rng.h"
 
 namespace surfnet::routing {
@@ -65,12 +73,25 @@ class CheckedProvider final : public netsim::RouteProvider {
 
 enum class Degenerate { NoServers, ZeroStorage, ZeroPairs, TwoComponents };
 
+constexpr Degenerate kDegenerate[] = {
+    Degenerate::NoServers, Degenerate::ZeroStorage, Degenerate::ZeroPairs,
+    Degenerate::TwoComponents};
+
 const char* name_of(Degenerate kind) {
   switch (kind) {
     case Degenerate::NoServers: return "no servers";
     case Degenerate::ZeroStorage: return "zero storage";
     case Degenerate::ZeroPairs: return "zero pairs";
     case Degenerate::TwoComponents: return "two components";
+  }
+  return "?";
+}
+
+const char* name_of(RouteStrategy strategy) {
+  switch (strategy) {
+    case RouteStrategy::Auto: return "auto";
+    case RouteStrategy::Lp: return "lp";
+    case RouteStrategy::Greedy: return "greedy";
   }
   return "?";
 }
@@ -126,9 +147,7 @@ TEST(DegenerateTraffic, StreamsBalanceOnDegenerateNetworks) {
     }
     const std::uint64_t stream_seed = rng();
 
-    for (const Degenerate kind :
-         {Degenerate::NoServers, Degenerate::ZeroStorage,
-          Degenerate::ZeroPairs, Degenerate::TwoComponents}) {
+    for (const Degenerate kind : kDegenerate) {
       const Topology topology = degenerate_topology(kind, rng);
       for (const bool dual : {false, true})
         for (const bool adaptive : {false, true}) {
@@ -167,6 +186,42 @@ TEST(DegenerateTraffic, StreamsBalanceOnDegenerateNetworks) {
           EXPECT_EQ(router.reoptimize(), pristine);
           if (::testing::Test::HasFailure()) return;
         }
+    }
+  });
+}
+
+TEST(DegenerateTraffic, RouteIsSoundOnDegenerateNetworks) {
+  util::ScopedContractHandler scoped(util::throw_contract_violation);
+  proptest::check("degenerate_route", {60}, [](util::Rng& rng) {
+    for (const Degenerate kind : kDegenerate) {
+      const Topology topology = degenerate_topology(kind, rng);
+      const auto requests = netsim::random_requests(
+          topology, proptest::int_in(rng, 0, 8), proptest::int_in(rng, 1, 3),
+          rng);
+      const std::uint64_t route_seed = rng();
+      for (const RouteStrategy strategy :
+           {RouteStrategy::Auto, RouteStrategy::Lp, RouteStrategy::Greedy})
+        for (const bool dual : {false, true})
+          for (const bool adaptive : {false, true}) {
+            SCOPED_TRACE(std::string(name_of(kind)) + ", " +
+                         name_of(strategy) +
+                         (dual ? ", dual channel" : ", raw") +
+                         (adaptive ? ", adaptive" : ", fixed distance") +
+                         ", " + std::to_string(requests.size()) +
+                         " requests");
+            RoutingParams params;
+            params.dual_channel = dual;
+            params.adaptive_code_distance = adaptive;
+            util::Rng route_rng(route_seed);
+            RouteResult result;
+            ASSERT_NO_THROW(result = route(topology, requests, params,
+                                           route_rng, RouteOptions{strategy}));
+            EXPECT_TRUE(std::isfinite(result.lp_objective));
+            EXPECT_NO_THROW(check_schedule_invariants(topology, requests,
+                                                      params,
+                                                      result.schedule));
+            if (::testing::Test::HasFailure()) return;
+          }
     }
   });
 }

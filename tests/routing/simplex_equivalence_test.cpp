@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
+#include "dense_simplex.h"
 #include "netsim/schedule.h"
 #include "netsim/topology.h"
-#include "routing/dense_simplex.h"
 #include "routing/formulation.h"
 #include "routing/simplex.h"
 #include "util/rng.h"

@@ -1,8 +1,8 @@
 // LP property campaign: the sparse revised simplex against the dense
-// tableau oracle (routing/dense_simplex.h) on random LpProblems, across
-// every way a solve can start — cold (all-slack basis), warm (the basis a
-// previous solve left, repaired by the dual phase) and crash (a basis
-// built by crash_state from a caller's hint).
+// tableau oracle (tests/routing/dense_simplex.h) on random LpProblems,
+// across every way a solve can start — cold (all-slack basis), warm (the
+// basis a previous solve left, repaired by the dual phase) and crash (a
+// basis built by crash_state from a caller's hint).
 //
 // Problems mix <=, >= and = rows, finite, infinite and fixed (u = 0)
 // bounds, empty rows, duplicate rows, duplicate terms and zero right-hand
@@ -24,9 +24,9 @@
 #include <gtest/gtest.h>
 
 #include "../proptest.h"
+#include "dense_simplex.h"
 #include "netsim/schedule.h"
 #include "netsim/topology.h"
-#include "routing/dense_simplex.h"
 #include "routing/formulation.h"
 #include "routing/simplex.h"
 #include "util/rng.h"

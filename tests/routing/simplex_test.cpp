@@ -6,7 +6,7 @@
 #include <utility>
 #include <vector>
 
-#include "routing/dense_simplex.h"
+#include "dense_simplex.h"
 #include "routing/validate.h"
 #include "util/rng.h"
 
