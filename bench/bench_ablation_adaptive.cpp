@@ -235,7 +235,7 @@ TrafficRow run_traffic_cell(const Scenario& scenario, const Policy& policy,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::ArgParser args("ablation_adaptive", argc, argv);
+  bench::ArgParser args("ablation_adaptive", argc, argv, {.json = true});
   const int trials = args.resolve_trials(150, 1080);
 
   // Tier 1: batch-greedy study on random topologies (text mode only — its

@@ -64,7 +64,7 @@ double blind_error_rate(const qec::SurfaceCodeLattice& lattice,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::ArgParser args("ablation_core", argc, argv);
+  bench::ArgParser args("ablation_core", argc, argv, {});
   const int trials = args.resolve_trials(6000, 40000);
   const int distance = 13;
   const double pauli = 0.07, erasure = 0.15;

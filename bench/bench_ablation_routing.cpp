@@ -30,7 +30,7 @@
 #include "decoder/surfnet_decoder.h"
 #include "netsim/simulator.h"
 #include "routing/greedy.h"
-#include "routing/lp_router.h"
+#include "routing/router.h"
 #include "util/table.h"
 
 namespace {
@@ -87,7 +87,7 @@ ScalingRow run_scaling_point(int grid, int num_requests, std::uint64_t seed) {
   row.sparse_iterations = sparse.iterations;
   row.objective = sparse.objective;
 
-  // Residual problem: the shape of the re-solve route_lp performs after
+  // Residual problem: the shape of the re-solve route() performs after
   // rounding — request limits and capacities tightened, structure intact.
   for (int k = 0; k < formulation.num_requests(); ++k)
     formulation.set_request_limit(
@@ -112,7 +112,7 @@ ScalingRow run_scaling_point(int grid, int num_requests, std::uint64_t seed) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::ArgParser args("ablation_routing", argc, argv);
+  bench::ArgParser args("ablation_routing", argc, argv, {.json = true});
 
   // --- LP scaling sweep (always computed: it is the --json payload). ---
   std::vector<ScalingRow> scaling;
@@ -167,7 +167,7 @@ int main(int argc, char** argv) {
             topology, num_requests, base.max_codes_per_request, rng);
         const auto schedule =
             centralized
-                ? routing::route_lp(topology, requests, base.routing, rng)
+                ? routing::route(topology, requests, base.routing, rng)
                       .schedule
                 : routing::route_greedy(topology, requests, base.routing,
                                         rng);

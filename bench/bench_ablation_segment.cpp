@@ -18,7 +18,7 @@
 int main(int argc, char** argv) {
   using namespace surfnet;
 
-  bench::ArgParser args("ablation_segment", argc, argv);
+  bench::ArgParser args("ablation_segment", argc, argv, {});
   const int trials = args.resolve_trials(150, 1080);
   std::printf("Ablation: opportunistic segment length — %d trials per "
               "point, seed %llu\n\n",

@@ -17,7 +17,7 @@
 int main(int argc, char** argv) {
   using namespace surfnet;
 
-  bench::ArgParser args("ablation_step", argc, argv);
+  bench::ArgParser args("ablation_step", argc, argv, {});
   const int trials = args.resolve_trials(6000, 40000);
   const int distance = 13;
   std::printf("Ablation: SurfNet Decoder step size r — distance %d, "

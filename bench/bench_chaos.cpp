@@ -76,7 +76,7 @@ struct ChaosRow {
 int main(int argc, char** argv) {
   using namespace surfnet;
 
-  bench::ArgParser args("chaos", argc, argv);
+  bench::ArgParser args("chaos", argc, argv, {.json = true});
   const int trials = args.resolve_trials(60, 500);
   if (!args.json())
     std::printf("Chaos campaigns: correlated cuts, source degradation, node "

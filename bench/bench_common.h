@@ -13,12 +13,20 @@
 // the bench's sink() then carries a live metrics registry and/or JSONL
 // trace writer (see src/obs/) that the engines under test report into.
 //
-// Machine-readable output (--json) uses one shared envelope across all
-// benches, so saved outputs can be compared generically
-// (scripts/bench_compare.py) and validated (--validate):
+// Every bench prints a text table. Each one declares which other output
+// formats it prints (--csv, --json); ArgParser refuses the flag of any
+// format the bench does not declare. Machine-readable output (--json)
+// uses one shared envelope across the benches that print it, so saved
+// outputs can be compared generically (scripts/bench_compare.py) and
+// validated (--validate):
 //   {"bench": "<name>", "schema_version": 1, "results": [<records>...]}
 // where each record is a flat JSON object whose keys are stable per bench.
+//
+// Numbers parse as a whole token (util/parse.h, shared with surfnet_cli);
+// a bad or missing value exits 2 with one line on stderr that names the
+// flag.
 
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -30,49 +38,71 @@
 
 #include "obs/session.h"
 #include "obs/sink.h"
+#include "util/parse.h"
 
 namespace surfnet::bench {
 
 /// Version of the shared --json envelope (bumped on breaking changes).
 inline constexpr int kJsonSchemaVersion = 1;
 
+/// Output formats a bench prints besides its text table.
+struct Formats {
+  bool csv = false;   ///< --csv: the tables as CSV
+  bool json = false;  ///< --json: the shared envelope
+};
+
 /// Command-line front end shared by every bench binary: parses the common
 /// flag set, owns the observability session, and prints the shared JSON
 /// envelope. Construction parses (and exits on --help or a bad flag).
 class ArgParser {
  public:
-  ArgParser(std::string bench_name, int argc, char** argv)
-      : bench_(std::move(bench_name)) {
+  ArgParser(std::string bench_name, int argc, char** argv, Formats formats)
+      : bench_(std::move(bench_name)), formats_(formats) {
     std::string metrics_out;
     std::string trace_out;
     for (int i = 1; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--trials") == 0 && i + 1 < argc) {
-        trials_ = std::atoi(argv[++i]);
-      } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-        seed_ = std::strtoull(argv[++i], nullptr, 10);
-      } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-        threads_ = std::atoi(argv[++i]);
+      const char* flag = argv[i];
+      const auto is = [&](const char* name) {
+        return std::strcmp(flag, name) == 0;
+      };
+      const auto value = [&]() -> const char* {
+        if (i + 1 >= argc) fail(std::string(flag) + " needs a value");
+        return argv[++i];
+      };
+      const auto require_declared = [&](bool declared) {
+        if (!declared)
+          fail(std::string(flag) + " unsupported: this bench prints " +
+               printed_formats());
+      };
+      if (is("--trials")) {
+        trials_ = parse_int(flag, value(), 0, "an integer >= 0");
+      } else if (is("--seed")) {
+        const char* v = value();
+        if (!util::parse_whole(v, seed_))
+          reject(flag, "an unsigned 64-bit integer", v);
+      } else if (is("--threads")) {
+        threads_ = parse_int(flag, value(), INT_MIN, "an integer");
         if (threads_ <= 0) {
           const unsigned hw = std::thread::hardware_concurrency();
           threads_ = hw > 0 ? static_cast<int>(hw) : 1;
         }
-      } else if (std::strcmp(argv[i], "--metrics-out") == 0 && i + 1 < argc) {
-        metrics_out = argv[++i];
-      } else if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc) {
-        trace_out = argv[++i];
-      } else if (std::strcmp(argv[i], "--full") == 0) {
+      } else if (is("--metrics-out")) {
+        metrics_out = value();
+      } else if (is("--trace-out")) {
+        trace_out = value();
+      } else if (is("--full")) {
         full_ = true;
-      } else if (std::strcmp(argv[i], "--csv") == 0) {
+      } else if (is("--csv")) {
+        require_declared(formats_.csv);
         csv_ = true;
-      } else if (std::strcmp(argv[i], "--json") == 0) {
+      } else if (is("--json")) {
+        require_declared(formats_.json);
         json_ = true;
-      } else if (std::strcmp(argv[i], "--help") == 0) {
+      } else if (is("--help")) {
         print_usage(argv[0]);
         std::exit(0);
       } else {
-        std::fprintf(stderr, "%s: unknown argument '%s' (try --help)\n",
-                     bench_.c_str(), argv[i]);
-        std::exit(2);
+        fail(std::string("unknown argument '") + flag + "' (try --help)");
       }
     }
     session_ = std::make_unique<obs::FileSession>(metrics_out, trace_out);
@@ -112,25 +142,59 @@ class ArgParser {
   }
 
  private:
+  /// Print one line naming the bench and exit 2.
+  [[noreturn]] void fail(const std::string& message) const {
+    std::fprintf(stderr, "%s: %s\n", bench_.c_str(), message.c_str());
+    std::exit(2);
+  }
+
+  [[noreturn]] void reject(const char* flag, const char* expected,
+                           const char* value) const {
+    fail(std::string(flag) + " expects " + expected + ", got '" + value +
+         "'");
+  }
+
+  int parse_int(const char* flag, const char* text, int min,
+                const char* expected) const {
+    int value = 0;
+    if (!util::parse_whole(text, value) || value < min)
+      reject(flag, expected, text);
+    return value;
+  }
+
+  /// The formats this bench prints, as usage text ("text, --csv").
+  std::string printed_formats() const {
+    std::string out = "text";
+    if (formats_.csv) out += ", --csv";
+    if (formats_.json) out += ", --json";
+    return out;
+  }
+
   void print_usage(const char* argv0) const {
     std::printf(
-        "usage: %s [--trials N] [--seed S] [--threads T] [--full] [--csv] "
-        "[--json] [--metrics-out FILE] [--trace-out FILE]\n"
+        "usage: %s [--trials N] [--seed S] [--threads T] [--full]%s%s "
+        "[--metrics-out FILE] [--trace-out FILE]\n"
         "  --trials N         Monte-Carlo trials per point (0 = bench "
         "default)\n"
         "  --seed S           base seed; results are thread-count invariant\n"
-        "  --threads T        worker threads for trial fan-out; 0 = all\n"
+        "  --threads T        worker threads for trial fan-out; 0 or less = "
+        "all\n"
         "                     hardware threads\n"
         "  --full             paper-scale trial budget\n"
-        "  --csv              CSV tables (benches that support it)\n"
-        "  --json             machine-readable envelope output\n"
+        "%s%s"
         "  --metrics-out FILE write the metrics JSON document ('-' = "
         "stdout)\n"
         "  --trace-out FILE   stream the JSONL event trace ('-' = stdout)\n",
-        argv0);
+        argv0, formats_.csv ? " [--csv]" : "",
+        formats_.json ? " [--json]" : "",
+        formats_.csv ? "  --csv              CSV tables\n" : "",
+        formats_.json ? "  --json             machine-readable envelope "
+                        "output\n"
+                      : "");
   }
 
   std::string bench_;
+  Formats formats_;
   int trials_ = 0;  ///< 0 = use the bench's default
   std::uint64_t seed_ = 20240607;
   bool full_ = false;

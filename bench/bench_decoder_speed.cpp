@@ -102,7 +102,7 @@ struct SpeedRow {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::ArgParser args("decoder_speed", argc, argv);
+  bench::ArgParser args("decoder_speed", argc, argv, {.json = true});
   const int trials = args.resolve_trials(2000, 20000);
   if (!args.json())
     std::printf("Decoder speed — %d decodes per point, seed %llu, "

@@ -150,7 +150,7 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  bench::ArgParser args("event_core", argc, argv);
+  bench::ArgParser args("event_core", argc, argv, {.json = true});
   const int trials = args.resolve_trials(3, 10);
   const decoder::SurfNetDecoder dec;
 

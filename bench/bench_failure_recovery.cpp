@@ -17,7 +17,7 @@
 int main(int argc, char** argv) {
   using namespace surfnet;
 
-  bench::ArgParser args("failure_recovery", argc, argv);
+  bench::ArgParser args("failure_recovery", argc, argv, {});
   const int trials = args.resolve_trials(150, 1080);
   std::printf("Failure injection: fiber crashes and local recovery paths — "
               "%d trials per point, seed %llu\n\n",
@@ -30,8 +30,7 @@ int main(int argc, char** argv) {
       if (rate == 0.0 && !recovery) continue;  // identical to the on case
       auto params = core::make_scenario(core::FacilityLevel::Abundant,
                                         core::ConnectionQuality::Good);
-      params.simulation.faults =
-          netsim::FaultPlanBuilder().fiber_noise(rate, 30).build();
+      params.simulation.faults = netsim::FaultPlan::fiber_noise(rate, 30);
       params.simulation.recovery.local_reroute = recovery;
 
       util::RunningStat fidelity, latency, delivered;

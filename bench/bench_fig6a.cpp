@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   using core::FacilityLevel;
   using core::NetworkDesign;
 
-  bench::ArgParser args("fig6a", argc, argv);
+  bench::ArgParser args("fig6a", argc, argv, {.csv = true, .json = true});
   const int trials = args.resolve_trials(120, 1080);
   if (!args.json())
     std::printf(

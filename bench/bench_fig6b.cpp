@@ -32,7 +32,7 @@ void run_series(const char* title, util::Table& table,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::ArgParser args("fig6b", argc, argv);
+  bench::ArgParser args("fig6b", argc, argv, {.csv = true});
   const int trials = args.resolve_trials(120, 1080);
   std::printf("Fig. 6(b): SurfNet parameter sensitivity — %d trials per "
               "point, seed %llu\n\n",

@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
   using core::FacilityLevel;
   using core::NetworkDesign;
 
-  bench::ArgParser args("fig7", argc, argv);
+  bench::ArgParser args("fig7", argc, argv, {.csv = true});
   const int trials = args.resolve_trials(120, 1080);
   std::printf("Fig. 7: averaged communication fidelity of five designs — "
               "%d trials per cell, seed %llu\n\n",

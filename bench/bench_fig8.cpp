@@ -23,7 +23,7 @@
 int main(int argc, char** argv) {
   using namespace surfnet;
 
-  bench::ArgParser args("fig8", argc, argv);
+  bench::ArgParser args("fig8", argc, argv, {.csv = true});
   const int trials = args.resolve_trials(4000, 40000);
   std::printf("Fig. 8: decoder thresholds — %d trials per point, seed "
               "%llu, %d thread(s)\n\n",

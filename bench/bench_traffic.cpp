@@ -9,7 +9,7 @@
 // capacity tracker, and the headroom probe reads the tracker.
 //
 // The second section measures the warm restarts of the batch LP router:
-// route_lp threads one simplex basis through its rounding re-solves,
+// route() threads one simplex basis through its rounding re-solves,
 // each of which changes request limits and capacities but not the
 // formulation's shape. For each delta size (requests per re-solve) it
 // solves the identical routing LP cold (fresh basis every call) and warm
@@ -102,7 +102,7 @@ TrafficRow run_cell(const TrafficCell& cell, std::uint64_t seed,
   scenario.workload.horizon_slots =
       static_cast<int>(cell.requests / cell.rate) * 4 + 100000;
   scenario.workload.warmup_slots = 500;
-  scenario.workload.admission.max_active_codes = cell.max_active_codes;
+  scenario.workload.max_active_codes = cell.max_active_codes;
 
   TrafficRow row;
   row.cell = cell;
@@ -128,7 +128,7 @@ struct WarmRow {
 };
 
 /// One re-solve step at delta size d: toggle one request's admitted
-/// limit (a shape-stable bound mutation, like route_lp's residual
+/// limit (a shape-stable bound mutation, like route()'s residual
 /// re-solves) and re-solve the d-commodity formulation. The cold pass
 /// solves every step from a fresh basis, the warm pass carries the basis
 /// across steps — both see the identical mutation sequence.
@@ -162,7 +162,7 @@ WarmRow run_delta(int delta, std::uint64_t seed, int reps) {
     row.cold_ms = ms_since(begin) / reps;
   }
 
-  // Warm: the basis carries across re-solves, as route_lp carries it.
+  // Warm: the basis carries across re-solves, as route() carries it.
   {
     routing::RoutingFormulation formulation(topology, requests, params);
     routing::SimplexState state;
@@ -185,7 +185,7 @@ WarmRow run_delta(int delta, std::uint64_t seed, int reps) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::ArgParser args("traffic", argc, argv);
+  bench::ArgParser args("traffic", argc, argv, {.json = true});
   const int reps = args.resolve_trials(5, 20);
 
   if (!args.json())

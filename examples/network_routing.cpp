@@ -40,9 +40,8 @@ int main(int argc, char** argv) {
     std::printf("request %zu: user %d -> user %d, %d surface code(s)\n", k,
                 requests[k].src, requests[k].dst, requests[k].codes);
 
-  const auto routed = routing::route(
-      topology, requests, params.routing, rng,
-      routing::RouteOptions{routing::RouteStrategy::Lp});
+  const auto routed =
+      routing::route(topology, requests, params.routing, rng);
   std::printf("\nLP relaxation objective (upper bound on executed codes): "
               "%.2f\n", routed.lp_objective);
   std::printf("scheduled %d of %d requested codes (throughput %.2f)\n\n",

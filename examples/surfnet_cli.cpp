@@ -11,9 +11,9 @@
 //                        [--routes]         (emits Graphviz DOT on stdout)
 //
 // Every value is checked here, before any work starts: numbers must parse
-// as a whole token, D >= 2, N >= 0, P and E in [0, 1], and names must be
-// one of those listed above. Anything else exits 2 with one line on
-// stderr that names the flag.
+// as a whole token, D in [2, 255], N >= 0, P and E in [0, 1], and names
+// must be one of those listed above. Anything else exits 2 with one line
+// on stderr that names the flag.
 //
 // Observability (decode and trial): --metrics-out FILE writes the metrics
 // JSON document, --trace-out FILE streams the JSONL event trace ("-" =
@@ -22,7 +22,6 @@
 // report engine counters and timers into the metrics document.
 
 #include <algorithm>
-#include <charconv>
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
@@ -30,7 +29,6 @@
 #include <iostream>
 #include <memory>
 #include <string>
-#include <system_error>
 
 #include "core/surfnet.h"
 #include "decoder/code_trial.h"
@@ -44,6 +42,7 @@
 #include "qec/lattice.h"
 #include "qec/render.h"
 #include "routing/router.h"
+#include "util/parse.h"
 #include "util/rng.h"
 
 namespace {
@@ -106,26 +105,22 @@ struct Args {
   std::exit(2);
 }
 
-/// `text` parsed as a whole token by std::from_chars, so a leading '+' or
-/// space and any trailing character fail ("+5", " 5", "5x").
-template <typename T>
-bool parse_whole(const char* text, T& out) {
-  const char* end = text + std::strlen(text);
-  const auto [ptr, ec] = std::from_chars(text, end, out);
-  return ec == std::errc() && ptr == end;
-}
+/// The largest --distance: far above any distance the repository runs, and
+/// its lattice takes about a megabyte.
+constexpr int kMaxCliDistance = 255;
 
-int parse_int(const char* flag, const char* text, int min,
+int parse_int(const char* flag, const char* text, int min, int max,
               const char* expected) {
   int value = 0;
-  if (!parse_whole(text, value) || value < min) reject(flag, expected, text);
+  if (!util::parse_whole(text, value) || value < min || value > max)
+    reject(flag, expected, text);
   return value;
 }
 
 double parse_rate(const char* flag, const char* text) {
   double value = 0.0;
   // Written so that NaN fails the range test.
-  if (!parse_whole(text, value) || !(value >= 0.0 && value <= 1.0))
+  if (!util::parse_whole(text, value) || !(value >= 0.0 && value <= 1.0))
     reject(flag, "a rate in [0, 1]", text);
   return value;
 }
@@ -162,7 +157,8 @@ Args parse(int argc, char** argv) {
       return argv[++i];
     };
     if (is("--distance"))
-      args.distance = parse_int(flag, value(), 2, "an integer >= 2");
+      args.distance = parse_int(flag, value(), 2, kMaxCliDistance,
+                                "an integer in [2, 255]");
     else if (is("--pauli")) args.pauli = parse_rate(flag, value());
     else if (is("--erasure")) args.erasure = parse_rate(flag, value());
     else if (is("--decoder"))
@@ -172,13 +168,13 @@ Args parse(int argc, char** argv) {
     else if (is("--fibers")) args.fibers = parse_name(flag, value(), kFibers);
     else if (is("--design")) args.design = parse_name(flag, value(), kDesigns);
     else if (is("--trials"))
-      args.trials = parse_int(flag, value(), 0, "an integer >= 0");
+      args.trials = parse_int(flag, value(), 0, INT_MAX, "an integer >= 0");
     else if (is("--seed")) {
       const char* v = value();
-      if (!parse_whole(v, args.seed))
+      if (!util::parse_whole(v, args.seed))
         reject(flag, "an unsigned 64-bit integer", v);
     } else if (is("--threads"))
-      args.threads = parse_int(flag, value(), INT_MIN, "an integer");
+      args.threads = parse_int(flag, value(), INT_MIN, INT_MAX, "an integer");
     else if (is("--metrics-out")) args.metrics_out = value();
     else if (is("--trace-out")) args.trace_out = value();
     else if (is("--draw")) args.draw = true;
@@ -261,9 +257,8 @@ int run_topology(const Args& args) {
   }
   const auto requests = netsim::random_requests(
       topology, params.num_requests, params.max_codes_per_request, rng);
-  const auto routed = routing::route(
-      topology, requests, params.routing, rng,
-      routing::RouteOptions{routing::RouteStrategy::Lp});
+  const auto routed =
+      routing::route(topology, requests, params.routing, rng);
   std::cout << netsim::to_dot(topology, routed.schedule);
   return 0;
 }

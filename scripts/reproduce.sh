@@ -4,6 +4,10 @@
 #   scripts/reproduce.sh            # default Monte-Carlo budgets (~15 min)
 #   scripts/reproduce.sh --full     # paper-scale budgets (hours)
 #
+# Extra arguments go to every bench but bench_decoder_speed, so pass only
+# flags every bench accepts (--full, --seed S, --trials N, --threads T);
+# a bench exits 2 on an output format it does not print (--csv, --json).
+#
 # Output lands in reproduction/: one text file per bench, plus the ctest
 # log. Compare against EXPERIMENTS.md.
 
@@ -18,7 +22,8 @@ cmake -B build -G Ninja
 cmake --build build
 ctest --test-dir build 2>&1 | tee "$OUT/ctest.txt"
 
-for bench in build/bench/*; do
+for bench in build/bench/bench_*; do
+  [[ -f "$bench" && -x "$bench" ]] || continue
   name=$(basename "$bench")
   echo "== $name =="
   if [[ "$name" == "bench_decoder_speed" ]]; then

@@ -16,7 +16,7 @@ import run_clang_tidy  # noqa: E402
 FIXTURE = {
     "src/routing/simplex.h": "",
     "src/routing/simplex.cpp": '#include "routing/simplex.h"\n',
-    "src/routing/lp_router.cpp": '#include "routing/simplex.h"\n',
+    "src/routing/router.cpp": '#include "routing/simplex.h"\n',
     "tests/proptest.h": "",
     "tests/routing/dense_simplex.h": '#include "routing/simplex.h"\n',
     "tests/routing/dense_simplex.cpp": '#include "dense_simplex.h"\n',
@@ -55,7 +55,7 @@ class ExpandHeadersTest(unittest.TestCase):
     def test_library_header_maps_through_src_root(self):
         self.assertEqual(self.expand("src/routing/simplex.h"),
                          {"src/routing/simplex.cpp",
-                          "src/routing/lp_router.cpp"})
+                          "src/routing/router.cpp"})
 
     def test_test_header_maps_through_its_directory(self):
         self.assertEqual(self.expand("tests/routing/dense_simplex.h"),

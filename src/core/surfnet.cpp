@@ -101,8 +101,8 @@ TrialMetrics run_trial(const ScenarioParams& params, NetworkDesign design,
       routing::RoutingParams routing = params.routing;
       routing.dual_channel = design == NetworkDesign::SurfNet;
       routing.sink = sink;
-      // The facade's Auto strategy owns the LP-with-greedy-fallback seam
-      // (and the "route.greedy_fallbacks" counter) that used to live here.
+      // route() falls back to the greedy scheduler when the LP has no
+      // optimum, and counts it as "route.greedy_fallbacks".
       auto routed = routing::route(topology, requests, routing, rng);
       schedule = std::move(routed.schedule);
       break;
@@ -115,7 +115,6 @@ TrialMetrics run_trial(const ScenarioParams& params, NetworkDesign design,
       // All designs share the same per-fiber pair budget; a message costs
       // (1 + N) pairs per hop here versus n Core qubits per hop in
       // SurfNet, which keeps throughput comparable (Fig. 7 methodology).
-      purification.budget_scale = 1.0;
       schedule =
           routing::route_purification(topology, requests, purification, rng);
       break;
@@ -217,7 +216,6 @@ TrafficScenario make_traffic_scenario(FacilityLevel level,
   scenario.topology = batch.topology;
   scenario.routing = batch.routing;
   scenario.routing.dual_channel = true;
-  scenario.workload.process = netsim::ArrivalProcess::Poisson;
   scenario.workload.arrival_rate = 0.25;
   scenario.workload.horizon_slots = 2000;
   scenario.workload.warmup_slots = 200;

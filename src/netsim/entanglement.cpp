@@ -17,37 +17,4 @@ double purified_fidelity(double base, int extra_pairs) {
   return rho;
 }
 
-double swapped_fidelity(const std::vector<double>& link_fidelities) {
-  double rho = 1.0;
-  for (double f : link_fidelities) rho *= f;
-  return rho;
-}
-
-EntanglementPool::EntanglementPool(int num_fibers, double generation_rate,
-                                   int capacity)
-    : pairs_(static_cast<std::size_t>(num_fibers), 0),
-      rate_(generation_rate),
-      capacity_(capacity) {
-  if (num_fibers < 0) throw std::invalid_argument("negative fiber count");
-  if (generation_rate < 0.0 || generation_rate > 1.0)
-    throw std::invalid_argument("generation rate outside [0, 1]");
-  if (capacity < 0) throw std::invalid_argument("negative capacity");
-}
-
-void EntanglementPool::tick(util::Rng& rng) {
-  for (auto& count : pairs_)
-    if (count < capacity_ && rng.bernoulli(rate_)) ++count;
-}
-
-bool EntanglementPool::consume(int fiber, int count) {
-  auto& available = pairs_[static_cast<std::size_t>(fiber)];
-  if (available < count) return false;
-  available -= count;
-  return true;
-}
-
-void EntanglementPool::fill() {
-  for (auto& count : pairs_) count = capacity_;
-}
-
 }  // namespace surfnet::netsim

@@ -1,12 +1,9 @@
 #pragma once
 
-// Entanglement substrate (paper Sec. IV-B / V): probabilistic pair
-// generation at switches, entanglement swapping along a path, and the
-// recurrence purification protocol used to raise pair fidelity.
-
-#include <vector>
-
-#include "util/rng.h"
+// Entanglement purification (paper Sec. IV-C): the recurrence protocol the
+// purification designs use to raise pair fidelity. The simulator keeps its
+// per-fiber pair pools itself (detail::EntanglementRates in
+// netsim/sim_internal.h, LazyPools in netsim/event_simulator.cpp).
 
 namespace surfnet::netsim {
 
@@ -19,40 +16,5 @@ double purify(double rho1, double rho2);
 /// fidelity in successive purification rounds (the paper's Purification
 /// N = 1, 2, 9 benchmarks use extra_pairs = N).
 double purified_fidelity(double base, int extra_pairs);
-
-/// Fidelity of the end-to-end pair obtained by swapping a chain of link
-/// pairs: the no-error probabilities multiply.
-double swapped_fidelity(const std::vector<double>& link_fidelities);
-
-/// Per-fiber inventory of prepared entangled pairs. Switches run a routine
-/// that generates pairs probabilistically each time slot; teleporting a
-/// qubit across a fiber consumes one pair.
-class EntanglementPool {
- public:
-  /// `generation_rate` is the per-slot probability that a fiber's routine
-  /// produces one new pair; `capacity` caps the stored pairs per fiber.
-  EntanglementPool(int num_fibers, double generation_rate, int capacity);
-
-  /// Advance one time slot: every fiber independently generates.
-  void tick(util::Rng& rng);
-
-  int available(int fiber) const {
-    return pairs_[static_cast<std::size_t>(fiber)];
-  }
-
-  /// Consume `count` pairs on a fiber; returns false (and consumes nothing)
-  /// when fewer are available.
-  bool consume(int fiber, int count);
-
-  /// Pre-fill every fiber to its capacity (offline-scheduling snapshots).
-  void fill();
-
-  double generation_rate() const { return rate_; }
-
- private:
-  std::vector<int> pairs_;
-  double rate_;
-  int capacity_;
-};
 
 }  // namespace surfnet::netsim

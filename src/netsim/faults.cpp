@@ -152,9 +152,7 @@ void FaultInjector::begin_slot(int slot, util::Rng& rng,
 
   const StochasticFaults& s = plan_.stochastic;
 
-  // Independent per-fiber cuts. The loop shape (one Bernoulli draw per
-  // *live* fiber) matches the legacy fiber_failure_rate path exactly, so
-  // plans built by FaultPlan::fiber_noise replay pre-plan runs bitwise.
+  // Independent per-fiber cuts: one Bernoulli draw per *live* fiber.
   if (s.fiber_cut_rate > 0.0) {
     for (int e = 0; e < topology_->num_fibers(); ++e)
       if (!fiber_down(e, slot) && rng.bernoulli(s.fiber_cut_rate))

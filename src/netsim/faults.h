@@ -23,11 +23,9 @@
 //                                 stall network-wide for the window.
 //
 // The stochastic processes reproduce — and extend — the paper's Sec. V-B
-// failure model. With only `fiber_cut_rate` set, the injector draws the
-// exact same random-variate sequence as the retired
-// SimulationParams::fiber_failure_rate path, which is how
-// FaultPlanBuilder::fiber_noise keeps pre-plan configurations
-// bitwise-identical.
+// failure model: FaultPlan::fiber_noise is that model, independent
+// per-fiber cuts. Other plans set FaultPlan::scripted and
+// FaultPlan::stochastic directly.
 
 #include <cstdint>
 #include <string_view>
@@ -62,8 +60,8 @@ struct FaultEvent {
 /// entirely — it then consumes no random variates, which preserves the
 /// RNG sequence of runs that never used it.
 struct StochasticFaults {
-  /// Independent per-fiber cuts — the legacy Sec. V-B model: every live
-  /// fiber crashes with this probability each slot.
+  /// Independent per-fiber cuts — the Sec. V-B model: every live fiber
+  /// crashes with this probability each slot.
   double fiber_cut_rate = 0.0;
   int fiber_cut_duration = 20;
 
@@ -107,65 +105,9 @@ struct FaultPlan {
 
   bool empty() const { return scripted.empty() && !stochastic.any(); }
 
-  /// The legacy SimulationParams failure model as a plan: independent
-  /// per-fiber cuts at `rate` lasting `duration` slots.
+  /// The paper's Sec. V-B failure model as a plan: independent per-fiber
+  /// cuts at `rate` lasting `duration` slots.
   static FaultPlan fiber_noise(double rate, int duration);
-};
-
-/// Fluent builder assembling the one canonical FaultPlan a simulation
-/// carries. This is the single entry point for fault configuration since
-/// the retirement of the SimulationParams fiber_failure_rate/_duration
-/// knobs: `FaultPlanBuilder().fiber_noise(rate, duration).build()` maps an
-/// old configuration onto a plan whose injector draws the exact
-/// random-variate sequence of the pre-plan simulator, so historical runs
-/// replay bitwise through the builder (pinned by faults_test's golden
-/// equivalence test).
-class FaultPlanBuilder {
- public:
-  /// Pin one scripted fault to an exact slot.
-  FaultPlanBuilder& scripted(const FaultEvent& event) {
-    plan_.scripted.push_back(event);
-    return *this;
-  }
-  /// Independent per-fiber cuts — the legacy Sec. V-B model and the
-  /// bitwise image of the retired fiber_failure_rate/_duration knobs.
-  FaultPlanBuilder& fiber_noise(double rate, int duration) {
-    plan_.stochastic.fiber_cut_rate = rate;
-    plan_.stochastic.fiber_cut_duration = duration;
-    return *this;
-  }
-  /// Correlated multi-link failures (conduit cuts).
-  FaultPlanBuilder& correlated_cuts(double rate, int group_size,
-                                    int duration) {
-    plan_.stochastic.correlated_cut_rate = rate;
-    plan_.stochastic.correlated_group_size = group_size;
-    plan_.stochastic.correlated_cut_duration = duration;
-    return *this;
-  }
-  /// Switch/server outages.
-  FaultPlanBuilder& node_outages(double rate, int duration) {
-    plan_.stochastic.node_outage_rate = rate;
-    plan_.stochastic.node_outage_duration = duration;
-    return *this;
-  }
-  /// Entanglement-source degradation windows.
-  FaultPlanBuilder& degradation(double rate, double factor, int duration) {
-    plan_.stochastic.degradation_rate = rate;
-    plan_.stochastic.degradation_factor = factor;
-    plan_.stochastic.degradation_duration = duration;
-    return *this;
-  }
-  /// Network-wide decode-latency spikes.
-  FaultPlanBuilder& decode_stalls(double rate, int duration) {
-    plan_.stochastic.decode_stall_rate = rate;
-    plan_.stochastic.decode_stall_duration = duration;
-    return *this;
-  }
-
-  FaultPlan build() const { return plan_; }
-
- private:
-  FaultPlan plan_;
 };
 
 /// Observer of entanglement-rate mutations, for engines that account pool
@@ -211,16 +153,8 @@ class FaultInjector {
   /// True while a decode-latency spike stalls all corrections.
   bool decode_stalled(int slot) const { return slot < stall_until_; }
 
-  // Window-boundary reads for the event engine's wake computation. Each
-  // returns the first slot at which the named condition no longer holds
-  // (0 when it never held); the corresponding *_down/ factor query flips
-  // exactly there.
-  int fiber_down_until(int fiber) const {
-    return fiber_down_until_[static_cast<std::size_t>(fiber)];
-  }
-  int node_down_until(int node) const {
-    return node_down_until_[static_cast<std::size_t>(node)];
-  }
+  /// First slot at which the fiber's degradation window no longer holds
+  /// (0 when it never held); entanglement_factor flips exactly there.
   int degrade_until(int fiber) const {
     return degrade_until_[static_cast<std::size_t>(fiber)];
   }
@@ -228,7 +162,6 @@ class FaultInjector {
   double degrade_factor(int fiber) const {
     return degrade_factor_[static_cast<std::size_t>(fiber)];
   }
-  int stall_until() const { return stall_until_; }
 
   /// True when the plan can never take anything down (lets the simulator
   /// skip per-slot injector work on fault-free runs).

@@ -42,7 +42,6 @@ struct ScheduledRequest {
 struct Schedule {
   std::vector<ScheduledRequest> scheduled;
   int requested_codes = 0;  ///< sum over all requests of i_k
-  double lp_objective = 0.0;  ///< relaxed optimum (0 for greedy schedulers)
 
   int scheduled_codes() const {
     int total = 0;

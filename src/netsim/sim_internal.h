@@ -33,6 +33,15 @@
 
 namespace surfnet::netsim::detail {
 
+/// Residual noise fraction left on Core qubits by entanglement
+/// purification. The scheduler's Eq. (6) accounts a conservative 1/2; the
+/// recurrence formula rho' = r1 r2/(r1 r2 + (1-r1)(1-r2)) suppresses
+/// infidelity roughly quadratically, so the executed channel does better.
+inline constexpr double kPurificationFactor = 0.25;
+
+/// The Pauli channel every correction samples its errors from.
+inline constexpr qec::PauliChannel kChannel = qec::PauliChannel::IndependentXZ;
+
 /// Lattice + Core/Support partition for one code distance, shared across
 /// all codes of that distance in a run.
 struct CodeGeometry {
@@ -227,7 +236,7 @@ inline void run_correction(const RequestPlan& plan, ActiveCode& code, int slot,
   const double op_mu =
       -std::log(1.0 - params.teleport_op_noise) * code.jumps_since_ec;
   const double core_pauli = pauli_rate_of_noise(
-      params.purification_factor * params.noise_scale * code.acc_core_mu +
+      kPurificationFactor * params.noise_scale * code.acc_core_mu +
       op_mu);
 
   const int qubits = geometry.lattice.num_data_qubits();
@@ -239,8 +248,8 @@ inline void run_correction(const RequestPlan& plan, ActiveCode& code, int slot,
                               ? qec::QubitNoise{core_pauli, 0.0}
                               : qec::QubitNoise{support_pauli, support_erasure};
   }
-  ws.profile.component_error_prob(params.channel, ws.prior);
-  qec::sample_errors(ws.profile, params.channel, rng, ws.trial.sample);
+  ws.profile.component_error_prob(kChannel, ws.prior);
+  qec::sample_errors(ws.profile, kChannel, rng, ws.trial.sample);
   const auto outcome = decoder::decode_sample(
       geometry.lattice, ws.trial.sample, ws.prior, decoder, ws.trial);
   const bool success = outcome.success();

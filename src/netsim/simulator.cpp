@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "netsim/entanglement.h"
 #include "netsim/sim_internal.h"
 
 namespace surfnet::netsim {

@@ -13,9 +13,11 @@
 //   * at every scheduled EC server — and finally at the destination — the
 //     complete surface code is assembled and *actually decoded*: noise
 //     accumulated since the previous correction is sampled onto the code's
-//     qubits (Core rates halved by purification), missing photons are
-//     marked as erasures, and the configured decoder runs. A logical error
-//     silently corrupts the communication; decoding resets the noise.
+//     qubits (Core rates cut to a quarter by purification; the scheduler's
+//     Eq. (6) accounts a conservative half), missing photons are marked as
+//     erasures, and the configured decoder runs. The Pauli noise is
+//     independent X and Z flips. A logical error silently corrupts the
+//     communication; decoding resets the noise.
 //
 // Fidelity is the fraction of delivered codes with no logical error at any
 // correction point; latency is the average number of slots per code.
@@ -52,13 +54,11 @@
 #include <string_view>
 
 #include "decoder/decoder.h"
-#include "netsim/entanglement.h"
 #include "netsim/faults.h"
 #include "netsim/recovery.h"
 #include "netsim/schedule.h"
 #include "netsim/topology.h"
 #include "obs/sink.h"
-#include "qec/error_model.h"
 #include "util/rng.h"
 
 namespace surfnet::netsim {
@@ -91,11 +91,6 @@ struct SimulationParams {
   /// opportunistic segments teleport once per multi-fiber jump while
   /// purification networks teleport the bare message at every hop.
   double teleport_op_noise = 0.02;
-  /// Residual noise fraction left on Core qubits by entanglement
-  /// purification. The scheduler's Eq. (6) accounts a conservative 1/2;
-  /// the recurrence formula rho' = r1 r2/(r1 r2 + (1-r1)(1-r2)) suppresses
-  /// infidelity roughly quadratically, so the executed channel does better.
-  double purification_factor = 0.25;
   double entanglement_rate = 4.0;  ///< expected new pairs per slot per fiber
   int opportunistic_segment = 2;   ///< paper: minimum movement distance
   /// Probability that one entanglement-swap/teleportation attempt succeeds;
@@ -108,14 +103,12 @@ struct SimulationParams {
   /// spikes. An empty plan costs one branch per slot.
   FaultPlan faults;
   /// What the control plane does when a route breaks or starves
-  /// (netsim/recovery.h). The default policy reproduces the historical
-  /// behavior: local reroutes, no backoff, no escalation, no per-code
-  /// budget. Set `recovery.local_reroute = false` to hold qubits in
-  /// error-mitigation circuits until a failed fiber returns instead of
-  /// detouring around it (the retired `enable_recovery = false` knob).
+  /// (netsim/recovery.h). The default policy: local reroutes, no backoff,
+  /// no escalation, no per-code budget. Set `recovery.local_reroute =
+  /// false` to hold qubits in error-mitigation circuits until a failed
+  /// fiber returns instead of detouring around it.
   RecoveryPolicy recovery;
   int max_slots = 20000;        ///< safety cap; starved codes time out
-  qec::PauliChannel channel = qec::PauliChannel::IndependentXZ;
   /// Observability handle (metrics + trace); null = no instrumentation.
   obs::Sink sink{};
 };

@@ -23,22 +23,13 @@ struct ActiveRequest {
   bool live = false;
 };
 
-/// Inverse-transform interarrival gap in whole slots. Drawing exactly one
-/// uniform per gap — at the event-processing point, never per slot — is
-/// what lets the stream skip empty slots without changing its RNG stream.
+/// Inverse-transform exponential interarrival gap in whole slots. Drawing
+/// exactly one uniform per gap — at the event-processing point, never per
+/// slot — is what lets the stream skip empty slots without changing its
+/// RNG stream.
 int draw_gap(const WorkloadParams& params, util::Rng& rng) {
-  const double u = rng.uniform();
-  double gap = 0.0;
-  if (params.process == ArrivalProcess::Poisson) {
-    gap = -std::log1p(-u) / params.arrival_rate;
-  } else {
-    // Scale chosen so the continuous mean matches 1/arrival_rate.
-    const double alpha = params.pareto_shape;
-    const double x_m = (alpha - 1.0) / (alpha * params.arrival_rate);
-    gap = x_m * std::pow(1.0 - u, -1.0 / alpha);
-  }
-  const double capped = std::min(gap, 1e9);
-  return static_cast<int>(capped);
+  const double gap = -std::log1p(-rng.uniform()) / params.arrival_rate;
+  return static_cast<int>(std::min(gap, 1e9));
 }
 
 /// Weighted demand-class selection by inverse transform over the running
@@ -74,9 +65,6 @@ TrafficResult run_traffic(const Topology& topology, RouteProvider& provider,
                           SimEngine /*engine*/) {
   if (params.arrival_rate <= 0.0)
     throw std::invalid_argument("run_traffic: arrival_rate must be > 0");
-  if (params.process == ArrivalProcess::Pareto && params.pareto_shape <= 1.0)
-    throw std::invalid_argument(
-        "run_traffic: pareto_shape must be > 1 for a finite mean");
 
   std::vector<int> users;
   for (int v = 0; v < topology.num_nodes(); ++v)
@@ -106,15 +94,12 @@ TrafficResult run_traffic(const Topology& topology, RouteProvider& provider,
   long long next_request_id = 0;
   int active_codes = 0;
   int ops_since_reopt = 0;
-  double headroom = 0.0;
-  bool headroom_known = false;
 
   const auto maybe_reoptimize = [&]() {
     if (params.reoptimize_every <= 0) return;
     if (++ops_since_reopt < params.reoptimize_every) return;
     ops_since_reopt = 0;
-    headroom = provider.reoptimize();
-    headroom_known = true;
+    const double headroom = provider.reoptimize();
     if (sink.metrics) {
       sink.metrics->count("traffic.reoptimizations");
       sink.metrics->gauge("traffic.headroom", headroom);
@@ -162,15 +147,10 @@ TrafficResult run_traffic(const Topology& topology, RouteProvider& provider,
       if (sink.metrics) sink.metrics->count("traffic.blocked");
     };
 
-    // Admission control, cheapest check first; the provider is consulted
-    // only for requests that pass the load gates.
-    if (params.admission.max_active_codes > 0 &&
-        active_codes + cls.codes > params.admission.max_active_codes) {
-      block(BlockReason::Load);
-      return;
-    }
-    if (headroom_known && headroom < params.admission.shed_headroom &&
-        cls.priority < params.admission.shed_below_priority) {
+    // The load cap is checked first; the provider is consulted only for
+    // requests that pass it.
+    if (params.max_active_codes > 0 &&
+        active_codes + cls.codes > params.max_active_codes) {
       block(BlockReason::Load);
       return;
     }
@@ -190,7 +170,7 @@ TrafficResult run_traffic(const Topology& topology, RouteProvider& provider,
       return;
     }
     const int hops = static_cast<int>(route->path.size()) - 1;
-    const int est_slots = params.service_base + params.service_per_hop * hops;
+    const int est_slots = kServiceBaseSlots + kServicePerHopSlots * hops;
     if (cls.deadline_slots > 0 && est_slots > cls.deadline_slots) {
       provider.release(*route);
       block(BlockReason::Deadline);
@@ -198,12 +178,8 @@ TrafficResult run_traffic(const Topology& topology, RouteProvider& provider,
       return;
     }
 
-    const int jitter =
-        params.service_jitter > 0
-            ? static_cast<int>(rng.below(
-                  static_cast<std::size_t>(params.service_jitter) + 1))
-            : 0;
-    const int service = std::max(1, est_slots + jitter);
+    const int service =
+        est_slots + static_cast<int>(rng.below(kServiceJitterSlots + 1));
 
     int entry;
     if (!free_slots.empty()) {

@@ -4,12 +4,12 @@
 // departures driving the routing layer incrementally, instead of the
 // fixed batch of requests the offline scheduler routes once.
 //
-// Arrivals follow a configurable interarrival process (Poisson or
-// heavy-tailed Pareto with matched mean); each arrival draws a
-// source/destination user pair and a demand class (codes, priority,
-// fidelity floor, deadline), passes admission control, and — when
-// admitted — asks the RouteProvider for a route. Admitted requests hold
-// their route's capacity until a scheduled departure releases it.
+// Arrivals form a Poisson process; each arrival draws a source/destination
+// user pair and a demand class (codes, fidelity floor, deadline), passes
+// the load cap, and — when admitted — asks the RouteProvider for a route.
+// Admitted requests hold their route's capacity until a scheduled
+// departure releases it, after a synthetic service time (kServiceBaseSlots
+// and its neighbours below).
 //
 // Determinism contract. Arrivals and departures are first-class events on
 // the deterministic pending-event heap (netsim/event_queue.h), ordered by
@@ -50,7 +50,7 @@ enum class AdmitSource : std::uint8_t {
 
 /// Why admission control rejected a request (trace "blocked" reason field).
 enum class BlockReason : std::uint8_t {
-  Load = 0,      ///< admission cap or low-headroom priority shedding
+  Load = 0,      ///< WorkloadParams::max_active_codes reached
   Capacity = 1,  ///< the provider found no feasible route
   Fidelity = 2,  ///< best route falls under the class fidelity floor
   Deadline = 3,  ///< estimated delivery later than the class deadline
@@ -81,8 +81,8 @@ class RouteProvider {
   /// Return the residual network's headroom: an estimate, in fractional
   /// codes, of how many more codes it could still carry. Called
   /// periodically by the engine (WorkloadParams::reoptimize_every); the
-  /// result feeds only priority shedding. IncrementalRouter reads it off
-  /// its capacity tracker without solving anything.
+  /// result feeds only the "traffic.headroom" gauge. IncrementalRouter
+  /// reads it off its capacity tracker without solving anything.
   virtual double reoptimize() = 0;
   /// The engine reports a change of the network-wide noise scale (a
   /// fidelity-degradation window opening or closing): every fiber's
@@ -94,38 +94,25 @@ class RouteProvider {
   virtual void set_noise_scale(double scale) { (void)scale; }
 };
 
-enum class ArrivalProcess : std::uint8_t {
-  Poisson,  ///< exponential interarrival gaps, mean 1/arrival_rate slots
-  /// Pareto gaps with shape `pareto_shape` and the scale chosen so the
-  /// mean matches 1/arrival_rate: heavy-tailed bursts at the same load.
-  Pareto,
-};
+/// Synthetic service model: an admitted request departs after
+/// kServiceBaseSlots + kServicePerHopSlots * hops + jitter slots, the
+/// jitter drawn uniformly from [0, kServiceJitterSlots].
+inline constexpr int kServiceBaseSlots = 4;
+inline constexpr int kServicePerHopSlots = 2;
+inline constexpr int kServiceJitterSlots = 8;
 
 /// One class of user demand in the workload mix.
 struct DemandClass {
   double weight = 1.0;      ///< selection weight within the mix
   int codes = 1;            ///< codes requested (capacity demand multiplier)
-  int priority = 0;         ///< higher sheds later under low headroom
   double fidelity_floor = 0.0;  ///< minimum acceptable route fidelity
   int deadline_slots = 0;   ///< max acceptable delivery estimate (0 = none)
 };
 
-/// Admission-control policy applied before the provider is consulted.
-struct AdmissionPolicy {
-  /// Total codes concurrently admitted (0 = unlimited). The cheapest
-  /// check, applied first.
-  int max_active_codes = 0;
-  /// When the provider's last reported headroom drops below this many
-  /// codes, arrivals with priority < shed_below_priority are shed as
-  /// BlockReason::Load without consulting the provider.
-  double shed_headroom = 0.0;
-  int shed_below_priority = 0;
-};
-
 struct WorkloadParams {
-  ArrivalProcess process = ArrivalProcess::Poisson;
-  double arrival_rate = 1.0;  ///< expected arrivals per slot (> 0)
-  double pareto_shape = 2.5;  ///< Pareto only; must be > 1 (finite mean)
+  /// Expected arrivals per slot (> 0): Poisson arrivals, exponential
+  /// interarrival gaps with mean 1/arrival_rate slots.
+  double arrival_rate = 1.0;
   /// Arrivals stop once their slot would exceed this horizon; pending
   /// departures still drain.
   int horizon_slots = 10000;
@@ -136,15 +123,12 @@ struct WorkloadParams {
   /// measured.
   int warmup_slots = 0;
   std::vector<DemandClass> classes;  ///< empty = one default class
-  AdmissionPolicy admission;
+  /// Total codes concurrently admitted (0 = unlimited). Checked before
+  /// the provider is consulted; a request over the cap is blocked as
+  /// BlockReason::Load.
+  int max_active_codes = 0;
   /// Provider re-optimization cadence in admissions+releases (0 = never).
   int reoptimize_every = 0;
-  /// Synthetic service model: an admitted request departs after
-  /// service_base + service_per_hop * hops + jitter slots, jitter drawn
-  /// uniformly from [0, service_jitter].
-  int service_base = 4;
-  int service_per_hop = 2;
-  int service_jitter = 8;
   /// Deterministic fidelity-degradation window: while a processed event's
   /// slot lies in [degrade_from_slot, degrade_until_slot) the provider
   /// sees every fiber fidelity scaled to gamma^degrade_noise_scale.

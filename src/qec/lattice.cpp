@@ -1,6 +1,8 @@
 #include "qec/lattice.h"
 
+#include <climits>
 #include <stdexcept>
+#include <string>
 
 #include "qec/validate.h"
 #include "util/contracts.h"
@@ -15,10 +17,20 @@ int zid(int r, int c, int d) { return (r / 2) * (d - 1) + (c - 1) / 2; }
 /// Vertex id of the measure-X qubit at (r odd, c even).
 int xid(int r, int c, int d) { return ((r - 1) / 2) * d + c / 2; }
 
+/// Data qubits of a distance-d lattice, in 64 bits.
+constexpr long long data_qubits(long long d) {
+  return d * d + (d - 1) * (d - 1);
+}
+static_assert(data_qubits(SurfaceCodeLattice::kMaxDistance) <= INT_MAX &&
+              data_qubits(SurfaceCodeLattice::kMaxDistance + 1LL) > INT_MAX);
+
 }  // namespace
 
 SurfaceCodeLattice::SurfaceCodeLattice(int distance) : d_(distance) {
-  if (d_ < 2) throw std::invalid_argument("surface code distance must be >= 2");
+  if (d_ < 2 || d_ > kMaxDistance)
+    throw std::invalid_argument(
+        "surface code distance must be in [2, " +
+        std::to_string(kMaxDistance) + "]");
   const int n = side();
   coord_to_data_.assign(static_cast<std::size_t>(n) * n, -1);
   for (int r = 0; r < n; ++r) {

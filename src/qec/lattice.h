@@ -25,7 +25,11 @@ namespace surfnet::qec {
 
 class SurfaceCodeLattice final : public CodeLattice {
  public:
-  /// Build a distance-d lattice. Requires d >= 2.
+  /// Largest distance whose d^2 + (d-1)^2 data-qubit ids fit in int.
+  static constexpr int kMaxDistance = 32768;
+
+  /// Build a distance-d lattice. Requires 2 <= d <= kMaxDistance; throws
+  /// std::invalid_argument otherwise, before allocating anything.
   explicit SurfaceCodeLattice(int distance);
 
   int distance() const override { return d_; }

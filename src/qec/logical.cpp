@@ -6,25 +6,6 @@
 
 namespace surfnet::qec {
 
-std::vector<char> residual(const std::vector<char>& flips,
-                           const std::vector<char>& correction) {
-  if (flips.size() != correction.size())
-    throw std::invalid_argument("residual: size mismatch");
-  std::vector<char> out(flips.size());
-  for (std::size_t e = 0; e < flips.size(); ++e)
-    out[e] = static_cast<char>((flips[e] ^ correction[e]) & 1);
-  return out;
-}
-
-bool correction_valid(const DecodingGraph& graph,
-                      const std::vector<char>& flips,
-                      const std::vector<char>& correction) {
-  const auto res = residual(flips, correction);
-  for (char bit : syndrome_bitmap(graph, res))
-    if (bit) return false;
-  return true;
-}
-
 bool logical_flip(const CodeLattice& lattice, GraphKind kind,
                   const std::vector<char>& residual_edges) {
   const DecodingGraph& graph = lattice.graph(kind);

@@ -14,16 +14,6 @@
 
 namespace surfnet::qec {
 
-/// XOR of two per-edge indicator vectors.
-std::vector<char> residual(const std::vector<char>& flips,
-                           const std::vector<char>& correction);
-
-/// True when `correction` reproduces the syndrome of `flips` exactly
-/// (i.e. the residual has no syndrome).
-bool correction_valid(const DecodingGraph& graph,
-                      const std::vector<char>& flips,
-                      const std::vector<char>& correction);
-
 /// Parity of `residual_edges` over the lattice's logical cut for `kind`.
 /// Only meaningful when the residual has empty syndrome.
 bool logical_flip(const CodeLattice& lattice, GraphKind kind,

@@ -1,6 +1,10 @@
 #include "qec/validate.h"
 
+#include <algorithm>
 #include <cstddef>
+#include <numeric>
+#include <utility>
+#include <vector>
 
 #include "util/contracts.h"
 
@@ -97,10 +101,21 @@ void check_lattice_invariants(const CodeLattice& lattice) {
     check_cut(lattice, kind);
   }
 
-  for (int a = 0; a < nq; ++a)
-    for (int b = a + 1; b < nq; ++b)
-      SURFNET_ASSERT(!(lattice.data_coord(a) == lattice.data_coord(b)),
-                     "data qubits %d and %d share a coordinate", a, b);
+  // Distinct coordinates: neighbours in coordinate order differ, which
+  // keeps the check O(n log n) on large lattices.
+  std::vector<int> by_coord(static_cast<std::size_t>(nq));
+  std::iota(by_coord.begin(), by_coord.end(), 0);
+  const auto key = [&](int q) {
+    const Coord rc = lattice.data_coord(q);
+    return std::pair{rc.r, rc.c};
+  };
+  std::sort(by_coord.begin(), by_coord.end(),
+            [&](int a, int b) { return key(a) < key(b); });
+  for (std::size_t i = 1; i < by_coord.size(); ++i)
+    SURFNET_ASSERT(key(by_coord[i - 1]) != key(by_coord[i]),
+                   "data qubits %d and %d share a coordinate",
+                   std::min(by_coord[i - 1], by_coord[i]),
+                   std::max(by_coord[i - 1], by_coord[i]));
 
   const CoreSupportPartition part = lattice.core_partition();
   SURFNET_ASSERT(part.is_core.size() == static_cast<std::size_t>(nq),

@@ -1,6 +1,6 @@
 #pragma once
 
-// Flow decomposition for the batch LP router (routing/lp_router.h):
+// Flow decomposition for the batch LP router (routing/router.h):
 // strip a relaxed per-edge flow vector into src->dst paths, then allocate
 // an integral code count across them.
 

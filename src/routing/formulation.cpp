@@ -126,7 +126,7 @@ void RoutingFormulation::build(const std::vector<Request>& requests) {
       // maximum-throughput solutions the LP then picks minimum-noise
       // routes (and aligned Core/Support paths).
       const double penalty =
-          -params_.noise_objective_weight * topo.fiber_noise(edge_fiber(de));
+          -kNoiseObjectiveWeight * topo.fiber_noise(edge_fiber(de));
       if (params_.dual_channel)
         v.a[static_cast<std::size_t>(de)] = lp_.add_variable(penalty);
       v.b[static_cast<std::size_t>(de)] = lp_.add_variable(penalty);
@@ -281,8 +281,7 @@ void RoutingFormulation::build(const std::vector<Request>& requests) {
   }
 
   // --- Shared capacity constraints: Eq. (5). ---
-  const double capacity_scale =
-      params_.dual_channel ? 1.0 : params_.raw_capacity_bonus;
+  const double capacity_scale = params_.storage_scale();
   for (int node : topo.switches_and_servers()) {
     const auto in = in_edges(node);
     bool any = false;

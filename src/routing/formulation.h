@@ -27,6 +27,16 @@
 
 namespace surfnet::routing {
 
+/// Storage multiplier of the Raw baseline: its switches hold more qubits
+/// because they no longer prepare entanglement.
+inline constexpr double kRawCapacityBonus = 1.2;
+
+/// Secondary objective weight: the LP maximizes sum_k Y_k minus this
+/// weight times the total noise carried by all flows, so that among
+/// maximum-throughput schedules the minimum-noise routing is chosen.
+/// Small enough never to sacrifice a whole code for noise.
+inline constexpr double kNoiseObjectiveWeight = 0.02;
+
 struct RoutingParams {
   int core_qubits = 7;      ///< n (distance-4 code, paper example)
   int support_qubits = 18;  ///< m
@@ -34,12 +44,6 @@ struct RoutingParams {
   double core_noise_threshold = 0.16; ///< W_c
   double total_noise_threshold = 0.22;  ///< W
   bool dual_channel = true;             ///< false = Raw baseline
-  double raw_capacity_bonus = 1.2;      ///< Raw switches hold more qubits
-  /// Secondary objective weight: the LP maximizes sum_k Y_k minus this
-  /// weight times the total noise carried by all flows, so that among
-  /// maximum-throughput schedules the minimum-noise routing is chosen.
-  /// Must stay small enough never to sacrifice a whole code for noise.
-  double noise_objective_weight = 0.02;
   /// Adaptive code sizes based on quality of service (paper Sec. VI-C
   /// future direction), supported by the greedy scheduler: clean routes
   /// use a compact distance-3 code, noisy routes escalate to distance 5,
@@ -57,6 +61,10 @@ struct RoutingParams {
   }
 
   int total_qubits() const { return core_qubits + support_qubits; }
+  /// Multiplier on every node's storage capacity (Eq. (5)).
+  double storage_scale() const {
+    return dual_channel ? 1.0 : kRawCapacityBonus;
+  }
 };
 
 class RoutingFormulation {

@@ -19,11 +19,10 @@ using netsim::Topology;
 CapacityTracker::CapacityTracker(const Topology& topology,
                                  const RoutingParams& params)
     : topology_(&topology), params_(params) {
-  const double bonus = params.dual_channel ? 1.0 : params.raw_capacity_bonus;
   node_capacity_.resize(static_cast<std::size_t>(topology.num_nodes()));
   for (int v = 0; v < topology.num_nodes(); ++v)
     node_capacity_[static_cast<std::size_t>(v)] =
-        bonus * topology.node(v).storage_capacity;
+        params.storage_scale() * topology.node(v).storage_capacity;
   fiber_pairs_.resize(static_cast<std::size_t>(topology.num_fibers()));
   for (int e = 0; e < topology.num_fibers(); ++e)
     fiber_pairs_[static_cast<std::size_t>(e)] =
@@ -79,23 +78,6 @@ void CapacityTracker::release(const std::vector<int>& path,
       const int e = topology_->fiber_between(path[i], path[i + 1]);
       fiber_pairs_[static_cast<std::size_t>(e)] += pair_demand;
     }
-  }
-}
-
-void CapacityTracker::release_split(const std::vector<int>& core_path,
-                                    const std::vector<int>& support_path) {
-  ++version_;
-  const double support_demand =
-      params_.dual_channel ? params_.support_qubits : params_.total_qubits();
-  for (std::size_t i = 1; i + 1 < support_path.size(); ++i)
-    node_capacity_[static_cast<std::size_t>(support_path[i])] +=
-        support_demand;
-  for (std::size_t i = 1; i + 1 < core_path.size(); ++i)
-    node_capacity_[static_cast<std::size_t>(core_path[i])] +=
-        params_.core_qubits;
-  for (std::size_t i = 0; i + 1 < core_path.size(); ++i) {
-    const int e = topology_->fiber_between(core_path[i], core_path[i + 1]);
-    fiber_pairs_[static_cast<std::size_t>(e)] += params_.core_qubits;
   }
 }
 
@@ -377,14 +359,6 @@ std::optional<PlannedCode> plan_code(const Topology& topology,
     }
   }
   return best;
-}
-
-std::optional<PlannedCode> plan_code(const Topology& topology,
-                                     const CapacityTracker& tracker,
-                                     const RoutingParams& params, int src,
-                                     int dst) {
-  PlanWorkspace ws;
-  return plan_code(topology, tracker, params, src, dst, ws);
 }
 
 Schedule route_greedy(const Topology& topology,

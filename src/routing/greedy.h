@@ -38,9 +38,8 @@ class CapacityTracker {
   CapacityTracker(const netsim::Topology& topology,
                   const RoutingParams& params);
 
-  /// Capacity epoch: every commit, release, commit_split and
-  /// release_split bumps it, so equal versions of one tracker mean equal
-  /// remaining capacities.
+  /// Capacity epoch: every commit, release and commit_split bumps it, so
+  /// equal versions of one tracker mean equal remaining capacities.
   std::uint64_t version() const { return version_; }
 
   double node_remaining(int node) const {
@@ -82,8 +81,6 @@ class CapacityTracker {
                       const std::vector<int>& support_path) const;
   void commit_split(const std::vector<int>& core_path,
                     const std::vector<int>& support_path);
-  void release_split(const std::vector<int>& core_path,
-                     const std::vector<int>& support_path);
 
  private:
   const netsim::Topology* topology_;
@@ -174,12 +171,6 @@ std::optional<PlannedCode> plan_code(const netsim::Topology& topology,
                                      const CapacityTracker& tracker,
                                      const RoutingParams& params, int src,
                                      int dst, PlanWorkspace& ws);
-
-/// As above with a workspace local to the call.
-std::optional<PlannedCode> plan_code(const netsim::Topology& topology,
-                                     const CapacityTracker& tracker,
-                                     const RoutingParams& params, int src,
-                                     int dst);
 
 /// Schedule every request greedily (requests visited in random order, codes
 /// one by one). Both paths of a dual-channel request use the same route.

@@ -2,7 +2,7 @@
 
 // Incremental routing for the dynamic-traffic engine.
 //
-// The offline LP router (routing/lp_router.h) answers "route this batch";
+// The offline LP router (routing/router.h) answers "route this batch";
 // the IncrementalRouter answers a stream of single-request deltas from
 // netsim::run_traffic: admit one request now, release one later, with the
 // network state carried across deltas instead of rebuilt per call.

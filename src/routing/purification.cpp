@@ -61,8 +61,7 @@ Schedule route_purification(const Topology& topology,
 
   std::vector<double> budget(static_cast<std::size_t>(topology.num_fibers()));
   for (int e = 0; e < topology.num_fibers(); ++e)
-    budget[static_cast<std::size_t>(e)] =
-        params.budget_scale * topology.fiber(e).entanglement_capacity;
+    budget[static_cast<std::size_t>(e)] = topology.fiber(e).entanglement_capacity;
   const double demand = 1.0 + params.extra_pairs;
 
   std::vector<std::size_t> order(requests.size());

@@ -15,10 +15,6 @@ namespace surfnet::routing {
 
 struct PurificationParams {
   int extra_pairs = 1;  ///< the paper's N
-  /// Multiplier on every fiber's pair budget. Fig. 7 configures all
-  /// designs to similar throughput; scaling the budget by (1 + N)
-  /// compensates purification's higher pair consumption.
-  double budget_scale = 1.0;
 };
 
 netsim::Schedule route_purification(

@@ -1,45 +1,257 @@
 #include "routing/router.h"
 
-#include <utility>
+#include <algorithm>
+#include <cmath>
+#include <queue>
 
+#include "netsim/channel.h"
 #include "obs/metrics.h"
+#include "routing/flow.h"
 #include "routing/greedy.h"
+#include "routing/validate.h"
+#include "util/contracts.h"
 
 namespace surfnet::routing {
 
-RouteResult route(const netsim::Topology& topology,
-                  const std::vector<netsim::Request>& requests,
-                  const RoutingParams& params, util::Rng& rng,
-                  const RouteOptions& options) {
-  RouteResult result;
+using netsim::Request;
+using netsim::Schedule;
+using netsim::ScheduledRequest;
+using netsim::Topology;
 
-  if (options.strategy == RouteStrategy::Greedy) {
+namespace {
+
+/// EC servers for one code: servers on the core (or support, when raw)
+/// path that also lie on the other path, capped by the noise lower bound.
+std::vector<int> choose_ec_servers(const Topology& topology,
+                                   const RoutingParams& params,
+                                   const std::vector<int>& core_path,
+                                   const std::vector<int>& support_path) {
+  const auto& primary = core_path.empty() ? support_path : core_path;
+  std::vector<int> servers;
+  // EC needs the complete code, so a chosen server must appear on both
+  // paths, and in the same order on each (the simulator synchronizes the
+  // two parts barrier by barrier).
+  std::size_t support_cursor = 1;
+  for (std::size_t i = 1; i + 1 < primary.size(); ++i) {
+    const int node = primary[i];
+    if (!topology.is_server(node)) continue;
+    if (!core_path.empty()) {
+      const auto it = std::find(support_path.begin() +
+                                    static_cast<std::ptrdiff_t>(support_cursor),
+                                support_path.end() - 1, node);
+      if (it == support_path.end() - 1) continue;
+      support_cursor =
+          static_cast<std::size_t>(it - support_path.begin()) + 1;
+    }
+    servers.push_back(node);
+  }
+  const double mu = netsim::path_noise(topology, primary);
+  const int max_ec =
+      params.ec_reduction > 0.0
+          ? static_cast<int>(std::floor(mu / params.ec_reduction))
+          : 0;
+  if (static_cast<int>(servers.size()) > max_ec)
+    servers.resize(static_cast<std::size_t>(std::max(0, max_ec)));
+  return servers;
+}
+
+}  // namespace
+
+RouteResult route(const Topology& topology,
+                  const std::vector<Request>& requests,
+                  const RoutingParams& params, util::Rng& rng) {
+  RouteResult result;
+  for (const auto& r : requests) result.schedule.requested_codes += r.codes;
+
+  RoutingFormulation formulation(topology, requests, params);
+  // The first solve starts from the formulation's flow trees; every later
+  // solve starts from the basis the previous one left in `state`.
+  SimplexState state =
+      crash_state(formulation.problem(), formulation.crash_hint());
+  const auto solve = [&] {
+    LpSolution sol = solve_lp(formulation.problem(), state, params.sink);
+    if (sol.status == LpStatus::IterationLimit && params.sink.metrics)
+      params.sink.metrics->count("route.lp_iteration_limits");
+    return sol;
+  };
+  const LpSolution lp = solve();
+  result.status = lp.status;
+  result.cold_iterations = lp.iterations;
+  // Report the throughput part of the objective (sum of Y_k), not the
+  // noise-regularized value: it is the meaningful upper bound on codes.
+  const auto throughput = [&](const LpSolution& sol) {
+    double total_y = 0.0;
+    for (int k = 0; k < formulation.num_requests(); ++k)
+      total_y += sol.x[static_cast<std::size_t>(formulation.vars(k).y)];
+    return total_y;
+  };
+  if (lp.status != LpStatus::Optimal) {
+    // Fall back entirely to the greedy scheduler (which validates its own
+    // schedule under SURFNET_CHECKS).
+    if (params.sink.metrics)
+      params.sink.metrics->count("route.greedy_fallbacks");
+    result.greedy_fallback = true;
     result.schedule = route_greedy(topology, requests, params, rng);
     return result;
   }
+  result.lp_objective = throughput(lp);
 
-  LpRouteResult lp = route_lp(topology, requests, params, rng);
-  result.status = lp.status;
-  result.lp_objective = lp.lp_objective;
-  result.resolves = lp.resolves;
-  result.cold_iterations = lp.cold_iterations;
-  result.warm_iterations = lp.warm_iterations;
+  CapacityTracker tracker(topology, params);
+  const int de_count = formulation.num_directed_edges();
 
-  if (lp.status == LpStatus::Optimal ||
-      options.strategy == RouteStrategy::Lp) {
-    // route_lp already degrades to a greedy schedule internally when the
-    // LP cannot be solved, so the forced-Lp arm still returns a schedule.
-    result.schedule = std::move(lp.schedule);
-    result.used_lp = true;
-    return result;
+  std::vector<int> scheduled_codes(requests.size(), 0);
+  std::vector<std::size_t> order(requests.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  for (std::size_t i = order.size(); i > 1; --i)
+    std::swap(order[i - 1], order[rng.below(i)]);
+
+  // Round one LP solution into committed codes; returns how many codes
+  // this pass scheduled. Re-runs against the residual tracker state on
+  // every warm re-solve.
+  const auto round_solution = [&](const LpSolution& sol) {
+    int committed = 0;
+    for (std::size_t k : order) {
+      const Request& req = requests[k];
+      const auto& vars = formulation.vars(static_cast<int>(k));
+      const double y = sol.x[static_cast<std::size_t>(vars.y)];
+      const int target =
+          std::min(static_cast<int>(std::floor(y + 1e-4)),
+                   req.codes - scheduled_codes[k]);
+      if (target <= 0) continue;
+
+      const double n = params.core_qubits;
+      const double support_unit =
+          params.dual_channel ? params.support_qubits : params.total_qubits();
+
+      std::vector<double> support_flow(static_cast<std::size_t>(de_count),
+                                       0.0);
+      std::vector<double> core_flow(static_cast<std::size_t>(de_count), 0.0);
+      for (int de = 0; de < de_count; ++de) {
+        const int vb = vars.b[static_cast<std::size_t>(de)];
+        if (vb >= 0)
+          support_flow[static_cast<std::size_t>(de)] =
+              sol.x[static_cast<std::size_t>(vb)] / support_unit;
+        if (params.dual_channel) {
+          const int va = vars.a[static_cast<std::size_t>(de)];
+          if (va >= 0)
+            core_flow[static_cast<std::size_t>(de)] =
+                sol.x[static_cast<std::size_t>(va)] / n;
+        }
+      }
+
+      const auto support_paths = decompose_flow(
+          formulation, topology.num_nodes(), support_flow, req.src, req.dst);
+      const auto support_alloc = allocate_codes(support_paths, target);
+      std::vector<std::vector<int>> support_per_code;
+      for (std::size_t p = 0; p < support_paths.size(); ++p)
+        for (int c = 0; c < support_alloc[p]; ++c)
+          support_per_code.push_back(support_paths[p].nodes);
+
+      std::vector<std::vector<int>> core_per_code;
+      if (params.dual_channel) {
+        const auto core_paths = decompose_flow(
+            formulation, topology.num_nodes(), core_flow, req.src, req.dst);
+        const auto core_alloc = allocate_codes(core_paths, target);
+        for (std::size_t p = 0; p < core_paths.size(); ++p)
+          for (int c = 0; c < core_alloc[p]; ++c)
+            core_per_code.push_back(core_paths[p].nodes);
+      }
+
+      const std::size_t codes =
+          params.dual_channel
+              ? std::min(support_per_code.size(), core_per_code.size())
+              : support_per_code.size();
+      for (std::size_t c = 0; c < codes; ++c) {
+        const std::vector<int>& support = support_per_code[c];
+        static const std::vector<int> kEmpty;
+        const std::vector<int>& core =
+            params.dual_channel ? core_per_code[c] : kEmpty;
+        if (!tracker.split_feasible(core, support)) continue;
+        tracker.commit_split(core, support);
+        ++scheduled_codes[k];
+        ++committed;
+
+        const auto ec = choose_ec_servers(topology, params, core, support);
+        if (!result.schedule.scheduled.empty()) {
+          auto& last = result.schedule.scheduled.back();
+          if (last.request_index == static_cast<int>(k) &&
+              last.support_path == support && last.core_path == core &&
+              last.ec_servers == ec) {
+            ++last.codes;
+            continue;
+          }
+        }
+        ScheduledRequest s;
+        s.request_index = static_cast<int>(k);
+        s.codes = 1;
+        s.support_path = support;
+        s.core_path = core;
+        s.ec_servers = ec;
+        result.schedule.scheduled.push_back(std::move(s));
+      }
+    }
+    return committed;
+  };
+
+  round_solution(lp);
+
+  // Warm re-solves: shrink the LP to the residual problem (codes still
+  // unscheduled, capacity the committed codes left behind) and round
+  // again, reusing the basis from the previous solve. Two rounds recover
+  // most of what the first rounding dropped; after that the greedy top-up
+  // is cheaper than another solve.
+  constexpr int kMaxResolves = 2;
+  for (int round = 0; round < kMaxResolves; ++round) {
+    int remaining = 0;
+    for (std::size_t k = 0; k < requests.size(); ++k)
+      remaining += requests[k].codes - scheduled_codes[k];
+    if (remaining <= 0) break;
+
+    for (std::size_t k = 0; k < requests.size(); ++k)
+      formulation.set_request_limit(
+          static_cast<int>(k),
+          static_cast<double>(requests[k].codes - scheduled_codes[k]));
+    for (int v = 0; v < topology.num_nodes(); ++v)
+      formulation.set_storage_capacity(
+          v, std::max(0.0, tracker.node_remaining(v)));
+    for (int e = 0; e < topology.num_fibers(); ++e)
+      formulation.set_entanglement_capacity(
+          e, std::max(0.0, tracker.fiber_pairs_remaining(e)));
+
+    const LpSolution relp = solve();
+    ++result.resolves;
+    result.warm_iterations += relp.iterations;
+    if (relp.status != LpStatus::Optimal) break;
+    if (throughput(relp) < 0.5) break;  // no whole code left to gain
+    if (round_solution(relp) == 0) break;
   }
 
-  // Auto fallback — the historical core-layer seam, preserved bitwise:
-  // count the fallback and route greedily with the same rng stream.
-  if (params.sink.metrics)
-    params.sink.metrics->count("route.greedy_fallbacks");
-  result.greedy_fallback = true;
-  result.schedule = route_greedy(topology, requests, params, rng);
+  // Greedy top-up: reclaim codes the rounding dropped, while capacities and
+  // noise thresholds still allow.
+  PlanWorkspace ws;
+  for (std::size_t k : order) {
+    const Request& req = requests[k];
+    while (scheduled_codes[k] < req.codes) {
+      const auto plan =
+          plan_code(topology, tracker, params, req.src, req.dst, ws);
+      if (!plan || !tracker.path_feasible(plan->path)) break;
+      tracker.commit(plan->path);
+      ++scheduled_codes[k];
+      ScheduledRequest s;
+      s.request_index = static_cast<int>(k);
+      s.codes = 1;
+      s.support_path = plan->path;
+      if (params.dual_channel) s.core_path = plan->path;
+      s.ec_servers = plan->ec_servers;
+      result.schedule.scheduled.push_back(std::move(s));
+    }
+  }
+
+#if SURFNET_CHECKS
+  // The rounded schedule must satisfy the integer program's constraints
+  // (Eqs. (1)-(6)) no matter how the LP/rounding/top-up interplay went.
+  check_schedule_invariants(topology, requests, params, result.schedule);
+#endif
   return result;
 }
 

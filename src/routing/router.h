@@ -1,57 +1,55 @@
 #pragma once
 
-// Unified routing facade: one entry point over the LP relaxation router
-// (routing/lp_router.h) and the greedy hierarchical scheduler
-// (routing/greedy.h), returning one RouteResult.
+// The centralized offline scheduler of SurfNet (paper Sec. V-A): build the
+// LP relaxation of Eqs. (1)-(6), solve it with the simplex solver, round
+// the fractional flows into integral per-code paths by flow decomposition,
+// and greedily top the schedule up with any codes the rounding lost.
 //
-// route() with RouteStrategy::Auto reproduces the historical core-layer
-// seam exactly: solve the LP relaxation; when it cannot be solved
-// (infeasible, unbounded, or iteration-limited), count a
-// "route.greedy_fallbacks" metric and fall back to the standalone greedy
-// scheduler instead of executing nothing. Lp and Greedy force one arm.
+// The first solve starts from a crash basis: one minimum-noise spanning
+// flow tree per request and channel (RoutingFormulation::crash_hint), which
+// puts the solver next to the optimum instead of at the all-slack basis.
+// After that solve and its rounding pass, the router re-solves the LP on
+// the residual problem — request limits tightened to the codes still
+// unscheduled, capacity right-hand sides to what the committed codes left —
+// and rounds again. The problem keeps its shape across these re-solves, so
+// the basis the previous solve left warm-starts each of them; only bounds
+// and right-hand sides changed, so that basis stays dual feasible and the
+// solver's dual phase repairs it in a few pivots. A singular crash basis
+// falls back to the all-slack start.
 //
-// Every call is self-contained: route_lp crash-starts its first solve from
-// the formulation's flow trees and warm-starts its own re-solves, so no
-// simplex state crosses route() calls.
+// When the first solve has no optimum (infeasible, unbounded or
+// iteration-limited), route() counts "route.greedy_fallbacks" and returns
+// the standalone greedy scheduler's schedule (routing/greedy.h, paper
+// Sec. V-B) instead of executing nothing.
 //
-// route_lp() and route_greedy() remain available as the underlying
-// implementations for one more release; new call sites should prefer
-// route().
+// Every call is self-contained: no simplex state crosses route() calls.
 
 #include "netsim/schedule.h"
 #include "netsim/topology.h"
 #include "routing/formulation.h"
-#include "routing/lp_router.h"
 #include "routing/simplex.h"
 #include "util/rng.h"
 
 namespace surfnet::routing {
 
-enum class RouteStrategy : std::uint8_t {
-  Auto,    ///< LP first, greedy fallback when the LP cannot be solved
-  Lp,      ///< LP relaxation + rounding only
-  Greedy,  ///< standalone greedy hierarchical scheduler only
-};
-
-struct RouteOptions {
-  RouteStrategy strategy = RouteStrategy::Auto;
-};
-
 struct RouteResult {
   netsim::Schedule schedule;
-  LpStatus status = LpStatus::Infeasible;
-  double lp_objective = 0.0;  ///< relaxed optimum (0 on the greedy arm)
+  LpStatus status = LpStatus::Infeasible;  ///< status of the first solve
+  /// Relaxed optimum of the first solve (upper-bounds throughput); 0 when
+  /// it has none.
+  double lp_objective = 0.0;
   int resolves = 0;           ///< warm re-solves after the first solve
   long cold_iterations = 0;   ///< iterations of the first (crash-started) solve
   long warm_iterations = 0;   ///< iterations across the warm re-solves
-  bool used_lp = false;           ///< the schedule came from the LP arm
-  bool greedy_fallback = false;   ///< Auto fell back to greedy
+  bool greedy_fallback = false;  ///< no LP optimum: the greedy scheduler routed
 };
 
-/// Route `requests` over `topology` with the selected strategy.
+/// Route `requests` over `topology` with LP relaxation + rounding.
+/// `params.dual_channel` selects the SurfNet formulation or the Raw
+/// baseline formulation. With a metrics sink attached, every solve that
+/// ends at the iteration limit counts "route.lp_iteration_limits".
 RouteResult route(const netsim::Topology& topology,
                   const std::vector<netsim::Request>& requests,
-                  const RoutingParams& params, util::Rng& rng,
-                  const RouteOptions& options = {});
+                  const RoutingParams& params, util::Rng& rng);
 
 }  // namespace surfnet::routing

@@ -20,7 +20,7 @@
 // basis (the cold start). A state comes from one of two places:
 //   * a warm start: the state a previous solve of a same-shaped problem
 //     left behind (same rows and columns; bounds and right-hand sides may
-//     differ). lp_router threads one state through its rounding re-solves.
+//     differ). route() threads one state through its rounding re-solves.
 //   * a crash start: crash_state() places caller-chosen structural columns
 //     on caller-chosen rows, e.g. a network flow's spanning trees, so the
 //     first solve starts next to the optimum instead of at the slacks.
@@ -118,10 +118,6 @@ class LpProblem {
   void set_rhs(int r, double rhs) {
     SURFNET_EXPECTS(r >= 0 && static_cast<std::size_t>(r) < rhs_.size());
     rhs_[static_cast<std::size_t>(r)] = rhs;
-  }
-  void set_objective(int v, double c) {
-    SURFNET_EXPECTS(v >= 0 && static_cast<std::size_t>(v) < objective_.size());
-    objective_[static_cast<std::size_t>(v)] = c;
   }
 
  private:

@@ -139,13 +139,13 @@ void check_schedule_invariants(const netsim::Topology& topology,
                    "request %zu: %d codes scheduled of %d requested", k,
                    scheduled_per_request[k], requests[k].codes);
 
-  const double bonus = params.dual_channel ? 1.0 : params.raw_capacity_bonus;
+  const double scale = params.storage_scale();
   for (int v = 0; v < topology.num_nodes(); ++v)
     SURFNET_ASSERT(node_demand[static_cast<std::size_t>(v)] <=
-                       bonus * topology.node(v).storage_capacity + kCapacityTol,
+                       scale * topology.node(v).storage_capacity + kCapacityTol,
                    "node %d stores %g of %g qubits", v,
                    node_demand[static_cast<std::size_t>(v)],
-                   bonus * topology.node(v).storage_capacity);
+                   scale * topology.node(v).storage_capacity);
   for (int e = 0; e < topology.num_fibers(); ++e)
     SURFNET_ASSERT(pair_demand[static_cast<std::size_t>(e)] <=
                        topology.fiber(e).entanglement_capacity + kCapacityTol,

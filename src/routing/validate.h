@@ -1,7 +1,7 @@
 #pragma once
 
-// Debug invariant validators for the routing layer. route_lp and
-// route_greedy validate their schedules against the integer program's
+// Debug invariant validators for the routing layer. route() and
+// route_greedy() validate their schedules against the integer program's
 // constraints (paper Eqs. (1)-(6)) before returning when SURFNET_CHECKS is
 // on; solve_lp validates the basis snapshot it hands back. Tests call the
 // validators directly against deliberately corrupted schedules and bases

@@ -106,8 +106,8 @@ TEST(ErasureMl, MatchesExhaustiveMlAtEnumerableDistances) {
         const auto exact = decode_ml(lattice, kind, input);
 
         const auto flips = qec::edge_flips(lattice, kind, sample.error);
-        ASSERT_TRUE(qec::correction_valid(lattice.graph(kind), flips,
-                                          fast.correction))
+        ASSERT_TRUE(qec::evaluate_correction(lattice, kind, flips,
+                                             fast.correction).valid)
             << "d=" << d << " trial " << t;
         EXPECT_EQ(qec::logical_flip(lattice, kind, fast.correction),
                   fast.info.chosen_class == 1)
@@ -173,8 +173,8 @@ TEST(ErasureMl, NeverBeatenByApproximateDecodersOnPureErasure) {
         const bool truth = qec::logical_flip(lattice, kind, flips);
 
         const auto decision = ml.decode_with_info(input);
-        ASSERT_TRUE(qec::correction_valid(lattice.graph(kind), flips,
-                                          decision.correction))
+        ASSERT_TRUE(qec::evaluate_correction(lattice, kind, flips,
+                                             decision.correction).valid)
             << "d=" << d << " trial " << t;
         const bool ml_success = (decision.info.chosen_class == 1) == truth;
         if (!decision.info.degenerate) {
@@ -187,8 +187,8 @@ TEST(ErasureMl, NeverBeatenByApproximateDecodersOnPureErasure) {
 
         for (const auto& [rival_name, rival] : rivals) {
           const auto correction = rival->decode(input);
-          ASSERT_TRUE(qec::correction_valid(lattice.graph(kind), flips,
-                                            correction))
+          ASSERT_TRUE(qec::evaluate_correction(lattice, kind, flips,
+                                               correction).valid)
               << rival_name << " d=" << d << " trial " << t;
           const bool rival_success =
               qec::logical_flip(lattice, kind, correction) == truth;
@@ -239,8 +239,8 @@ TEST(ErasureMl, MatchesPeelingExactlyOnNonDegenerateErasures) {
               << "d=" << d << " trial " << t;
           // The two corrections still explain the same syndrome: their
           // difference is a closed chain.
-          EXPECT_TRUE(qec::correction_valid(lattice.graph(kind), peel,
-                                            decision.correction))
+          EXPECT_TRUE(qec::evaluate_correction(lattice, kind, peel,
+                                               decision.correction).valid)
               << "d=" << d << " trial " << t;
         }
       }

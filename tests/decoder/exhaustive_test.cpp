@@ -98,8 +98,8 @@ TEST(ExhaustiveMl, DecisionInvariantsOnRandomNoise) {
       const auto input = make_decode_input(lattice, kind, sample, prior);
       const auto decision = decode_ml(lattice, kind, input);
       const auto flips = qec::edge_flips(lattice, kind, sample.error);
-      EXPECT_TRUE(qec::correction_valid(lattice.graph(kind), flips,
-                                        decision.correction))
+      EXPECT_TRUE(qec::evaluate_correction(lattice, kind, flips,
+                                           decision.correction).valid)
           << "trial " << t;
       EXPECT_EQ(qec::logical_flip(lattice, kind, decision.correction),
                 decision.chosen_class == 1)
@@ -175,7 +175,7 @@ TEST(ExhaustiveMl, PeelingMatchesMlOnPureErasure) {
       const auto peel = peeling.decode(input);
       const auto flips = qec::edge_flips(lattice, kind, sample.error);
       ASSERT_TRUE(
-          qec::correction_valid(lattice.graph(kind), flips, peel))
+          qec::evaluate_correction(lattice, kind, flips, peel).valid)
           << "trial " << t;
 
       const auto decision = decode_ml(lattice, kind, input);

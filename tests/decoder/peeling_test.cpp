@@ -67,7 +67,8 @@ TEST_P(PeelingPropertyTest, ErasureOnlyDecodingIsAlwaysValid) {
       const auto region = qec::erased_edges(lattice, kind, sample.erased);
       const auto syndrome = qec::syndrome_bitmap(graph, flips);
       const auto correction = peel_correction(graph, region, syndrome);
-      EXPECT_TRUE(qec::correction_valid(graph, flips, correction))
+      EXPECT_TRUE(
+          qec::evaluate_correction(lattice, kind, flips, correction).valid)
           << "d=" << d << " trial=" << trial;
       // Correction must stay inside the erased region.
       for (std::size_t e = 0; e < correction.size(); ++e) {

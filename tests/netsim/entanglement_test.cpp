@@ -2,11 +2,27 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "netsim/channel.h"
+#include "netsim/faults.h"
+#include "netsim/sim_internal.h"
+#include "netsim/simulator.h"
 #include "util/rng.h"
 
 namespace surfnet::netsim {
 namespace {
+
+/// user(0) - sw(1) - sw(2) - user(3): three fibers holding at most 5, 2
+/// and 7 pairs.
+Topology capped_path() {
+  std::vector<Node> nodes(4);
+  nodes[1] = {NodeRole::Switch, 100};
+  nodes[2] = {NodeRole::Switch, 100};
+  return Topology(std::move(nodes),
+                  {{0, 1, 0.95, 5}, {1, 2, 0.95, 2}, {2, 3, 0.95, 7}});
+}
 
 TEST(Purify, PaperFormula) {
   // rho' = r1 r2 / (r1 r2 + (1 - r1)(1 - r2))
@@ -38,36 +54,86 @@ TEST(PurifiedFidelity, MonotoneInRounds) {
   EXPECT_GT(purified_fidelity(0.8, 9), 0.999);
 }
 
-TEST(SwappedFidelity, ProductRule) {
-  EXPECT_NEAR(swapped_fidelity({0.9, 0.8, 0.95}), 0.9 * 0.8 * 0.95, 1e-12);
-  EXPECT_DOUBLE_EQ(swapped_fidelity({}), 1.0);
-}
+// The simulator's per-fiber pair sources (detail::EntanglementRates).
 
-TEST(EntanglementPool, GenerationAndConsumption) {
-  EntanglementPool pool(3, 1.0, 5);  // deterministic: one pair per tick
+TEST(EntanglementRates, GenerationIsCappedAtFiberCapacity) {
+  const auto topo = capped_path();
+  SimulationParams params;
+  params.entanglement_rate = 1.0;  // deterministic: one pair per slot
+  const FaultInjector injector(topo, FaultPlan{});
+  const detail::EntanglementRates rates(topo, params, injector);
+  std::vector<int> pairs(3, 0);
   util::Rng rng(3);
-  EXPECT_EQ(pool.available(0), 0);
-  for (int t = 0; t < 10; ++t) pool.tick(rng);
-  EXPECT_EQ(pool.available(0), 5);  // capped at capacity
-  EXPECT_TRUE(pool.consume(0, 3));
-  EXPECT_EQ(pool.available(0), 2);
-  EXPECT_FALSE(pool.consume(0, 3));  // insufficient: nothing consumed
-  EXPECT_EQ(pool.available(0), 2);
-  pool.fill();
-  EXPECT_EQ(pool.available(1), 5);
+  rates.advance(pairs, injector, 0, rng);
+  EXPECT_EQ(pairs, (std::vector<int>{1, 1, 1}));
+  for (int slot = 1; slot < 10; ++slot)
+    rates.advance(pairs, injector, slot, rng);
+  EXPECT_EQ(pairs, (std::vector<int>{5, 2, 7}));
+  // Consumed pairs come back at the same rate.
+  pairs[0] -= 3;
+  rates.advance(pairs, injector, 10, rng);
+  EXPECT_EQ(pairs, (std::vector<int>{3, 2, 7}));
+  // A whole rate draws no random variates.
+  EXPECT_EQ(rng(), util::Rng(3)());
 }
 
-TEST(EntanglementPool, RateZeroNeverGenerates) {
-  EntanglementPool pool(2, 0.0, 5);
+TEST(EntanglementRates, RateZeroNeverGenerates) {
+  const auto topo = capped_path();
+  SimulationParams params;
+  params.entanglement_rate = 0.0;
+  const FaultInjector injector(topo, FaultPlan{});
+  const detail::EntanglementRates rates(topo, params, injector);
+  std::vector<int> pairs(3, 0);
   util::Rng rng(4);
-  for (int t = 0; t < 50; ++t) pool.tick(rng);
-  EXPECT_EQ(pool.available(0), 0);
+  for (int slot = 0; slot < 50; ++slot)
+    rates.advance(pairs, injector, slot, rng);
+  EXPECT_EQ(pairs, (std::vector<int>{0, 0, 0}));
+  EXPECT_EQ(rng(), util::Rng(4)());
 }
 
-TEST(EntanglementPool, RejectsBadArguments) {
-  EXPECT_THROW(EntanglementPool(2, -0.5, 5), std::invalid_argument);
-  EXPECT_THROW(EntanglementPool(2, 1.5, 5), std::invalid_argument);
-  EXPECT_THROW(EntanglementPool(2, 0.5, -1), std::invalid_argument);
+TEST(EntanglementRates, FractionalRateDrawsOneBernoulliPerFiberInOrder) {
+  const auto topo = capped_path();
+  SimulationParams params;
+  params.entanglement_rate = 1.5;
+  const FaultInjector injector(topo, FaultPlan{});
+  const detail::EntanglementRates rates(topo, params, injector);
+  std::vector<int> pairs(3, 0);
+  std::vector<int> expected(3, 0);
+  const std::vector<int> caps{5, 2, 7};
+  util::Rng rng(5), twin(5);
+  for (int slot = 0; slot < 6; ++slot) {
+    rates.advance(pairs, injector, slot, rng);
+    for (std::size_t e = 0; e < expected.size(); ++e)
+      expected[e] =
+          std::min(caps[e], expected[e] + 1 + (twin.bernoulli(0.5) ? 1 : 0));
+    EXPECT_EQ(pairs, expected) << "slot " << slot;
+  }
+  EXPECT_EQ(rng(), twin());
+}
+
+TEST(EntanglementRates, DegradedFiberGeneratesAtTheScaledRate) {
+  const auto topo = capped_path();
+  SimulationParams params;
+  params.entanglement_rate = 2.0;
+  FaultPlan plan;
+  // Fiber 2 generates at half rate during slots [1, 4).
+  plan.scripted.push_back({FaultKind::EntanglementDegradation, 1, 2, 3, 0.5});
+  FaultInjector injector(topo, plan);
+  const detail::EntanglementRates rates(topo, params, injector);
+  ASSERT_TRUE(rates.degradable());
+  std::vector<int> pairs(3, 0);
+  util::Rng rng(6);
+  std::vector<int> gains;
+  for (int slot = 0; slot < 5; ++slot) {
+    injector.begin_slot(slot, rng, obs::Sink{});
+    const int before = pairs[2];
+    pairs[0] = pairs[1] = 0;  // drain the other fibers every slot
+    rates.advance(pairs, injector, slot, rng);
+    EXPECT_EQ(pairs[0], 2) << "slot " << slot;
+    EXPECT_EQ(pairs[1], 2) << "slot " << slot;
+    gains.push_back(pairs[2] - before);
+  }
+  EXPECT_EQ(gains, (std::vector<int>{2, 1, 1, 1, 2}));
 }
 
 TEST(Channel, NoiseFidelityRoundTrip) {

@@ -44,7 +44,7 @@ TEST(Failures, RecoveryReroutesAroundDeadFiber) {
   const auto topo = ring_topology();
   const decoder::SurfNetDecoder dec;
   SimulationParams params;
-  params.faults = FaultPlanBuilder().fiber_noise(0.05, 40).build();
+  params.faults = FaultPlan::fiber_noise(0.05, 40);
   params.max_slots = 4000;
   util::Rng rng(21);
   const auto result =
@@ -56,7 +56,7 @@ TEST(Failures, WithoutRecoveryCodesWaitLonger) {
   const auto topo = ring_topology();
   const decoder::SurfNetDecoder dec;
   SimulationParams base;
-  base.faults = FaultPlanBuilder().fiber_noise(0.04, 50).build();
+  base.faults = FaultPlan::fiber_noise(0.04, 50);
   base.max_slots = 20000;
 
   SimulationParams with = base;
@@ -88,7 +88,7 @@ TEST(Failures, NoAlternativeMeansWaiting) {
 
   const decoder::SurfNetDecoder dec;
   SimulationParams params;
-  params.faults = FaultPlanBuilder().fiber_noise(0.10, 10).build();
+  params.faults = FaultPlan::fiber_noise(0.10, 10);
   // Recovery stays on by default — there is just nothing to reroute onto.
   params.max_slots = 5000;
   util::Rng rng(23);

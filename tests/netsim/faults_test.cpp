@@ -1,7 +1,6 @@
 // Tests of the deterministic fault-injection subsystem (netsim/faults.h):
-// plan validation, scripted fault windows, stochastic processes, the
-// FaultPlanBuilder (including the golden equivalence with the retired
-// fiber_failure_rate knobs), and seed replayability.
+// plan validation, scripted fault windows, stochastic processes, which
+// plans count as empty, FaultPlan::fiber_noise, and seed replayability.
 
 #include "netsim/faults.h"
 
@@ -230,74 +229,94 @@ TEST(FaultInjection, ReplayIsDeterministic) {
   EXPECT_EQ(run(), run());
 }
 
-TEST(FaultPlanBuilderTest, BuilderAndFiberNoisePlanAreBitwiseIdentical) {
-  // Golden equivalence: the builder's fiber_noise maps a retired
-  // fiber_failure_rate/_duration configuration onto the same plan as
-  // FaultPlan::fiber_noise, whose injector was in turn pinned bitwise
-  // against the pre-plan simulator. Old configs therefore replay
-  // bitwise-identically through the builder.
+TEST(FaultPlanTest, DefaultPlanIsEmpty) {
+  EXPECT_TRUE(FaultPlan{}.empty());
+  EXPECT_FALSE(StochasticFaults{}.any());
+  // A zero rate disables a process, so zero-rate fiber noise is no plan.
+  EXPECT_TRUE(FaultPlan::fiber_noise(0.0, 40).empty());
+  EXPECT_FALSE(FaultPlan::fiber_noise(0.01, 40).empty());
+}
+
+TEST(FaultPlanTest, EveryProcessMakesThePlanNonEmpty) {
+  // Each process armed alone is a plan: empty() must see every one of
+  // them, or the simulator would run the plan as fault-free.
+  struct Arm {
+    const char* name;
+    bool degrades;
+    void (*apply)(FaultPlan&);
+  };
+  const Arm arms[] = {
+      {"fiber_cut", false,
+       [](FaultPlan& p) { p.stochastic.fiber_cut_rate = 0.01; }},
+      {"correlated_cut", false,
+       [](FaultPlan& p) { p.stochastic.correlated_cut_rate = 0.01; }},
+      {"node_outage", false,
+       [](FaultPlan& p) { p.stochastic.node_outage_rate = 0.01; }},
+      {"degradation", true,
+       [](FaultPlan& p) { p.stochastic.degradation_rate = 0.01; }},
+      {"decode_stall", false,
+       [](FaultPlan& p) { p.stochastic.decode_stall_rate = 0.01; }},
+      {"scripted_outage", false,
+       [](FaultPlan& p) {
+         p.scripted.push_back({FaultKind::NodeOutage, 7, 1, 4, 1.0});
+       }},
+      {"scripted_degradation", true,
+       [](FaultPlan& p) {
+         p.scripted.push_back(
+             {FaultKind::EntanglementDegradation, 7, 2, 4, 0.5});
+       }},
+  };
+  const auto topo = ring_topology();
+  for (const Arm& arm : arms) {
+    FaultPlan plan;
+    arm.apply(plan);
+    EXPECT_FALSE(plan.empty()) << arm.name;
+    const FaultInjector injector(topo, plan);
+    EXPECT_FALSE(injector.inert()) << arm.name;
+    EXPECT_EQ(injector.degradations_possible(), arm.degrades) << arm.name;
+  }
+}
+
+TEST(FaultPlanTest, FiberNoiseIsTheIndependentCutProcessAlone) {
+  // FaultPlan::fiber_noise (the paper's Sec. V-B failure model) arms the
+  // per-fiber cut process and nothing else, so a run under it replays
+  // bitwise like a plan with those two fields set by hand.
+  const FaultPlan noise = FaultPlan::fiber_noise(0.05, 40);
+  EXPECT_TRUE(noise.scripted.empty());
+  EXPECT_DOUBLE_EQ(noise.stochastic.fiber_cut_rate, 0.05);
+  EXPECT_EQ(noise.stochastic.fiber_cut_duration, 40);
+  EXPECT_DOUBLE_EQ(noise.stochastic.correlated_cut_rate, 0.0);
+  EXPECT_DOUBLE_EQ(noise.stochastic.node_outage_rate, 0.0);
+  EXPECT_DOUBLE_EQ(noise.stochastic.degradation_rate, 0.0);
+  EXPECT_DOUBLE_EQ(noise.stochastic.decode_stall_rate, 0.0);
+
   const auto topo = ring_topology();
   const decoder::SurfNetDecoder dec;
-
-  SimulationParams legacy;
-  legacy.faults = FaultPlanBuilder().fiber_noise(0.05, 40).build();
-  legacy.max_slots = 4000;
-
   SimulationParams planned;
-  planned.faults = FaultPlan::fiber_noise(0.05, 40);
+  planned.faults = noise;
   planned.max_slots = 4000;
+  SimulationParams by_hand;
+  by_hand.faults.stochastic.fiber_cut_rate = 0.05;
+  by_hand.faults.stochastic.fiber_cut_duration = 40;
+  by_hand.max_slots = 4000;
 
   obs::TraceBuffer trace_a, trace_b;
   obs::MetricsRegistry metrics_a, metrics_b;
-  legacy.sink = obs::Sink{&metrics_a, &trace_a};
-  planned.sink = obs::Sink{&metrics_b, &trace_b};
+  planned.sink = obs::Sink{&metrics_a, &trace_a};
+  by_hand.sink = obs::Sink{&metrics_b, &trace_b};
 
   util::Rng rng_a(21), rng_b(21);
-  const auto a = simulate_surfnet(topo, one_request(10, true), legacy, dec,
+  const auto a = simulate_surfnet(topo, one_request(10, true), planned, dec,
                                   rng_a);
-  const auto b = simulate_surfnet(topo, one_request(10, true), planned, dec,
+  const auto b = simulate_surfnet(topo, one_request(10, true), by_hand, dec,
                                   rng_b);
   EXPECT_TRUE(same_records(a, b));
   EXPECT_EQ(jsonl_of(trace_a), jsonl_of(trace_b));
+  EXPECT_GT(metrics_a.counter("sim.fiber_failures"), 0);
   EXPECT_EQ(metrics_a.counter("sim.fiber_failures"),
             metrics_b.counter("sim.fiber_failures"));
   // The RNG streams stay in lockstep past the run.
   EXPECT_EQ(rng_a(), rng_b());
-}
-
-TEST(FaultPlanBuilderTest, FluentChainSetsEveryProcess) {
-  FaultEvent scripted;
-  scripted.kind = FaultKind::NodeOutage;
-  scripted.slot = 7;
-  scripted.target = 1;
-  scripted.duration = 4;
-  const FaultPlan plan = FaultPlanBuilder()
-                             .fiber_noise(0.25, 12)
-                             .correlated_cuts(0.01, 4, 30)
-                             .node_outages(0.005, 15)
-                             .degradation(0.02, 0.5, 25)
-                             .decode_stalls(0.001, 8)
-                             .scripted(scripted)
-                             .build();
-  EXPECT_DOUBLE_EQ(plan.stochastic.fiber_cut_rate, 0.25);
-  EXPECT_EQ(plan.stochastic.fiber_cut_duration, 12);
-  EXPECT_DOUBLE_EQ(plan.stochastic.correlated_cut_rate, 0.01);
-  EXPECT_EQ(plan.stochastic.correlated_group_size, 4);
-  EXPECT_EQ(plan.stochastic.correlated_cut_duration, 30);
-  EXPECT_DOUBLE_EQ(plan.stochastic.node_outage_rate, 0.005);
-  EXPECT_EQ(plan.stochastic.node_outage_duration, 15);
-  EXPECT_DOUBLE_EQ(plan.stochastic.degradation_rate, 0.02);
-  EXPECT_DOUBLE_EQ(plan.stochastic.degradation_factor, 0.5);
-  EXPECT_EQ(plan.stochastic.degradation_duration, 25);
-  EXPECT_DOUBLE_EQ(plan.stochastic.decode_stall_rate, 0.001);
-  EXPECT_EQ(plan.stochastic.decode_stall_duration, 8);
-  ASSERT_EQ(plan.scripted.size(), 1u);
-  EXPECT_EQ(plan.scripted[0].kind, FaultKind::NodeOutage);
-  EXPECT_EQ(plan.scripted[0].slot, 7);
-}
-
-TEST(FaultPlanBuilderTest, DefaultBuildIsEmpty) {
-  EXPECT_TRUE(FaultPlanBuilder().build().empty());
 }
 
 TEST(FaultSimulation, ScriptedOutageBlocksAndHeals) {

@@ -174,7 +174,7 @@ TEST(RecoverySimulation, DisabledPolicyMatchesRerouteSwitchBitwise) {
   const auto topo = ring_topology();
   const decoder::SurfNetDecoder dec;
   SimulationParams base;
-  base.faults = FaultPlanBuilder().fiber_noise(0.04, 50).build();
+  base.faults = FaultPlan::fiber_noise(0.04, 50);
   base.max_slots = 20000;
 
   SimulationParams legacy = base;

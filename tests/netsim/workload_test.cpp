@@ -3,8 +3,8 @@
 // The determinism contract under test: a (seed, params) traffic stream
 // replays bitwise from the same seed, across 1 and 8 worker threads
 // (through core::run_trials' trial-ordered merge), with or without a
-// sink, and against a committed golden trace. Admission-control semantics (load cap, headroom
-// shedding, fidelity floor, deadline, warmup cutoff) are pinned with a
+// sink, and against a committed golden trace. Admission-control semantics
+// (load cap, fidelity floor, deadline, warmup cutoff) are pinned with a
 // scripted provider so they do not depend on the live router.
 //
 // Regenerate the golden trace after an intentional behavior change:
@@ -89,9 +89,9 @@ WorkloadParams busy_params() {
   params.warmup_slots = 50;
   params.reoptimize_every = 16;
   params.classes = {
-      {2.0, 1, 0, 0.0, 0},    // bulk: one code, no constraints
-      {1.0, 2, 1, 0.0, 40},   // priority: two codes, deadlined
-      {0.5, 1, 0, 0.6, 0},    // picky: fidelity floor
+      {2.0, 1, 0.0, 0},    // bulk: one code, no constraints
+      {1.0, 2, 0.0, 40},   // large: two codes, deadlined
+      {0.5, 1, 0.6, 0},    // picky: fidelity floor
   };
   return params;
 }
@@ -145,18 +145,6 @@ TEST(Workload, SameSeedStreamReplaysBitwise) {
   EXPECT_GT(first.result.departures, 0);
 }
 
-TEST(Workload, ParetoStreamReplaysBitwiseToo) {
-  auto params = busy_params();
-  params.process = ArrivalProcess::Pareto;
-  params.pareto_shape = 1.8;
-  const auto first = run_once(params, 7);
-  const auto second = run_once(params, 7);
-  expect_results_equal(first.result, second.result);
-  EXPECT_EQ(first.trace, second.trace);
-  EXPECT_EQ(first.next_draw, second.next_draw);
-  EXPECT_GT(first.result.arrivals, 0);
-}
-
 TEST(Workload, MaxRequestsCapsTheStream) {
   auto params = busy_params();
   params.max_requests = 25;
@@ -189,7 +177,6 @@ struct ScriptedProvider final : RouteProvider {
   bool refuse = false;
   int admits = 0;
   int releases = 0;
-  int reoptimizes = 0;
 
   std::optional<AdmittedRoute> admit(int, int, int codes) override {
     if (refuse) return std::nullopt;
@@ -201,10 +188,7 @@ struct ScriptedProvider final : RouteProvider {
     return route;
   }
   void release(const AdmittedRoute&) override { ++releases; }
-  double reoptimize() override {
-    ++reoptimizes;
-    return 0.0;  // no headroom: triggers priority shedding when armed
-  }
+  double reoptimize() override { return 0.0; }
 };
 
 WorkloadParams scripted_params() {
@@ -217,10 +201,10 @@ WorkloadParams scripted_params() {
 TEST(Workload, LoadCapBlocksWithoutConsultingProvider) {
   ScriptedProvider provider;
   auto params = scripted_params();
-  params.admission.max_active_codes = 1;
-  params.service_base = 50;  // long service: the single slot stays busy
-  params.service_per_hop = 0;
-  params.service_jitter = 0;
+  // One code at a time: each admit holds the cap for at least
+  // kServiceBaseSlots + 4 * kServicePerHopSlots = 12 slots, while about
+  // one request arrives per slot.
+  params.max_active_codes = 1;
   util::Rng rng(3);
   const auto result = run_traffic(ring_topology(), provider, params, rng);
   EXPECT_GT(result.blocked_by[static_cast<int>(BlockReason::Load)], 0);
@@ -234,7 +218,7 @@ TEST(Workload, FidelityFloorBlocksAndReleasesTheRoute) {
   ScriptedProvider provider;
   provider.noise = 0.5;  // route fidelity 0.5
   auto params = scripted_params();
-  params.classes = {{1.0, 1, 0, /*fidelity_floor=*/0.9, 0}};
+  params.classes = {{1.0, 1, /*fidelity_floor=*/0.9, 0}};
   util::Rng rng(3);
   const auto result = run_traffic(ring_topology(), provider, params, rng);
   EXPECT_EQ(result.admitted, 0);
@@ -248,9 +232,9 @@ TEST(Workload, FidelityFloorBlocksAndReleasesTheRoute) {
 TEST(Workload, DeadlineBlocksSlowRoutes) {
   ScriptedProvider provider;  // 4 hops
   auto params = scripted_params();
-  params.service_base = 4;
-  params.service_per_hop = 2;  // estimate = 4 + 2*4 = 12
-  params.classes = {{1.0, 1, 0, 0.0, /*deadline_slots=*/10}};
+  // The delivery estimate is kServiceBaseSlots + 4 * kServicePerHopSlots.
+  const int estimate = kServiceBaseSlots + 4 * kServicePerHopSlots;
+  params.classes = {{1.0, 1, 0.0, /*deadline_slots=*/estimate - 2}};
   util::Rng rng(3);
   const auto result = run_traffic(ring_topology(), provider, params, rng);
   EXPECT_EQ(result.admitted, 0);
@@ -270,70 +254,6 @@ TEST(Workload, ProviderRefusalBlocksAsCapacity) {
             result.measured_blocked);
 }
 
-TEST(Workload, HeadroomSheddingBlocksLowPriorityClasses) {
-  ScriptedProvider provider;  // reoptimize() reports zero headroom
-  auto params = scripted_params();
-  params.reoptimize_every = 1;
-  params.admission.shed_headroom = 1.0;
-  params.admission.shed_below_priority = 1;
-  params.classes = {{1.0, 1, /*priority=*/0, 0.0, 0}};
-  util::Rng rng(3);
-  const auto result = run_traffic(ring_topology(), provider, params, rng);
-  // The first admit reports zero headroom; everything after is shed.
-  EXPECT_GT(result.blocked_by[static_cast<int>(BlockReason::Load)], 0);
-  EXPECT_GT(provider.reoptimizes, 0);
-}
-
-TEST(Workload, RouterHeadroomShedsLowPriorityOnceTheRingFills) {
-  // The live router's headroom: the ring's six fibers carry 300 pairs,
-  // 300 / 7 codes while empty, and every admitted code takes 28 of them,
-  // 4 codes of headroom. Shedding below half the pristine value starts
-  // after the sixth long-lived admit.
-  const auto topology = ring_topology();
-  const routing::RoutingParams routing = ring_routing();
-  routing::IncrementalRouter router(topology, routing);
-  const double pristine = router.reoptimize();
-
-  obs::TraceBuffer trace;
-  auto params = scripted_params();
-  params.sink = obs::Sink{nullptr, &trace};
-  params.service_base = 150;  // requests outlive the arrivals around them
-  params.reoptimize_every = 1;
-  params.admission.shed_headroom = pristine / 2;
-  params.admission.shed_below_priority = 1;
-  params.classes = {{1.0, 1, /*priority=*/0, 0.0, 0},
-                    {1.0, 1, /*priority=*/1, 0.0, 0}};
-  util::Rng rng(3);
-  const auto result = run_traffic(topology, router, params, rng);
-
-  std::vector<int> class_of;  // by request id
-  bool shedding = false;
-  int admits_before_shedding = 0;
-  int priority_admits_after = 0;
-  int sheds = 0;
-  for (const auto& event : trace.events()) {
-    if (event.kind == obs::EventKind::Arrival) class_of.push_back(event.d);
-    const auto cls = [&] {
-      return class_of[static_cast<std::size_t>(event.a)];
-    };
-    if (event.kind == obs::EventKind::Admit) {
-      if (!shedding) ++admits_before_shedding;
-      else if (cls() == 1) ++priority_admits_after;
-    }
-    if (event.kind == obs::EventKind::Blocked &&
-        event.b == static_cast<int>(BlockReason::Load)) {
-      EXPECT_EQ(cls(), 0) << "request " << event.a;  // only priority 0 sheds
-      shedding = true;
-      ++sheds;
-    }
-  }
-  EXPECT_GT(sheds, 0);
-  EXPECT_EQ(result.blocked_by[static_cast<int>(BlockReason::Load)], sheds);
-  EXPECT_GE(admits_before_shedding, 6);
-  // Priority 1 still reaches the router once shedding has begun.
-  EXPECT_GT(priority_admits_after, 0);
-}
-
 TEST(Workload, ParameterValidation) {
   ScriptedProvider provider;
   const auto topology = ring_topology();
@@ -344,14 +264,8 @@ TEST(Workload, ParameterValidation) {
   EXPECT_THROW(run_traffic(topology, provider, bad_rate, rng),
                std::invalid_argument);
 
-  WorkloadParams bad_shape;
-  bad_shape.process = ArrivalProcess::Pareto;
-  bad_shape.pareto_shape = 1.0;
-  EXPECT_THROW(run_traffic(topology, provider, bad_shape, rng),
-               std::invalid_argument);
-
   WorkloadParams bad_class;
-  bad_class.classes = {{0.0, 1, 0, 0.0, 0}};
+  bad_class.classes = {{0.0, 1, 0.0, 0}};
   EXPECT_THROW(run_traffic(topology, provider, bad_class, rng),
                std::invalid_argument);
 

@@ -21,7 +21,7 @@
 #include "obs/trace.h"
 #include "qec/error_model.h"
 #include "routing/greedy.h"
-#include "routing/lp_router.h"
+#include "routing/router.h"
 #include "routing/validate.h"
 #include "util/contracts.h"
 #include "util/rng.h"
@@ -173,7 +173,7 @@ TEST(Property, RoutedSchedulesSatisfyTheProgramInvariants) {
     const auto greedy = routing::route_greedy(topo, requests, params, rng);
     EXPECT_NO_THROW(routing::check_schedule_invariants(topo, requests,
                                                        params, greedy));
-    const auto lp = routing::route_lp(topo, requests, params, rng);
+    const auto lp = routing::route(topo, requests, params, rng);
     if (lp.status == routing::LpStatus::Optimal) {
       EXPECT_NO_THROW(routing::check_schedule_invariants(
           topo, requests, params, lp.schedule));

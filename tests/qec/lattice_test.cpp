@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 #include "qec/core_support.h"
@@ -203,6 +204,15 @@ INSTANTIATE_TEST_SUITE_P(Distances, LatticeTest,
 TEST(Lattice, RejectsTooSmallDistance) {
   EXPECT_THROW(SurfaceCodeLattice(1), std::invalid_argument);
   EXPECT_THROW(SurfaceCodeLattice(0), std::invalid_argument);
+}
+
+TEST(Lattice, RejectsDistanceWhoseIdsOverflowInt) {
+  // Refused before anything is allocated: a lattice near the bound takes
+  // gigabytes, so none is built here.
+  EXPECT_THROW(SurfaceCodeLattice(SurfaceCodeLattice::kMaxDistance + 1),
+               std::invalid_argument);
+  EXPECT_THROW(SurfaceCodeLattice(std::numeric_limits<int>::max()),
+               std::invalid_argument);
 }
 
 TEST(Lattice, PaperExampleDistance4) {

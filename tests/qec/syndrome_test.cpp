@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 #include "qec/error_model.h"
 #include "qec/logical.h"
 #include "util/rng.h"
@@ -121,14 +124,6 @@ TEST(Syndrome, StabilizerHasEmptySyndromeAndNoLogicalFlip) {
   EXPECT_FALSE(logical_flip(lattice, GraphKind::Z, flips));
 }
 
-TEST(Residual, XorSemantics) {
-  const std::vector<char> a{1, 0, 1, 0};
-  const std::vector<char> b{1, 1, 0, 0};
-  const auto r = residual(a, b);
-  EXPECT_EQ(r, (std::vector<char>{0, 1, 1, 0}));
-  EXPECT_THROW(residual(a, {1, 0}), std::invalid_argument);
-}
-
 TEST(EvaluateCorrection, PerfectCorrectionSucceeds) {
   const SurfaceCodeLattice lattice(3);
   const int q = lattice.data_index({1, 1});
@@ -152,6 +147,52 @@ TEST(EvaluateCorrection, EmptyCorrectionOfRealErrorIsInvalid) {
   const auto flips = edge_flips(lattice, GraphKind::Z, error);
   const std::vector<char> empty(flips.size(), 0);
   EXPECT_FALSE(evaluate_correction(lattice, GraphKind::Z, flips, empty).valid);
+}
+
+TEST(EvaluateCorrection, ResidualIsTheXorOfFlipsAndCorrection) {
+  const SurfaceCodeLattice lattice(5);
+  const std::size_t n = lattice.graph(GraphKind::Z).num_edges();
+  std::vector<char> flips(n, 0);
+  std::vector<char> correction(n, 0);
+  flips[0] = flips[2] = 1;
+  correction[0] = correction[1] = 1;
+  EvalScratch scratch;
+  evaluate_correction(lattice, GraphKind::Z, flips, correction, scratch);
+  std::vector<char> expected(n, 0);
+  expected[1] = expected[2] = 1;
+  EXPECT_EQ(scratch.residual, expected);
+
+  // The outcome is a function of that residual alone: a perfect
+  // correction, one off by the logical operator and a random one each
+  // judge like the residual against no correction at all.
+  util::Rng rng(9);
+  const std::vector<char> none(n, 0);
+  for (auto kind : {GraphKind::Z, GraphKind::X}) {
+    for (int trial = 0; trial < 20; ++trial) {
+      for (auto& f : flips) f = rng.bernoulli(0.1) ? 1 : 0;
+      std::vector<char> off_by_logical = flips;
+      for (int q : lattice.logical_operator(kind))
+        off_by_logical[static_cast<std::size_t>(q)] ^= 1;
+      std::vector<char> random(n);
+      for (auto& c : random) c = rng.bernoulli(0.1) ? 1 : 0;
+      for (const auto* c : {&flips, &off_by_logical, &random}) {
+        std::vector<char> residual(n);
+        for (std::size_t e = 0; e < n; ++e)
+          residual[e] = static_cast<char>(flips[e] ^ (*c)[e]);
+        const auto direct = evaluate_correction(lattice, kind, flips, *c);
+        const auto folded = evaluate_correction(lattice, kind, residual, none);
+        EXPECT_EQ(direct.valid, folded.valid);
+        EXPECT_EQ(direct.logical, folded.logical);
+      }
+      EXPECT_TRUE(evaluate_correction(lattice, kind, flips, flips).success());
+      const auto logical =
+          evaluate_correction(lattice, kind, flips, off_by_logical);
+      EXPECT_TRUE(logical.valid);
+      EXPECT_TRUE(logical.logical);
+    }
+  }
+  EXPECT_THROW(evaluate_correction(lattice, GraphKind::Z, flips, {1, 0}),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -9,14 +9,15 @@
 // the headroom reoptimize() reports is finite, never negative, and back
 // at its pristine value after the drain.
 //
-// Batch path: routing::route() under every strategy returns without
-// throwing, with a finite relaxed optimum and a schedule that satisfies
-// the program's invariants (Eqs. (1)-(6)) under the throwing contract
-// handler.
+// Batch path: routing::route() and routing::route_greedy() return without
+// throwing, route() with a finite relaxed optimum, and each with a
+// schedule that satisfies the program's invariants (Eqs. (1)-(6)) under
+// the throwing contract handler.
 
 #include <cmath>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -24,6 +25,7 @@
 #include "netsim/topology.h"
 #include "netsim/workload.h"
 #include "../proptest.h"
+#include "routing/greedy.h"
 #include "routing/incremental.h"
 #include "routing/router.h"
 #include "routing/validate.h"
@@ -87,15 +89,6 @@ const char* name_of(Degenerate kind) {
   return "?";
 }
 
-const char* name_of(RouteStrategy strategy) {
-  switch (strategy) {
-    case RouteStrategy::Auto: return "auto";
-    case RouteStrategy::Lp: return "lp";
-    case RouteStrategy::Greedy: return "greedy";
-  }
-  return "?";
-}
-
 /// Users 0-2 with switch 3 and server 4 in one component, users 5-7 with
 /// server 8 and switch 9 in the other.
 Topology two_components(util::Rng& rng) {
@@ -136,10 +129,8 @@ TEST(DegenerateTraffic, StreamsBalanceOnDegenerateNetworks) {
     workload.horizon_slots = proptest::int_in(rng, 50, 200);
     workload.warmup_slots = proptest::int_in(rng, 0, 20);
     workload.reoptimize_every = proptest::int_in(rng, 1, 8);
-    workload.classes = {{1.0, 1, 0, 0.0, 0},
-                        {0.5, proptest::int_in(rng, 1, 3), 1, 0.5, 60}};
-    workload.admission.shed_headroom = proptest::real_in(rng, 0.0, 4.0);
-    workload.admission.shed_below_priority = proptest::int_in(rng, 0, 1);
+    workload.classes = {{1.0, 1, 0.0, 0},
+                        {0.5, proptest::int_in(rng, 1, 3), 0.5, 60}};
     if (proptest::chance(rng, 0.5)) {
       workload.degrade_from_slot = workload.horizon_slots / 4;
       workload.degrade_until_slot = workload.horizon_slots / 2;
@@ -199,12 +190,11 @@ TEST(DegenerateTraffic, RouteIsSoundOnDegenerateNetworks) {
           topology, proptest::int_in(rng, 0, 8), proptest::int_in(rng, 1, 3),
           rng);
       const std::uint64_t route_seed = rng();
-      for (const RouteStrategy strategy :
-           {RouteStrategy::Auto, RouteStrategy::Lp, RouteStrategy::Greedy})
+      for (const bool lp : {true, false})
         for (const bool dual : {false, true})
           for (const bool adaptive : {false, true}) {
-            SCOPED_TRACE(std::string(name_of(kind)) + ", " +
-                         name_of(strategy) +
+            SCOPED_TRACE(std::string(name_of(kind)) +
+                         (lp ? ", route" : ", route_greedy") +
                          (dual ? ", dual channel" : ", raw") +
                          (adaptive ? ", adaptive" : ", fixed distance") +
                          ", " + std::to_string(requests.size()) +
@@ -213,13 +203,19 @@ TEST(DegenerateTraffic, RouteIsSoundOnDegenerateNetworks) {
             params.dual_channel = dual;
             params.adaptive_code_distance = adaptive;
             util::Rng route_rng(route_seed);
-            RouteResult result;
-            ASSERT_NO_THROW(result = route(topology, requests, params,
-                                           route_rng, RouteOptions{strategy}));
-            EXPECT_TRUE(std::isfinite(result.lp_objective));
+            netsim::Schedule schedule;
+            if (lp) {
+              RouteResult result;
+              ASSERT_NO_THROW(
+                  result = route(topology, requests, params, route_rng));
+              EXPECT_TRUE(std::isfinite(result.lp_objective));
+              schedule = std::move(result.schedule);
+            } else {
+              ASSERT_NO_THROW(schedule = route_greedy(topology, requests,
+                                                      params, route_rng));
+            }
             EXPECT_NO_THROW(check_schedule_invariants(topology, requests,
-                                                      params,
-                                                      result.schedule));
+                                                      params, schedule));
             if (::testing::Test::HasFailure()) return;
           }
     }

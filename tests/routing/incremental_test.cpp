@@ -1,14 +1,9 @@
-// Incremental router (routing/incremental.h) and unified route() facade
-// (routing/router.h) tests.
+// Incremental router (routing/incremental.h) tests.
 //
 // The incremental contract: admission is greedy-only, admit() commits
 // exactly what release() returns, a saturated pair is rejected until
 // capacity comes back, and reoptimize() reports the tracker's residual
 // headroom.
-//
-// The facade contract: RouteStrategy::Auto reproduces the historical
-// route_lp-with-greedy-fallback seam bitwise, and the forced arms match the
-// underlying routers.
 
 #include <algorithm>
 #include <optional>
@@ -16,15 +11,10 @@
 
 #include <gtest/gtest.h>
 
-#include "netsim/schedule.h"
 #include "netsim/topology.h"
 #include "netsim/workload.h"
-#include "obs/metrics.h"
 #include "routing/greedy.h"
 #include "routing/incremental.h"
-#include "routing/lp_router.h"
-#include "routing/router.h"
-#include "util/rng.h"
 
 namespace surfnet::routing {
 namespace {
@@ -179,7 +169,7 @@ TEST(IncrementalRouter, ReoptimizeReportsTrackerHeadroom) {
   params.dual_channel = false;
   IncrementalRouter raw(topology, params);
   EXPECT_DOUBLE_EQ(raw.reoptimize(),
-                   4 * params.raw_capacity_bonus * 1000.0 / 25);
+                   4 * kRawCapacityBonus * 1000.0 / 25);
 }
 
 // ---------------------------------------------------------------------------
@@ -278,99 +268,6 @@ TEST(IncrementalRouter, NoiseScaleRevalidatesInfeasibleCommodities) {
   const auto route = router.admit(0, 4, 1);
   ASSERT_TRUE(route.has_value());
   EXPECT_EQ(route->distance, 3);
-}
-
-// ---------------------------------------------------------------------------
-// route() facade.
-
-void expect_schedules_equal(const netsim::Schedule& a,
-                            const netsim::Schedule& b) {
-  EXPECT_EQ(a.requested_codes, b.requested_codes);
-  EXPECT_EQ(a.lp_objective, b.lp_objective);
-  ASSERT_EQ(a.scheduled.size(), b.scheduled.size());
-  for (std::size_t i = 0; i < a.scheduled.size(); ++i) {
-    const auto& x = a.scheduled[i];
-    const auto& y = b.scheduled[i];
-    EXPECT_EQ(x.request_index, y.request_index);
-    EXPECT_EQ(x.codes, y.codes);
-    EXPECT_EQ(x.core_path, y.core_path);
-    EXPECT_EQ(x.support_path, y.support_path);
-    EXPECT_EQ(x.ec_servers, y.ec_servers);
-    EXPECT_EQ(x.code_distance, y.code_distance);
-  }
-}
-
-struct Instance {
-  Topology topology;
-  std::vector<netsim::Request> requests;
-};
-
-Instance random_instance(std::uint64_t seed) {
-  util::Rng rng(seed);
-  netsim::TopologySpec spec;  // paper-sized Barabasi-Albert defaults
-  Instance instance{netsim::make_random_topology(spec, rng),
-                    {}};
-  instance.requests =
-      netsim::random_requests(instance.topology, 6, 3, rng);
-  return instance;
-}
-
-TEST(RouteFacade, AutoReproducesTheLpWithGreedyFallbackSeam) {
-  for (const std::uint64_t seed : {1ULL, 7ULL, 42ULL, 99ULL}) {
-    const auto instance = random_instance(seed);
-    RoutingParams params;
-
-    util::Rng rng_facade(seed * 31 + 1);
-    util::Rng rng_manual(seed * 31 + 1);
-    const auto facade =
-        route(instance.topology, instance.requests, params, rng_facade);
-
-    // The historical core-layer seam, spelled out by hand.
-    auto manual =
-        route_lp(instance.topology, instance.requests, params, rng_manual);
-    netsim::Schedule expected = manual.status == LpStatus::Optimal
-                                    ? std::move(manual.schedule)
-                                    : route_greedy(instance.topology,
-                                                   instance.requests, params,
-                                                   rng_manual);
-
-    EXPECT_EQ(facade.status, manual.status);
-    EXPECT_EQ(facade.used_lp, manual.status == LpStatus::Optimal);
-    EXPECT_EQ(facade.greedy_fallback, manual.status != LpStatus::Optimal);
-    expect_schedules_equal(facade.schedule, expected);
-    // Both consumed the identical RNG stream.
-    EXPECT_EQ(rng_facade(), rng_manual());
-  }
-}
-
-TEST(RouteFacade, GreedyStrategyMatchesRouteGreedy) {
-  const auto instance = random_instance(5);
-  RoutingParams params;
-  util::Rng rng_facade(17);
-  util::Rng rng_manual(17);
-  const auto facade =
-      route(instance.topology, instance.requests, params, rng_facade,
-            RouteOptions{RouteStrategy::Greedy});
-  const auto manual =
-      route_greedy(instance.topology, instance.requests, params, rng_manual);
-  EXPECT_FALSE(facade.used_lp);
-  expect_schedules_equal(facade.schedule, manual);
-  EXPECT_EQ(rng_facade(), rng_manual());
-}
-
-TEST(RouteFacade, LpStrategyMatchesRouteLp) {
-  const auto instance = random_instance(9);
-  RoutingParams params;
-  util::Rng rng_facade(23);
-  util::Rng rng_manual(23);
-  const auto facade =
-      route(instance.topology, instance.requests, params, rng_facade,
-            RouteOptions{RouteStrategy::Lp});
-  const auto manual =
-      route_lp(instance.topology, instance.requests, params, rng_manual);
-  EXPECT_EQ(facade.status, manual.status);
-  EXPECT_EQ(facade.lp_objective, manual.lp_objective);
-  expect_schedules_equal(facade.schedule, manual.schedule);
 }
 
 }  // namespace

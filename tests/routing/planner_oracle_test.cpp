@@ -155,8 +155,10 @@ TEST(PlannerOracle, TreesPlanExactlyLikePointToPointSearches) {
         const std::size_t i = rng.below(held.size());
         const Held h = held[i];
         held.erase(held.begin() + static_cast<std::ptrdiff_t>(i));
+        // A split code on one dual-channel path holds what commit() takes,
+        // so release() returns it.
         if (h.split)
-          tracker.release_split(h.path, h.path);
+          tracker.release(h.path);
         else
           tracker.release(h.path, h.node_demand, h.pair_demand);
       } else if (last) {
@@ -196,12 +198,13 @@ TEST(PlannerOracle, TrackerVersionCountsEveryCapacityChange) {
   tracker.commit(path);
   tracker.release(path);
   tracker.commit_split(path, path);
-  tracker.release_split(path, path);
+  tracker.release(path);
   EXPECT_EQ(tracker.version(), 4u);
   // Queries leave it alone.
   (void)tracker.path_feasible(path);
   (void)tracker.split_feasible(path, path);
-  (void)plan_code(topology, tracker, params, 0, 2);
+  PlanWorkspace ws;
+  (void)plan_code(topology, tracker, params, 0, 2, ws);
   EXPECT_EQ(tracker.version(), 4u);
 }
 

@@ -12,8 +12,8 @@
 #include "obs/metrics.h"
 #include "routing/formulation.h"
 #include "routing/greedy.h"
-#include "routing/lp_router.h"
 #include "routing/purification.h"
+#include "routing/router.h"
 #include "util/rng.h"
 
 namespace surfnet::routing {
@@ -117,8 +117,7 @@ void check_capacities(const Topology& topo, const Schedule& schedule,
       fiber_usage[topo.fiber_between(s.core_path[i], s.core_path[i + 1])] +=
           params.core_qubits * s.codes;
   }
-  const double bonus =
-      params.dual_channel ? 1.0 : params.raw_capacity_bonus;
+  const double bonus = params.dual_channel ? 1.0 : kRawCapacityBonus;
   for (const auto& [node, usage] : node_usage)
     EXPECT_LE(usage, bonus * topo.node(node).storage_capacity + 1e-6)
         << "node " << node;
@@ -144,7 +143,7 @@ TEST_P(RouterPropertyTest, LpScheduleIsValidAndWithinCapacity) {
   const auto topo = netsim::make_random_topology(spec_for_tests(), rng);
   const auto requests = netsim::random_requests(topo, 6, 3, rng);
   const auto params = params_for_tests();
-  const auto result = route_lp(topo, requests, params, rng);
+  const auto result = route(topo, requests, params, rng);
   check_schedule_valid(topo, requests, result.schedule, /*dual=*/true);
   check_capacities(topo, result.schedule, params);
   // Integral schedules cannot beat the LP relaxation.
@@ -159,7 +158,7 @@ TEST_P(RouterPropertyTest, RawLpScheduleIsValid) {
   const auto requests = netsim::random_requests(topo, 6, 3, rng);
   auto params = params_for_tests();
   params.dual_channel = false;
-  const auto result = route_lp(topo, requests, params, rng);
+  const auto result = route(topo, requests, params, rng);
   check_schedule_valid(topo, requests, result.schedule, /*dual=*/false);
   check_capacities(topo, result.schedule, params);
 }
@@ -199,7 +198,7 @@ TEST(LpRouter, WarmResolveStatsAreConsistent) {
     util::Rng rng(seed);
     const auto topo = netsim::make_random_topology(spec_for_tests(), rng);
     const auto requests = netsim::random_requests(topo, 8, 4, rng);
-    const auto result = route_lp(topo, requests, params_for_tests(), rng);
+    const auto result = route(topo, requests, params_for_tests(), rng);
     if (result.status != LpStatus::Optimal) continue;
     EXPECT_GT(result.cold_iterations, 0);
     EXPECT_LE(result.resolves, 2);
@@ -215,7 +214,7 @@ TEST(LpRouter, WarmResolveStatsAreConsistent) {
 }
 
 TEST(LpRouter, CountsCrashStartsAndDualPivots) {
-  // Every route_lp call crash-starts its first solve from the formulation's
+  // Every route() call crash-starts its first solve from the formulation's
   // flow trees (not a warm start), and its re-solves carry the basis, which
   // the dual phase repairs after the residual bounds tightened.
   obs::MetricsRegistry metrics;
@@ -228,7 +227,7 @@ TEST(LpRouter, CountsCrashStartsAndDualPivots) {
   int resolves = 0;
   for (int call = 0; call < calls; ++call) {
     util::Rng route_rng(100 + static_cast<std::uint64_t>(call));
-    const auto result = route_lp(topo, requests, params, route_rng);
+    const auto result = route(topo, requests, params, route_rng);
     ASSERT_EQ(result.status, LpStatus::Optimal);
     resolves += result.resolves;
   }
@@ -240,6 +239,73 @@ TEST(LpRouter, CountsCrashStartsAndDualPivots) {
   EXPECT_LE(metrics.counter("lp.dual_iterations"),
             metrics.counter("lp.iterations"));
   EXPECT_EQ(metrics.counter("route.lp_iteration_limits"), 0);
+}
+
+TEST(LpRouter, ReplaysFromEqualRngStatesAndFallsBackOnlyWithoutAnOptimum) {
+  // route() is a function of its inputs and the RNG state: equal seeds give
+  // equal results and leave both streams in lockstep. The greedy fallback
+  // routes exactly when the first solve has no optimum.
+  for (const std::uint64_t seed : {1ULL, 7ULL, 42ULL, 99ULL}) {
+    util::Rng rng(seed);
+    const auto topo = netsim::make_random_topology(spec_for_tests(), rng);
+    const auto requests = netsim::random_requests(topo, 8, 4, rng);
+    util::Rng rng_a(seed * 31 + 1), rng_b(seed * 31 + 1);
+    const auto a = route(topo, requests, params_for_tests(), rng_a);
+    const auto b = route(topo, requests, params_for_tests(), rng_b);
+    EXPECT_EQ(a.greedy_fallback, a.status != LpStatus::Optimal);
+    if (a.greedy_fallback) {
+      EXPECT_EQ(a.lp_objective, 0.0);
+    }
+    int requested = 0;
+    for (const auto& r : requests) requested += r.codes;
+    EXPECT_EQ(a.schedule.requested_codes, requested);
+
+    EXPECT_EQ(a.status, b.status);
+    EXPECT_EQ(a.greedy_fallback, b.greedy_fallback);
+    EXPECT_EQ(a.lp_objective, b.lp_objective);
+    EXPECT_EQ(a.resolves, b.resolves);
+    EXPECT_EQ(a.cold_iterations, b.cold_iterations);
+    EXPECT_EQ(a.warm_iterations, b.warm_iterations);
+    ASSERT_EQ(a.schedule.scheduled.size(), b.schedule.scheduled.size());
+    for (std::size_t i = 0; i < a.schedule.scheduled.size(); ++i) {
+      const auto& x = a.schedule.scheduled[i];
+      const auto& y = b.schedule.scheduled[i];
+      EXPECT_EQ(x.request_index, y.request_index);
+      EXPECT_EQ(x.codes, y.codes);
+      EXPECT_EQ(x.core_path, y.core_path);
+      EXPECT_EQ(x.support_path, y.support_path);
+      EXPECT_EQ(x.ec_servers, y.ec_servers);
+      EXPECT_EQ(x.code_distance, y.code_distance);
+    }
+    EXPECT_EQ(rng_a(), rng_b()) << "seed " << seed;
+  }
+}
+
+TEST(RoutingParamsTest, StorageScaleIsAppliedAlikeByTrackerAndFormulation) {
+  // Eq. (5)'s storage capacities: the Raw baseline stores kRawCapacityBonus
+  // times a node's capacity, SurfNet exactly it. The greedy tracker and the
+  // LP's storage rows must read the same bound.
+  util::Rng rng(55);
+  const auto topo = netsim::make_random_topology(spec_for_tests(), rng);
+  const auto requests = netsim::random_requests(topo, 6, 3, rng);
+  for (const bool dual : {true, false}) {
+    RoutingParams params = params_for_tests();
+    params.dual_channel = dual;
+    const double scale = dual ? 1.0 : kRawCapacityBonus;
+    EXPECT_DOUBLE_EQ(params.storage_scale(), scale);
+    const CapacityTracker tracker(topo, params);
+    const RoutingFormulation formulation(topo, requests, params);
+    int rows = 0;
+    for (const int v : topo.switches_and_servers()) {
+      const double bound = scale * topo.node(v).storage_capacity;
+      EXPECT_DOUBLE_EQ(tracker.node_remaining(v), bound) << "node " << v;
+      const int row = formulation.storage_row(v);
+      if (row < 0) continue;
+      ++rows;
+      EXPECT_DOUBLE_EQ(formulation.problem().rhs(row), bound) << "node " << v;
+    }
+    EXPECT_GT(rows, 0);
+  }
 }
 
 TEST(Formulation, CrashHintSpansEveryRequestOnEveryChannel) {
@@ -365,8 +431,9 @@ TEST(CapacityTrackerTest, CommitDecrements) {
   CapacityTracker tracker(topo, params);
   // Find any user-switch-...: use greedy plan for a request.
   const auto users = topo.users();
+  PlanWorkspace ws;
   const auto plan =
-      plan_code(topo, tracker, params, users[0], users[1]);
+      plan_code(topo, tracker, params, users[0], users[1], ws);
   ASSERT_TRUE(plan.has_value());
   const double before = tracker.node_remaining(plan->path[1]);
   tracker.commit(plan->path);
