@@ -6,7 +6,6 @@ Usage:
     bench_compare.py BASELINE RUN [RUN ...] --key F1,F2 --metric M
                      [--threshold 0.10]
     bench_compare.py --validate FILE [FILE ...]
-    bench_compare.py run.json --speedup-min 5 [--speedup-filter sparse_long]
     bench_compare.py metrics.json --counters-max BASELINE.json
 
 Each input is either the shared bench envelope
@@ -21,13 +20,6 @@ each ``--key`` row's higher-is-better ``--metric`` is its best over the
 runs (the stable estimator on noisy shared machines), and the gate fails
 if it fell more than ``--threshold`` below the baseline or if the row
 sets differ, so a bench cannot silently shrink its coverage.
-
-``--speedup-min`` asserts an absolute floor instead of comparing: every
-record in the single given file that carries a ``speedup`` field (e.g.
-bench_event_core's oracle-vs-engine rows) must meet the floor, optionally
-restricted with ``--speedup-filter`` to records whose string fields
-contain the given substring. This is the acceptance gate for the event
-engine: ``--speedup-filter sparse_long --speedup-min 5``.
 
 ``--counters-max`` gates deterministic work counts instead of timings:
 every counter named in the baseline document's ``counters`` object must
@@ -45,7 +37,7 @@ shape and validated against their schema. Exit 0 = all valid.
 Whether a change is a regression depends on the field: for time-like
 fields (``*_ms``, ``ns_per_decode``, ``*_iterations``, ``iters``) an
 *increase* beyond the threshold is a regression; for rate-like fields
-(``trials_per_sec``, ``speedup``, ``objective``, ``throughput``) a
+(``trials_per_sec``, ``objective``, ``throughput``) a
 *decrease* is. Fields matching neither family are reported informationally
 but never fail the run.
 
@@ -60,8 +52,7 @@ from pathlib import Path
 
 # Field-name fragments that decide comparison direction.
 LOWER_IS_BETTER = ("_ms", "ns_per_decode", "iterations", "iters", "latency")
-HIGHER_IS_BETTER = ("trials_per_sec", "speedup", "objective", "throughput",
-                    "fidelity")
+HIGHER_IS_BETTER = ("trials_per_sec", "objective", "throughput", "fidelity")
 
 
 def direction(field):
@@ -262,38 +253,6 @@ def run_validate(paths):
     return 1 if errors else 0
 
 
-def run_speedup_floor(path, floor, substring):
-    """Assert every (filtered) record's speedup meets the floor."""
-    records = load(path)
-    selected = []
-    for record in records:
-        if "speedup" not in record:
-            continue
-        if substring and not any(
-                substring in value for value in record.values()
-                if isinstance(value, str)):
-            continue
-        selected.append(record)
-    if not selected:
-        print(f"bench_compare: no record with a 'speedup' field matches "
-              f"filter {substring!r} in {path}", file=sys.stderr)
-        return 2
-    failures = 0
-    for record in selected:
-        label = " ".join(f"{n}={v}" for n, v in sorted(record.items())
-                         if isinstance(v, str))
-        ok = record["speedup"] >= floor
-        print(f"{'ok' if ok else 'FAIL'}  {label}: speedup "
-              f"{record['speedup']:g} (floor {floor:g})")
-        failures += not ok
-    if failures:
-        print(f"bench_compare: {failures}/{len(selected)} record(s) below "
-              f"the {floor:g}x speedup floor", file=sys.stderr)
-        return 1
-    print(f"all {len(selected)} record(s) meet the {floor:g}x speedup floor")
-    return 0
-
-
 def run_counters_max(path, baseline_path):
     """Assert no baseline counter is exceeded in a metrics document."""
     documents = []
@@ -386,12 +345,6 @@ def main():
     parser.add_argument("--validate", nargs="+", metavar="FILE",
                         help="validate files (bench envelopes, metrics "
                              "documents, JSONL traces) instead of comparing")
-    parser.add_argument("--speedup-min", type=float, metavar="F",
-                        help="assert every matching record's 'speedup' in "
-                             "the single given file is >= F")
-    parser.add_argument("--speedup-filter", metavar="SUBSTR",
-                        help="with --speedup-min: only check records whose "
-                             "string fields contain SUBSTR")
     parser.add_argument("--counters-max", metavar="BASELINE",
                         help="assert every counter in BASELINE's 'counters' "
                              "is present and not exceeded in the single "
@@ -407,13 +360,6 @@ def main():
         if not args.baseline or args.candidate:
             parser.error("--counters-max takes exactly one metrics file")
         return run_counters_max(args.baseline, args.counters_max)
-    if args.speedup_min is not None:
-        if not args.baseline or args.candidate:
-            parser.error("--speedup-min takes exactly one file")
-        return run_speedup_floor(args.baseline, args.speedup_min,
-                                 args.speedup_filter)
-    if args.speedup_filter:
-        parser.error("--speedup-filter requires --speedup-min")
     if args.key or args.metric:
         if not (args.key and args.metric and args.candidate):
             parser.error("--key and --metric go together and take a "

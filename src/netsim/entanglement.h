@@ -1,9 +1,9 @@
 #pragma once
 
 // Entanglement purification (paper Sec. IV-C): the recurrence protocol the
-// purification designs use to raise pair fidelity. The simulator keeps its
-// per-fiber pair pools itself (detail::EntanglementRates in
-// netsim/sim_internal.h, LazyPools in netsim/event_simulator.cpp).
+// purification designs use to raise pair fidelity. The simulators keep
+// their per-fiber pair pools themselves, as plain vectors that
+// detail::EntanglementRates (netsim/sim_internal.h) refills every slot.
 
 namespace surfnet::netsim {
 

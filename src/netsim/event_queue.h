@@ -8,8 +8,8 @@
 // same class pop in the order they were scheduled — unlike
 // std::priority_queue, whose sift order leaves equal keys in an
 // unspecified relative order. Pop order is therefore a pure function of
-// the push sequence, which is what lets the event engine promise bitwise
-// replay of the every-slot oracle.
+// the push sequence, which is what lets the traffic engine replay a
+// (seed, params) pair bitwise.
 
 #include <cstddef>
 #include <cstdint>

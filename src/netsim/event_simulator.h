@@ -1,25 +1,14 @@
 #pragma once
 
-// The event engine behind simulate_surfnet (netsim/simulator.h).
+// The slot loop behind simulate_surfnet (netsim/simulator.h).
 //
-// It executes the slot model of simulator.h, but its cost is proportional
-// to *activity* instead of `slots × topology`. The engine keeps a
-// deterministic pending-event queue (netsim/event_queue.h) of slots at
-// which something can happen: scripted fault onsets/expiries, request
-// launches and timeouts, retry/backoff timers, entanglement-readiness
-// thresholds, and generic code wake-ups. Slots with no pending event are
-// skipped; skipped slots are provably draw-free and trace-free, and their
-// entanglement gains are applied in closed form (see DESIGN.md §"Event
-// engine"), so idle fibers and quiescent codes cost nothing.
-//
-// When a run cannot skip safely — an attached obs::Sink observes every
-// slot, stochastic fault processes draw every slot, several requests
-// contend through the per-slot service shuffle, or a fractional base rate
-// draws one Bernoulli per fiber per slot — the engine visits every slot.
-// A visited slot always runs the same phase sequence (shared code in
-// netsim/sim_internal.h), so skipping only decides which slots run. The
-// differential tests pin that against detail::simulate_surfnet_every_slot,
-// the same engine forced to visit every slot.
+// simulate_surfnet visits every slot from 0 until every scheduled code has
+// finished or max_slots is reached. Each slot runs one phase sequence
+// (shared code in netsim/sim_internal.h): entanglement generation, fault
+// injection, the pool snapshot an attached sink records, the service-order
+// shuffle, and process_code for each active code. A sink only reads state,
+// so observed and unobserved runs execute the same slots and draw the same
+// random variates.
 //
 // This header declares nothing of its own: simulate_surfnet, SimEngine
 // and make_simulator live in netsim/simulator.h. perfbench/ includes it.

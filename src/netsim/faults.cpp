@@ -1,6 +1,7 @@
 #include "netsim/faults.h"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -27,6 +28,14 @@ FaultPlan FaultPlan::fiber_noise(double rate, int duration) {
 }
 
 namespace {
+
+/// First slot past a window of `duration` slots opened at `slot`. An end
+/// past INT_MAX saturates there: the window holds for the rest of the run.
+int window_end(int slot, int duration) {
+  return static_cast<int>(
+      std::min<long long>(static_cast<long long>(slot) + duration,
+                          std::numeric_limits<int>::max()));
+}
 
 [[noreturn]] void bad_plan(const std::string& what) {
   throw std::invalid_argument("FaultPlan: " + what);
@@ -91,7 +100,7 @@ FaultInjector::FaultInjector(const Topology& topology, const FaultPlan& plan)
 void FaultInjector::cut_fiber(int fiber, int slot, int duration,
                               const obs::Sink& sink) {
   auto& until = fiber_down_until_[static_cast<std::size_t>(fiber)];
-  until = std::max(until, slot + duration);
+  until = std::max(until, window_end(slot, duration));
   if (sink.metrics) sink.metrics->count("sim.fiber_failures");
   if (sink.trace)
     sink.trace->record(obs::Event::fiber_down(slot, fiber, until));
@@ -105,15 +114,14 @@ bool FaultInjector::degradations_possible() const {
 }
 
 void FaultInjector::apply(const FaultEvent& event, int slot,
-                          const obs::Sink& sink,
-                          RateChangeListener* listener) {
+                          const obs::Sink& sink) {
   switch (event.kind) {
     case FaultKind::FiberCut:
       cut_fiber(event.target, slot, event.duration, sink);
       break;
     case FaultKind::NodeOutage: {
       auto& until = node_down_until_[static_cast<std::size_t>(event.target)];
-      until = std::max(until, slot + event.duration);
+      until = std::max(until, window_end(slot, event.duration));
       if (sink.metrics) sink.metrics->count("sim.node_outages");
       if (sink.trace)
         sink.trace->record(obs::Event::node_down(slot, event.target, until));
@@ -121,8 +129,8 @@ void FaultInjector::apply(const FaultEvent& event, int slot,
     }
     case FaultKind::EntanglementDegradation: {
       const auto e = static_cast<std::size_t>(event.target);
-      if (listener) listener->before_rate_change(event.target, slot);
-      degrade_until_[e] = std::max(degrade_until_[e], slot + event.duration);
+      degrade_until_[e] =
+          std::max(degrade_until_[e], window_end(slot, event.duration));
       degrade_factor_[e] = event.magnitude;
       if (sink.metrics) sink.metrics->count("sim.degradations");
       if (sink.trace)
@@ -132,7 +140,7 @@ void FaultInjector::apply(const FaultEvent& event, int slot,
       break;
     }
     case FaultKind::DecodeStall:
-      stall_until_ = std::max(stall_until_, slot + event.duration);
+      stall_until_ = std::max(stall_until_, window_end(slot, event.duration));
       if (sink.metrics) sink.metrics->count("sim.decode_stalls");
       if (sink.trace)
         sink.trace->record(obs::Event::decode_stall(slot, stall_until_));
@@ -141,14 +149,13 @@ void FaultInjector::apply(const FaultEvent& event, int slot,
 }
 
 void FaultInjector::begin_slot(int slot, util::Rng& rng,
-                               const obs::Sink& sink,
-                               RateChangeListener* listener) {
+                               const obs::Sink& sink) {
   if (inert_) return;
 
   // Scripted events first — they consume no random variates.
   while (next_scripted_ < plan_.scripted.size() &&
          plan_.scripted[next_scripted_].slot <= slot)
-    apply(plan_.scripted[next_scripted_++], slot, sink, listener);
+    apply(plan_.scripted[next_scripted_++], slot, sink);
 
   const StochasticFaults& s = plan_.stochastic;
 
@@ -184,7 +191,7 @@ void FaultInjector::begin_slot(int slot, util::Rng& rng,
       if (topology_->is_user(v) || node_down(v, slot)) continue;
       if (!rng.bernoulli(s.node_outage_rate)) continue;
       auto& until = node_down_until_[static_cast<std::size_t>(v)];
-      until = slot + s.node_outage_duration;
+      until = window_end(slot, s.node_outage_duration);
       if (sink.metrics) sink.metrics->count("sim.node_outages");
       if (sink.trace)
         sink.trace->record(obs::Event::node_down(slot, v, until));
@@ -195,9 +202,8 @@ void FaultInjector::begin_slot(int slot, util::Rng& rng,
   if (s.degradation_rate > 0.0 && rng.bernoulli(s.degradation_rate)) {
     const auto e = static_cast<std::size_t>(
         rng.below(static_cast<std::uint64_t>(topology_->num_fibers())));
-    if (listener) listener->before_rate_change(static_cast<int>(e), slot);
-    degrade_until_[e] =
-        std::max(degrade_until_[e], slot + s.degradation_duration);
+    degrade_until_[e] = std::max(degrade_until_[e],
+                                 window_end(slot, s.degradation_duration));
     degrade_factor_[e] = s.degradation_factor;
     if (sink.metrics) sink.metrics->count("sim.degradations");
     if (sink.trace)
@@ -209,7 +215,7 @@ void FaultInjector::begin_slot(int slot, util::Rng& rng,
   // Network-wide decode-latency spikes.
   if (s.decode_stall_rate > 0.0 && !decode_stalled(slot) &&
       rng.bernoulli(s.decode_stall_rate)) {
-    stall_until_ = slot + s.decode_stall_duration;
+    stall_until_ = window_end(slot, s.decode_stall_duration);
     if (sink.metrics) sink.metrics->count("sim.decode_stalls");
     if (sink.trace)
       sink.trace->record(obs::Event::decode_stall(slot, stall_until_));

@@ -110,16 +110,6 @@ struct FaultPlan {
   static FaultPlan fiber_noise(double rate, int duration);
 };
 
-/// Observer of entanglement-rate mutations, for engines that account pool
-/// gains lazily: before_rate_change fires immediately *before* the
-/// injector rewrites a fiber's degradation window, so the observer can
-/// materialize gains accrued under the outgoing rate first.
-class RateChangeListener {
- public:
-  virtual ~RateChangeListener() = default;
-  virtual void before_rate_change(int fiber, int slot) = 0;
-};
-
 /// Executes one FaultPlan against one simulation run. All mutation happens
 /// in begin_slot (called once per slot, before any code moves); the query
 /// methods are pure reads, so the simulator may interleave them freely.
@@ -130,13 +120,10 @@ class FaultInjector {
   FaultInjector(const Topology& topology, const FaultPlan& plan);
 
   /// Apply scripted events scheduled for `slot` and sample the stochastic
-  /// processes. Slots must be visited in increasing order from 0. The
-  /// event engine may skip slots at which the injector provably does
-  /// nothing (no scripted event due, no stochastic process armed). A
-  /// non-null `listener` observes rate mutations; passing nullptr changes
-  /// nothing.
-  void begin_slot(int slot, util::Rng& rng, const obs::Sink& sink,
-                  RateChangeListener* listener = nullptr);
+  /// processes. Slots must be visited in increasing order from 0, each
+  /// once. A window whose end would pass INT_MAX lasts for the rest of
+  /// the run.
+  void begin_slot(int slot, util::Rng& rng, const obs::Sink& sink);
 
   bool fiber_down(int fiber, int slot) const {
     return slot < fiber_down_until_[static_cast<std::size_t>(fiber)];
@@ -153,16 +140,6 @@ class FaultInjector {
   /// True while a decode-latency spike stalls all corrections.
   bool decode_stalled(int slot) const { return slot < stall_until_; }
 
-  /// First slot at which the fiber's degradation window no longer holds
-  /// (0 when it never held); entanglement_factor flips exactly there.
-  int degrade_until(int fiber) const {
-    return degrade_until_[static_cast<std::size_t>(fiber)];
-  }
-  /// Rate multiplier while slot < degrade_until(fiber) (stale otherwise).
-  double degrade_factor(int fiber) const {
-    return degrade_factor_[static_cast<std::size_t>(fiber)];
-  }
-
   /// True when the plan can never take anything down (lets the simulator
   /// skip per-slot injector work on fault-free runs).
   bool inert() const { return inert_; }
@@ -172,15 +149,8 @@ class FaultInjector {
   /// process). False lets engines freeze the fiber→rate buckets per run.
   bool degradations_possible() const;
 
-  /// The scripted plan, stable-sorted by slot (the event engine schedules
-  /// onset and expiry wake-ups from it).
-  const std::vector<FaultEvent>& scripted() const { return plan_.scripted; }
-
-  const StochasticFaults& stochastic() const { return plan_.stochastic; }
-
  private:
-  void apply(const FaultEvent& event, int slot, const obs::Sink& sink,
-             RateChangeListener* listener);
+  void apply(const FaultEvent& event, int slot, const obs::Sink& sink);
   void cut_fiber(int fiber, int slot, int duration, const obs::Sink& sink);
 
   const Topology* topology_;

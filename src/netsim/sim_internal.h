@@ -1,18 +1,13 @@
 #pragma once
 
-// Internal machinery of the surface-code engine (event_simulator.cpp),
+// Internal machinery of the surface-code slot loop (event_simulator.cpp),
 // part of which simulate_purification (simulator.cpp) shares. NOT part of
-// the public netsim API — include only from netsim/*.cpp, from tests that
-// deliberately reach into engine internals, and from
-// bench/bench_event_core.cpp, which times the every-slot oracle below
-// against simulate_surfnet.
+// the public netsim API — include only from netsim/*.cpp and from tests
+// that deliberately reach into simulator internals.
 //
-// Everything here is independent of which slots the engine visits: static
-// request validation, the in-flight code state, the decode/correction
-// step, the recovery actions, and the entanglement-rate buckets. Every
-// visited slot runs process_code() for its per-code work, so skipping
-// slots cannot change the observable behavior of one processed code —
-// including its RNG draw order and its sink events.
+// Static request validation, the in-flight code state, the decode/correction
+// step, the recovery actions, and the entanglement-rate buckets. Every slot
+// runs process_code() once per active code, in the slot's service order.
 
 #include <algorithm>
 #include <cmath>
@@ -62,6 +57,10 @@ struct RequestPlan {
   std::vector<Barrier> barriers;  ///< EC servers in order, then destination
   const CodeGeometry* geometry = nullptr;
 };
+
+/// Throws std::invalid_argument naming the first SimulationParams field
+/// outside its accepted range. Both simulators call it before they start.
+void validate_params(const SimulationParams& params);
 
 inline void validate_path(const Topology& topology,
                           const std::vector<int>& path) {
@@ -276,8 +275,8 @@ inline void run_correction(const RequestPlan& plan, ActiveCode& code, int slot,
 /// the whole/fractional split of the base rate are invariant across slots,
 /// so they are derived once instead of per fiber per slot; only runs whose
 /// fault plan can degrade a source re-derive the per-fiber rate each slot.
-/// advance() draws the exact legacy random-variate sequence (one Bernoulli
-/// per fiber with a fractional current rate, in fiber order).
+/// advance() draws one Bernoulli per fiber with a fractional current rate,
+/// in fiber order.
 class EntanglementRates {
  public:
   EntanglementRates(const Topology& topology, const SimulationParams& params,
@@ -291,22 +290,10 @@ class EntanglementRates {
       caps_.push_back(topology.fiber(e).entanglement_capacity);
   }
 
-  double base_rate() const { return base_rate_; }
-  int base_whole() const { return base_whole_; }
-  double base_frac() const { return base_frac_; }
   bool degradable() const { return degradable_; }
-  int cap(int fiber) const {
-    return caps_[static_cast<std::size_t>(fiber)];
-  }
 
-  /// Current rate of one fiber, split as whole + frac (frac in [0, 1)).
-  double rate_at(int fiber, int slot, const FaultInjector& injector) const {
-    return degradable_ ? base_rate_ * injector.entanglement_factor(fiber, slot)
-                       : base_rate_;
-  }
-
-  /// Advance every pool by one slot of generation: the verbatim per-slot
-  /// sweep of an eager run.
+  /// Advance every pool by one slot of generation, each capped at its
+  /// fiber's capacity.
   void advance(std::vector<int>& pairs, const FaultInjector& injector,
                int slot, util::Rng& rng) const {
     if (!degradable_ && base_frac_ <= 0.0) {
@@ -315,7 +302,10 @@ class EntanglementRates {
       return;
     }
     for (std::size_t e = 0; e < pairs.size(); ++e) {
-      const double rate = rate_at(static_cast<int>(e), slot, injector);
+      const double rate =
+          degradable_ ? base_rate_ * injector.entanglement_factor(
+                                         static_cast<int>(e), slot)
+                      : base_rate_;
       const int whole = static_cast<int>(rate);
       const double frac = rate - whole;
       const int gain = whole + ((frac > 0.0 && rng.bernoulli(frac)) ? 1 : 0);
@@ -352,26 +342,18 @@ enum class CodeStep {
   Finished,  ///< delivered or timed out; a CodeRecord was appended
 };
 
-/// Side facts the engine needs for its wake computation. Recording these
-/// changes no behavior.
-struct StepFlags {
-  bool support_reroute_failed = false;  ///< blocked + local recovery failed
-  bool core_reroute_failed = false;
-};
-
-/// One code's work in one visited slot (timeout budget, cooldown, Support
-/// hop, Core segment jump, barrier decode on the run's `decode_ws`).
-/// `Pool` provides `int level(int fiber)` and `void consume(int fiber,
-/// int n)` over the prepared-pair inventory.
-template <typename Pool>
-CodeStep process_code(const Topology& topology, const FaultInjector& injector,
-                      const RecoveryPolicy& policy,
-                      const SimulationParams& params,
-                      const decoder::Decoder& decoder,
-                      CorrectionWorkspace& decode_ws, const RequestPlan& plan,
-                      ActiveCode& code, int slot, Pool& pool,
-                      SimulationResult& result, util::Rng& rng,
-                      StepFlags& flags) {
+/// One code's work in one slot (timeout budget, cooldown, Support hop,
+/// Core segment jump, barrier decode on the run's `decode_ws`). `pairs` is
+/// the per-fiber prepared-pair inventory; a jump consumes from it.
+inline CodeStep process_code(const Topology& topology,
+                             const FaultInjector& injector,
+                             const RecoveryPolicy& policy,
+                             const SimulationParams& params,
+                             const decoder::Decoder& decoder,
+                             CorrectionWorkspace& decode_ws,
+                             const RequestPlan& plan, ActiveCode& code,
+                             int slot, std::vector<int>& pairs,
+                             SimulationResult& result, util::Rng& rng) {
   const obs::Sink& sink = params.sink;
   // Per-code timeout budget: a starved code is abandoned individually
   // instead of pinning its request to the end of the run.
@@ -416,7 +398,6 @@ CodeStep process_code(const Topology& topology, const FaultInjector& injector,
       } else {
         reroute_failed(topology, injector, policy, sink, plan, code,
                        /*core_channel=*/false, slot);
-        flags.support_reroute_failed = true;
       }
     }
   }
@@ -438,7 +419,7 @@ CodeStep process_code(const Topology& topology, const FaultInjector& injector,
           injector.node_down(
               code.c_path[static_cast<std::size_t>(code.c_pos + h + 1)], slot))
         broken = true;
-      if (pool.level(e) < n_core) ready = false;
+      if (pairs[static_cast<std::size_t>(e)] < n_core) ready = false;
     }
     if (broken) {
       if (policy.local_reroute) {
@@ -453,7 +434,6 @@ CodeStep process_code(const Topology& topology, const FaultInjector& injector,
         } else {
           reroute_failed(topology, injector, policy, sink, plan, code,
                          /*core_channel=*/true, slot);
-          flags.core_reroute_failed = true;
         }
       }
     } else if (ready) {
@@ -462,7 +442,7 @@ CodeStep process_code(const Topology& topology, const FaultInjector& injector,
         const int e = topology.fiber_between(
             code.c_path[static_cast<std::size_t>(code.c_pos + h)],
             code.c_path[static_cast<std::size_t>(code.c_pos + h + 1)]);
-        pool.consume(e, n_core);
+        pairs[static_cast<std::size_t>(e)] -= n_core;
         segment_mu += topology.fiber_noise(e);
       }
       // Entanglement swapping and teleportation are probabilistic; a
@@ -544,16 +524,5 @@ CodeStep process_code(const Topology& topology, const FaultInjector& injector,
   }
   return CodeStep::InFlight;
 }
-
-/// The test oracle for slot skipping: simulate_surfnet forced to visit
-/// every slot and to sweep every entanglement pool verbatim (eager and
-/// dense mode on every run). simulate_surfnet must return the same result
-/// and leave the same RNG stream. A sink forces simulate_surfnet into this
-/// mode, so observed runs of the two are identical.
-SimulationResult simulate_surfnet_every_slot(const Topology& topology,
-                                             const Schedule& schedule,
-                                             const SimulationParams& params,
-                                             const decoder::Decoder& decoder,
-                                             util::Rng& rng);
 
 }  // namespace surfnet::netsim::detail

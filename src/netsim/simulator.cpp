@@ -1,6 +1,8 @@
 #include "netsim/simulator.h"
 
+#include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "netsim/entanglement.h"
 #include "netsim/sim_internal.h"
@@ -36,6 +38,29 @@ std::string_view to_string(CodeOutcome outcome) {
   return "?";
 }
 
+void detail::validate_params(const SimulationParams& params) {
+  auto require = [](bool ok, const char* what) {
+    if (!ok)
+      throw std::invalid_argument(std::string("SimulationParams: ") + what);
+  };
+  // Every comparison with NaN is false, so NaN fails each check below.
+  auto probability = [](double p) { return p >= 0.0 && p <= 1.0; };
+  auto finite_nonnegative = [](double x) {
+    return std::isfinite(x) && x >= 0.0;
+  };
+  require(params.opportunistic_segment >= 1,
+          "opportunistic_segment must be >= 1");
+  require(finite_nonnegative(params.entanglement_rate),
+          "entanglement_rate must be finite and >= 0");
+  require(probability(params.swap_success), "swap_success must be in [0, 1]");
+  require(probability(params.loss_per_hop), "loss_per_hop must be in [0, 1]");
+  require(finite_nonnegative(params.noise_scale),
+          "noise_scale must be finite and >= 0");
+  require(params.teleport_op_noise >= 0.0 && params.teleport_op_noise < 1.0,
+          "teleport_op_noise must be in [0, 1)");
+  require(params.max_slots >= 0, "max_slots must be >= 0");
+}
+
 std::unique_ptr<Simulator> make_simulator(NetworkDesign design,
                                           const decoder::Decoder& decoder,
                                           SimEngine /*engine*/) {
@@ -60,6 +85,7 @@ SimulationResult simulate_purification(const Topology& topology,
                                        const SimulationParams& params,
                                        util::Rng& rng) {
   using detail::EntanglementRates;
+  detail::validate_params(params);
   SimulationResult result;
   result.codes_scheduled = schedule.scheduled_codes();
   if (schedule.scheduled.empty()) return result;

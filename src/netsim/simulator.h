@@ -22,10 +22,9 @@
 // Fidelity is the fraction of delivered codes with no logical error at any
 // correction point; latency is the average number of slots per code.
 //
-// simulate_surfnet runs the event engine (netsim/event_simulator.h): it
-// executes the slot model above but only visits the slots at which
-// something can happen. Its test oracle, which visits every slot, is
-// internal (netsim/sim_internal.h).
+// simulate_surfnet runs the slot model above one slot at a time, from
+// slot 0 until every code has finished or max_slots is reached
+// (netsim/event_simulator.h).
 //
 // The five network designs of the paper's evaluation (Fig. 7) select a
 // Simulator implementation through make_simulator; SurfNet and Raw share
@@ -78,6 +77,10 @@ std::string_view to_string(NetworkDesign design);
 /// (0 for the non-purification designs).
 int purification_rounds(NetworkDesign design);
 
+/// Both simulators throw std::invalid_argument naming the first field
+/// outside its range: opportunistic_segment >= 1, entanglement_rate and
+/// noise_scale finite and >= 0, swap_success and loss_per_hop in [0, 1],
+/// teleport_op_noise in [0, 1), max_slots >= 0.
 struct SimulationParams {
   int code_distance = 4;        ///< paper's 25-qubit example code
   double loss_per_hop = 0.08;   ///< plain-channel photon loss per fiber
@@ -153,8 +156,8 @@ struct SimulationResult {
 };
 
 /// Simulate a SurfNet (or Raw, when a request's core_path is empty)
-/// schedule on the event engine. Raw requests send every qubit through the
-/// plain channel and consume no entanglement.
+/// schedule. Raw requests send every qubit through the plain channel and
+/// consume no entanglement.
 SimulationResult simulate_surfnet(const Topology& topology,
                                   const Schedule& schedule,
                                   const SimulationParams& params,

@@ -13,9 +13,9 @@
 //
 // Determinism contract. Arrivals and departures are first-class events on
 // the deterministic pending-event heap (netsim/event_queue.h), ordered by
-// (slot, EventClass, seq) exactly like the simulator's own wake-ups;
-// EventClass::Departure outranks EventClass::Arrival so resources freed at
-// a slot are visible to same-slot admission decisions. Every random
+// (slot, EventClass, seq); EventClass::Departure outranks
+// EventClass::Arrival so resources freed at a slot are visible to
+// same-slot admission decisions. Every random
 // variate is drawn at an event-processing point — interarrival gaps by
 // inverse transform when an arrival is processed, never per-slot
 // Bernoulli draws — so empty slots are draw-free and skipped, a

@@ -1,10 +1,10 @@
-// Extended differential campaign: simulate_surfnet, which skips idle slots
-// and keeps lazy pools, must reproduce the every-slot oracle
-// (detail::simulate_surfnet_every_slot) bitwise — SimulationResult and
-// post-run RNG stream — across randomized fault plans, recovery policies,
-// entanglement rates (integral and fractional), schedules, and oracle
-// observation modes. Each failing case prints a SURFNET_PROP_SEED that
-// replays it in isolation.
+// Extended campaign: attaching a sink must not change how simulate_surfnet
+// runs. An observed run (metrics, plus a trace on part of the cases) and an
+// unobserved run of the same configuration must return the same
+// SimulationResult and leave the same RNG stream behind, across randomized
+// fault plans, recovery policies, entanglement rates (integral and
+// fractional) and schedules. Each failing case prints a SURFNET_PROP_SEED
+// that replays it in isolation.
 
 #include "proptest.h"
 
@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "decoder/surfnet_decoder.h"
-#include "netsim/sim_internal.h"
 #include "netsim/simulator.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -80,8 +79,8 @@ FaultPlan random_fault_plan(util::Rng& rng, const Topology& topo) {
         break;
     }
     // Mix factors that keep the degraded rate integral (0, 1) with ones
-    // that make it fractional — the latter exercises the per-slot draw
-    // preservation inside degradation windows.
+    // that make it fractional, which draws one Bernoulli per slot inside
+    // the degradation window.
     event.magnitude =
         event.kind == FaultKind::EntanglementDegradation
             ? proptest::pick(rng,
@@ -89,8 +88,8 @@ FaultPlan random_fault_plan(util::Rng& rng, const Topology& topo) {
             : 1.0;
     plan.scripted.push_back(event);
   }
-  // Stochastic processes force the engine into dense mode; keep a healthy
-  // share of scripted-only plans so skip mode is exercised as often.
+  // Keep a healthy share of scripted-only plans, whose runs draw no fault
+  // variates.
   if (proptest::chance(rng, 0.35))
     plan.stochastic.fiber_cut_rate = proptest::real_in(rng, 0.0, 0.05);
   if (proptest::chance(rng, 0.2)) {
@@ -142,45 +141,41 @@ struct RunOutput {
   std::vector<std::uint64_t> rng_tail;
 };
 
-RunOutput run_engine(bool every_slot, const Topology& topo,
-                     const netsim::Schedule& schedule,
-                     netsim::SimulationParams params, std::uint64_t seed,
-                     bool observed) {
+RunOutput run_sim(const Topology& topo, const netsim::Schedule& schedule,
+                  netsim::SimulationParams params, std::uint64_t seed,
+                  bool observed, bool traced) {
   const decoder::SurfNetDecoder dec;
   obs::TraceBuffer trace;
   obs::MetricsRegistry metrics;
-  if (observed) params.sink = {&metrics, &trace};
+  if (observed) params.sink = {&metrics, traced ? &trace : nullptr};
   util::Rng rng(seed);
   const auto result =
-      every_slot ? netsim::detail::simulate_surfnet_every_slot(
-                       topo, schedule, params, dec, rng)
-                 : netsim::simulate_surfnet(topo, schedule, params, dec, rng);
+      netsim::simulate_surfnet(topo, schedule, params, dec, rng);
   RunOutput out;
   out.result = dump(result);
   for (int i = 0; i < 4; ++i) out.rng_tail.push_back(rng());
   return out;
 }
 
-// P: for any (schedule, fault plan, policy, rate, seed), the engine run
-// unobserved — free to skip slots and keep lazy pools — produces the same
-// result and RNG stream as the every-slot oracle, observed or not (a sink
-// never changes either).
-TEST(EventEngineProperty, MatchesSlotOracleBitwise) {
+// P: for any (schedule, fault plan, policy, rate, seed), a run with a sink
+// attached produces the same result and RNG stream as the same run without
+// one.
+TEST(EventEngineProperty, SinkDoesNotChangeTheRunBitwise) {
   const auto topo = ring_topology();
   proptest::Config config;
   config.iterations = 300;
-  proptest::check("event_engine_differential", config, [&](util::Rng& rng) {
+  proptest::check("sink_invariance", config, [&](util::Rng& rng) {
     const auto schedule = random_schedule(rng);
     const auto params = random_sim_params(rng, topo);
-    const bool observed = proptest::chance(rng, 0.35);
+    const bool traced = proptest::chance(rng, 0.35);
     const std::uint64_t seed = rng();
 
-    const auto oracle =
-        run_engine(true, topo, schedule, params, seed, observed);
-    const auto engine =
-        run_engine(false, topo, schedule, params, seed, /*observed=*/false);
-    ASSERT_EQ(oracle.result, engine.result);
-    ASSERT_EQ(oracle.rng_tail, engine.rng_tail);
+    const auto observed =
+        run_sim(topo, schedule, params, seed, /*observed=*/true, traced);
+    const auto unobserved =
+        run_sim(topo, schedule, params, seed, /*observed=*/false, false);
+    ASSERT_EQ(observed.result, unobserved.result);
+    ASSERT_EQ(observed.rng_tail, unobserved.rng_tail);
   });
 }
 

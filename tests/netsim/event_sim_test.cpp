@@ -1,11 +1,13 @@
-// Differential tests for the event engine: simulate_surfnet, which skips
-// idle slots and keeps lazy pools, must reproduce the every-slot oracle
-// (detail::simulate_surfnet_every_slot) bitwise — SimulationResult and the
-// RNG stream (verified by comparing draws *after* the runs) — plus unit
-// tests for the deterministic event queue itself. A sink forces
-// every-slot visiting, so the engine side of each differential runs
-// unobserved; the golden traces in golden_trace_test.cpp pin the observed
-// path. The heavy randomized matrix lives in tests/event_property_test.cpp
+// Replay tests for simulate_surfnet's slot loop, plus unit tests for the
+// deterministic event queue the traffic engine runs on.
+//
+// The EventEngineDifferential configurations were recorded from the
+// every-slot oracle that the retired slot-skipping engine was compared
+// against: each expected value is that oracle's dump() string and the four
+// draws its RNG stream returned after the run. simulate_surfnet must
+// reproduce both, with and without a sink attached. The golden traces in
+// golden_trace_test.cpp pin the observed event stream; the randomized
+// observed-vs-unobserved campaign lives in tests/event_property_test.cpp
 // (extended label).
 
 #include <gtest/gtest.h>
@@ -18,9 +20,9 @@
 #include "core/surfnet.h"
 #include "decoder/surfnet_decoder.h"
 #include "netsim/event_queue.h"
-#include "netsim/sim_internal.h"
 #include "netsim/simulator.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "util/rng.h"
 
 namespace surfnet::netsim {
@@ -30,23 +32,23 @@ namespace {
 
 TEST(EventQueue, PopsBySlotThenClassThenSequence) {
   EventQueue queue;
-  queue.push(7, EventClass::CodeWake, 1);
-  queue.push(3, EventClass::RetryTimer, 2);
-  queue.push(3, EventClass::FaultOnset, 3);
-  queue.push(7, EventClass::CodeWake, 4);   // same key as the first push
-  queue.push(3, EventClass::FaultExpiry, 5);
-  queue.push(1, EventClass::CodeWake, 6);
+  queue.push(7, EventClass::Arrival, 1);
+  queue.push(3, EventClass::Arrival, 2);
+  queue.push(3, EventClass::Departure, 3);
+  queue.push(7, EventClass::Arrival, 4);  // same key as the first push
+  queue.push(3, EventClass::Departure, 5);
+  queue.push(1, EventClass::Arrival, 6);
 
   std::vector<int> payloads;
   while (!queue.empty()) payloads.push_back(queue.pop().payload);
-  // slot 1 first; slot 3 by class priority (onset < expiry < retry);
-  // slot 7 ties broken by push order.
+  // slot 1 first; slot 3 by class priority (departures before the
+  // arrival, in push order); slot 7 ties broken by push order.
   EXPECT_EQ(payloads, (std::vector<int>{6, 3, 5, 2, 1, 4}));
 }
 
 TEST(EventQueue, SequenceIdsMakeEqualKeysFifo) {
   EventQueue queue;
-  for (int i = 0; i < 100; ++i) queue.push(5, EventClass::CodeWake, i);
+  for (int i = 0; i < 100; ++i) queue.push(5, EventClass::Departure, i);
   for (int i = 0; i < 100; ++i) {
     const auto event = queue.pop();
     EXPECT_EQ(event.payload, i);
@@ -56,22 +58,20 @@ TEST(EventQueue, SequenceIdsMakeEqualKeysFifo) {
 
 TEST(EventQueue, TracksPeakAndPushCount) {
   EventQueue queue;
-  queue.push(1, EventClass::CodeWake);
-  queue.push(2, EventClass::CodeWake);
+  queue.push(1, EventClass::Arrival);
+  queue.push(2, EventClass::Arrival);
   queue.pop();
-  queue.push(3, EventClass::CodeWake);
+  queue.push(3, EventClass::Departure);
   EXPECT_EQ(queue.peak_size(), 2u);
   EXPECT_EQ(queue.pushed(), 3u);
   EXPECT_EQ(queue.size(), 2u);
 }
 
 TEST(EventEngine, NamesAndFallbacks) {
-  EXPECT_EQ(to_string(EventClass::FaultOnset), "fault_onset");
-  EXPECT_EQ(to_string(EventClass::EntanglementReady), "entanglement_ready");
   const decoder::SurfNetDecoder dec;
   EXPECT_EQ(make_simulator(NetworkDesign::SurfNet, dec)->name(), "surfnet");
   EXPECT_EQ(make_simulator(NetworkDesign::Raw, dec)->name(), "surfnet");
-  // Purification has no event engine: it keeps its own slot loop.
+  // Purification keeps its own slot loop.
   EXPECT_EQ(make_simulator(NetworkDesign::Purification2, dec)->name(),
             "purification");
 }
@@ -120,36 +120,39 @@ struct RunOutput {
   std::vector<std::uint64_t> rng_tail;  ///< draws after the run
 };
 
-RunOutput run(bool every_slot, const Topology& topo, const Schedule& schedule,
-              const SimulationParams& params, std::uint64_t seed) {
+RunOutput run(bool observed, const Topology& topo, const Schedule& schedule,
+              SimulationParams params, std::uint64_t seed) {
   const decoder::SurfNetDecoder dec;
+  obs::MetricsRegistry metrics;
+  obs::TraceBuffer trace;
+  if (observed) params.sink = {&metrics, &trace};
   util::Rng rng(seed);
-  const auto result =
-      every_slot ? detail::simulate_surfnet_every_slot(topo, schedule, params,
-                                                       dec, rng)
-                 : simulate_surfnet(topo, schedule, params, dec, rng);
+  const auto result = simulate_surfnet(topo, schedule, params, dec, rng);
   RunOutput out;
   out.result = dump(result);
   for (int i = 0; i < 4; ++i) out.rng_tail.push_back(rng());
   return out;
 }
 
-void expect_bitwise(const Topology& topo, const Schedule& schedule,
-                    const SimulationParams& params, std::uint64_t seed,
-                    const char* label) {
-  const auto oracle = run(true, topo, schedule, params, seed);
-  const auto engine = run(false, topo, schedule, params, seed);
-  EXPECT_EQ(oracle.result, engine.result) << label << ": SimulationResult";
-  EXPECT_EQ(oracle.rng_tail, engine.rng_tail) << label << ": RNG stream";
+/// simulate_surfnet, unobserved and observed, must return the recorded
+/// result and leave the recorded RNG stream behind.
+void expect_recorded(const Topology& topo, const Schedule& schedule,
+                     const SimulationParams& params, std::uint64_t seed,
+                     const RunOutput& recorded, const std::string& label) {
+  for (const bool observed : {false, true}) {
+    const auto got = run(observed, topo, schedule, params, seed);
+    const std::string where = label + (observed ? " (observed)" : "");
+    EXPECT_EQ(got.result, recorded.result) << where << ": SimulationResult";
+    EXPECT_EQ(got.rng_tail, recorded.rng_tail) << where << ": RNG stream";
+  }
 }
 
 // ------------------------------------------------------- differentials --
 
 TEST(EventEngineDifferential, GoldenFaultCampaignBitwise) {
-  // The configuration pinned by golden/ring_faults.jsonl, unobserved:
-  // scripted events of every kind (including a fractional-rate
-  // degradation window: 3.0 * 0.3) plus a stochastic fiber-cut process,
-  // which visits every slot over lazy pools.
+  // The configuration pinned by golden/ring_faults.jsonl: scripted events
+  // of every kind (including a fractional-rate degradation window:
+  // 3.0 * 0.3) plus a stochastic fiber-cut process.
   SimulationParams params;
   params.max_slots = 300;
   params.entanglement_rate = 3.0;
@@ -160,30 +163,36 @@ TEST(EventEngineDifferential, GoldenFaultCampaignBitwise) {
   params.faults.scripted.push_back({FaultKind::NodeOutage, 60, 5, 20, 1.0});
   params.faults.stochastic.fiber_cut_rate = 0.02;
   params.faults.stochastic.fiber_cut_duration = 15;
-  expect_bitwise(ring_topology(), one_request(6, true, {2}), params, 20240806,
-                 "fault campaign");
+  expect_recorded(ring_topology(), one_request(6, true, {2}), params,
+                  20240806,
+                  {"6/6/6/98\n0 6 2 0\n0 5 2 0\n0 51 2 0\n0 20 2 0\n"
+                   "0 11 2 0\n0 5 2 0\n",
+                   {3279755026300016334ull, 12286616644935463685ull,
+                    17402255837457802186ull, 3886025275464454016ull}},
+                  "fault campaign");
 }
 
 TEST(EventEngineDifferential, GoldenRecoveryCampaignBitwise) {
-  // The golden/ring_recovery.jsonl configuration, unobserved so that the
-  // engine skips: permanent cut, flaky swaps, aggressive recovery,
-  // per-code timeout budget.
+  // The golden/ring_recovery.jsonl configuration: permanent cut, flaky
+  // swaps, aggressive recovery, per-code timeout budget.
   SimulationParams params;
   params.max_slots = 600;
   params.swap_success = 0.5;
   params.recovery = RecoveryPolicy::aggressive();
   params.recovery.code_timeout_slots = 120;
   params.faults.scripted.push_back({FaultKind::FiberCut, 5, 1, 5000, 1.0});
-  expect_bitwise(ring_topology(), one_request(4, true, {2}), params, 424242,
-                 "recovery campaign");
+  expect_recorded(ring_topology(), one_request(4, true, {2}), params, 424242,
+                  {"4/4/4/222\n0 8 2 0\n0 50 2 0\n0 75 2 0\n0 89 2 0\n",
+                   {10426029398549872882ull, 2612490882418579125ull,
+                    2620269412783724888ull, 10926501521174509183ull}},
+                  "recovery campaign");
 }
 
-TEST(EventEngineDifferential, SkipModeScriptedFaultsBitwise) {
-  // Null sink + one request + scripted-only faults + integral base rate:
-  // the configuration where the event engine actually skips slots. The
-  // scripted set stresses every wake path — blocked support, broken core
-  // segments, a fractional degradation window, a decode stall over the
-  // barrier, and recovery escalation over a long gap.
+TEST(EventEngineDifferential, ScriptedFaultsBitwise) {
+  // One request under scripted faults only, on both channel layouts: a
+  // blocked support channel, broken core segments, a fractional
+  // degradation window, a decode stall over the barrier, and recovery
+  // escalation over a long outage.
   SimulationParams params;
   params.max_slots = 2000;
   params.entanglement_rate = 3.0;
@@ -195,42 +204,81 @@ TEST(EventEngineDifferential, SkipModeScriptedFaultsBitwise) {
       {FaultKind::EntanglementDegradation, 30, 2, 60, 0.5});
   params.faults.scripted.push_back({FaultKind::NodeOutage, 100, 3, 40, 1.0});
   params.faults.scripted.push_back({FaultKind::DecodeStall, 150, -1, 25, 1.0});
-  for (const bool dual : {true, false})
-    for (const std::uint64_t seed : {7u, 99u, 20240808u})
-      expect_bitwise(ring_topology(), one_request(5, dual, {2}), params, seed,
-                     "skip mode");
+  struct Case {
+    bool dual;
+    std::uint64_t seed;
+    RunOutput recorded;
+  };
+  const std::vector<Case> cases{
+      {true, 7,
+       {"5/5/5/531\n0 219 2 0\n0 124 2 0\n0 111 2 0\n0 23 2 0\n"
+        "0 54 2 0\n",
+        {628777311967898858ull, 17258519359618949965ull,
+         7291546007630348000ull, 6742676969293261801ull}}},
+      {true, 99,
+       {"5/5/5/365\n0 42 2 0\n0 56 2 0\n0 148 2 0\n0 39 2 0\n"
+        "0 80 2 0\n",
+        {14909578427141526347ull, 17008812886191635665ull,
+         9897218274695193620ull, 14894291986086598264ull}}},
+      {true, 20240808,
+       {"5/5/5/197\n0 48 2 0\n0 31 2 0\n0 63 2 0\n0 34 2 0\n"
+        "0 21 2 0\n",
+        {11722539207859074318ull, 8167146217648722540ull,
+         10257916006702392040ull, 14947022082947031214ull}}},
+      {false, 7,
+       {"5/5/2/37\n0 5 2 1\n0 8 2 0\n0 8 2 0\n0 8 2 1\n0 8 2 1\n",
+        {11053129439159790335ull, 2095347969925768817ull,
+         16988399823971409776ull, 8818871077953863478ull}}},
+      {false, 99,
+       {"5/5/5/37\n0 5 2 0\n0 8 2 0\n0 8 2 0\n0 8 2 0\n0 8 2 0\n",
+        {11607120217758109622ull, 3759628366533581905ull,
+         1097979349723368593ull, 8141126648826896237ull}}},
+      {false, 20240808,
+       {"5/5/4/37\n0 5 2 1\n0 8 2 0\n0 8 2 0\n0 8 2 0\n0 8 2 0\n",
+        {14982522785377959101ull, 12614892096205642523ull,
+         14331032405712813004ull, 9903350100037935048ull}}},
+  };
+  for (const auto& c : cases)
+    expect_recorded(ring_topology(), one_request(5, c.dual, {2}), params,
+                    c.seed, c.recorded,
+                    std::string(c.dual ? "dual" : "raw") + " seed " +
+                        std::to_string(c.seed));
 }
 
 TEST(EventEngineDifferential, QuiescentStarvedRunCensorsAtCapBitwise) {
   // Zero generation rate and no faults: the core channel can never jump,
-  // the event queue drains to empty, and the engine must censor the
-  // in-flight code at max_slots - 1 exactly like the oracle's 20000-slot
-  // sweep — without visiting the dead slots.
+  // and the in-flight code is censored at max_slots - 1 after the full
+  // 20000-slot run.
   SimulationParams params;
   params.entanglement_rate = 0.0;
   params.recovery.code_timeout_slots = 0;  // no budget: runs to the cap
-  expect_bitwise(ring_topology(), one_request(2, true, {2}), params, 11,
-                 "starved run");
+  expect_recorded(ring_topology(), one_request(2, true, {2}), params, 11,
+                  {"2/0/0/0\n0 20000 0 2\n",
+                   {4118682332196087775ull, 1609190652402573441ull,
+                    4524261822856303789ull, 8186203469158895160ull}},
+                  "starved run");
 }
 
 TEST(EventEngineDifferential, HeldWithoutRecoveryBitwise) {
-  // local_reroute disabled: a blocked channel holds in place (inert) until
-  // the window expires; wake-ups must come from the queued fault expiry.
+  // local_reroute disabled: a blocked channel holds in place until the
+  // fault window expires.
   SimulationParams params;
   params.max_slots = 1500;
   params.entanglement_rate = 4.0;
   params.recovery.local_reroute = false;
   params.faults.scripted.push_back({FaultKind::FiberCut, 3, 0, 400, 1.0});
   params.faults.scripted.push_back({FaultKind::NodeOutage, 500, 2, 200, 1.0});
-  expect_bitwise(ring_topology(), one_request(3, true, {2}), params, 5150,
-                 "held code");
+  expect_recorded(ring_topology(), one_request(3, true, {2}), params, 5150,
+                  {"3/3/3/413\n0 5 2 0\n0 403 2 0\n0 5 2 0\n",
+                   {5704082023281518683ull, 711059571869984024ull,
+                    6067097163317690899ull, 870328514928224009ull}},
+                  "held code");
 }
 
 TEST(EventEngineDifferential, EverySlotModeAgreesThroughRunTrials) {
-  // Facade-level check over a chaotic multi-request scenario. A sink
-  // forces every trial into every-slot mode, so the observed batch runs
-  // the oracle on one thread while the unobserved batch runs the engine
-  // over lazy pools on four. Every aggregate must agree bitwise.
+  // Facade-level check over a chaotic multi-request scenario: an observed
+  // batch on one thread and an unobserved batch on four must agree
+  // bitwise on every aggregate.
   auto params = core::make_scenario(core::FacilityLevel::Sufficient,
                                     core::ConnectionQuality::Poor);
   params.simulation.faults.stochastic.correlated_cut_rate = 0.05;
@@ -255,9 +303,9 @@ TEST(EventEngineDifferential, EverySlotModeAgreesThroughRunTrials) {
                                  stat->max()});
     return stats;
   };
-  const auto oracle = run(/*observed=*/true, 1);
-  const auto engine = run(/*observed=*/false, 4);
-  EXPECT_EQ(oracle, engine);
+  const auto observed = run(/*observed=*/true, 1);
+  const auto unobserved = run(/*observed=*/false, 4);
+  EXPECT_EQ(observed, unobserved);
   // The comparison covers real work: codes were decoded under faults.
   EXPECT_GT(metrics.counter("sim.decodes"), 0);
   EXPECT_GT(metrics.counter("sim.fiber_failures"), 0);

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -227,6 +228,59 @@ TEST(FaultInjection, ReplayIsDeterministic) {
     return jsonl_of(trace);
   };
   EXPECT_EQ(run(), run());
+}
+
+TEST(FaultInjection, ScriptedWindowPastIntMaxLastsTheRun) {
+  // Windows opened at slot 5 for INT_MAX slots would end past INT_MAX:
+  // they saturate and hold for the rest of the run.
+  const auto topo = ring_topology();
+  constexpr int kForever = std::numeric_limits<int>::max();
+  FaultPlan plan;
+  plan.scripted.push_back({FaultKind::FiberCut, 5, 0, kForever, 1.0});
+  plan.scripted.push_back({FaultKind::NodeOutage, 5, 2, kForever, 1.0});
+  plan.scripted.push_back(
+      {FaultKind::EntanglementDegradation, 5, 1, kForever, 0.5});
+  plan.scripted.push_back({FaultKind::DecodeStall, 5, -1, kForever, 1.0});
+  FaultInjector injector(topo, plan);
+  util::Rng rng(3);
+  for (int slot = 0; slot <= 5; ++slot)
+    injector.begin_slot(slot, rng, obs::Sink{});
+  for (const int slot : {5, 6, kForever - 1}) {
+    EXPECT_TRUE(injector.fiber_down(0, slot)) << "slot " << slot;
+    EXPECT_TRUE(injector.node_down(2, slot)) << "slot " << slot;
+    EXPECT_DOUBLE_EQ(injector.entanglement_factor(1, slot), 0.5)
+        << "slot " << slot;
+    EXPECT_TRUE(injector.decode_stalled(slot)) << "slot " << slot;
+  }
+}
+
+TEST(FaultInjection, StochasticWindowPastIntMaxLastsTheRun) {
+  // Stochastic cuts and outages opened after slot 0 for INT_MAX slots
+  // saturate the same way; the trace reports INT_MAX as their end.
+  const auto topo = ring_topology();
+  constexpr int kForever = std::numeric_limits<int>::max();
+  FaultPlan plan;
+  plan.stochastic.fiber_cut_rate = 0.2;
+  plan.stochastic.fiber_cut_duration = kForever;
+  plan.stochastic.node_outage_rate = 0.2;
+  plan.stochastic.node_outage_duration = kForever;
+  FaultInjector injector(topo, plan);
+  util::Rng rng(17);
+  obs::TraceBuffer trace;
+  obs::Sink sink;
+  sink.trace = &trace;
+  for (int slot = 0; slot < 40; ++slot) injector.begin_slot(slot, rng, sink);
+  int late = 0;
+  for (const auto& event : trace.events()) {
+    const bool cut = event.kind == obs::EventKind::FiberDown;
+    if (!cut && event.kind != obs::EventKind::NodeDown) continue;
+    EXPECT_EQ(event.b, kForever) << "until_slot of " << obs::to_jsonl(event);
+    const bool down = cut ? injector.fiber_down(event.a, kForever - 1)
+                          : injector.node_down(event.a, kForever - 1);
+    EXPECT_TRUE(down) << obs::to_jsonl(event);
+    if (event.slot >= 1) ++late;
+  }
+  EXPECT_GT(late, 0) << "no fault opened after slot 0";
 }
 
 TEST(FaultPlanTest, DefaultPlanIsEmpty) {

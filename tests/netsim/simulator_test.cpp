@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "decoder/surfnet_decoder.h"
 #include "netsim/schedule.h"
 #include "obs/metrics.h"
@@ -214,6 +219,104 @@ TEST(Simulator, RejectsBrokenSchedules) {
   EXPECT_THROW(
       simulate_surfnet(topo, bad_ec, SimulationParams{}, dec, rng),
       std::invalid_argument);
+}
+
+/// Expects both simulators, on the 5-node line with one dual-channel code
+/// and max_slots 200, to reject each of `values` written by `set`, with a
+/// message naming `field`.
+template <typename T, typename Set>
+void expect_rejected(const std::string& field, std::vector<T> values,
+                     Set set) {
+  const auto topo = line_topology(0.95);
+  const auto schedule = line_schedule(1, /*dual=*/true);
+  const decoder::SurfNetDecoder dec;
+  for (const T value : values) {
+    SimulationParams params;
+    params.max_slots = 200;
+    set(params, value);
+    for (const bool purification : {false, true}) {
+      const std::string where =
+          field + " = " + std::to_string(value) + " in " +
+          (purification ? "simulate_purification" : "simulate_surfnet");
+      util::Rng rng(5);
+      try {
+        if (purification)
+          simulate_purification(topo, schedule, 1, params, rng);
+        else
+          simulate_surfnet(topo, schedule, params, dec, rng);
+        ADD_FAILURE() << where << ": accepted";
+      } catch (const std::invalid_argument& err) {
+        EXPECT_NE(std::string(err.what()).find(field), std::string::npos)
+            << where << ": " << err.what();
+      }
+    }
+  }
+}
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+TEST(SimulationParamsValidation, RejectsSegmentBelowOne) {
+  expect_rejected("opportunistic_segment", std::vector<int>{0, -1},
+                  [](SimulationParams& p, int v) {
+                    p.opportunistic_segment = v;
+                  });
+}
+
+TEST(SimulationParamsValidation, RejectsNegativeOrNonFiniteEntanglementRate) {
+  expect_rejected(
+      "entanglement_rate", std::vector<double>{-3.0, kNaN, kInf},
+      [](SimulationParams& p, double v) { p.entanglement_rate = v; });
+}
+
+TEST(SimulationParamsValidation, RejectsSwapSuccessOutsideUnitInterval) {
+  expect_rejected("swap_success", std::vector<double>{-0.1, 1.5, kNaN},
+                  [](SimulationParams& p, double v) { p.swap_success = v; });
+}
+
+TEST(SimulationParamsValidation, RejectsLossPerHopOutsideUnitInterval) {
+  expect_rejected("loss_per_hop", std::vector<double>{-0.1, 1.5, kNaN},
+                  [](SimulationParams& p, double v) { p.loss_per_hop = v; });
+}
+
+TEST(SimulationParamsValidation, RejectsNegativeOrNonFiniteNoiseScale) {
+  expect_rejected("noise_scale", std::vector<double>{-0.5, kNaN, kInf},
+                  [](SimulationParams& p, double v) { p.noise_scale = v; });
+}
+
+TEST(SimulationParamsValidation, RejectsTeleportOpNoiseOutsideHalfOpenRange) {
+  expect_rejected(
+      "teleport_op_noise", std::vector<double>{-0.1, 1.0, kNaN},
+      [](SimulationParams& p, double v) { p.teleport_op_noise = v; });
+}
+
+TEST(SimulationParamsValidation, RejectsNegativeMaxSlots) {
+  expect_rejected("max_slots", std::vector<int>{-1},
+                  [](SimulationParams& p, int v) { p.max_slots = v; });
+}
+
+TEST(SimulationParamsValidation, AcceptsEveryBoundaryValue) {
+  const auto topo = line_topology(0.95);
+  const auto schedule = line_schedule(1, /*dual=*/true);
+  const decoder::SurfNetDecoder dec;
+  auto expect_accepted = [&](const SimulationParams& params) {
+    util::Rng rng(5);
+    EXPECT_NO_THROW(simulate_surfnet(topo, schedule, params, dec, rng));
+    EXPECT_NO_THROW(simulate_purification(topo, schedule, 1, params, rng));
+  };
+  SimulationParams params;
+  params.max_slots = 200;
+  params.opportunistic_segment = 1;
+  params.entanglement_rate = 0.0;
+  params.swap_success = 0.0;
+  params.loss_per_hop = 0.0;
+  params.noise_scale = 0.0;
+  params.teleport_op_noise = 0.0;
+  expect_accepted(params);
+  params.swap_success = 1.0;
+  params.loss_per_hop = 1.0;
+  params.max_slots = 0;
+  expect_accepted(params);
 }
 
 TEST(Simulator, PerCodeRecordsReconcileWithTotals) {

@@ -143,7 +143,7 @@ const std::vector<TokenRule>& token_rules() {
         {"unordered_multiset", Match::Name, "unordered_multiset"}},
        "in the event engine; virtual time comes from the event queue only "
        "and handler state must iterate deterministically (vectors/sorted), "
-       "or the bitwise equivalence with the every-slot oracle breaks"},
+       "or (seed, params) bitwise replay breaks"},
   };
   return rules;
 }
