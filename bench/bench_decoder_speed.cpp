@@ -14,12 +14,9 @@
 // so saved outputs can be diffed/ratioed to track the perf trajectory
 // (scripts/bench_compare.py).
 //
-// A second tier measures the pure-erasure decoders — peeling ("Erasure")
-// and the linear-time exact-ML "ErasureML" — on erasure-only syndromes
-// (25% erasure, no Pauli noise), where both are defined at any distance.
-// Expected shape: ErasureML tracks peeling within a small constant factor
-// (same forest construction plus the cut-parity labelling and the
-// degeneracy scan), both near-linear in qubit count.
+// A second tier measures the pure-erasure peeling decoder ("Erasure") on
+// erasure-only syndromes (25% erasure, no Pauli noise), where it is
+// defined at any distance. Expected shape: near-linear in qubit count.
 
 #include <cstdint>
 #include <iostream>
@@ -30,7 +27,6 @@
 #include "bench_common.h"
 #include "decoder/code_trial.h"
 #include "decoder/erasure_decoder.h"
-#include "decoder/erasure_ml.h"
 #include "decoder/mwpm.h"
 #include "decoder/surfnet_decoder.h"
 #include "decoder/trial_runner.h"
@@ -161,16 +157,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Pure-erasure tier. ErasureML is constructed per distance (it borrows
-  // the lattice for graph resolution and logical cuts); peeling shares the
-  // same erasure-only input pool so the two rows are directly comparable.
+  // Pure-erasure tier.
   const decoder::ErasureDecoder peeling;
   for (const int d : {5, 9, 13, 17, 21, 25}) {
     const qec::SurfaceCodeLattice lattice(d);
-    const decoder::ErasureMlDecoder erasure_ml(lattice);
     const auto inputs = make_erasure_inputs(lattice, 64, args.seed());
     measure(peeling, d, lattice, inputs);
-    measure(erasure_ml, d, lattice, inputs);
   }
 
   args.finish_observability();
@@ -200,8 +192,8 @@ int main(int argc, char** argv) {
                    util::Table::fmt(r.ns_per_decode, 0)});
   table.print(std::cout);
   std::printf("\nExpected shape: near-linear ns/decode growth in qubit "
-              "count for the cluster decoders, polynomially steeper for "
-              "MWPM; ErasureML within a small constant factor of Erasure "
-              "(peeling) on the erasure-only tier.\n");
+              "count for the cluster decoders and for Erasure (peeling) "
+              "on the erasure-only tier, polynomially steeper for "
+              "MWPM.\n");
   return 0;
 }

@@ -321,7 +321,8 @@ def run_keyed_gate(baseline_path, run_paths, key_fields, metric, threshold):
         drop = (base - cand) / base
         failures += drop > threshold
         print(f"{'FAIL' if drop > threshold else 'ok'}  {label:<40} "
-              f"{base:>12.1f} -> {cand:>12.1f} {metric} ({drop:+.1%})")
+              f"{base:>12.1f} -> {cand:>12.1f} {metric} "
+              f"({(cand - base) / base:+.1%})")
     if failures:
         print(f"bench_compare: {failures} failure(s) against {baseline_path} "
               f"(threshold {threshold:.0%})", file=sys.stderr)

@@ -56,6 +56,14 @@ class KeyedGateTest(unittest.TestCase):
         self.assertEqual(self.gate(base, base, threshold="-0.01").returncode,
                          1)
 
+    def test_change_is_printed_relative_to_the_baseline(self):
+        base = self.write([("a", 300.0), ("b", 100.0)], "base")
+        run = self.write([("a", 500.0), ("b", 95.0)], "run")
+        proc = self.gate(base, run)
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        self.assertIn("300.0 ->        500.0 rate (+66.7%)", proc.stdout)
+        self.assertIn("100.0 ->         95.0 rate (-5.0%)", proc.stdout)
+
     def test_row_set_mismatch_fails(self):
         base = self.write([("a", 100.0), ("b", 50.0)], "base")
         run = self.write([("a", 100.0), ("c", 50.0)], "run")

@@ -122,8 +122,8 @@ TrialMetrics run_trial(const ScenarioParams& params, NetworkDesign design,
   }
 
   const decoder::SurfNetDecoder dec;
-  const auto simulator = netsim::make_simulator(design, dec);
-  const auto sim = simulator->run(topology, schedule, simulation, rng);
+  const auto sim =
+      netsim::Simulator(design, dec).run(topology, schedule, simulation, rng);
 
   TrialMetrics metrics;
   metrics.fidelity = sim.fidelity();

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "decoder/cluster_growth.h"
-#include "decoder/erasure_ml.h"
 #include "decoder/peeling.h"
 
 namespace surfnet::decoder {
@@ -36,7 +35,6 @@ struct MwpmWorkspace {
 struct DecodeWorkspace {
   GrowthWorkspace growth;
   PeelWorkspace peel;
-  ErasureMlWorkspace erasure_ml;
   GrowthConfig config;            ///< reused speed / pregrown buffers
   MwpmWorkspace mwpm;
   std::vector<double> prob;       ///< effective per-edge error probability

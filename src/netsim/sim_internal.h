@@ -1,13 +1,14 @@
 #pragma once
 
-// Internal machinery of the surface-code slot loop (event_simulator.cpp),
-// part of which simulate_purification (simulator.cpp) shares. NOT part of
-// the public netsim API — include only from netsim/*.cpp and from tests
-// that deliberately reach into simulator internals.
+// Internal machinery of the slot loop (simulator.cpp). NOT part of the
+// public netsim API — include only from netsim/*.cpp and from tests that
+// deliberately reach into simulator internals.
 //
-// Static request validation, the in-flight code state, the decode/correction
-// step, the recovery actions, and the entanglement-rate buckets. Every slot
-// runs process_code() once per active code, in the slot's service order.
+// The entanglement-rate buckets every design's pools advance by, and the
+// surface-code designs' per-code step: static request validation, the
+// in-flight code state, the decode/correction step and the recovery
+// actions. The loop runs process_code() once per active SurfNet or Raw
+// code per slot, in the slot's service order.
 
 #include <algorithm>
 #include <cmath>
@@ -57,10 +58,6 @@ struct RequestPlan {
   std::vector<Barrier> barriers;  ///< EC servers in order, then destination
   const CodeGeometry* geometry = nullptr;
 };
-
-/// Throws std::invalid_argument naming the first SimulationParams field
-/// outside its accepted range. Both simulators call it before they start.
-void validate_params(const SimulationParams& params);
 
 inline void validate_path(const Topology& topology,
                           const std::vector<int>& path) {
@@ -131,20 +128,6 @@ inline int find_on_path(const std::vector<int>& path, int node, int from) {
   return -1;
 }
 
-/// Bucket bounds for the per-slot pool-total histogram ("sim.pool_total").
-inline const std::vector<double>& pool_bounds() {
-  static const std::vector<double> bounds{0,  10,  25,  50,   100,
-                                          250, 500, 1000, 2500, 5000};
-  return bounds;
-}
-
-/// Bucket bounds for delivered-code latency ("sim.latency_slots").
-inline const std::vector<double>& latency_bounds() {
-  static const std::vector<double> bounds{5,   10,  20,  40,   80,
-                                          160, 320, 640, 1280, 2560};
-  return bounds;
-}
-
 /// Point the code's per-channel cursors at the current barrier node.
 inline void retarget(const RequestPlan& plan, ActiveCode& code) {
   const int node = plan.barriers[static_cast<std::size_t>(code.barrier)].node;
@@ -156,15 +139,6 @@ inline void retarget(const RequestPlan& plan, ActiveCode& code) {
     if (code.c_target < 0)
       throw std::logic_error("barrier node lost from core path");
   }
-}
-
-inline ActiveCode launch(const RequestPlan& plan, int slot) {
-  ActiveCode code;
-  code.s_path = plan.sched->support_path;
-  code.c_path = plan.sched->core_path;
-  code.start_slot = slot;
-  retarget(plan, code);
-  return code;
 }
 
 /// Escalation: replace the remainder of one channel's route with a fresh
@@ -188,13 +162,27 @@ inline void escalate(const Topology& topology, const FaultInjector& injector,
   if (ok) retarget(plan, code);
 }
 
-/// A local recovery that found no live detour: escalate to a full
-/// re-route after the policy's threshold of consecutive failures.
-inline void reroute_failed(const Topology& topology,
-                           const FaultInjector& injector,
-                           const RecoveryPolicy& policy, const obs::Sink& sink,
-                           const RequestPlan& plan, ActiveCode& code,
-                           bool core_channel, int slot) {
+/// A channel blocked by a failed fiber or a dead next node: detour locally
+/// around it to `node` (netsim/recovery.h); a recovery that finds no live
+/// detour escalates to a full re-route after the policy's threshold of
+/// consecutive failures. Without local reroutes the code holds in place.
+inline void recover(const Topology& topology, const FaultInjector& injector,
+                    const RecoveryPolicy& policy, const obs::Sink& sink,
+                    const RequestPlan& plan, ActiveCode& code,
+                    bool core_channel, int node, int slot) {
+  if (!policy.local_reroute) return;
+  auto& path = core_channel ? code.c_path : code.s_path;
+  const int pos = core_channel ? code.c_pos : code.s_pos;
+  if (local_reroute(topology, injector, slot, path, pos, node)) {
+    (core_channel ? code.c_target : code.s_target) =
+        find_on_path(path, node, pos);
+    code.failed_reroutes = 0;
+    if (sink.metrics) sink.metrics->count("sim.recoveries");
+    if (sink.trace)
+      sink.trace->record(obs::Event::recovery(
+          slot, plan.sched->request_index, core_channel));
+    return;
+  }
   ++code.failed_reroutes;
   if (policy.escalate_after_reroutes > 0 &&
       code.failed_reroutes >= policy.escalate_after_reroutes) {
@@ -321,53 +309,26 @@ class EntanglementRates {
   std::vector<int> caps_;
 };
 
-/// Per-slot pool snapshot for the sink (totals histogram + pool event).
-inline void emit_pool_snapshot(const std::vector<int>& pairs, int slot,
-                               const obs::Sink& sink) {
-  if (!sink.enabled() || pairs.empty()) return;
-  int total = 0;
-  int min_level = pairs[0];
-  for (const int p : pairs) {
-    total += p;
-    min_level = std::min(min_level, p);
-  }
-  if (sink.metrics)
-    sink.metrics->observe("sim.pool_total", total, pool_bounds());
-  if (sink.trace) sink.trace->record(obs::Event::pool(slot, total, min_level));
-}
-
-/// What one process_code() invocation did to the code.
+/// What one design's step did to a code in one slot.
 enum class CodeStep {
-  InFlight,  ///< still active next slot
-  Finished,  ///< delivered or timed out; a CodeRecord was appended
+  InFlight,   ///< still active next slot
+  Delivered,  ///< reached its destination; `corrupted` holds the verdict
 };
 
-/// One code's work in one slot (timeout budget, cooldown, Support hop,
-/// Core segment jump, barrier decode on the run's `decode_ws`). `pairs` is
-/// the per-fiber prepared-pair inventory; a jump consumes from it.
+/// One surface code's work in one slot (cooldown, Support hop, Core
+/// segment jump, barrier decode on the run's `decode_ws`). `pairs` is the
+/// per-fiber prepared-pair inventory; a jump consumes from it. The slot
+/// loop checks the per-code timeout budget before the step.
 inline CodeStep process_code(const Topology& topology,
                              const FaultInjector& injector,
-                             const RecoveryPolicy& policy,
                              const SimulationParams& params,
                              const decoder::Decoder& decoder,
                              CorrectionWorkspace& decode_ws,
                              const RequestPlan& plan, ActiveCode& code,
                              int slot, std::vector<int>& pairs,
-                             SimulationResult& result, util::Rng& rng) {
+                             util::Rng& rng) {
   const obs::Sink& sink = params.sink;
-  // Per-code timeout budget: a starved code is abandoned individually
-  // instead of pinning its request to the end of the run.
-  if (policy.code_timeout_slots > 0 &&
-      slot - code.start_slot >= policy.code_timeout_slots) {
-    const int slots = slot - code.start_slot;
-    result.codes.push_back({plan.sched->request_index, slots, code.corrections,
-                            CodeOutcome::TimedOut});
-    if (sink.metrics) sink.metrics->count("sim.timeouts");
-    if (sink.trace)
-      sink.trace->record(
-          obs::Event::timeout(slot, plan.sched->request_index, slots));
-    return CodeStep::Finished;
-  }
+  const RecoveryPolicy& policy = params.recovery;
   if (code.cooldown > 0) {
     --code.cooldown;
     return CodeStep::InFlight;
@@ -386,19 +347,9 @@ inline CodeStep process_code(const Topology& topology,
       ++code.s_pos;
       code.acc_support_mu += topology.fiber_noise(e);
       ++code.acc_support_hops;
-    } else if (policy.local_reroute) {
-      if (local_reroute(topology, injector, slot, code.s_path, code.s_pos,
-                        barrier.node)) {
-        code.s_target = find_on_path(code.s_path, barrier.node, code.s_pos);
-        code.failed_reroutes = 0;
-        if (sink.metrics) sink.metrics->count("sim.recoveries");
-        if (sink.trace)
-          sink.trace->record(obs::Event::recovery(
-              slot, plan.sched->request_index, /*core_channel=*/false));
-      } else {
-        reroute_failed(topology, injector, policy, sink, plan, code,
-                       /*core_channel=*/false, slot);
-      }
+    } else {
+      recover(topology, injector, policy, sink, plan, code,
+              /*core_channel=*/false, barrier.node, slot);
     }
   }
 
@@ -422,20 +373,8 @@ inline CodeStep process_code(const Topology& topology,
       if (pairs[static_cast<std::size_t>(e)] < n_core) ready = false;
     }
     if (broken) {
-      if (policy.local_reroute) {
-        if (local_reroute(topology, injector, slot, code.c_path, code.c_pos,
-                          barrier.node)) {
-          code.c_target = find_on_path(code.c_path, barrier.node, code.c_pos);
-          code.failed_reroutes = 0;
-          if (sink.metrics) sink.metrics->count("sim.recoveries");
-          if (sink.trace)
-            sink.trace->record(obs::Event::recovery(
-                slot, plan.sched->request_index, /*core_channel=*/true));
-        } else {
-          reroute_failed(topology, injector, policy, sink, plan, code,
-                         /*core_channel=*/true, slot);
-        }
-      }
+      recover(topology, injector, policy, sink, plan, code,
+              /*core_channel=*/true, barrier.node, slot);
     } else if (ready) {
       double segment_mu = 0.0;
       for (int h = 0; h < segment; ++h) {
@@ -496,28 +435,8 @@ inline CodeStep process_code(const Topology& topology,
       !injector.decode_stalled(slot)) {
     run_correction(plan, code, slot, barrier.node, barrier.is_ec, params,
                    decoder, decode_ws, rng);
-    const bool final_barrier =
-        code.barrier + 1 == static_cast<int>(plan.barriers.size());
-    if (final_barrier) {
-      ++result.codes_delivered;
-      if (!code.corrupted) ++result.codes_succeeded;
-      const int slots = slot - code.start_slot + 1;
-      result.total_latency += slots;
-      result.codes.push_back({plan.sched->request_index, slots,
-                              code.corrections,
-                              code.corrupted ? CodeOutcome::LogicalError
-                                             : CodeOutcome::Succeeded});
-      if (sink.metrics) {
-        sink.metrics->count("sim.delivered");
-        if (!code.corrupted) sink.metrics->count("sim.succeeded");
-        sink.metrics->observe("sim.latency_slots", slots, latency_bounds());
-      }
-      if (sink.trace)
-        sink.trace->record(obs::Event::delivered(
-            slot, plan.sched->request_index, slots, code.corrections,
-            code.corrupted));
-      return CodeStep::Finished;
-    }
+    if (code.barrier + 1 == static_cast<int>(plan.barriers.size()))
+      return CodeStep::Delivered;
     ++code.barrier;
     retarget(plan, code);
     code.cooldown = 1;  // the EC circuit occupies one slot

@@ -22,14 +22,13 @@
 // Fidelity is the fraction of delivered codes with no logical error at any
 // correction point; latency is the average number of slots per code.
 //
-// simulate_surfnet runs the slot model above one slot at a time, from
-// slot 0 until every code has finished or max_slots is reached
-// (netsim/event_simulator.h).
-//
-// The five network designs of the paper's evaluation (Fig. 7) select a
-// Simulator implementation through make_simulator; SurfNet and Raw share
-// the surface-code simulator (a Raw request simply has no Core path),
-// the purification designs share the bare-qubit teleportation simulator.
+// The five network designs of the paper's evaluation (Fig. 7) run on one
+// slot loop (simulator.cpp), one slot at a time from slot 0 until every
+// code has finished or max_slots is reached; only a code's step in a slot
+// depends on the design. SurfNet and Raw step surface codes
+// (simulate_surfnet; a Raw request simply has no Core path), the
+// purification designs teleport bare qubits (simulate_purification).
+// Simulator runs the one a design selects.
 //
 // Observability: SimulationParams carries an obs::Sink. With a trace sink
 // attached the simulator emits per-slot events (entanglement-pool levels,
@@ -80,7 +79,8 @@ int purification_rounds(NetworkDesign design);
 /// Both simulators throw std::invalid_argument naming the first field
 /// outside its range: opportunistic_segment >= 1, entanglement_rate and
 /// noise_scale finite and >= 0, swap_success and loss_per_hop in [0, 1],
-/// teleport_op_noise in [0, 1), max_slots >= 0.
+/// teleport_op_noise in [0, 1), max_slots >= 0. They also reject a
+/// schedule with a negative ScheduledRequest::codes.
 struct SimulationParams {
   int code_distance = 4;        ///< paper's 25-qubit example code
   double loss_per_hop = 0.08;   ///< plain-channel photon loss per fiber
@@ -174,52 +174,27 @@ SimulationResult simulate_purification(const Topology& topology,
                                        const SimulationParams& params,
                                        util::Rng& rng);
 
-/// Unified execution interface over the two simulation models. A Simulator
-/// is stateless across runs; the same instance may execute many schedules.
+/// One network design's simulator: run() is simulate_surfnet for SurfNet
+/// and Raw, and simulate_purification with purification_rounds(design)
+/// for the rest. Stateless across runs; the same instance may execute many
+/// schedules. The decoder is borrowed by the surface-code designs, must
+/// outlive the simulator, and is ignored by the rest.
 class Simulator {
  public:
-  virtual ~Simulator() = default;
-  virtual SimulationResult run(const Topology& topology,
-                               const Schedule& schedule,
-                               const SimulationParams& params,
-                               util::Rng& rng) const = 0;
-  virtual std::string_view name() const = 0;
-};
-
-/// Surface-code transfer (SurfNet and Raw designs). The decoder is
-/// borrowed and must outlive the simulator.
-class SurfNetSimulator final : public Simulator {
- public:
-  explicit SurfNetSimulator(const decoder::Decoder& decoder)
-      : decoder_(&decoder) {}
+  Simulator(NetworkDesign design, const decoder::Decoder& decoder)
+      : design_(design), decoder_(&decoder) {}
   SimulationResult run(const Topology& topology, const Schedule& schedule,
-                       const SimulationParams& params,
-                       util::Rng& rng) const override {
-    return simulate_surfnet(topology, schedule, params, *decoder_, rng);
+                       const SimulationParams& params, util::Rng& rng) const {
+    const int rounds = purification_rounds(design_);
+    return rounds > 0 ? simulate_purification(topology, schedule, rounds,
+                                              params, rng)
+                      : simulate_surfnet(topology, schedule, params,
+                                         *decoder_, rng);
   }
-  std::string_view name() const override { return "surfnet"; }
 
  private:
+  NetworkDesign design_;
   const decoder::Decoder* decoder_;
-};
-
-/// Hop-by-hop teleportation of bare qubits over purified pairs
-/// (Purification N=1,2,9 designs).
-class PurificationSimulator final : public Simulator {
- public:
-  explicit PurificationSimulator(int extra_pairs)
-      : extra_pairs_(extra_pairs) {}
-  SimulationResult run(const Topology& topology, const Schedule& schedule,
-                       const SimulationParams& params,
-                       util::Rng& rng) const override {
-    return simulate_purification(topology, schedule, extra_pairs_, params,
-                                 rng);
-  }
-  std::string_view name() const override { return "purification"; }
-  int extra_pairs() const { return extra_pairs_; }
-
- private:
-  int extra_pairs_;
 };
 
 /// The one simulation engine. A single-value leftover: perfbench/ still
@@ -228,8 +203,7 @@ class PurificationSimulator final : public Simulator {
 /// those parameters together with the perfbench call sites.
 enum class SimEngine : std::uint8_t { Event };
 
-/// The simulator a network design executes on. The decoder is borrowed by
-/// the surface-code designs (SurfNet, Raw) and ignored by the rest.
+/// Simulator(design, decoder) on the heap, as perfbench/ holds it.
 std::unique_ptr<Simulator> make_simulator(NetworkDesign design,
                                           const decoder::Decoder& decoder,
                                           SimEngine engine = SimEngine::Event);

@@ -1,6 +1,6 @@
 // Differential and property campaigns for the linear-time exact-ML
-// erasure decoder (decoder/erasure_ml.h). Three named invariants anchor
-// the suite:
+// erasure decoder (tests/decoder/erasure_ml.h), the oracle the peeling
+// decoder is held against. Three named invariants anchor the suite:
 //
 //   * equivalence  — erasure_ml == exhaustive ML wherever both run
 //     (d <= 3), exactly, including the pinned class-0 tie-break;
@@ -20,7 +20,7 @@
 // and thread-count invariance through the trial runner. All tests here
 // carry the `extended` CTest label.
 
-#include "decoder/erasure_ml.h"
+#include "erasure_ml.h"
 
 #include <gtest/gtest.h>
 
@@ -372,7 +372,7 @@ TEST(ErasureMlProperty, FailureRateMonotoneInErasureRate) {
 
 // ---------------------------------------------------------------------------
 // Property campaign: decode results are bitwise invariant under workspace
-// reuse (the DecodeWorkspace zero-allocation contract).
+// reuse (the DecodeWorkspace contract, through Decoder's default overload).
 
 TEST(ErasureMlProperty, BitwiseInvariantUnderWorkspaceReuse) {
   std::vector<std::unique_ptr<SurfaceCodeLattice>> lattices;

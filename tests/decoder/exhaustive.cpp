@@ -22,7 +22,7 @@ void require_enumerable(const qec::DecodingGraph& graph) {
     util::contract_fail(
         "precondition", "graph.num_edges() <= kMaxEdges", __FILE__, __LINE__,
         "exhaustive ML enumerates 2^E configurations: %zu edges exceed the "
-        "cap of %zu (use d <= 3, or decoder/erasure_ml for exact ML on "
+        "cap of %zu (use d <= 3, or tests/decoder/erasure_ml for exact ML on "
         "erasures at any distance)",
         graph.num_edges(), kMaxEdges);
   if (graph.num_real_vertices() > 63)

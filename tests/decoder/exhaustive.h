@@ -23,7 +23,8 @@
 // overflow and silently return wrong answers, so even Release builds —
 // where SURFNET_EXPECTS compiles out — abort with a clear report instead.
 // Tests catch it as util::ContractViolation via ScopedContractHandler.
-// For exact ML above d = 3 on the erasure channel use decoder/erasure_ml.
+// For exact ML above d = 3 on the erasure channel use the ErasureML oracle
+// (tests/decoder/erasure_ml.h).
 
 #include "decoder/decoder.h"
 #include "qec/code_lattice.h"

@@ -221,6 +221,41 @@ TEST(Simulator, RejectsBrokenSchedules) {
       std::invalid_argument);
 }
 
+TEST(Simulator, RejectsNegativeCodeCounts) {
+  // Summed as a pending count, a {3, -2} schedule would read as one code.
+  // Every design rejects it, naming the field, and still skips a request
+  // with 0 codes.
+  const auto topo = line_topology(0.95);
+  const decoder::SurfNetDecoder dec;
+  for (const auto design : {NetworkDesign::SurfNet, NetworkDesign::Raw,
+                            NetworkDesign::Purification2}) {
+    const std::string where(to_string(design));
+    auto schedule = line_schedule(3, design != NetworkDesign::Raw);
+    schedule.scheduled.push_back(schedule.scheduled[0]);
+    schedule.scheduled[1].request_index = 1;
+    schedule.scheduled[1].codes = -2;
+    util::Rng rng(31);
+    try {
+      make_simulator(design, dec)
+          ->run(topo, schedule, SimulationParams{}, rng);
+      ADD_FAILURE() << where << ": accepted";
+    } catch (const std::invalid_argument& err) {
+      EXPECT_NE(std::string(err.what()).find("codes"), std::string::npos)
+          << where << ": " << err.what();
+    }
+
+    schedule.scheduled[1].codes = 0;
+    const auto result =
+        make_simulator(design, dec)->run(topo, schedule, SimulationParams{},
+                                         rng);
+    EXPECT_EQ(result.codes_scheduled, 3) << where;
+    EXPECT_EQ(result.codes_delivered, 3) << where;
+    ASSERT_EQ(result.codes.size(), 3u) << where;
+    for (const auto& record : result.codes)
+      EXPECT_EQ(record.request, 0) << where;
+  }
+}
+
 /// Expects both simulators, on the 5-node line with one dual-channel code
 /// and max_slots 200, to reject each of `values` written by `set`, with a
 /// message naming `field`.
@@ -378,32 +413,79 @@ TEST(Simulator, TimedOutCodesGetRecordsToo) {
   }
 }
 
-TEST(Simulator, InterfaceSelectsModelByDesign) {
+TEST(Simulator, TimeoutBudgetPreemptsTheStepOfItsLastSlot) {
+  // A code delivered after L slots without a budget times out, with L - 1
+  // slots, under a budget of L - 1: the loop checks the budget before the
+  // code's step. A budget of L still lets it arrive.
+  const auto topo = line_topology(0.95);
   const decoder::SurfNetDecoder dec;
-  const auto surfnet = make_simulator(NetworkDesign::SurfNet, dec);
-  const auto raw = make_simulator(NetworkDesign::Raw, dec);
-  const auto p2 = make_simulator(NetworkDesign::Purification2, dec);
-  EXPECT_EQ(surfnet->name(), "surfnet");
-  EXPECT_EQ(raw->name(), "surfnet");  // Raw shares the surface-code model
-  EXPECT_EQ(p2->name(), "purification");
+  for (const auto design : {NetworkDesign::SurfNet, NetworkDesign::Raw,
+                            NetworkDesign::Purification1}) {
+    const std::string where(to_string(design));
+    const auto schedule = line_schedule(1, design != NetworkDesign::Raw);
+    auto run_with_budget = [&](int budget) {
+      SimulationParams params;
+      params.recovery.code_timeout_slots = budget;
+      util::Rng rng(41);
+      const auto result =
+          make_simulator(design, dec)->run(topo, schedule, params, rng);
+      EXPECT_EQ(result.codes.size(), 1u) << where;
+      return result.codes.at(0);
+    };
+    const auto free_run = run_with_budget(0);
+    ASSERT_NE(free_run.outcome, CodeOutcome::TimedOut) << where;
+    const int slots = free_run.slots;
+    ASSERT_GT(slots, 1) << where;
+    const auto cut = run_with_budget(slots - 1);
+    EXPECT_EQ(cut.outcome, CodeOutcome::TimedOut) << where;
+    EXPECT_EQ(cut.slots, slots - 1) << where;
+    const auto in_time = run_with_budget(slots);
+    EXPECT_EQ(in_time.outcome, free_run.outcome) << where;
+    EXPECT_EQ(in_time.slots, slots) << where;
+  }
+}
 
-  // Polymorphic run matches the free function it wraps.
+TEST(Simulator, InterfaceSelectsModelByDesign) {
+  // SurfNet and Raw run simulate_surfnet (Raw on its support-only
+  // schedule), the purification designs simulate_purification with their
+  // round count: every record and the RNG stream left behind agree.
+  const decoder::SurfNetDecoder dec;
   const auto topo = line_topology(0.95);
   SimulationParams params;
-  util::Rng rng1(24), rng2(24);
-  const auto via_iface =
-      surfnet->run(topo, line_schedule(5, true), params, rng1);
-  const auto direct =
-      simulate_surfnet(topo, line_schedule(5, true), params, dec, rng2);
-  EXPECT_EQ(via_iface.codes_delivered, direct.codes_delivered);
-  EXPECT_DOUBLE_EQ(via_iface.total_latency, direct.total_latency);
-
-  util::Rng rng3(25), rng4(25);
-  const auto p2_iface = p2->run(topo, line_schedule(5, true), params, rng3);
-  const auto p2_direct =
-      simulate_purification(topo, line_schedule(5, true), 2, params, rng4);
-  EXPECT_EQ(p2_iface.codes_delivered, p2_direct.codes_delivered);
-  EXPECT_DOUBLE_EQ(p2_iface.total_latency, p2_direct.total_latency);
+  params.entanglement_rate = 3.5;
+  auto expect_same = [](const SimulationResult& a, util::Rng& rng_a,
+                        const SimulationResult& b, util::Rng& rng_b,
+                        NetworkDesign design) {
+    SCOPED_TRACE(std::string(to_string(design)));
+    EXPECT_EQ(a.codes_scheduled, b.codes_scheduled);
+    EXPECT_EQ(a.codes_delivered, b.codes_delivered);
+    EXPECT_EQ(a.codes_succeeded, b.codes_succeeded);
+    EXPECT_EQ(a.total_latency, b.total_latency);
+    ASSERT_EQ(a.codes.size(), b.codes.size());
+    for (std::size_t i = 0; i < a.codes.size(); ++i) {
+      EXPECT_EQ(a.codes[i].request, b.codes[i].request);
+      EXPECT_EQ(a.codes[i].slots, b.codes[i].slots);
+      EXPECT_EQ(a.codes[i].corrections, b.codes[i].corrections);
+      EXPECT_EQ(a.codes[i].outcome, b.codes[i].outcome);
+    }
+    for (int i = 0; i < 4; ++i) EXPECT_EQ(rng_a(), rng_b());
+  };
+  for (const auto design :
+       {NetworkDesign::SurfNet, NetworkDesign::Raw,
+        NetworkDesign::Purification1, NetworkDesign::Purification2,
+        NetworkDesign::Purification9}) {
+    const auto schedule = line_schedule(6, design != NetworkDesign::Raw);
+    const int rounds = purification_rounds(design);
+    util::Rng rng_iface(24), rng_direct(24);
+    const auto via_iface =
+        make_simulator(design, dec)->run(topo, schedule, params, rng_iface);
+    const auto direct =
+        rounds > 0
+            ? simulate_purification(topo, schedule, rounds, params,
+                                    rng_direct)
+            : simulate_surfnet(topo, schedule, params, dec, rng_direct);
+    expect_same(via_iface, rng_iface, direct, rng_direct, design);
+  }
 }
 
 TEST(Simulator, DesignNamesAndPurificationRounds) {

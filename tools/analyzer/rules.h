@@ -32,7 +32,7 @@
 //   header-hygiene      a header whose first token is not #pragma once, or
 //                       an #ifndef <X>_H include guard
 //   event-core-purity   any clock, free time() call or std::unordered_* in
-//                       src/netsim/event* and src/netsim/workload*
+//                       src/netsim/
 
 #include <map>
 #include <set>

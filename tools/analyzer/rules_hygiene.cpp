@@ -128,7 +128,7 @@ const std::vector<TokenRule>& token_rules() {
         {"printf", Match::Call, "printf"}, {"puts", Match::Call, "puts"},
         {"fprintf", Match::StdoutCall, "fprintf(stdout)"}},
        "in library code; report through the obs layer (src/obs) instead"},
-      {"event-core-purity", {"src/netsim/event", "src/netsim/workload"},
+      {"event-core-purity", {"src/netsim/"},
        {{"chrono", Match::Include, "<chrono>"},
         {"chrono", Match::StdName, "std::chrono"},
         {"steady_clock", Match::Name, "steady_clock"},
