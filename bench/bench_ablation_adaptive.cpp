@@ -43,11 +43,9 @@
 #include "core/surfnet.h"
 #include "decoder/code_trial.h"
 #include "decoder/surfnet_decoder.h"
-#include "netsim/simulator.h"
 #include "netsim/workload.h"
 #include "qec/error_model.h"
 #include "qec/lattice.h"
-#include "routing/greedy.h"
 #include "routing/incremental.h"
 #include "util/table.h"
 
@@ -252,30 +250,12 @@ int main(int argc, char** argv) {
         auto params =
             core::make_scenario(core::FacilityLevel::Insufficient, quality);
         params.routing.adaptive_code_distance = adaptive;
-        params.routing.sink = args.sink();
-        params.simulation.sink = args.sink();
-
-        util::RunningStat throughput, fidelity;
-        util::Rng seeder(args.seed());
-        for (int t = 0; t < trials; ++t) {
-          util::Rng rng(seeder());
-          const auto topology =
-              netsim::make_random_topology(params.topology, rng);
-          const auto requests = netsim::random_requests(
-              topology, params.num_requests, params.max_codes_per_request,
-              rng);
-          const auto schedule =
-              routing::route_greedy(topology, requests, params.routing, rng);
-          const decoder::SurfNetDecoder dec;
-          const auto sim = netsim::simulate_surfnet(
-              topology, schedule, params.simulation, dec, rng);
-          throughput.add(schedule.throughput());
-          if (sim.codes_delivered > 0) fidelity.add(sim.fidelity());
-        }
+        const auto agg = bench::run_greedy_trials(params, trials,
+                                                  args.options());
         table.add_row({std::string(core::to_string(quality)),
                        adaptive ? "adaptive 3/4/5" : "fixed d=4",
-                       util::Table::fmt(throughput.mean(), 3),
-                       util::Table::fmt(fidelity.mean(), 3)});
+                       util::Table::fmt(agg.throughput.mean(), 3),
+                       util::Table::fmt(agg.fidelity.mean(), 3)});
       }
     }
     table.print(std::cout);

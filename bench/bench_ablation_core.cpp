@@ -48,7 +48,7 @@ qec::CoreSupportPartition wide_core(const qec::SurfaceCodeLattice& lattice,
 double blind_error_rate(const qec::SurfaceCodeLattice& lattice,
                         const qec::NoiseProfile& profile,
                         const decoder::Decoder& decoder, int trials,
-                        const decoder::TrialRunnerOptions& opts) {
+                        const decoder::RunOptions& opts) {
   const auto prior =
       profile.component_error_prob(qec::PauliChannel::IndependentXZ);
   double mean = 0.0;
@@ -85,10 +85,7 @@ int main(int argc, char** argv) {
   const auto wide_split =
       qec::NoiseProfile::core_support(wide, pauli, erasure);
 
-  decoder::TrialRunnerOptions opts;
-  opts.threads = args.threads();
-  opts.sink = args.sink();
-  opts.seed = args.seed();
+  const auto opts = args.options();
   const auto ler = [&](const qec::NoiseProfile& profile,
                        const decoder::Decoder& dec) {
     return decoder::run_logical_error_trials(

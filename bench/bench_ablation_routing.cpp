@@ -27,9 +27,6 @@
 
 #include "bench_common.h"
 #include "core/surfnet.h"
-#include "decoder/surfnet_decoder.h"
-#include "netsim/simulator.h"
-#include "routing/greedy.h"
 #include "routing/router.h"
 #include "util/table.h"
 
@@ -149,38 +146,23 @@ int main(int argc, char** argv) {
               "%d trials per point, seed %llu\n\n",
               trials, static_cast<unsigned long long>(args.seed()));
 
-  auto base = core::make_scenario(core::FacilityLevel::Sufficient,
-                                  core::ConnectionQuality::Good);
-  base.routing.sink = args.sink();
-  base.simulation.sink = args.sink();
+  const auto base = core::make_scenario(core::FacilityLevel::Sufficient,
+                                        core::ConnectionQuality::Good);
   util::Table table({"requests", "router", "throughput", "fidelity"});
 
   for (const int num_requests : {2, 4, 8, 12, 16}) {
     for (const bool centralized : {true, false}) {
-      util::RunningStat throughput, fidelity;
-      util::Rng seeder(args.seed());
-      for (int t = 0; t < trials; ++t) {
-        util::Rng rng(seeder());
-        const auto topology =
-            netsim::make_random_topology(base.topology, rng);
-        const auto requests = netsim::random_requests(
-            topology, num_requests, base.max_codes_per_request, rng);
-        const auto schedule =
-            centralized
-                ? routing::route(topology, requests, base.routing, rng)
-                      .schedule
-                : routing::route_greedy(topology, requests, base.routing,
-                                        rng);
-        const decoder::SurfNetDecoder dec;
-        const auto sim = netsim::simulate_surfnet(
-            topology, schedule, base.simulation, dec, rng);
-        throughput.add(schedule.throughput());
-        if (sim.codes_delivered > 0) fidelity.add(sim.fidelity());
-      }
+      auto params = base;
+      params.num_requests = num_requests;
+      const auto agg =
+          centralized ? core::run_trials(params, core::NetworkDesign::SurfNet,
+                                         trials, args.options())
+                      : bench::run_greedy_trials(params, trials,
+                                                 args.options());
       table.add_row({std::to_string(num_requests),
                      centralized ? "LP (centralized)" : "greedy (hier.)",
-                     util::Table::fmt(throughput.mean(), 3),
-                     util::Table::fmt(fidelity.mean(), 3)});
+                     util::Table::fmt(agg.throughput.mean(), 3),
+                     util::Table::fmt(agg.fidelity.mean(), 3)});
     }
   }
   table.print(std::cout);

@@ -24,11 +24,6 @@ int main(int argc, char** argv) {
               "point, seed %llu\n\n",
               trials, static_cast<unsigned long long>(args.seed()));
 
-  core::RunOptions options;
-  options.seed = args.seed();
-  options.threads = args.threads();
-  options.sink = args.sink();
-
   util::Table table({"segment", "fidelity", "latency", "throughput"});
   for (const int segment : {1, 2, 3, 4}) {
     auto params = core::make_scenario(core::FacilityLevel::Sufficient,
@@ -39,7 +34,7 @@ int main(int argc, char** argv) {
     params.simulation.entanglement_rate = 0.4;
     params.simulation.swap_success = 0.85;
     const auto agg = core::run_trials(params, core::NetworkDesign::SurfNet,
-                                      trials, options);
+                                      trials, args.options());
     table.add_row({std::to_string(segment),
                    util::Table::fmt(agg.fidelity.mean(), 3),
                    util::Table::fmt(agg.latency.mean(), 1),

@@ -34,13 +34,9 @@ int main(int argc, char** argv) {
   util::Table table({"step r", "logical error rate", "us/decode"});
   for (const double r : {2.0, 1.0, 2.0 / 3.0, 0.5, 1.0 / 3.0, 0.2, 0.1}) {
     const decoder::SurfNetDecoder decoder(r);
-    decoder::TrialRunnerOptions opts;
-    opts.threads = args.threads();
-    opts.sink = args.sink();
-    opts.seed = args.seed();
     const auto report = decoder::run_logical_error_trials(
         lattice, profile, qec::PauliChannel::IndependentXZ, decoder, trials,
-        opts);
+        args.options());
     // Per-decode latency from summed worker busy time; each trial decodes
     // both graphs.
     table.add_row({util::Table::fmt(r, 3),

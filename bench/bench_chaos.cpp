@@ -25,7 +25,6 @@
 #include "core/surfnet.h"
 #include "netsim/faults.h"
 #include "netsim/recovery.h"
-#include "util/rng.h"
 #include "util/stats.h"
 #include "util/table.h"
 
@@ -97,13 +96,17 @@ int main(int argc, char** argv) {
                                        ? netsim::RecoveryPolicy::aggressive()
                                        : netsim::RecoveryPolicy::disabled();
 
+      std::vector<core::TrialMetrics> results(
+          static_cast<std::size_t>(trials));
+      core::run_in_trial_order(
+          trials, args.options(),
+          [&](std::size_t t, std::uint64_t seed, const obs::Sink& sink) {
+            results[t] = core::run_trial(params, core::NetworkDesign::SurfNet,
+                                         seed, sink);
+          });
       long long scheduled = 0, delivered = 0, succeeded = 0;
       util::RunningStat latency;
-      util::Rng seeder(args.seed());
-      for (int t = 0; t < trials; ++t) {
-        const auto metrics =
-            core::run_trial(params, core::NetworkDesign::SurfNet, seeder(),
-                            args.sink());
+      for (const auto& metrics : results) {
         scheduled += metrics.codes_scheduled;
         delivered += metrics.codes_delivered;
         succeeded += static_cast<long long>(

@@ -5,9 +5,11 @@
 // the Monte-Carlo budget and --seed S to change the base seed. Paper-scale
 // budgets (e.g. the 1080 trials of Fig. 6/7) are available via --full.
 //
-// --threads T fans Monte-Carlo trials out over T worker threads; results
-// are bitwise-identical for every T (per-trial counter-based seeding).
-// --threads 0 resolves to the machine's hardware concurrency.
+// --threads T fans a bench's Monte-Carlo trials out over T worker threads
+// (util/parallel.h); results are bitwise-identical for every T.
+// --threads 0 or less resolves to the machine's hardware concurrency.
+// bench_traffic accepts it and ignores it: each of its rows is one
+// open-loop stream.
 //
 // --metrics-out FILE / --trace-out FILE attach the observability layer:
 // the bench's sink() then carries a live metrics registry and/or JSONL
@@ -33,17 +35,56 @@
 #include <cstring>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "core/surfnet.h"
+#include "decoder/surfnet_decoder.h"
+#include "netsim/simulator.h"
 #include "obs/session.h"
 #include "obs/sink.h"
+#include "routing/greedy.h"
+#include "util/parallel.h"
 #include "util/parse.h"
 
 namespace surfnet::bench {
 
 /// Version of the shared --json envelope (bumped on breaking changes).
 inline constexpr int kJsonSchemaVersion = 1;
+
+/// core::run_trials(params, SurfNet, trials, options) with the
+/// hierarchical greedy scheduler (routing::route_greedy) in place of the
+/// LP router: the same seeds, sinks, runner and aggregation.
+inline core::AggregateMetrics run_greedy_trials(
+    const core::ScenarioParams& params, int trials,
+    const core::RunOptions& options) {
+  std::vector<core::TrialMetrics> results(static_cast<std::size_t>(trials));
+  core::run_in_trial_order(
+      trials, options,
+      [&](std::size_t t, std::uint64_t seed, const obs::Sink& sink) {
+        util::Rng rng(seed);
+        const auto topology =
+            netsim::make_random_topology(params.topology, rng);
+        const auto requests = netsim::random_requests(
+            topology, params.num_requests, params.max_codes_per_request, rng);
+        auto routing = params.routing;
+        routing.sink = sink;
+        const auto schedule =
+            routing::route_greedy(topology, requests, routing, rng);
+        auto simulation = params.simulation;
+        simulation.sink = sink;
+        const decoder::SurfNetDecoder dec;
+        const auto sim = netsim::simulate_surfnet(topology, schedule,
+                                                  simulation, dec, rng);
+        results[t] = {.fidelity = sim.fidelity(),
+                      .latency = sim.avg_latency(),
+                      .throughput = schedule.throughput(),
+                      .codes_scheduled = sim.codes_scheduled,
+                      .codes_delivered = sim.codes_delivered};
+      });
+  core::AggregateMetrics aggregate;
+  for (const auto& metrics : results) aggregate.add(metrics);
+  return aggregate;
+}
 
 /// Output formats a bench prints besides its text table.
 struct Formats {
@@ -81,11 +122,8 @@ class ArgParser {
         if (!util::parse_whole(v, seed_))
           reject(flag, "an unsigned 64-bit integer", v);
       } else if (is("--threads")) {
-        threads_ = parse_int(flag, value(), INT_MIN, "an integer");
-        if (threads_ <= 0) {
-          const unsigned hw = std::thread::hardware_concurrency();
-          threads_ = hw > 0 ? static_cast<int>(hw) : 1;
-        }
+        threads_ = util::resolve_threads(
+            parse_int(flag, value(), INT_MIN, "an integer"));
       } else if (is("--metrics-out")) {
         metrics_out = value();
       } else if (is("--trace-out")) {
@@ -125,6 +163,11 @@ class ArgParser {
   /// The observability handle built from --metrics-out / --trace-out
   /// (null when neither flag was given).
   obs::Sink sink() { return session_->sink(); }
+
+  /// {--seed, --threads, sink()}: the options both trial runners take.
+  core::RunOptions options() {
+    return {.seed = seed_, .threads = threads_, .sink = sink()};
+  }
 
   /// Flush the observability outputs (also runs at destruction).
   void finish_observability() { session_->finish(); }

@@ -124,12 +124,8 @@ int main(int argc, char** argv) {
   const auto measure = [&](const decoder::Decoder& dec, int d,
                            const qec::SurfaceCodeLattice& lattice,
                            const std::vector<decoder::DecodeInput>& inputs) {
-    decoder::TrialRunnerOptions opts;
-    opts.threads = args.threads();
-    opts.sink = args.sink();
-    opts.seed = args.seed();
     const auto report = decoder::run_trials(
-        trials, opts, [&]() -> decoder::TrialFn {
+        trials, args.options(), [&]() -> decoder::TrialFn {
           auto ws = std::make_shared<decoder::DecodeWorkspace>();
           return [&, ws](std::int64_t t, util::Rng&) {
             const auto& correction = dec.decode(

@@ -33,24 +33,12 @@ int main(int argc, char** argv) {
       params.simulation.faults = netsim::FaultPlan::fiber_noise(rate, 30);
       params.simulation.recovery.local_reroute = recovery;
 
-      util::RunningStat fidelity, latency, delivered;
-      util::Rng seeder(args.seed());
-      for (int t = 0; t < trials; ++t) {
-        const auto metrics = core::run_trial(
-            params, core::NetworkDesign::SurfNet, seeder(), args.sink());
-        if (metrics.codes_delivered > 0) {
-          fidelity.add(metrics.fidelity);
-          latency.add(metrics.latency);
-        }
-        delivered.add(metrics.codes_scheduled > 0
-                          ? static_cast<double>(metrics.codes_delivered) /
-                                metrics.codes_scheduled
-                          : 0.0);
-      }
+      const auto agg = core::run_trials(params, core::NetworkDesign::SurfNet,
+                                        trials, args.options());
       table.add_row({util::Table::pct(rate, 1), recovery ? "on" : "off",
-                     util::Table::fmt(fidelity.mean(), 3),
-                     util::Table::fmt(latency.mean(), 1),
-                     util::Table::fmt(delivered.mean(), 3)});
+                     util::Table::fmt(agg.fidelity.mean(), 3),
+                     util::Table::fmt(agg.latency.mean(), 1),
+                     util::Table::fmt(agg.delivered.mean(), 3)});
     }
   }
   table.print(std::cout);

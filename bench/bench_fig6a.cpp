@@ -31,11 +31,6 @@ int main(int argc, char** argv) {
         "Fig. 6(a): Raw vs SurfNet — %d trials per cell, seed %llu\n\n",
         trials, static_cast<unsigned long long>(args.seed()));
 
-  core::RunOptions options;
-  options.seed = args.seed();
-  options.threads = args.threads();
-  options.sink = args.sink();
-
   util::Table table({"scenario", "fibers", "design", "throughput", "latency",
                      "fidelity", "fid_ci95"});
   std::vector<std::string> records;
@@ -47,7 +42,8 @@ int main(int argc, char** argv) {
       const auto params = core::make_scenario(level, quality);
       for (const auto design :
            {NetworkDesign::SurfNet, NetworkDesign::Raw}) {
-        const auto agg = core::run_trials(params, design, trials, options);
+        const auto agg =
+            core::run_trials(params, design, trials, args.options());
         table.add_row({std::string(core::to_string(level)),
                        std::string(core::to_string(quality)),
                        std::string(core::to_string(design)),

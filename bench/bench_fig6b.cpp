@@ -38,10 +38,7 @@ int main(int argc, char** argv) {
               "point, seed %llu\n\n",
               trials, static_cast<unsigned long long>(args.seed()));
 
-  core::RunOptions options;
-  options.seed = args.seed();
-  options.threads = args.threads();
-  options.sink = args.sink();
+  const core::RunOptions options = args.options();
 
   const auto base = core::make_scenario(core::FacilityLevel::Sufficient,
                                         core::ConnectionQuality::Good);

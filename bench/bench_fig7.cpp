@@ -25,11 +25,6 @@ int main(int argc, char** argv) {
               "%d trials per cell, seed %llu\n\n",
               trials, static_cast<unsigned long long>(args.seed()));
 
-  core::RunOptions options;
-  options.seed = args.seed();
-  options.threads = args.threads();
-  options.sink = args.sink();
-
   const NetworkDesign designs[] = {
       NetworkDesign::SurfNet, NetworkDesign::Raw,
       NetworkDesign::Purification1, NetworkDesign::Purification2,
@@ -46,7 +41,8 @@ int main(int argc, char** argv) {
                                    "/" +
                                    std::string(core::to_string(quality))};
       for (const auto design : designs) {
-        const auto agg = core::run_trials(params, design, trials, options);
+        const auto agg =
+            core::run_trials(params, design, trials, args.options());
         row.push_back(util::Table::fmt(agg.fidelity.mean(), 3));
       }
       table.add_row(std::move(row));

@@ -50,10 +50,8 @@ int main(int argc, char** argv) {
     for (std::size_t pi = 0; pi < pauli_rates.size(); ++pi) {
       const auto profile = qec::NoiseProfile::core_support(
           partition, pauli_rates[pi], erasure);
-      decoder::TrialRunnerOptions opts;
-      opts.threads = args.threads();
-      opts.sink = args.sink();
-      opts.seed = args.seed() + 1000 * di + pi;
+      auto opts = args.options();
+      opts.seed += 1000 * di + pi;
       // Paired: each trial samples once and both decoders decode it.
       const auto reports = decoder::run_paired_logical_error_trials(
           lattice, profile, qec::PauliChannel::IndependentXZ, decoders,

@@ -15,6 +15,9 @@
 // must be one of those listed above. Anything else exits 2 with one line
 // on stderr that names the flag.
 //
+// --threads T (decode, trial) runs T worker threads, 0 or less meaning
+// all hardware threads; the results do not depend on T.
+//
 // Observability (decode and trial): --metrics-out FILE writes the metrics
 // JSON document, --trace-out FILE streams the JSONL event trace ("-" =
 // stdout for either). The trial trace carries the simulator's per-slot
@@ -209,13 +212,9 @@ int run_decode(const Args& args) {
   }
 
   obs::FileSession session(args.metrics_out, args.trace_out);
-  decoder::TrialRunnerOptions options;
-  options.threads = args.threads;
-  options.seed = args.seed;
-  options.sink = session.sink();
   const auto report = decoder::run_logical_error_trials(
       lattice, profile, qec::PauliChannel::IndependentXZ, *dec, args.trials,
-      options);
+      {.seed = args.seed, .threads = args.threads, .sink = session.sink()});
   session.finish();
   std::printf("%s decoder, d=%d, pauli=%.3f, erasure=%.3f: logical error "
               "rate %.4f +- %.4f (%lld trials, %d thread(s))\n",
@@ -230,12 +229,9 @@ int run_trial(const Args& args) {
       core::make_scenario(args.facilities.value, args.fibers.value);
   const int trials = std::max(1, args.trials / 100);
   obs::FileSession session(args.metrics_out, args.trace_out);
-  core::RunOptions options;
-  options.seed = args.seed;
-  options.threads = args.threads;
-  options.sink = session.sink();
-  const auto agg = core::run_trials(params, args.design.value, trials,
-                                    options);
+  const auto agg = core::run_trials(
+      params, args.design.value, trials,
+      {.seed = args.seed, .threads = args.threads, .sink = session.sink()});
   session.finish();
   std::printf("%s on %s/%s (%d trials): fidelity %.3f +- %.3f, latency "
               "%.1f slots, throughput %.3f\n",

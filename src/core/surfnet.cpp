@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "decoder/surfnet_decoder.h"
@@ -12,6 +11,7 @@
 #include "routing/incremental.h"
 #include "routing/purification.h"
 #include "routing/router.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace surfnet::core {
@@ -134,16 +134,26 @@ TrialMetrics run_trial(const ScenarioParams& params, NetworkDesign design,
   return metrics;
 }
 
-namespace {
+void AggregateMetrics::add(const TrialMetrics& trial) {
+  // Fidelity/latency are averages over executed communications; trials
+  // that executed nothing contribute throughput and delivery only.
+  if (trial.codes_delivered > 0) {
+    fidelity.add(trial.fidelity);
+    latency.add(trial.latency);
+  }
+  throughput.add(trial.throughput);
+  delivered.add(trial.codes_scheduled > 0
+                    ? static_cast<double>(trial.codes_delivered) /
+                          trial.codes_scheduled
+                    : 0.0);
+}
 
-/// Runs `trial(seed, sink)` for every trial and returns the results in trial
-/// order. Seeds derive from options.seed alone, and each trial records into
-/// private buffers that are merged in trial order after the workers join, so
-/// results, metrics and traces do not depend on the worker count.
-template <typename Trial>
-auto run_in_trial_order(int trials, const RunOptions& options,
-                        const Trial& trial) {
-  if (trials < 0) throw std::invalid_argument("negative trial count");
+void run_in_trial_order(
+    int trials, const RunOptions& options,
+    const std::function<void(std::size_t t, std::uint64_t seed,
+                             const obs::Sink& sink)>& body) {
+  if (trials < 0)
+    throw std::invalid_argument("run_in_trial_order: negative trial count");
   const auto count = static_cast<std::size_t>(trials);
   std::vector<std::uint64_t> seeds(count);
   util::Rng seeder(options.seed);
@@ -154,29 +164,16 @@ auto run_in_trial_order(int trials, const RunOptions& options,
   if (options.sink.trace) traces.resize(count);
   if (options.sink.metrics) registries.resize(count);
 
-  auto run = [&](std::size_t t) {
-    obs::Sink sink;
-    if (options.sink.metrics) sink.metrics = &registries[t];
-    if (options.sink.trace) sink.trace = &traces[t];
-    return trial(seeds[t], sink);
-  };
-
-  std::vector<decltype(run(0))> results(count);
-  const int workers =
-      std::max(1, std::min(options.threads, trials > 0 ? trials : 1));
-  if (workers == 1) {
-    for (std::size_t t = 0; t < count; ++t) results[t] = run(t);
-  } else {
-    const auto stride = static_cast<std::size_t>(workers);
-    std::vector<std::thread> pool;
-    pool.reserve(stride);
-    for (std::size_t w = 0; w < stride; ++w) {
-      pool.emplace_back([&, w] {
-        for (std::size_t t = w; t < count; t += stride) results[t] = run(t);
+  // Scenario trials take milliseconds, so each is its own chunk: a cell
+  // of a few trials still reaches every worker.
+  util::parallel_for(
+      trials, options.threads, 1, [&](int, std::int64_t begin, std::int64_t) {
+        const auto t = static_cast<std::size_t>(begin);
+        obs::Sink sink;
+        if (options.sink.metrics) sink.metrics = &registries[t];
+        if (options.sink.trace) sink.trace = &traces[t];
+        body(t, seeds[t], sink);
       });
-    }
-    for (auto& th : pool) th.join();
-  }
 
   if (options.sink.metrics)
     for (const auto& registry : registries)
@@ -184,28 +181,20 @@ auto run_in_trial_order(int trials, const RunOptions& options,
   if (options.sink.trace)
     for (std::size_t t = 0; t < traces.size(); ++t)
       traces[t].flush_to(*options.sink.trace, static_cast<std::int32_t>(t));
-  return results;
 }
-
-}  // namespace
 
 AggregateMetrics run_trials(const ScenarioParams& params,
                             NetworkDesign design, int trials,
                             const RunOptions& options) {
-  const auto results = run_in_trial_order(
-      trials, options, [&](std::uint64_t seed, const obs::Sink& sink) {
-        return run_trial(params, design, seed, sink);
+  std::vector<TrialMetrics> results(
+      static_cast<std::size_t>(std::max(trials, 0)));
+  run_in_trial_order(
+      trials, options,
+      [&](std::size_t t, std::uint64_t seed, const obs::Sink& sink) {
+        results[t] = run_trial(params, design, seed, sink);
       });
   AggregateMetrics aggregate;
-  for (const auto& metrics : results) {
-    // Fidelity/latency are averages over executed communications; trials
-    // that executed nothing contribute throughput only.
-    if (metrics.codes_delivered > 0) {
-      aggregate.fidelity.add(metrics.fidelity);
-      aggregate.latency.add(metrics.latency);
-    }
-    aggregate.throughput.add(metrics.throughput);
-  }
+  for (const auto& metrics : results) aggregate.add(metrics);
   return aggregate;
 }
 
@@ -241,9 +230,12 @@ netsim::TrafficResult run_traffic_trial(const TrafficScenario& scenario,
 
 AggregateTraffic run_trials(const TrafficScenario& scenario, int trials,
                             const RunOptions& options) {
-  const auto results = run_in_trial_order(
-      trials, options, [&](std::uint64_t seed, const obs::Sink& sink) {
-        return run_traffic_trial(scenario, seed, sink);
+  std::vector<netsim::TrafficResult> results(
+      static_cast<std::size_t>(std::max(trials, 0)));
+  run_in_trial_order(
+      trials, options,
+      [&](std::size_t t, std::uint64_t seed, const obs::Sink& sink) {
+        results[t] = run_traffic_trial(scenario, seed, sink);
       });
   AggregateTraffic aggregate;
   for (const auto& r : results) {

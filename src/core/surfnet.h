@@ -12,10 +12,10 @@
 //
 // The batch entry point is run_trials(params, design, trials, RunOptions):
 // RunOptions bundles the base seed, the worker-thread count, and an
-// observability sink. Per-trial seeds are fixed up front and results are
-// merged in trial order, so aggregates — and, with a sink attached, the
-// exported metrics and the event trace — are bitwise-identical for any
-// thread count.
+// observability sink. It runs on run_in_trial_order, which fixes per-trial
+// seeds up front and merges results in trial order, so aggregates — and,
+// with a sink attached, the exported metrics and the event trace — are
+// bitwise-identical for any thread count.
 //
 // Dynamic traffic: TrafficScenario + run_traffic_trial / run_trials run
 // an open-loop arrival/departure stream (netsim/workload.h) against the
@@ -23,9 +23,12 @@
 // fixed request batch, with the same seed-derivation and trial-ordered
 // merge discipline.
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string_view>
 
+#include "decoder/trial_runner.h"
 #include "netsim/simulator.h"
 #include "netsim/topology.h"
 #include "netsim/workload.h"
@@ -82,20 +85,29 @@ TrialMetrics run_trial(const ScenarioParams& params, NetworkDesign design,
                        std::uint64_t seed, const obs::Sink& sink);
 
 struct AggregateMetrics {
-  util::RunningStat fidelity;
-  util::RunningStat latency;
-  util::RunningStat throughput;
+  util::RunningStat fidelity;    ///< over trials that delivered a code
+  util::RunningStat latency;     ///< over trials that delivered a code
+  util::RunningStat throughput;  ///< over every trial
+  util::RunningStat delivered;   ///< delivered / scheduled codes (0 if none)
+
+  void add(const TrialMetrics& trial);
 };
 
-/// How a batch of trials runs.
-struct RunOptions {
-  std::uint64_t seed = 20240607;  ///< base of the per-trial seed sequence
-  int threads = 1;                ///< worker threads (clamped to [1, trials])
-  /// Observability handle. Each trial records into private buffers that are
-  /// merged into this sink in trial order after the workers join, so both
-  /// the metrics document and the trace are thread-count invariant.
-  obs::Sink sink{};
-};
+/// How a batch of trials runs: {seed, threads, sink}, shared with the
+/// decoder trial engine and re-exported here.
+using decoder::RunOptions;
+
+/// Runs body(t, seed, sink) for every trial t in [0, trials) on
+/// options.threads workers. `seed` is the t-th draw of Rng(options.seed);
+/// `sink` records into trial t's own buffers, merged into options.sink in
+/// trial order (trace events stamped with trial id t) after the join. A
+/// body that stores its result in slot t of its own vector thus gets
+/// thread-count invariant results, metrics and traces. Throws
+/// std::invalid_argument on a negative trial count.
+void run_in_trial_order(
+    int trials, const RunOptions& options,
+    const std::function<void(std::size_t t, std::uint64_t seed,
+                             const obs::Sink& sink)>& body);
 
 /// Run `trials` independent seeded trials and aggregate. Per-trial seeds
 /// derive from options.seed alone, and per-trial results are merged in

@@ -25,6 +25,9 @@ void check_decode_input(const DecodeInput& input) {
   const std::size_t m = input.graph->num_edges();
   if (input.erased.size() != m || input.error_prob.size() != m)
     throw std::invalid_argument("DecodeInput: per-edge size mismatch");
+  if (input.syndrome.size() !=
+      static_cast<std::size_t>(input.graph->num_real_vertices()))
+    throw std::invalid_argument("DecodeInput: syndrome size mismatch");
 }
 
 void effective_error_prob(const DecodeInput& input,

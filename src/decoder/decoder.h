@@ -26,7 +26,8 @@ struct DecodeInput {
 double edge_weight(double error_prob);
 
 /// Throws std::invalid_argument unless `input` names a graph and carries
-/// one erasure flag and one prior per edge of it.
+/// one erasure flag and one prior per edge of it and one syndrome bit per
+/// real vertex. Every library decoder calls it before reading the input.
 void check_decode_input(const DecodeInput& input);
 
 /// Effective per-edge error probability: 1/2 on erased edges, the prior

@@ -6,11 +6,13 @@
 namespace surfnet::decoder {
 
 std::vector<char> ErasureDecoder::decode(const DecodeInput& input) const {
+  check_decode_input(input);
   return peel_correction(*input.graph, input.erased, input.syndrome);
 }
 
 const std::vector<char>& ErasureDecoder::decode(const DecodeInput& input,
                                                 DecodeWorkspace& ws) const {
+  check_decode_input(input);
   return peel_correction(*input.graph, input.erased, input.syndrome, ws.peel);
 }
 

@@ -69,8 +69,8 @@ std::vector<char> MwpmDecoder::decode(const DecodeInput& input) const {
 
 const std::vector<char>& MwpmDecoder::decode(const DecodeInput& input,
                                              DecodeWorkspace& ws) const {
+  effective_error_prob(input, ws.prob);  // checks the input first
   const qec::DecodingGraph& graph = *input.graph;
-  effective_error_prob(input, ws.prob);
   MwpmWorkspace& mw = ws.mwpm;
 
   mw.edge_weight.resize(graph.num_edges());

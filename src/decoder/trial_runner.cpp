@@ -1,55 +1,26 @@
 #include "decoder/trial_runner.h"
 
-#include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <cmath>
 #include <memory>
 #include <stdexcept>
-#include <thread>
 
 #include "obs/metrics.h"
+#include "util/parallel.h"
 #include "util/stats.h"
 
 namespace surfnet::decoder {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-/// Per-worker accumulators of one lane, merged in worker order after the
-/// join.
-struct WorkerTally {
-  std::int64_t failures = 0;
-  std::int64_t invalid = 0;
-  std::int64_t valid_but_wrong = 0;
-
-  void add(const TrialOutcome& outcome) {
-    if (outcome.failure) ++failures;
-    if (outcome.invalid) ++invalid;
-    if (outcome.valid_but_wrong) ++valid_but_wrong;
-  }
-};
-
 /// One trial of the engine: writes one outcome per lane into `out`.
 using LaneTrialFn =
     std::function<void(std::int64_t trial, util::Rng&, TrialOutcome* out)>;
 
-/// Chunk size of the atomic work cursor: big enough to amortize contention,
-/// small enough to balance load across uneven trial costs.
+/// Trials per chunk of the pool's cursor: big enough to amortize
+/// contention, small enough to balance load across uneven trial costs.
 constexpr std::int64_t kChunk = 64;
 
 }  // namespace
-
-int resolve_threads(int threads) {
-  if (threads > 0) return threads;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? static_cast<int>(hw) : 1;
-}
 
 double TrialReport::error_rate() const {
   return trials > 0 ? static_cast<double>(failures) / static_cast<double>(trials)
@@ -77,69 +48,58 @@ namespace {
 /// one outcome per lane, and lane i's counts become report i. Timings are
 /// the run's, shared by every lane.
 std::vector<TrialReport> run_lanes(
-    std::int64_t trials, const TrialRunnerOptions& options, std::size_t lanes,
+    std::int64_t trials, const RunOptions& options, std::size_t lanes,
     const std::function<LaneTrialFn()>& make_worker) {
   if (trials < 0)
     throw std::invalid_argument("run_trials: negative trial count");
 
-  const int workers = static_cast<int>(
-      std::min<std::int64_t>(resolve_threads(options.threads),
-                             std::max<std::int64_t>(trials, 1)));
-
-  const auto wall_start = Clock::now();
-  std::atomic<std::int64_t> cursor{0};
-
+  const auto wall_start = std::chrono::steady_clock::now();
+  const int workers = util::pool_workers(trials, options.threads);
+  // Per worker: its callable, outcome buffer and per-lane counts, made on
+  // the worker's own thread at its first chunk, so each worker writes only
+  // memory it allocated; summed after the join. A worker that never got a
+  // chunk has none.
   struct Worker {
-    std::vector<WorkerTally> lanes;
-    double busy_seconds = 0.0;
+    LaneTrialFn trial_fn;
+    std::vector<TrialOutcome> outcomes;
+    std::vector<TrialReport> lanes;
   };
-  auto run_worker = [&](Worker& worker) {
-    const LaneTrialFn trial_fn = make_worker();
-    std::vector<TrialOutcome> outcomes(lanes);
-    const auto busy_start = Clock::now();
-    while (true) {
-      const std::int64_t begin =
-          cursor.fetch_add(kChunk, std::memory_order_relaxed);
-      if (begin >= trials) break;
-      const std::int64_t end = std::min(begin + kChunk, trials);
-      for (std::int64_t t = begin; t < end; ++t) {
-        util::Rng rng(
-            trial_seed(options.seed, static_cast<std::uint64_t>(t)));
-        trial_fn(t, rng, outcomes.data());
-        for (std::size_t lane = 0; lane < lanes; ++lane)
-          worker.lanes[lane].add(outcomes[lane]);
-      }
-    }
-    worker.busy_seconds = seconds_since(busy_start);
-  };
-
-  std::vector<Worker> pool_state(static_cast<std::size_t>(workers),
-                                 Worker{std::vector<WorkerTally>(lanes)});
-  if (workers == 1) {
-    run_worker(pool_state[0]);
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(workers));
-    for (auto& worker : pool_state)
-      pool.emplace_back([&run_worker, &worker] { run_worker(worker); });
-    for (auto& thread : pool) thread.join();
-  }
+  std::vector<Worker> pool_state(static_cast<std::size_t>(workers));
+  const double busy_seconds = util::parallel_for(
+      trials, workers, kChunk,
+      [&](int w, std::int64_t begin, std::int64_t end) {
+        Worker& worker = pool_state[static_cast<std::size_t>(w)];
+        if (!worker.trial_fn)
+          worker = {make_worker(), std::vector<TrialOutcome>(lanes),
+                    std::vector<TrialReport>(lanes)};
+        for (std::int64_t t = begin; t < end; ++t) {
+          util::Rng rng(
+              trial_seed(options.seed, static_cast<std::uint64_t>(t)));
+          worker.trial_fn(t, rng, worker.outcomes.data());
+          for (std::size_t lane = 0; lane < lanes; ++lane) {
+            const TrialOutcome& outcome = worker.outcomes[lane];
+            if (outcome.failure) ++worker.lanes[lane].failures;
+            if (outcome.invalid) ++worker.lanes[lane].invalid;
+            if (outcome.valid_but_wrong) ++worker.lanes[lane].valid_but_wrong;
+          }
+        }
+      });
+  const std::chrono::duration<double> wall =
+      std::chrono::steady_clock::now() - wall_start;
+  const double wall_seconds = wall.count();
 
   // Counts are sums of integers: the merge is exact and independent of how
   // chunks were interleaved across workers.
   std::vector<TrialReport> reports(lanes);
-  double busy_seconds = 0.0;
-  for (const auto& worker : pool_state) busy_seconds += worker.busy_seconds;
-  const double wall_seconds = seconds_since(wall_start);
-  for (std::size_t lane = 0; lane < lanes; ++lane) {
-    TrialReport& report = reports[lane];
+  for (const auto& worker : pool_state)
+    for (std::size_t lane = 0; lane < worker.lanes.size(); ++lane) {
+      reports[lane].failures += worker.lanes[lane].failures;
+      reports[lane].invalid += worker.lanes[lane].invalid;
+      reports[lane].valid_but_wrong += worker.lanes[lane].valid_but_wrong;
+    }
+  for (TrialReport& report : reports) {
     report.trials = trials;
     report.threads = workers;
-    for (const auto& worker : pool_state) {
-      report.failures += worker.lanes[lane].failures;
-      report.invalid += worker.lanes[lane].invalid;
-      report.valid_but_wrong += worker.lanes[lane].valid_but_wrong;
-    }
     report.busy_seconds = busy_seconds;
     report.wall_seconds = wall_seconds;
   }
@@ -160,7 +120,7 @@ std::vector<TrialReport> run_lanes(
 }  // namespace
 
 TrialReport run_trials(std::int64_t trials,
-                       const TrialRunnerOptions& options,
+                       const RunOptions& options,
                        const std::function<TrialFn()>& make_worker) {
   return run_lanes(trials, options, 1, [&make_worker]() -> LaneTrialFn {
     return [trial_fn = make_worker()](std::int64_t t, util::Rng& rng,
@@ -175,7 +135,7 @@ TrialReport run_logical_error_trials(const qec::CodeLattice& lattice,
                                      qec::PauliChannel channel,
                                      const Decoder& decoder,
                                      std::int64_t trials,
-                                     const TrialRunnerOptions& options) {
+                                     const RunOptions& options) {
   return run_logical_error_trials(lattice, profile, channel,
                                   profile.component_error_prob(channel),
                                   decoder, trials, options);
@@ -189,7 +149,7 @@ std::vector<TrialReport> run_code_trials(
     const qec::CodeLattice& lattice, const qec::NoiseProfile& profile,
     qec::PauliChannel channel, const std::vector<double>& prior,
     const std::vector<const Decoder*>& decoders, std::int64_t trials,
-    const TrialRunnerOptions& options) {
+    const RunOptions& options) {
   auto make_worker = [&]() -> LaneTrialFn {
     // One workspace per worker thread; shared_ptr because std::function
     // requires a copyable callable. All per-trial buffers live inside.
@@ -213,7 +173,7 @@ TrialReport run_logical_error_trials(const qec::CodeLattice& lattice,
                                      const std::vector<double>& prior,
                                      const Decoder& decoder,
                                      std::int64_t trials,
-                                     const TrialRunnerOptions& options) {
+                                     const RunOptions& options) {
   return run_code_trials(lattice, profile, channel, prior, {&decoder}, trials,
                          options)
       .front();
@@ -222,7 +182,7 @@ TrialReport run_logical_error_trials(const qec::CodeLattice& lattice,
 std::vector<TrialReport> run_paired_logical_error_trials(
     const qec::CodeLattice& lattice, const qec::NoiseProfile& profile,
     qec::PauliChannel channel, const std::vector<const Decoder*>& decoders,
-    std::int64_t trials, const TrialRunnerOptions& options) {
+    std::int64_t trials, const RunOptions& options) {
   return run_code_trials(lattice, profile, channel,
                          profile.component_error_prob(channel), decoders,
                          trials, options);

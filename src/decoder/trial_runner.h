@@ -3,10 +3,10 @@
 // Deterministic parallel Monte-Carlo trial engine. Every trial t derives
 // its RNG from trial_seed(base_seed, t) — a counter-based stream, fixed
 // before any work is fanned out — so aggregate counts are bitwise-identical
-// for ANY thread count and any scheduling order. Trials are distributed
-// over a std::thread pool in chunks pulled from an atomic cursor; each
-// worker keeps private accumulators (and its own decode workspace, so the
-// steady-state decode path allocates nothing) that are merged at the end.
+// for ANY thread count and any scheduling order. Trials run on the
+// library's worker pool (util/parallel.h); each worker keeps private
+// accumulators (and its own decode workspace, so the steady-state decode
+// path allocates nothing) that are merged at the end.
 
 #include <cstdint>
 #include <functional>
@@ -18,22 +18,20 @@
 
 namespace surfnet::decoder {
 
-struct TrialRunnerOptions {
-  /// Worker threads; <= 0 resolves to std::thread::hardware_concurrency().
-  int threads = 1;
-  /// Base seed of the counter-based per-trial streams.
+/// How a batch of trials runs, for this engine and for core's trial-order
+/// runner (core::RunOptions re-exports it).
+struct RunOptions {
+  /// Base seed. Each runner derives its per-trial seeds from it alone.
   std::uint64_t seed = 20240607;
-  /// Observability handle. After the workers join, the engine reports the
-  /// merged run into it: counters "trials.count" / "trials.failures" /
-  /// "trials.invalid" / "trials.valid_but_wrong" (exact, thread-count
-  /// invariant) and timers "trials.busy_seconds" / "trials.wall_seconds"
-  /// (measured). Null (the default) disables reporting.
+  /// Worker threads; <= 0 means all hardware threads (util::resolve_threads).
+  int threads = 1;
+  /// Observability handle. After the workers join, this engine reports
+  /// counters "trials.count" / "trials.failures" / "trials.invalid" /
+  /// "trials.valid_but_wrong" (exact, thread-count invariant) and timers
+  /// "trials.busy_seconds" / "trials.wall_seconds" (measured) into it.
+  /// Null (the default) disables reporting.
   obs::Sink sink{};
 };
-
-/// Resolve a --threads style value: <= 0 means hardware concurrency
-/// (at least 1).
-int resolve_threads(int threads);
 
 /// The seed of trial t under base seed `base`. One SplitMix64 mix of a
 /// golden-ratio counter stride: distinct trials get decorrelated streams
@@ -83,9 +81,10 @@ struct TrialReport {
 /// seeded with trial_seed(base, index).
 using TrialFn = std::function<TrialOutcome(std::int64_t trial, util::Rng&)>;
 
-/// Generic engine. `make_worker` runs once per worker thread (build
-/// thread-local workspaces there) and returns the per-trial callable.
-TrialReport run_trials(std::int64_t trials, const TrialRunnerOptions& options,
+/// Generic engine. `make_worker` runs at most once per worker, on that
+/// worker's thread at its first chunk (build per-worker workspaces there),
+/// and returns the per-trial callable.
+TrialReport run_trials(std::int64_t trials, const RunOptions& options,
                        const std::function<TrialFn()>& make_worker);
 
 /// Code-trial engine behind the Fig. 8 style studies: per trial, sample an
@@ -96,7 +95,7 @@ TrialReport run_logical_error_trials(const qec::CodeLattice& lattice,
                                      qec::PauliChannel channel,
                                      const Decoder& decoder,
                                      std::int64_t trials,
-                                     const TrialRunnerOptions& options);
+                                     const RunOptions& options);
 
 /// Same, but with an explicit per-qubit component prior handed to the
 /// decoder instead of the profile's own (e.g. the split-blind ablation).
@@ -106,7 +105,7 @@ TrialReport run_logical_error_trials(const qec::CodeLattice& lattice,
                                      const std::vector<double>& prior,
                                      const Decoder& decoder,
                                      std::int64_t trials,
-                                     const TrialRunnerOptions& options);
+                                     const RunOptions& options);
 
 /// Paired code trials: every trial samples one error and decodes it with
 /// each decoder. Report i, for decoders[i], has the counts that
@@ -116,6 +115,6 @@ TrialReport run_logical_error_trials(const qec::CodeLattice& lattice,
 std::vector<TrialReport> run_paired_logical_error_trials(
     const qec::CodeLattice& lattice, const qec::NoiseProfile& profile,
     qec::PauliChannel channel, const std::vector<const Decoder*>& decoders,
-    std::int64_t trials, const TrialRunnerOptions& options);
+    std::int64_t trials, const RunOptions& options);
 
 }  // namespace surfnet::decoder

@@ -11,6 +11,7 @@ std::vector<char> UnionFindDecoder::decode(const DecodeInput& input) const {
 
 const std::vector<char>& UnionFindDecoder::decode(const DecodeInput& input,
                                                   DecodeWorkspace& ws) const {
+  check_decode_input(input);
   const qec::DecodingGraph& graph = *input.graph;
   // Uniform half-edge growth; fidelity information is deliberately unused.
   ws.config.speed.assign(graph.num_edges(), 0.5);

@@ -6,6 +6,8 @@ namespace surfnet::netsim {
 
 std::vector<Request> random_requests(const Topology& topology, int count,
                                      int max_codes, util::Rng& rng) {
+  if (count < 0)
+    throw std::invalid_argument("random_requests: count must be >= 0");
   const auto users = topology.users();
   if (users.size() < 2)
     throw std::invalid_argument("random_requests: need at least two users");
@@ -23,6 +25,16 @@ std::vector<Request> random_requests(const Topology& topology, int count,
     requests.push_back(r);
   }
   return requests;
+}
+
+int requested_codes(const std::vector<Request>& requests) {
+  int total = 0;
+  for (const auto& r : requests) {
+    if (r.codes < 0)
+      throw std::invalid_argument("Request::codes must be >= 0");
+    total += r.codes;
+  }
+  return total;
 }
 
 }  // namespace surfnet::netsim

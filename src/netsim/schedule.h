@@ -19,9 +19,15 @@ struct Request {
 };
 
 /// Draw `count` requests between distinct random users, each with
-/// 1..max_codes messages.
+/// 1..max_codes messages. Throws std::invalid_argument on a negative
+/// count, max_codes < 1, or fewer than two users.
 std::vector<Request> random_requests(const Topology& topology, int count,
                                      int max_codes, util::Rng& rng);
+
+/// Sum of the requests' codes: a schedule's requested_codes. Every router
+/// starts from it, so it throws std::invalid_argument naming
+/// Request::codes when one is negative.
+int requested_codes(const std::vector<Request>& requests);
 
 /// The routing protocol's decision for one request.
 struct ScheduledRequest {

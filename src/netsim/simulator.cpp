@@ -332,6 +332,9 @@ SimulationResult simulate_purification(const Topology& topology,
                                        int extra_pairs,
                                        const SimulationParams& params,
                                        util::Rng& rng) {
+  if (extra_pairs < 0)
+    throw std::invalid_argument(
+        "simulate_purification: extra_pairs must be >= 0");
   PurificationSteps steps{topology, params, extra_pairs};
   return run_slots(topology, schedule, params, steps, rng);
 }

@@ -167,7 +167,8 @@ SimulationResult simulate_surfnet(const Topology& topology,
 /// Simulate a purification-based network (paper's "Purification N=1,2,9"
 /// benchmarks): each message is a bare qubit teleported hop by hop, each
 /// hop consuming 1 + extra_pairs entangled pairs; the message survives with
-/// the product of the purified link fidelities.
+/// the product of the purified link fidelities. Throws
+/// std::invalid_argument on a negative extra_pairs.
 SimulationResult simulate_purification(const Topology& topology,
                                        const Schedule& schedule,
                                        int extra_pairs,

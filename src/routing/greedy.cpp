@@ -365,7 +365,7 @@ Schedule route_greedy(const Topology& topology,
                       const std::vector<Request>& requests,
                       const RoutingParams& params, util::Rng& rng) {
   Schedule schedule;
-  for (const auto& r : requests) schedule.requested_codes += r.codes;
+  schedule.requested_codes = netsim::requested_codes(requests);
 
   CapacityTracker tracker(topology, params);
   PlanWorkspace ws;

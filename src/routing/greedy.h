@@ -174,6 +174,7 @@ std::optional<PlannedCode> plan_code(const netsim::Topology& topology,
 
 /// Schedule every request greedily (requests visited in random order, codes
 /// one by one). Both paths of a dual-channel request use the same route.
+/// Throws std::invalid_argument on a negative Request::codes.
 netsim::Schedule route_greedy(const netsim::Topology& topology,
                               const std::vector<netsim::Request>& requests,
                               const RoutingParams& params, util::Rng& rng);

@@ -4,6 +4,7 @@
 #include <limits>
 #include <optional>
 #include <queue>
+#include <stdexcept>
 
 namespace surfnet::routing {
 
@@ -56,8 +57,11 @@ Schedule route_purification(const Topology& topology,
                             const std::vector<Request>& requests,
                             const PurificationParams& params,
                             util::Rng& rng) {
+  if (params.extra_pairs < 0)
+    throw std::invalid_argument(
+        "route_purification: extra_pairs must be >= 0");
   Schedule schedule;
-  for (const auto& r : requests) schedule.requested_codes += r.codes;
+  schedule.requested_codes = netsim::requested_codes(requests);
 
   std::vector<double> budget(static_cast<std::size_t>(topology.num_fibers()));
   for (int e = 0; e < topology.num_fibers(); ++e)

@@ -17,6 +17,8 @@ struct PurificationParams {
   int extra_pairs = 1;  ///< the paper's N
 };
 
+/// Throws std::invalid_argument on a negative extra_pairs or
+/// Request::codes.
 netsim::Schedule route_purification(
     const netsim::Topology& topology,
     const std::vector<netsim::Request>& requests,

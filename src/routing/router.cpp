@@ -61,7 +61,7 @@ RouteResult route(const Topology& topology,
                   const std::vector<Request>& requests,
                   const RoutingParams& params, util::Rng& rng) {
   RouteResult result;
-  for (const auto& r : requests) result.schedule.requested_codes += r.codes;
+  result.schedule.requested_codes = netsim::requested_codes(requests);
 
   RoutingFormulation formulation(topology, requests, params);
   // The first solve starts from the formulation's flow trees; every later

@@ -47,7 +47,8 @@ struct RouteResult {
 /// Route `requests` over `topology` with LP relaxation + rounding.
 /// `params.dual_channel` selects the SurfNet formulation or the Raw
 /// baseline formulation. With a metrics sink attached, every solve that
-/// ends at the iteration limit counts "route.lp_iteration_limits".
+/// ends at the iteration limit counts "route.lp_iteration_limits". Throws
+/// std::invalid_argument on a negative Request::codes.
 RouteResult route(const netsim::Topology& topology,
                   const std::vector<netsim::Request>& requests,
                   const RoutingParams& params, util::Rng& rng);

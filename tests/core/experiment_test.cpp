@@ -9,9 +9,14 @@
 
 #include <string>
 #include <tuple>
+#include <vector>
 
+#include "decoder/surfnet_decoder.h"
+#include "netsim/schedule.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "routing/greedy.h"
+#include "util/rng.h"
 
 namespace surfnet::core {
 namespace {
@@ -168,6 +173,86 @@ TEST(Experiment, TraceIsThreadCountInvariant) {
   // everything except the measured wall-clock timers must match byte for
   // byte.
   EXPECT_EQ(without_timers(metrics1), without_timers(metrics8));
+}
+
+namespace {
+
+/// One trial of the greedy-routing pipeline the routing and adaptive
+/// ablations run through run_in_trial_order: topology, requests,
+/// route_greedy, simulate_surfnet.
+TrialMetrics greedy_trial(const ScenarioParams& params, std::uint64_t seed,
+                          const obs::Sink& sink) {
+  util::Rng rng(seed);
+  const auto topology = netsim::make_random_topology(params.topology, rng);
+  const auto requests = netsim::random_requests(
+      topology, params.num_requests, params.max_codes_per_request, rng);
+  auto routing = params.routing;
+  routing.sink = sink;
+  const auto schedule =
+      routing::route_greedy(topology, requests, routing, rng);
+  auto simulation = params.simulation;
+  simulation.sink = sink;
+  const decoder::SurfNetDecoder dec;
+  const auto sim =
+      netsim::simulate_surfnet(topology, schedule, simulation, dec, rng);
+  return {.fidelity = sim.fidelity(),
+          .latency = sim.avg_latency(),
+          .throughput = schedule.throughput(),
+          .codes_scheduled = sim.codes_scheduled,
+          .codes_delivered = sim.codes_delivered};
+}
+
+}  // namespace
+
+TEST(Experiment, TrialOrderRunnerReplaysAnyPipelineAtAnyThreadCount) {
+  // The public runner with a pipeline other than run_trial: trial t gets
+  // the t-th draw of the sequential seeder whatever the worker count, and
+  // its events reach the session sink in trial order, stamped with t.
+  const auto params =
+      make_scenario(FacilityLevel::Insufficient, ConnectionQuality::Good);
+  const int trials = 7;
+  struct Run {
+    std::vector<TrialMetrics> results;
+    std::vector<std::string> lines;
+    std::string metrics;
+  };
+  const auto run = [&](int threads) {
+    Run out;
+    out.results.resize(trials);
+    obs::TraceBuffer trace;
+    obs::MetricsRegistry metrics;
+    run_in_trial_order(
+        trials,
+        RunOptions{.seed = 606, .threads = threads, .sink = {&metrics, &trace}},
+        [&](std::size_t t, std::uint64_t seed, const obs::Sink& sink) {
+          out.results[t] = greedy_trial(params, seed, sink);
+        });
+    for (const auto& event : trace.events())
+      out.lines.push_back(obs::to_jsonl(event));
+    out.metrics = without_timers(metrics.to_json());
+    return out;
+  };
+  const Run serial = run(1);
+  const Run threaded = run(3);
+
+  util::Rng seeder(606);
+  for (int t = 0; t < trials; ++t) {
+    const TrialMetrics expected = greedy_trial(params, seeder(), {});
+    for (const Run* r : {&serial, &threaded}) {
+      const TrialMetrics& got = r->results[static_cast<std::size_t>(t)];
+      EXPECT_EQ(got.fidelity, expected.fidelity) << "trial " << t;
+      EXPECT_EQ(got.latency, expected.latency) << "trial " << t;
+      EXPECT_EQ(got.throughput, expected.throughput) << "trial " << t;
+      EXPECT_EQ(got.codes_scheduled, expected.codes_scheduled);
+      EXPECT_EQ(got.codes_delivered, expected.codes_delivered);
+    }
+  }
+  ASSERT_FALSE(serial.lines.empty());
+  EXPECT_EQ(serial.lines, threaded.lines);
+  EXPECT_EQ(serial.metrics, threaded.metrics);
+  EXPECT_NE(serial.metrics.find("\"sim.decodes\""), std::string::npos);
+  for (const auto& line : serial.lines)
+    EXPECT_NE(line.find(",\"trial\":"), std::string::npos) << line;
 }
 
 TEST(Experiment, SinkDoesNotPerturbResults) {

@@ -7,14 +7,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <initializer_list>
 #include <memory>
+#include <string>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "decoder/code_trial.h"
 #include "decoder/erasure_decoder.h"
 #include "decoder/mwpm.h"
 #include "decoder/surfnet_decoder.h"
 #include "decoder/union_find.h"
+#include "decoder/workspace.h"
 #include "qec/core_support.h"
 #include "qec/syndrome.h"
 #include "util/rng.h"
@@ -219,6 +224,47 @@ TEST(Mwpm, EmptySyndromeGivesEmptyCorrection) {
   input.error_prob.assign(graph.num_edges(), 0.05);
   const MwpmDecoder decoder;
   for (char c : decoder.decode(input)) EXPECT_EQ(c, 0);
+}
+
+TEST(Decoders, RejectMalformedInputBeforeReadingIt) {
+  // Every library decoder checks its input first: a null graph or a
+  // per-vertex/per-edge vector one entry short throws instead of reading
+  // past it, on both decode paths.
+  const SurfaceCodeLattice lattice(5);
+  const auto& graph = lattice.graph(GraphKind::Z);
+  DecodeInput valid;
+  valid.graph = &graph;
+  valid.syndrome.assign(static_cast<std::size_t>(graph.num_real_vertices()),
+                        0);
+  valid.erased.assign(graph.num_edges(), 0);
+  valid.error_prob.assign(graph.num_edges(), 0.05);
+
+  std::vector<std::pair<std::string, DecodeInput>> malformed;
+  malformed.emplace_back("null graph", valid);
+  malformed.back().second.graph = nullptr;
+  malformed.emplace_back("short syndrome", valid);
+  malformed.back().second.syndrome.resize(1);
+  malformed.emplace_back("short erased", valid);
+  malformed.back().second.erased.pop_back();
+  malformed.emplace_back("short error_prob", valid);
+  malformed.back().second.error_prob.pop_back();
+
+  const UnionFindDecoder union_find;
+  const SurfNetDecoder surfnet;
+  const MwpmDecoder mwpm;
+  const ErasureDecoder erasure;
+  for (const Decoder* decoder :
+       std::initializer_list<const Decoder*>{&union_find, &surfnet, &mwpm,
+                                             &erasure}) {
+    DecodeWorkspace ws;
+    EXPECT_NO_THROW(decoder->decode(valid, ws)) << decoder->name();
+    for (const auto& [what, input] : malformed) {
+      EXPECT_THROW(decoder->decode(input), std::invalid_argument)
+          << decoder->name() << ": " << what;
+      EXPECT_THROW(decoder->decode(input, ws), std::invalid_argument)
+          << decoder->name() << ": " << what;
+    }
+  }
 }
 
 TEST(SurfNetDecoder, RejectsNonPositiveStepSize) {

@@ -342,7 +342,7 @@ TEST(ErasureMlProperty, FailureRateMonotoneInErasureRate) {
   // a genuinely non-monotone decoder.
   const SurfaceCodeLattice lattice(5);
   const ErasureMlDecoder ml(lattice);
-  TrialRunnerOptions options;
+  RunOptions options;
   options.threads = 2;
   options.seed = 0xF00D5EEDULL;
 
@@ -421,7 +421,7 @@ TEST(ErasureMlProperty, TrialRunnerIsThreadCountInvariant) {
   TrialReport reports[2];
   const int thread_counts[2] = {1, 8};
   for (int i = 0; i < 2; ++i) {
-    TrialRunnerOptions options;
+    RunOptions options;
     options.threads = thread_counts[i];
     options.seed = 20240607;
     reports[i] = run_logical_error_trials(

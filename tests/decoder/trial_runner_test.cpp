@@ -24,13 +24,6 @@
 namespace surfnet::decoder {
 namespace {
 
-TEST(ResolveThreads, ZeroAndNegativeMeanHardwareConcurrency) {
-  EXPECT_GE(resolve_threads(0), 1);
-  EXPECT_GE(resolve_threads(-3), 1);
-  EXPECT_EQ(resolve_threads(1), 1);
-  EXPECT_EQ(resolve_threads(6), 6);
-}
-
 TEST(TrialSeed, DependsOnBaseAndCounter) {
   EXPECT_NE(trial_seed(1, 0), trial_seed(1, 1));
   EXPECT_NE(trial_seed(1, 0), trial_seed(2, 0));
@@ -52,7 +45,7 @@ TEST(RunTrials, CountsExactlyAndInvariantToThreadCount) {
     };
   };
   for (int threads : {1, 2, 3, 8}) {
-    TrialRunnerOptions opts;
+    RunOptions opts;
     opts.threads = threads;
     const auto report = run_trials(trials, opts, make_worker);
     EXPECT_EQ(report.trials, trials);
@@ -69,7 +62,7 @@ TEST(RunTrials, PerTrialRngIsCounterSeeded) {
   const std::uint64_t base = 777;
   const std::int64_t trials = 257;  // not a multiple of the chunk size
   for (int threads : {1, 4}) {
-    TrialRunnerOptions opts;
+    RunOptions opts;
     opts.threads = threads;
     opts.seed = base;
     const auto report = run_trials(trials, opts, [&]() -> TrialFn {
@@ -92,7 +85,7 @@ TEST(LogicalErrorTrials, ThreadCountInvariant) {
   const auto profile = qec::NoiseProfile::core_support(partition, 0.07, 0.15);
   const SurfNetDecoder decoder;
 
-  TrialRunnerOptions opts;
+  RunOptions opts;
   opts.seed = 2024;
   opts.threads = 1;
   const auto ref = run_logical_error_trials(
@@ -121,7 +114,7 @@ TEST(LogicalErrorTrials, MatchesHandRolledSerialLoop) {
   const UnionFindDecoder decoder;
   const std::int64_t trials = 400;
 
-  TrialRunnerOptions opts;
+  RunOptions opts;
   opts.seed = 4242;
   opts.threads = 2;
   const auto report = run_logical_error_trials(lattice, profile, channel,
@@ -150,7 +143,7 @@ TEST(LogicalErrorTrials, PairedRunMatchesOneRunPerDecoder) {
   const std::vector<const Decoder*> decoders{&union_find, &surfnet};
   const auto channel = qec::PauliChannel::IndependentXZ;
 
-  TrialRunnerOptions opts;
+  RunOptions opts;
   opts.seed = 77;
   obs::MetricsRegistry separate_metrics;
   opts.sink.metrics = &separate_metrics;

@@ -256,6 +256,44 @@ TEST(Simulator, RejectsNegativeCodeCounts) {
   }
 }
 
+TEST(Simulator, RejectsNegativePurificationRounds) {
+  // A hop needs 1 + extra_pairs pairs: at -1 a bare qubit would cross empty
+  // fibers, and below -1 a hop would add pairs to its pool past the
+  // fiber's capacity. N = 0, no purification, still runs.
+  const auto topo = line_topology(0.95);
+  const auto schedule = line_schedule(3, true);
+  for (const int extra_pairs : {-1, -3}) {
+    util::Rng rng(5);
+    try {
+      simulate_purification(topo, schedule, extra_pairs, SimulationParams{},
+                            rng);
+      ADD_FAILURE() << "extra_pairs " << extra_pairs << " accepted";
+    } catch (const std::invalid_argument& err) {
+      EXPECT_NE(std::string(err.what()).find("extra_pairs"),
+                std::string::npos)
+          << err.what();
+    }
+  }
+  util::Rng rng(5);
+  EXPECT_EQ(simulate_purification(topo, schedule, 0, SimulationParams{}, rng)
+                .codes_scheduled,
+            3);
+}
+
+TEST(RandomRequests, RejectsNegativeCount) {
+  // reserve(-1) would throw std::length_error without naming the count.
+  const auto topo = line_topology(0.95);
+  util::Rng rng(6);
+  try {
+    random_requests(topo, -1, 3, rng);
+    ADD_FAILURE() << "count -1 accepted";
+  } catch (const std::invalid_argument& err) {
+    EXPECT_NE(std::string(err.what()).find("count"), std::string::npos)
+        << err.what();
+  }
+  EXPECT_TRUE(random_requests(topo, 0, 3, rng).empty());
+}
+
 /// Expects both simulators, on the 5-node line with one dual-channel code
 /// and max_slots 200, to reject each of `values` written by `set`, with a
 /// message naming `field`.

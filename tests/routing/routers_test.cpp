@@ -7,6 +7,10 @@
 
 #include <algorithm>
 #include <map>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "netsim/channel.h"
 #include "obs/metrics.h"
@@ -188,6 +192,73 @@ TEST_P(RouterPropertyTest, PurificationScheduleRespectsPairBudget) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RouterPropertyTest,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
+/// Expects `run` to throw std::invalid_argument naming `field`.
+template <typename Run>
+void expect_rejected(const std::string& field, Run run) {
+  try {
+    run();
+    ADD_FAILURE() << field << ": accepted";
+  } catch (const std::invalid_argument& err) {
+    EXPECT_NE(std::string(err.what()).find(field), std::string::npos)
+        << err.what();
+  }
+}
+
+/// A random test topology and three requests, the second asking for -2
+/// codes (summed, {1, -2, 3} would read as 2 requested codes).
+struct NegativeCodesCase {
+  Topology topology;
+  std::vector<Request> requests;
+};
+
+NegativeCodesCase negative_codes_case() {
+  util::Rng rng(71);
+  auto topology = netsim::make_random_topology(spec_for_tests(), rng);
+  auto requests = netsim::random_requests(topology, 3, 3, rng);
+  requests[1].codes = -2;
+  return {std::move(topology), std::move(requests)};
+}
+
+TEST(LpRouter, RejectsNegativeRequestCodes) {
+  const auto c = negative_codes_case();
+  util::Rng rng(1);
+  expect_rejected("codes", [&] {
+    route(c.topology, c.requests, params_for_tests(), rng);
+  });
+}
+
+TEST(Greedy, RejectsNegativeRequestCodes) {
+  const auto c = negative_codes_case();
+  util::Rng rng(1);
+  expect_rejected("codes", [&] {
+    route_greedy(c.topology, c.requests, params_for_tests(), rng);
+  });
+}
+
+TEST(Purification, RejectsNegativeRequestCodes) {
+  const auto c = negative_codes_case();
+  util::Rng rng(1);
+  expect_rejected("codes", [&] {
+    route_purification(c.topology, c.requests, PurificationParams{}, rng);
+  });
+}
+
+TEST(Purification, RejectsNegativeExtraPairs) {
+  // At -1 a message would need no pairs at all; below -1 each hop would
+  // hand pairs back to the fiber's budget.
+  util::Rng rng(72);
+  const auto topo = netsim::make_random_topology(spec_for_tests(), rng);
+  const auto requests = netsim::random_requests(topo, 3, 3, rng);
+  for (const int extra_pairs : {-1, -3}) {
+    expect_rejected("extra_pairs", [&] {
+      route_purification(topo, requests,
+                         PurificationParams{.extra_pairs = extra_pairs}, rng);
+    });
+  }
+  EXPECT_NO_THROW(route_purification(
+      topo, requests, PurificationParams{.extra_pairs = 0}, rng));
+}
 
 TEST(LpRouter, WarmResolveStatsAreConsistent) {
   // The router re-solves the residual LP from the saved basis at most

@@ -1,8 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
+#include <stdexcept>
+#include <thread>
+#include <vector>
 
+#include "util/parallel.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -140,6 +148,66 @@ TEST(Table, RowArityEnforced) {
 TEST(Table, Formatting) {
   EXPECT_EQ(Table::fmt(3.14159, 2), "3.14");
   EXPECT_EQ(Table::pct(0.0725, 2), "7.25%");
+}
+
+TEST(ResolveThreads, ZeroAndNegativeMeanHardwareConcurrency) {
+  EXPECT_GE(resolve_threads(0), 1);
+  EXPECT_GE(resolve_threads(-3), 1);
+  EXPECT_EQ(resolve_threads(1), 1);
+  EXPECT_EQ(resolve_threads(6), 6);
+}
+
+TEST(ParallelFor, RunsEveryItemOnceOnAtMostOneWorkerPerItem) {
+  for (const std::int64_t count : {0, 1, 5, 257, 5000}) {
+    for (const int threads : {1, 3, 8}) {
+      for (const std::int64_t size : {1, 7, 64}) {
+        const int workers = pool_workers(count, threads);
+        EXPECT_EQ(workers, std::clamp<std::int64_t>(count, 1, threads));
+        std::vector<std::atomic<int>> hits(static_cast<std::size_t>(count));
+        std::atomic<bool> chunks_in_range{true};
+        parallel_for(count, threads, size,
+                     [&](int worker, std::int64_t begin, std::int64_t end) {
+                       if (worker < 0 || worker >= workers ||
+                           begin % size != 0 ||
+                           end != std::min(begin + size, count))
+                         chunks_in_range = false;
+                       for (std::int64_t i = begin; i < end; ++i)
+                         ++hits[static_cast<std::size_t>(i)];
+                     });
+        EXPECT_TRUE(chunks_in_range);
+        for (const auto& h : hits)
+          ASSERT_EQ(h.load(), 1) << "count=" << count
+                                 << " threads=" << threads
+                                 << " size=" << size;
+      }
+    }
+  }
+  EXPECT_THROW(parallel_for(5, 1, 0, [](int, std::int64_t, std::int64_t) {}),
+               std::invalid_argument);
+}
+
+TEST(ParallelFor, RethrowsAnItemsExceptionAndStopsEveryWorker) {
+  // A throwing trial reaches the caller at any thread count instead of
+  // ending the program from a worker thread, and no worker takes a new
+  // chunk after it: the other items take 1 ms each, so a pool that kept
+  // handing out chunks would run most of the 1000.
+  constexpr std::int64_t kCount = 1000;
+  for (const int threads : {1, 4}) {
+    std::atomic<int> ran{0};
+    EXPECT_THROW(parallel_for(kCount, threads, 8,
+                              [&](int, std::int64_t begin, std::int64_t end) {
+                                for (std::int64_t i = begin; i < end; ++i) {
+                                  ++ran;
+                                  if (i == 3) throw std::invalid_argument("3");
+                                  std::this_thread::sleep_for(
+                                      std::chrono::milliseconds(1));
+                                }
+                              }),
+                 std::invalid_argument)
+        << "threads=" << threads;
+    EXPECT_GE(ran.load(), 4);
+    EXPECT_LT(ran.load(), kCount / 2) << "threads=" << threads;
+  }
 }
 
 }  // namespace
