@@ -8,8 +8,8 @@
 // --threads T fans a bench's Monte-Carlo trials out over T worker threads
 // (util/parallel.h); results are bitwise-identical for every T.
 // --threads 0 or less resolves to the machine's hardware concurrency.
-// bench_traffic accepts it and ignores it: each of its rows is one
-// open-loop stream.
+// bench_traffic exits 2 on any value but 1: each of its rows is one
+// open-loop stream timed on the calling thread.
 //
 // --metrics-out FILE / --trace-out FILE attach the observability layer:
 // the bench's sink() then carries a live metrics registry and/or JSONL
@@ -122,8 +122,8 @@ class ArgParser {
         if (!util::parse_whole(v, seed_))
           reject(flag, "an unsigned 64-bit integer", v);
       } else if (is("--threads")) {
-        threads_ = util::resolve_threads(
-            parse_int(flag, value(), INT_MIN, "an integer"));
+        threads_arg_ = parse_int(flag, value(), INT_MIN, "an integer");
+        threads_ = util::resolve_threads(threads_arg_);
       } else if (is("--metrics-out")) {
         metrics_out = value();
       } else if (is("--trace-out")) {
@@ -163,6 +163,14 @@ class ArgParser {
   /// The observability handle built from --metrics-out / --trace-out
   /// (null when neither flag was given).
   obs::Sink sink() { return session_->sink(); }
+
+  /// For a bench that runs everything on the calling thread: exits 2
+  /// unless --threads is absent or 1.
+  void require_one_thread() const {
+    if (threads_arg_ != 1)
+      fail("--threads " + std::to_string(threads_arg_) +
+           " unsupported: this bench runs on the calling thread only");
+  }
 
   /// {--seed, --threads, sink()}: the options both trial runners take.
   core::RunOptions options() {
@@ -244,6 +252,7 @@ class ArgParser {
   bool csv_ = false;
   bool json_ = false;
   int threads_ = 1;  ///< worker threads for trial fan-out (resolved)
+  int threads_arg_ = 1;  ///< --threads as given
   std::unique_ptr<obs::FileSession> session_;
 };
 

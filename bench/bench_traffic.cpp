@@ -20,7 +20,8 @@
 // --key cell --metric requests_per_sec.
 //
 // All rows are single-stream by construction (an open-loop stream is one
-// causal chain); --trials scales the warm/cold timing repetitions.
+// causal chain), so --threads accepts only 1; --trials scales the
+// warm/cold timing repetitions.
 
 #include <chrono>
 #include <cstdio>
@@ -186,6 +187,9 @@ WarmRow run_delta(int delta, std::uint64_t seed, int reps) {
 
 int main(int argc, char** argv) {
   bench::ArgParser args("traffic", argc, argv, {.json = true});
+  // Each row is a timed stream, and CI's traffic gate times the rows one
+  // at a time: there are no trials to fan out.
+  args.require_one_thread();
   const int reps = args.resolve_trials(5, 20);
 
   if (!args.json())

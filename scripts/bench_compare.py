@@ -24,9 +24,10 @@ sets differ, so a bench cannot silently shrink its coverage.
 ``--counters-max`` gates deterministic work counts instead of timings:
 every counter named in the baseline document's ``counters`` object must
 appear in the single given --metrics-out document and must not exceed the
-baseline value. The LP pivot gate uses it on ``lp.iterations`` of
-``bench_fig6a --trials 40 --threads 1 --metrics-out``, an exact sum that
-needs no tolerance (bench/baselines/lp_pivots_release.json).
+baseline value. The LP pivot gate uses it on ``lp.iterations``,
+``lp.dual_iterations``, ``lp.refactorizations`` and ``lp.solves`` of
+``bench_fig6a --trials 40 --threads 1 --metrics-out``, exact sums that
+need no tolerance (bench/baselines/lp_pivots_release.json).
 
 ``--validate`` checks files structurally instead of comparing: bench
 envelopes, observability metrics documents (``{"schema_version": ...,

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 namespace surfnet::netsim {
 
@@ -98,6 +99,19 @@ bool Topology::connected() const {
 }
 
 Topology make_random_topology(const TopologySpec& spec, util::Rng& rng) {
+  const auto require = [](bool ok, const char* what) {
+    if (!ok) throw std::invalid_argument(std::string("TopologySpec: ") + what);
+  };
+  // Every comparison with NaN is false, so NaN fails the fidelity checks.
+  require(spec.fidelity_lo >= 0.0 && spec.fidelity_lo <= 1.0,
+          "fidelity_lo must be in [0, 1]");
+  require(spec.fidelity_hi >= 0.0 && spec.fidelity_hi <= 1.0,
+          "fidelity_hi must be in [0, 1]");
+  require(spec.fidelity_lo <= spec.fidelity_hi,
+          "fidelity_lo must be <= fidelity_hi");
+  require(spec.storage_capacity >= 0, "storage_capacity must be >= 0");
+  require(spec.entanglement_capacity >= 0,
+          "entanglement_capacity must be >= 0");
   if (spec.num_nodes < 3)
     throw std::invalid_argument("topology needs at least 3 nodes");
   const int m = std::max(1, spec.attach_edges);

@@ -92,6 +92,9 @@ struct TopologySpec {
 
 /// Generate a random connected Barabasi-Albert topology with roles assigned
 /// by degree (servers = highest degree) and i.i.d. fiber fidelities.
+/// Throws std::invalid_argument naming the first TopologySpec field out of
+/// range: fidelity_lo and fidelity_hi in [0, 1] with lo <= hi, and
+/// storage_capacity and entanglement_capacity >= 0.
 Topology make_random_topology(const TopologySpec& spec, util::Rng& rng);
 
 /// Parameters for the regular width x height grid used by the scaling

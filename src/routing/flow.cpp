@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <queue>
 
 #include "util/contracts.h"
 
@@ -24,20 +23,20 @@ std::vector<FlowPath> decompose_flow(const RoutingFormulation& formulation,
   SURFNET_EXPECTS(dst >= 0 && dst < num_nodes);
   const int de_count = formulation.num_directed_edges();
   std::vector<FlowPath> paths;
+  std::vector<char> visited;
+  std::vector<int> via;
+  std::vector<int> queue;  // FIFO: popped from `head` on
   for (int guard = 0; guard < 4 * de_count + 16; ++guard) {
-    // BFS over positive-flow edges.
-    std::vector<char> visited(static_cast<std::size_t>(num_nodes), 0);
-    std::vector<int> via(static_cast<std::size_t>(num_nodes), -1);
-    std::queue<int> queue;
-    queue.push(src);
+    // BFS over positive-flow edges, each node's out-arcs in id order.
+    visited.assign(static_cast<std::size_t>(num_nodes), 0);
+    via.assign(static_cast<std::size_t>(num_nodes), -1);
+    queue.assign(1, src);
     visited[static_cast<std::size_t>(src)] = 1;
     bool reached = false;
-    while (!queue.empty() && !reached) {
-      const int u = queue.front();
-      queue.pop();
-      for (int de = 0; de < de_count; ++de) {
+    for (std::size_t head = 0; head < queue.size() && !reached;) {
+      const int u = queue[head++];
+      for (const int de : formulation.out_arcs(u)) {
         if (flow[static_cast<std::size_t>(de)] <= kFlowEps) continue;
-        if (formulation.edge_tail(de) != u) continue;
         const int v = formulation.edge_head(de);
         if (visited[static_cast<std::size_t>(v)]) continue;
         visited[static_cast<std::size_t>(v)] = 1;
@@ -46,7 +45,7 @@ std::vector<FlowPath> decompose_flow(const RoutingFormulation& formulation,
           reached = true;
           break;
         }
-        queue.push(v);
+        queue.push_back(v);
       }
     }
     if (!reached) break;

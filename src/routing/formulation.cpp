@@ -5,19 +5,52 @@
 #include <limits>
 #include <queue>
 #include <stdexcept>
+#include <string>
 
 namespace surfnet::routing {
 
 using netsim::Request;
 using netsim::Topology;
 
+void RoutingParams::validate() const {
+  // Every comparison with NaN is false, so NaN fails each check.
+  const auto require = [](double value, const char* field) {
+    if (!(std::isfinite(value) && value >= 0.0))
+      throw std::invalid_argument(std::string("RoutingParams: ") + field +
+                                  " must be finite and >= 0");
+  };
+  require(ec_reduction, "ec_reduction");
+  require(core_noise_threshold, "core_noise_threshold");
+  require(total_noise_threshold, "total_noise_threshold");
+}
+
 RoutingFormulation::RoutingFormulation(const Topology& topology,
                                        const std::vector<Request>& requests,
                                        const RoutingParams& params)
     : topology_(&topology), params_(params), servers_(topology.servers()) {
+  params_.validate();
   if (params_.core_qubits <= 0 || params_.support_qubits <= 0)
     throw std::invalid_argument("routing: code sizes must be positive");
+  build_arc_lists();
   build(requests);
+}
+
+void RoutingFormulation::build_arc_lists() {
+  // Each incident fiber gives a node one in-arc and one out-arc; fibers are
+  // incident in ascending id, so both lists come out in ascending arc id.
+  const Topology& topo = *topology_;
+  arc_start_.assign(static_cast<std::size_t>(topo.num_nodes()) + 1, 0);
+  in_arcs_.clear();
+  out_arcs_.clear();
+  for (int v = 0; v < topo.num_nodes(); ++v) {
+    for (const int e : topo.incident(v)) {
+      const int into = edge_head(2 * e) == v ? 2 * e : 2 * e + 1;
+      in_arcs_.push_back(into);
+      out_arcs_.push_back(into ^ 1);  // the same fiber's other direction
+    }
+    arc_start_[static_cast<std::size_t>(v) + 1] =
+        static_cast<int>(in_arcs_.size());
+  }
 }
 
 int RoutingFormulation::edge_tail(int de) const {
@@ -44,10 +77,6 @@ void RoutingFormulation::set_entanglement_capacity(int fiber,
 std::vector<std::pair<int, int>> RoutingFormulation::crash_hint() const {
   const Topology& topo = *topology_;
   const auto nodes = static_cast<std::size_t>(topo.num_nodes());
-  std::vector<std::vector<int>> out_arcs(nodes);
-  for (int de = 0; de < num_directed_edges(); ++de)
-    out_arcs[static_cast<std::size_t>(edge_tail(de))].push_back(de);
-
   std::vector<std::pair<int, int>> hint;
   std::vector<double> dist;
   std::vector<int> in_arc;
@@ -64,7 +93,7 @@ std::vector<std::pair<int, int>> RoutingFormulation::crash_hint() const {
       const auto [d, u] = heap.top();
       heap.pop();
       if (d > dist[static_cast<std::size_t>(u)]) continue;
-      for (const int de : out_arcs[static_cast<std::size_t>(u)]) {
+      for (const int de : out_arcs(u)) {
         if (v.b[static_cast<std::size_t>(de)] < 0) continue;
         const auto w = static_cast<std::size_t>(edge_head(de));
         const double nd = d + topo.fiber_noise(edge_fiber(de));
@@ -136,25 +165,6 @@ void RoutingFormulation::build(const std::vector<Request>& requests) {
       v.x[r] = lp_.add_variable(0.0, req.codes);
   }
 
-  auto in_edges = [&](int node) {
-    std::vector<int> out;
-    for (int e : topo.incident(node)) {
-      const int de0 = 2 * e, de1 = 2 * e + 1;
-      if (edge_head(de0) == node) out.push_back(de0);
-      if (edge_head(de1) == node) out.push_back(de1);
-    }
-    return out;
-  };
-  auto out_edges = [&](int node) {
-    std::vector<int> out;
-    for (int e : topo.incident(node)) {
-      const int de0 = 2 * e, de1 = 2 * e + 1;
-      if (edge_tail(de0) == node) out.push_back(de0);
-      if (edge_tail(de1) == node) out.push_back(de1);
-    }
-    return out;
-  };
-
   // --- Per-request constraints: Eqs. (3), (4), (6). Rows stream straight
   // into the problem's compressed form; nothing is buffered per row. ---
   rows_.resize(requests.size());
@@ -167,7 +177,7 @@ void RoutingFormulation::build(const std::vector<Request>& requests) {
     rows.b_node.assign(static_cast<std::size_t>(topo.num_nodes()), -1);
     rows.coupling.assign(servers_.size(), -1);
 
-    auto add_flow_equation = [&](const std::vector<int>& edges,
+    auto add_flow_equation = [&](std::span<const int> edges,
                                  const std::vector<int>& var_of_edge,
                                  double y_coeff) {
       lp_.begin_constraint(ConstraintType::Equal, 0.0);
@@ -182,23 +192,23 @@ void RoutingFormulation::build(const std::vector<Request>& requests) {
     // Eq. 3: inflow(dst) = outflow(src) = n*Y (Core) and m*Y (Support).
     if (params_.dual_channel) {
       rows.a_node[dst] = lp_.num_rows();
-      add_flow_equation(in_edges(req.dst), v.a, -static_cast<double>(n));
-      add_flow_equation(out_edges(req.src), v.a, -static_cast<double>(n));
+      add_flow_equation(in_arcs(req.dst), v.a, -static_cast<double>(n));
+      add_flow_equation(out_arcs(req.src), v.a, -static_cast<double>(n));
       rows.b_node[dst] = lp_.num_rows();
-      add_flow_equation(in_edges(req.dst), v.b, -static_cast<double>(m));
-      add_flow_equation(out_edges(req.src), v.b, -static_cast<double>(m));
+      add_flow_equation(in_arcs(req.dst), v.b, -static_cast<double>(m));
+      add_flow_equation(out_arcs(req.src), v.b, -static_cast<double>(m));
     } else {
       rows.b_node[dst] = lp_.num_rows();
-      add_flow_equation(in_edges(req.dst), v.b,
+      add_flow_equation(in_arcs(req.dst), v.b,
                         -static_cast<double>(total_qubits));
-      add_flow_equation(out_edges(req.src), v.b,
+      add_flow_equation(out_arcs(req.src), v.b,
                         -static_cast<double>(total_qubits));
     }
 
     // Eq. 4: conservation at switches and servers; server EC coupling.
     for (int node : topo.switches_and_servers()) {
-      const auto in = in_edges(node);
-      const auto out = out_edges(node);
+      const auto in = in_arcs(node);
+      const auto out = out_arcs(node);
       auto add_conservation = [&](const std::vector<int>& var_of_edge,
                                   std::vector<int>& node_row) {
         bool any = false;
@@ -223,7 +233,7 @@ void RoutingFormulation::build(const std::vector<Request>& requests) {
     }
     for (std::size_t r = 0; r < servers_.size(); ++r) {
       const int node = servers_[r];
-      const auto in = in_edges(node);
+      const auto in = in_arcs(node);
       rows.coupling[r] = lp_.num_rows();  // the first of the server's rows
       auto add_coupling = [&](const std::vector<int>& var_of_edge,
                               double qubits) {
@@ -283,7 +293,7 @@ void RoutingFormulation::build(const std::vector<Request>& requests) {
   // --- Shared capacity constraints: Eq. (5). ---
   const double capacity_scale = params_.storage_scale();
   for (int node : topo.switches_and_servers()) {
-    const auto in = in_edges(node);
+    const auto in = in_arcs(node);
     bool any = false;
     for (int de : in) {
       for (const auto& v : vars_) {

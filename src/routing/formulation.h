@@ -16,6 +16,7 @@
 // available in servers, and switches get a capacity bonus because they no
 // longer prepare entanglement.
 
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -61,6 +62,11 @@ struct RoutingParams {
   }
 
   int total_qubits() const { return core_qubits + support_qubits; }
+  /// Throws std::invalid_argument naming the first field outside its
+  /// range: ec_reduction, core_noise_threshold and total_noise_threshold
+  /// must be finite and >= 0. RoutingFormulation and CapacityTracker call
+  /// it, so every router that takes these parameters does.
+  void validate() const;
   /// Multiplier on every node's storage capacity (Eq. (5)).
   double storage_scale() const {
     return dual_channel ? 1.0 : kRawCapacityBonus;
@@ -131,6 +137,11 @@ class RoutingFormulation {
   int edge_fiber(int de) const { return de / 2; }
   int edge_tail(int de) const;
   int edge_head(int de) const;
+  /// Directed edges into / out of `node`, in ascending id; built once.
+  std::span<const int> in_arcs(int node) const { return arcs(in_arcs_, node); }
+  std::span<const int> out_arcs(int node) const {
+    return arcs(out_arcs_, node);
+  }
 
  private:
   /// One request's source and the rows build() emitted for its flows,
@@ -149,8 +160,22 @@ class RoutingFormulation {
   std::vector<RowIndex> rows_;
   std::vector<int> storage_row_;       ///< per node; -1 = no row
   std::vector<int> entanglement_row_;  ///< per fiber; -1 = no row
+  // Per-node arc lists in compressed form: node v's in-arcs are
+  // in_arcs_[arc_start_[v] .. arc_start_[v + 1]), its out-arcs the same
+  // range of out_arcs_ (one of each per incident fiber).
+  std::vector<int> arc_start_, in_arcs_, out_arcs_;
   LpProblem lp_;
 
+  std::span<const int> arcs(const std::vector<int>& list, int node) const {
+    SURFNET_EXPECTS(node >= 0 &&
+                    static_cast<std::size_t>(node) + 1 < arc_start_.size());
+    const auto begin =
+        static_cast<std::size_t>(arc_start_[static_cast<std::size_t>(node)]);
+    const auto end = static_cast<std::size_t>(
+        arc_start_[static_cast<std::size_t>(node) + 1]);
+    return {list.data() + begin, end - begin};
+  }
+  void build_arc_lists();
   void build(const std::vector<netsim::Request>& requests);
 };
 

@@ -19,6 +19,7 @@ using netsim::Topology;
 CapacityTracker::CapacityTracker(const Topology& topology,
                                  const RoutingParams& params)
     : topology_(&topology), params_(params) {
+  params_.validate();
   node_capacity_.resize(static_cast<std::size_t>(topology.num_nodes()));
   for (int v = 0; v < topology.num_nodes(); ++v)
     node_capacity_[static_cast<std::size_t>(v)] =

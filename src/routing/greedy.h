@@ -35,6 +35,7 @@ namespace surfnet::routing {
 /// Mutable remaining-resource view of a topology.
 class CapacityTracker {
  public:
+  /// Throws std::invalid_argument when RoutingParams::validate does.
   CapacityTracker(const netsim::Topology& topology,
                   const RoutingParams& params);
 

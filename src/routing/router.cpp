@@ -64,12 +64,15 @@ RouteResult route(const Topology& topology,
   result.schedule.requested_codes = netsim::requested_codes(requests);
 
   RoutingFormulation formulation(topology, requests, params);
-  // The first solve starts from the formulation's flow trees; every later
-  // solve starts from the basis the previous one left in `state`.
+  // One solver serves every solve: the re-solves below change only bounds
+  // and right-hand sides, which each solve re-reads. The first solve starts
+  // from the formulation's flow trees; every later solve starts from the
+  // basis the previous one left in `state`.
+  LpSolver solver(formulation.problem());
   SimplexState state =
       crash_state(formulation.problem(), formulation.crash_hint());
   const auto solve = [&] {
-    LpSolution sol = solve_lp(formulation.problem(), state, params.sink);
+    LpSolution sol = solver.solve(state, params.sink);
     if (sol.status == LpStatus::IterationLimit && params.sink.metrics)
       params.sink.metrics->count("route.lp_iteration_limits");
     return sol;

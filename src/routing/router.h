@@ -12,10 +12,11 @@
 // the residual problem — request limits tightened to the codes still
 // unscheduled, capacity right-hand sides to what the committed codes left —
 // and rounds again. The problem keeps its shape across these re-solves, so
-// the basis the previous solve left warm-starts each of them; only bounds
-// and right-hand sides changed, so that basis stays dual feasible and the
-// solver's dual phase repairs it in a few pivots. A singular crash basis
-// falls back to the all-slack start.
+// one LpSolver serves every solve of a call, and the basis the previous
+// solve left warm-starts each of them; only bounds and right-hand sides
+// changed, so that basis stays dual feasible and the solver's dual phase
+// repairs it in a few pivots. A singular crash basis falls back to the
+// all-slack start.
 //
 // When the first solve has no optimum (infeasible, unbounded or
 // iteration-limited), route() counts "route.greedy_fallbacks" and returns

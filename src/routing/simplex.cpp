@@ -1,7 +1,10 @@
 #include "routing/simplex.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <memory>
 #include <stdexcept>
 
 #include "obs/metrics.h"
@@ -52,6 +55,8 @@ std::vector<int> aux_columns(const LpProblem& problem) {
   return aux;
 }
 
+}  // namespace
+
 /// Bounded-variable revised simplex over the equality form
 ///   maximize c^T x   s.t.   A x (+ slacks) = b,   0 <= x_j <= u_j.
 /// Inequality rows fold into slack columns (so box constraints never become
@@ -66,10 +71,15 @@ std::vector<int> aux_columns(const LpProblem& problem) {
 /// repaired by a composite phase 1 that minimizes the total bound
 /// violation of the basic variables, so all starts share one primal loop,
 /// which also certifies the result.
+///
+/// The column copy and every buffer live as long as the object; solve()
+/// re-reads the bounds and right-hand sides and resets all per-solve
+/// state, so any number of solves behave like one fresh object each.
 class RevisedSimplex {
  public:
   explicit RevisedSimplex(const LpProblem& problem);
   LpSolution solve(SimplexState& state);
+  const LpProblem& problem() const { return *problem_; }
 
  private:
   /// Nonbasic and not fixed at zero: the column can enter the basis.
@@ -134,15 +144,111 @@ class RevisedSimplex {
     eta_start_.push_back(static_cast<int>(eta_row_.size()));
   }
 
+  /// One bump column of refactorize(): FTRAN column j through the eta file
+  /// built so far, pivot on the first largest entry among the rows not yet
+  /// taken, and append its eta. Returns the pivot row, or -1 when no entry
+  /// exceeds the pivot threshold (the basis is numerically singular).
+  ///
+  /// This is a dense load_column + ftran + row scan + append_eta,
+  /// operation for operation, over only the rows the column reaches. Rows
+  /// it never reaches hold zero. An eta whose pivot row holds zero changes
+  /// nothing but the sign of that zero, which no |v| test or drop test can
+  /// see, so only the etas of reached rows run, in file order. Within one
+  /// refactorization a row pivots at most one eta (fac_eta_of_row_), and
+  /// applying eta e reaches new rows whose etas either come after e (they
+  /// join the frontier, a bitset over eta indices scanned upward) or were
+  /// passed while the row still held zero. Reached rows are a bitset as
+  /// well, scanned in ascending row order like the dense loop, which fixes
+  /// the first-largest pivot and the order of the new eta's entries.
+  int bump_column(int j) {
+    double* v = work_.data();  // all zero on entry, restored on exit
+    std::uint64_t* rows = fac_row_bits_.data();
+    std::uint64_t* etas = fac_eta_bits_.data();
+    const std::size_t eta_words = fac_eta_bits_.size();
+    // Reached rows lie in words [row_lo, row_end); queued etas from eta_lo.
+    std::size_t row_lo = fac_row_bits_.size(), row_end = 0, eta_lo = eta_words;
+    // Mark row r reached; queue its eta when the FTRAN has not passed it.
+    const auto reach = [&](int r, int after_eta) {
+      const auto w = static_cast<std::size_t>(r) >> 6;
+      const std::uint64_t bit = std::uint64_t{1} << (r & 63);
+      if (rows[w] & bit) return;
+      rows[w] |= bit;
+      row_lo = std::min(row_lo, w);
+      row_end = std::max(row_end, w + 1);
+      const int e = fac_eta_of_row_[static_cast<std::size_t>(r)];
+      if (e > after_eta) {
+        const auto ew = static_cast<std::size_t>(e) >> 6;
+        etas[ew] |= std::uint64_t{1} << (e & 63);
+        eta_lo = std::min(eta_lo, ew);
+      }
+    };
+
+    for (int t = col_start_[static_cast<std::size_t>(j)];
+         t < col_start_[static_cast<std::size_t>(j) + 1]; ++t) {
+      const int r = col_row_[static_cast<std::size_t>(t)];
+      v[r] += col_val_[static_cast<std::size_t>(t)];
+      reach(r, -1);
+    }
+    for (std::size_t w = eta_lo; w < eta_words; ++w)
+      while (etas[w] != 0) {
+        const int e = static_cast<int>(w * 64) + std::countr_zero(etas[w]);
+        etas[w] &= etas[w] - 1;
+        const auto se = static_cast<std::size_t>(e);
+        const auto r = static_cast<std::size_t>(eta_pivot_row_[se]);
+        const double zr = v[r] / eta_pivot_val_[se];
+        v[r] = zr;
+        if (zr == 0.0) continue;
+        for (int t = eta_start_[se]; t < eta_start_[se + 1]; ++t) {
+          const int i = eta_row_[static_cast<std::size_t>(t)];
+          v[i] -= eta_val_[static_cast<std::size_t>(t)] * zr;
+          reach(i, e);
+        }
+      }
+
+    // Visits the reached rows in ascending order.
+    const auto for_each_row = [&](auto&& body) {
+      for (std::size_t w = row_lo; w < row_end; ++w)
+        for (std::uint64_t bits = rows[w]; bits != 0; bits &= bits - 1)
+          body(static_cast<int>(w * 64) + std::countr_zero(bits));
+    };
+    int pr = -1;
+    double best = 1e-10;
+    for_each_row([&](int i) {
+      if (!fac_taken_[static_cast<std::size_t>(i)] && std::abs(v[i]) > best) {
+        best = std::abs(v[i]);
+        pr = i;
+      }
+    });
+    if (pr >= 0) {
+      fac_eta_of_row_[static_cast<std::size_t>(pr)] =
+          static_cast<int>(eta_pivot_row_.size());
+      eta_pivot_row_.push_back(pr);
+      eta_pivot_val_.push_back(v[pr]);
+      for_each_row([&](int i) {
+        if (i != pr && std::abs(v[i]) > kDropTol) {
+          eta_row_.push_back(i);
+          eta_val_.push_back(v[i]);
+        }
+      });
+      eta_start_.push_back(static_cast<int>(eta_row_.size()));
+    }
+    for_each_row([&](int i) { v[i] = 0.0; });
+    for (std::size_t w = row_lo; w < row_end; ++w) rows[w] = 0;
+    return pr;
+  }
+
   /// Rebuild the eta file for the current basis from scratch. A triangular
   /// ordering phase goes first: repeatedly take a row touched by exactly
   /// one remaining basis column and pivot that column there. Such a column
   /// provably has no entries in earlier pivot rows, so its eta is the raw
-  /// column — zero fill, no FTRAN. Simplex bases of network-flow LPs are
-  /// near-triangular (slacks and conservation structure), so this phase
-  /// usually swallows almost everything; the small remaining "bump" falls
-  /// back to Gauss-Jordan product form with partial pivoting. Basis columns
+  /// column — zero fill, no FTRAN. The columns it leaves, the "bump", are
+  /// pivoted by Gauss-Jordan product form with partial pivoting, in basis
+  /// position order (bump_column). The bump is not small: on the Fig. 6(a)
+  /// LPs about a third of a basis's columns land there. But each bump
+  /// column reaches only a few etas and rows, which is why bump_column
+  /// works on the rows it reaches instead of all of them. Basis columns
   /// may get reassigned to different rows; false = numerically singular.
+  /// Allocation-free once the buffers have grown to the problem's size.
   bool refactorize() {
     ++refactor_count_;
     eta_pivot_row_.clear();
@@ -212,8 +318,9 @@ class RevisedSimplex {
           fac_rowpos_start_[static_cast<std::size_t>(r) + 1] -
           fac_rowpos_start_[static_cast<std::size_t>(r)];
     fac_col_alive_.assign(sm, 1);
-    std::vector<char> taken(sm, 0);
-    std::vector<int> new_basis(sm, -1);
+    fac_taken_.assign(sm, 0);
+    fac_new_basis_.assign(sm, -1);
+    fac_eta_of_row_.assign(sm, -1);
 
     // --- Triangular phase. ---
     fac_queue_.clear();
@@ -223,7 +330,7 @@ class RevisedSimplex {
     while (!fac_queue_.empty()) {
       const int r = fac_queue_.back();
       fac_queue_.pop_back();
-      if (taken[static_cast<std::size_t>(r)] ||
+      if (fac_taken_[static_cast<std::size_t>(r)] ||
           fac_row_live_[static_cast<std::size_t>(r)] != 1)
         continue;
       int k = -1;
@@ -242,6 +349,8 @@ class RevisedSimplex {
           pivot = fac_val_[static_cast<std::size_t>(t)];
       if (std::abs(pivot) <= 1e-10) continue;  // leave it for the bump
 
+      fac_eta_of_row_[static_cast<std::size_t>(r)] =
+          static_cast<int>(eta_pivot_row_.size());
       eta_pivot_row_.push_back(r);
       eta_pivot_val_.push_back(pivot);
       for (int t = fac_col_start_[static_cast<std::size_t>(k)];
@@ -250,36 +359,28 @@ class RevisedSimplex {
         if (r2 == r) continue;
         eta_row_.push_back(r2);
         eta_val_.push_back(fac_val_[static_cast<std::size_t>(t)]);
-        if (!taken[static_cast<std::size_t>(r2)] &&
+        if (!fac_taken_[static_cast<std::size_t>(r2)] &&
             --fac_row_live_[static_cast<std::size_t>(r2)] == 1)
           fac_queue_.push_back(r2);
       }
       eta_start_.push_back(static_cast<int>(eta_row_.size()));
       fac_col_alive_[static_cast<std::size_t>(k)] = 0;
-      taken[static_cast<std::size_t>(r)] = 1;
-      new_basis[static_cast<std::size_t>(r)] = basis_[static_cast<std::size_t>(k)];
+      fac_taken_[static_cast<std::size_t>(r)] = 1;
+      fac_new_basis_[static_cast<std::size_t>(r)] =
+          basis_[static_cast<std::size_t>(k)];
     }
 
     // --- Bump phase: Gauss-Jordan over whatever the ordering left. ---
+    std::fill(work_.begin(), work_.end(), 0.0);
     for (int k = 0; k < m_; ++k) {
       if (!fac_col_alive_[static_cast<std::size_t>(k)]) continue;
       const int j = basis_[static_cast<std::size_t>(k)];
-      load_column(j, work_);
-      ftran(work_);
-      int pr = -1;
-      double best = 1e-10;
-      for (int i = 0; i < m_; ++i)
-        if (!taken[static_cast<std::size_t>(i)] &&
-            std::abs(work_[static_cast<std::size_t>(i)]) > best) {
-          best = std::abs(work_[static_cast<std::size_t>(i)]);
-          pr = i;
-        }
+      const int pr = bump_column(j);
       if (pr < 0) return false;
-      append_eta(work_, pr);
-      taken[static_cast<std::size_t>(pr)] = 1;
-      new_basis[static_cast<std::size_t>(pr)] = j;
+      fac_taken_[static_cast<std::size_t>(pr)] = 1;
+      fac_new_basis_[static_cast<std::size_t>(pr)] = j;
     }
-    basis_.swap(new_basis);
+    basis_.swap(fac_new_basis_);
     pivots_since_refactor_ = 0;
     return true;
   }
@@ -455,25 +556,20 @@ class RevisedSimplex {
         static_cast<int>(state.basis.size()) != m_ ||
         static_cast<int>(state.at_upper.size()) != ncols_)
       return false;
-    std::vector<char> seen(static_cast<std::size_t>(ncols_), 0);
-    for (const std::int32_t j : state.basis) {
-      if (j < 0 || j >= ncols_ || seen[static_cast<std::size_t>(j)])
-        return false;
-      seen[static_cast<std::size_t>(j)] = 1;
-    }
+    // A failed install leaves vstat_ to cold_basis(), which rewrites it.
     vstat_.assign(static_cast<std::size_t>(ncols_), kAtLower);
+    for (const std::int32_t j : state.basis) {
+      if (j < 0 || j >= ncols_ || vstat_[static_cast<std::size_t>(j)] == kBasic)
+        return false;
+      vstat_[static_cast<std::size_t>(j)] = kBasic;
+    }
     for (int j = 0; j < ncols_; ++j)
       if (state.at_upper[static_cast<std::size_t>(j)] &&
+          vstat_[static_cast<std::size_t>(j)] != kBasic &&
           std::isfinite(upper_[static_cast<std::size_t>(j)]) &&
           upper_[static_cast<std::size_t>(j)] > 0.0)
         vstat_[static_cast<std::size_t>(j)] = kAtUpper;
-    basis_.resize(static_cast<std::size_t>(m_));
-    for (int r = 0; r < m_; ++r) {
-      basis_[static_cast<std::size_t>(r)] =
-          state.basis[static_cast<std::size_t>(r)];
-      vstat_[static_cast<std::size_t>(basis_[static_cast<std::size_t>(r)])] =
-          kBasic;
-    }
+    basis_.assign(state.basis.begin(), state.basis.end());
     return refactorize();
   }
 
@@ -605,10 +701,17 @@ class RevisedSimplex {
   // Refactorization scratch (rebuilt each refactorize; kept as members so
   // the buffers only grow).
   std::vector<int> fac_col_start_, fac_row_, fac_stamp_, fac_rowpos_start_,
-      fac_rowpos_col_, fac_row_live_, fac_queue_, fac_fill_;
+      fac_rowpos_col_, fac_row_live_, fac_queue_, fac_fill_, fac_new_basis_;
   std::vector<std::size_t> fac_slot_;
   std::vector<double> fac_val_;
-  std::vector<char> fac_col_alive_;
+  std::vector<char> fac_col_alive_, fac_taken_;
+  std::vector<int> fac_eta_of_row_;  ///< eta pivoting on each row, or -1
+  // bump_column's reached rows and eta frontier; all zero between calls.
+  std::vector<std::uint64_t> fac_row_bits_, fac_eta_bits_;
+
+  // Primal loop: columns barred from the current pricing round.
+  std::vector<char> banned_;
+  std::vector<int> banned_list_;
 };
 
 RevisedSimplex::RevisedSimplex(const LpProblem& problem) : problem_(&problem) {
@@ -645,16 +748,14 @@ RevisedSimplex::RevisedSimplex(const LpProblem& problem) : problem_(&problem) {
     }
   }
 
+  // Structural upper bounds and b_ are read by every solve.
   cost_.assign(static_cast<std::size_t>(ncols_), 0.0);
   upper_.assign(static_cast<std::size_t>(ncols_), kInf);
-  for (int j = 0; j < nstruct_; ++j) {
+  for (int j = 0; j < nstruct_; ++j)
     cost_[static_cast<std::size_t>(j)] = problem.objective(j);
-    upper_[static_cast<std::size_t>(j)] = problem.upper_bound(j);
-  }
 
   b_.resize(static_cast<std::size_t>(m_));
   for (int r = 0; r < m_; ++r) {
-    b_[static_cast<std::size_t>(r)] = problem.rhs(r);
     const int aux = row_aux_col_[static_cast<std::size_t>(r)];
     double coeff = 1.0;
     switch (problem.row_type(r)) {
@@ -681,9 +782,25 @@ RevisedSimplex::RevisedSimplex(const LpProblem& problem) : problem_(&problem) {
   reduced_.resize(static_cast<std::size_t>(ncols_));
   row_alpha_.resize(static_cast<std::size_t>(ncols_));
   eta_start_.assign(1, 0);
+  const std::size_t words = (static_cast<std::size_t>(m_) + 63) / 64;
+  fac_row_bits_.assign(words, 0);
+  fac_eta_bits_.assign(words, 0);  // at most one eta per row
+  banned_.assign(static_cast<std::size_t>(ncols_), 0);
 }
 
 LpSolution RevisedSimplex::solve(SimplexState& state) {
+  const LpProblem& problem = *problem_;
+  if (problem.num_rows() != m_ || problem.num_vars() != nstruct_ ||
+      static_cast<std::size_t>(problem.num_nonzeros() + m_) != col_row_.size())
+    throw std::logic_error("simplex: problem changed shape after the solver "
+                           "was built");
+  for (int j = 0; j < nstruct_; ++j)
+    upper_[static_cast<std::size_t>(j)] = problem.upper_bound(j);
+  for (int r = 0; r < m_; ++r) b_[static_cast<std::size_t>(r)] = problem.rhs(r);
+  refactor_count_ = 0;
+  for (const int j : banned_list_) banned_[static_cast<std::size_t>(j)] = 0;
+  banned_list_.clear();
+
   LpSolution solution;
   for (int j = 0; j < nstruct_; ++j) {
     const double u = upper_[static_cast<std::size_t>(j)];
@@ -711,8 +828,6 @@ LpSolution RevisedSimplex::solve(SimplexState& state) {
       dual_phase(iterations, max_iterations, solution.dual_iterations);
   int degenerate_streak = 0;
   bool bland = false;
-  std::vector<char> banned(static_cast<std::size_t>(ncols_), 0);
-  std::vector<int> banned_list;
 
   for (;;) {
     if (!dual_ok || iterations >= max_iterations) {
@@ -751,7 +866,7 @@ LpSolution RevisedSimplex::solve(SimplexState& state) {
     double best_score = 0.0;
     for (int j = 0; j < ncols_; ++j) {
       const auto sj = static_cast<std::size_t>(j);
-      if (!movable(sj) || banned[sj]) continue;
+      if (!movable(sj) || banned_[sj]) continue;
       const double d = minus_column_dot(sj, phase1 ? 0.0 : cost_[sj], y_);
       const bool improving =
           vstat_[sj] == kAtLower ? (d > kOptTol) : (d < -kOptTol);
@@ -839,8 +954,8 @@ LpSolution RevisedSimplex::solve(SimplexState& state) {
         compute_basic_values();
         continue;
       }
-      banned[static_cast<std::size_t>(entering)] = 1;
-      banned_list.push_back(entering);
+      banned_[static_cast<std::size_t>(entering)] = 1;
+      banned_list_.push_back(entering);
       continue;
     }
 
@@ -874,8 +989,8 @@ LpSolution RevisedSimplex::solve(SimplexState& state) {
       }
     }
 
-    for (const int j : banned_list) banned[static_cast<std::size_t>(j)] = 0;
-    banned_list.clear();
+    for (const int j : banned_list_) banned_[static_cast<std::size_t>(j)] = 0;
+    banned_list_.clear();
 
     if (best_t > kRatioTol) {
       degenerate_streak = 0;
@@ -914,11 +1029,9 @@ LpSolution RevisedSimplex::solve(SimplexState& state) {
   solution.objective = 0.0;
   for (int j = 0; j < nstruct_; ++j)
     solution.objective +=
-        problem_->objective(j) * solution.x[static_cast<std::size_t>(j)];
+        problem.objective(j) * solution.x[static_cast<std::size_t>(j)];
   return solution;
 }
-
-}  // namespace
 
 SimplexState crash_state(const LpProblem& problem,
                          std::span<const std::pair<int, int>> column_rows) {
@@ -946,26 +1059,17 @@ SimplexState crash_state(const LpProblem& problem,
   return state;
 }
 
-LpSolution solve_lp(const LpProblem& problem) {
-  SimplexState state;
-  return solve_lp(problem, state);
-}
+LpSolver::LpSolver(const LpProblem& problem)
+    : simplex_(std::make_unique<RevisedSimplex>(problem)) {}
+LpSolver::~LpSolver() = default;
 
-LpSolution solve_lp(const LpProblem& problem, SimplexState& state) {
-  RevisedSimplex simplex(problem);
-  const LpSolution solution = simplex.solve(state);
+LpSolution LpSolver::solve(SimplexState& state, const obs::Sink& sink) {
+  obs::ScopedTimer timer(sink.metrics, "lp.solve_seconds");
+  const LpSolution solution = simplex_->solve(state);
 #if SURFNET_CHECKS
   // The snapshot handed back for warm starts must always be installable.
-  if (state.valid()) check_simplex_state_invariants(problem, state);
+  if (state.valid()) check_simplex_state_invariants(simplex_->problem(), state);
 #endif
-  return solution;
-}
-
-LpSolution solve_lp(const LpProblem& problem, SimplexState& state,
-                    const obs::Sink& sink) {
-  obs::ScopedTimer timer(sink.metrics, "lp.solve_seconds");
-  RevisedSimplex simplex(problem);
-  const LpSolution solution = simplex.solve(state);
   if (sink.metrics) {
     sink.metrics->count("lp.solves");
     sink.metrics->count("lp.iterations", solution.iterations);
@@ -980,6 +1084,16 @@ LpSolution solve_lp(const LpProblem& problem, SimplexState& state,
         solution.warm_started, static_cast<int>(solution.status),
         solution.objective));
   return solution;
+}
+
+LpSolution solve_lp(const LpProblem& problem) {
+  SimplexState state;
+  return LpSolver(problem).solve(state);
+}
+
+LpSolution solve_lp(const LpProblem& problem, SimplexState& state,
+                    const obs::Sink& sink) {
+  return LpSolver(problem).solve(state, sink);
 }
 
 }  // namespace surfnet::routing

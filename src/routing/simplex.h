@@ -14,7 +14,7 @@
 // explicit rows — and a Bland's-rule fallback guards against cycling on
 // the massively degenerate network-flow LPs the scheduler produces.
 //
-// Start bases. A SimplexState passed to solve_lp is installed as the
+// Start bases. A SimplexState passed to a solve is installed as the
 // starting basis when it matches the problem's shape; otherwise, or when
 // its basis is singular, the solve starts from the all-slack/artificial
 // basis (the cold start). A state comes from one of two places:
@@ -30,9 +30,15 @@
 // feasibility, or hands over to the primal composite phase 1 when no
 // column can repair the leaving row or the pivot is too small. The primal
 // loop always runs last and certifies the result.
+//
+// Solver lifetime. An LpSolver copies the problem's columns once and keeps
+// them, its eta file and its scratch across solves; each solve re-reads the
+// bounds and right-hand sides. route() keeps one across its crash solve
+// and warm re-solves; solve_lp builds one for a single solve.
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -154,7 +160,7 @@ struct LpSolution {
 };
 
 /// Reusable basis snapshot for warm-started re-solves. Opaque to callers:
-/// default-construct one, thread it through solve_lp calls on same-shaped
+/// default-construct one, thread it through solves of same-shaped
 /// problems, and clear() it when the problem shape changes.
 struct SimplexState {
   std::vector<std::int32_t> basis;     ///< basic column per row
@@ -177,26 +183,43 @@ struct SimplexState {
 /// own slack or artificial, and every nonbasic column rests at its lower
 /// bound. Pairs whose column was already placed or whose row is already
 /// taken are skipped; an out-of-range column or row throws
-/// std::invalid_argument. Nonsingularity is left to solve_lp, which falls
+/// std::invalid_argument. Nonsingularity is left to the solve, which falls
 /// back to the cold start when the basis cannot be factorized.
 SimplexState crash_state(const LpProblem& problem,
                          std::span<const std::pair<int, int>> column_rows);
 
+class RevisedSimplex;  // simplex.cpp
+
+/// The sparse revised simplex over one problem, kept for a sequence of
+/// solves in which only bounds and right-hand sides change (set_upper_bound,
+/// set_rhs). Each solve returns exactly what a fresh solver would return
+/// for the problem as it stands then. The problem must outlive the solver
+/// and keep its shape: a variable, row or term added after construction
+/// makes the next solve throw std::logic_error.
+class LpSolver {
+ public:
+  explicit LpSolver(const LpProblem& problem);
+  ~LpSolver();
+
+  /// Solve starting from `state` when it matches the problem's shape (a
+  /// warm or crash start); the final basis is stored back into `state`
+  /// either way, so it warm-starts the next solve. A sink additionally
+  /// times the solve into its metrics ("lp.solve_seconds", counters
+  /// "lp.solves" / "lp.iterations" / "lp.dual_iterations" /
+  /// "lp.refactorizations" / "lp.warm_starts" / "lp.crash_starts") and
+  /// records one lp_solve trace event, whose warm_start key means a warm
+  /// start only; a null sink changes nothing else.
+  LpSolution solve(SimplexState& state, const obs::Sink& sink = {});
+
+ private:
+  std::unique_ptr<RevisedSimplex> simplex_;
+};
+
 /// Solve from scratch (cold start).
 LpSolution solve_lp(const LpProblem& problem);
 
-/// Solve starting from `state` when it matches the problem's shape (a
-/// warm or crash start); the final basis is stored back into `state`
-/// either way, so it warm-starts the next solve.
-LpSolution solve_lp(const LpProblem& problem, SimplexState& state);
-
-/// Observed solve: additionally times the solve into the sink's metrics
-/// ("lp.solve_seconds", counters "lp.solves" / "lp.iterations" /
-/// "lp.dual_iterations" / "lp.refactorizations" / "lp.warm_starts" /
-/// "lp.crash_starts") and records one lp_solve trace event, whose
-/// warm_start key means a warm start only. A null sink behaves exactly
-/// like the overload above.
+/// One solve of a fresh solver: LpSolver(problem).solve(state, sink).
 LpSolution solve_lp(const LpProblem& problem, SimplexState& state,
-                    const obs::Sink& sink);
+                    const obs::Sink& sink = {});
 
 }  // namespace surfnet::routing

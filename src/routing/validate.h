@@ -3,11 +3,11 @@
 // Debug invariant validators for the routing layer. route() and
 // route_greedy() validate their schedules against the integer program's
 // constraints (paper Eqs. (1)-(6)) before returning when SURFNET_CHECKS is
-// on; solve_lp validates the basis snapshot it hands back. Tests call the
-// validators directly against deliberately corrupted schedules and bases
-// to prove each check fires. A broken invariant reports through
-// util/contracts.h (abort by default, ContractViolation under the test
-// handler).
+// on; every LpSolver solve validates the basis snapshot it hands back.
+// Tests call the validators directly against deliberately corrupted
+// schedules and bases to prove each check fires. A broken invariant
+// reports through util/contracts.h (abort by default, ContractViolation
+// under the test handler).
 
 #include <vector>
 

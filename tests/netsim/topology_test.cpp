@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "util/rng.h"
 
@@ -125,6 +127,65 @@ TEST(RandomTopology, RejectsImpossibleSpecs) {
   spec.num_servers = 5;
   spec.num_switches = 5;
   EXPECT_THROW(make_random_topology(spec, rng), std::invalid_argument);
+}
+
+/// make_random_topology rejects `spec` with an error naming `field`.
+void expect_spec_rejected(const TopologySpec& spec, const std::string& field) {
+  util::Rng rng(11);
+  try {
+    make_random_topology(spec, rng);
+    ADD_FAILURE() << field << ": accepted";
+  } catch (const std::invalid_argument& err) {
+    EXPECT_NE(std::string(err.what()).find(field), std::string::npos)
+        << err.what();
+  }
+}
+
+TEST(RandomTopology, RejectsFidelityLoOutsideUnitInterval) {
+  // NaN drew NaN fidelities, which the fiber check let through, and the
+  // run scheduled nothing.
+  for (const double bad : {std::nan(""), -0.1, 1.5}) {
+    TopologySpec spec = default_spec();
+    spec.fidelity_lo = bad;
+    expect_spec_rejected(spec, "fidelity_lo");
+  }
+}
+
+TEST(RandomTopology, RejectsFidelityHiOutsideUnitInterval) {
+  for (const double bad : {std::nan(""), -0.1, 1.5}) {
+    TopologySpec spec = default_spec();
+    spec.fidelity_hi = bad;
+    expect_spec_rejected(spec, "fidelity_hi");
+  }
+}
+
+TEST(RandomTopology, RejectsFidelityLoAboveFidelityHi) {
+  TopologySpec spec = default_spec();
+  spec.fidelity_lo = 0.9;
+  spec.fidelity_hi = 0.8;
+  expect_spec_rejected(spec, "fidelity_lo must be <= fidelity_hi");
+}
+
+TEST(RandomTopology, RejectsNegativeStorageCapacity) {
+  TopologySpec spec = default_spec();
+  spec.storage_capacity = -1;
+  expect_spec_rejected(spec, "storage_capacity");
+}
+
+TEST(RandomTopology, RejectsNegativeEntanglementCapacity) {
+  TopologySpec spec = default_spec();
+  spec.entanglement_capacity = -5;
+  expect_spec_rejected(spec, "entanglement_capacity");
+}
+
+TEST(RandomTopology, AcceptsZeroCapacitiesAndEqualFidelityBounds) {
+  TopologySpec spec = default_spec();
+  spec.storage_capacity = 0;
+  spec.entanglement_capacity = 0;
+  spec.fidelity_lo = 1.0;
+  spec.fidelity_hi = 1.0;
+  util::Rng rng(12);
+  EXPECT_NO_THROW(make_random_topology(spec, rng));
 }
 
 TEST(RandomTopology, DeterministicForSameSeed) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -16,6 +17,7 @@
 #include "obs/metrics.h"
 #include "routing/formulation.h"
 #include "routing/greedy.h"
+#include "routing/incremental.h"
 #include "routing/purification.h"
 #include "routing/router.h"
 #include "util/rng.h"
@@ -242,6 +244,61 @@ TEST(Purification, RejectsNegativeRequestCodes) {
   expect_rejected("codes", [&] {
     route_purification(c.topology, c.requests, PurificationParams{}, rng);
   });
+}
+
+/// Every router that takes RoutingParams rejects `params` naming `field`:
+/// the LP router, the greedy scheduler and the incremental router.
+void expect_routers_reject(const RoutingParams& params,
+                           const std::string& field) {
+  util::Rng rng(73);
+  const auto topo = netsim::make_random_topology(spec_for_tests(), rng);
+  const auto requests = netsim::random_requests(topo, 3, 3, rng);
+  expect_rejected(field, [&] { route(topo, requests, params, rng); });
+  expect_rejected(field, [&] { route_greedy(topo, requests, params, rng); });
+  expect_rejected(field, [&] { IncrementalRouter router(topo, params); });
+}
+
+/// NaN, infinity and a negative value, each set through `field`.
+template <typename Set>
+void expect_non_finite_or_negative_rejected(const std::string& field,
+                                            Set set) {
+  for (const double bad : {std::nan(""), LpProblem::kInfinity, -0.5}) {
+    RoutingParams params = params_for_tests();
+    set(params, bad);
+    expect_routers_reject(params, field);
+  }
+}
+
+TEST(RoutingParamsTest, RejectsNonFiniteOrNegativeEcReduction) {
+  // NaN scheduled more codes than the finite default: every EC-count
+  // comparison against it was false.
+  expect_non_finite_or_negative_rejected(
+      "ec_reduction", [](RoutingParams& p, double v) { p.ec_reduction = v; });
+}
+
+TEST(RoutingParamsTest, RejectsNonFiniteOrNegativeCoreNoiseThreshold) {
+  expect_non_finite_or_negative_rejected(
+      "core_noise_threshold",
+      [](RoutingParams& p, double v) { p.core_noise_threshold = v; });
+}
+
+TEST(RoutingParamsTest, RejectsNonFiniteOrNegativeTotalNoiseThreshold) {
+  expect_non_finite_or_negative_rejected(
+      "total_noise_threshold",
+      [](RoutingParams& p, double v) { p.total_noise_threshold = v; });
+}
+
+TEST(RoutingParamsTest, AcceptsZeroThresholdsAndReduction) {
+  RoutingParams params = params_for_tests();
+  params.ec_reduction = 0.0;
+  params.core_noise_threshold = 0.0;
+  params.total_noise_threshold = 0.0;
+  util::Rng rng(74);
+  const auto topo = netsim::make_random_topology(spec_for_tests(), rng);
+  const auto requests = netsim::random_requests(topo, 3, 3, rng);
+  EXPECT_NO_THROW(route(topo, requests, params, rng));
+  EXPECT_NO_THROW(route_greedy(topo, requests, params, rng));
+  EXPECT_NO_THROW(IncrementalRouter router(topo, params));
 }
 
 TEST(Purification, RejectsNegativeExtraPairs) {

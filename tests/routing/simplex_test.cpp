@@ -365,6 +365,23 @@ TEST(Simplex, DualPhaseHandsOverWhenTighteningMakesInfeasible) {
   EXPECT_NEAR(back.objective, 11.0, 1e-9);
 }
 
+TEST(Simplex, KeptSolverRereadsBoundsAndRejectsShapeChanges) {
+  // max x s.t. x <= b: the solver re-reads the right-hand side and the
+  // bound at every solve, and refuses a problem that grew a row.
+  LpProblem lp;
+  const int x = lp.add_variable(1.0, 10.0);
+  lp.add_constraint({{{x, 1.0}}, ConstraintType::LessEqual, 4.0});
+  LpSolver solver(lp);
+  SimplexState state;
+  EXPECT_NEAR(solver.solve(state).objective, 4.0, 1e-9);
+  lp.set_rhs(0, 7.0);
+  EXPECT_NEAR(solver.solve(state).objective, 7.0, 1e-9);
+  lp.set_upper_bound(x, 5.0);
+  EXPECT_NEAR(solver.solve(state).objective, 5.0, 1e-9);
+  lp.add_constraint({{{x, 1.0}}, ConstraintType::LessEqual, 1.0});
+  EXPECT_THROW(solver.solve(state), std::logic_error);
+}
+
 TEST(Simplex, CrashStateSkipsRepeatsAndRejectsOutOfRange) {
   LpProblem lp = dual_phase_problem();  // 2 structural columns, 2 rows
   const std::vector<std::pair<int, int>> hint{{1, 0}, {1, 1}, {0, 0}, {0, 1}};
