@@ -76,10 +76,11 @@ ScalingRow run_scaling_point(int grid, int num_requests, std::uint64_t seed) {
   row.lp_cols = formulation.problem().num_vars();
   row.lp_nonzeros = static_cast<int>(formulation.problem().num_nonzeros());
 
-  // Sparse cold solve (saves the basis for the warm re-solve below).
-  routing::SimplexState state;
+  // Sparse cold solve; the solver keeps its basis for the warm re-solve
+  // below.
   double t0 = now_ms();
-  const auto sparse = routing::solve_lp(formulation.problem(), state);
+  routing::LpSolver solver(formulation.problem());
+  const auto sparse = solver.solve();
   row.sparse_ms = now_ms() - t0;
   row.sparse_iterations = sparse.iterations;
   row.objective = sparse.objective;
@@ -98,10 +99,10 @@ ScalingRow run_scaling_point(int grid, int num_requests, std::uint64_t seed) {
         e, 0.7 * topology.fiber(e).entanglement_capacity);
 
   t0 = now_ms();
-  const auto warm = routing::solve_lp(formulation.problem(), state);
+  const auto warm = solver.solve();
   row.warm_ms = now_ms() - t0;
   row.warm_iterations = warm.iterations;
-  const auto cold_again = routing::solve_lp(formulation.problem());
+  const auto cold_again = routing::LpSolver(formulation.problem()).solve();
   row.cold_resolve_iterations = cold_again.iterations;
   return row;
 }

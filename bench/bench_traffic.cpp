@@ -9,13 +9,14 @@
 // capacity tracker, and the headroom probe reads the tracker.
 //
 // The second section measures the warm restarts of the batch LP router:
-// route() threads one simplex basis through its rounding re-solves,
-// each of which changes request limits and capacities but not the
-// formulation's shape. For each delta size (requests per re-solve) it
-// solves the identical routing LP cold (fresh basis every call) and warm
-// (basis carried across calls) and asserts the warm solve needs strictly
-// fewer simplex iterations at EVERY delta size — the bench exits nonzero
-// otherwise, and CI gates the committed Release baseline
+// route() keeps one LpSolver, and the basis each solve ends with, across
+// its rounding re-solves, each of which changes request limits and
+// capacities but not the formulation's shape. For each delta size
+// (requests per re-solve) it solves the identical routing LP cold (a fresh
+// solver every call) and warm (one solver kept across calls, as route()
+// keeps it) and asserts the warm solve needs strictly fewer simplex
+// iterations at EVERY delta size — the bench exits nonzero otherwise, and
+// CI gates the committed Release baseline
 // (bench/baselines/traffic_release.json) with scripts/bench_compare.py
 // --key cell --metric requests_per_sec.
 //
@@ -131,8 +132,8 @@ struct WarmRow {
 /// One re-solve step at delta size d: toggle one request's admitted
 /// limit (a shape-stable bound mutation, like route()'s residual
 /// re-solves) and re-solve the d-commodity formulation. The cold pass
-/// solves every step from a fresh basis, the warm pass carries the basis
-/// across steps — both see the identical mutation sequence.
+/// solves every step with a fresh solver, the warm pass keeps one solver
+/// and its basis across steps — both see the identical mutation sequence.
 WarmRow run_delta(int delta, std::uint64_t seed, int reps) {
   util::Rng setup(seed);
   netsim::TopologySpec spec;
@@ -155,24 +156,21 @@ WarmRow run_delta(int delta, std::uint64_t seed, int reps) {
     const auto begin = std::chrono::steady_clock::now();
     for (int step = 0; step < reps; ++step) {
       mutate(formulation, step);
-      routing::SimplexState fresh;
-      const auto solution =
-          routing::solve_lp(formulation.problem(), fresh, {});
+      const auto solution = routing::LpSolver(formulation.problem()).solve();
       row.cold_iterations += solution.iterations;
     }
     row.cold_ms = ms_since(begin) / reps;
   }
 
-  // Warm: the basis carries across re-solves, as route() carries it.
+  // Warm: one solver keeps its basis across re-solves, as in route().
   {
     routing::RoutingFormulation formulation(topology, requests, params);
-    routing::SimplexState state;
-    routing::solve_lp(formulation.problem(), state, {});  // prime
+    routing::LpSolver solver(formulation.problem());
+    solver.solve();  // prime
     const auto begin = std::chrono::steady_clock::now();
     for (int step = 0; step < reps; ++step) {
       mutate(formulation, step);
-      const auto solution =
-          routing::solve_lp(formulation.problem(), state, {});
+      const auto solution = solver.solve();
       row.warm_iterations += solution.iterations;
     }
     row.warm_ms = ms_since(begin) / reps;

@@ -67,12 +67,11 @@ RouteResult route(const Topology& topology,
   // One solver serves every solve: the re-solves below change only bounds
   // and right-hand sides, which each solve re-reads. The first solve starts
   // from the formulation's flow trees; every later solve starts from the
-  // basis the previous one left in `state`.
+  // basis the previous one left in the solver.
   LpSolver solver(formulation.problem());
-  SimplexState state =
-      crash_state(formulation.problem(), formulation.crash_hint());
+  solver.crash(formulation.crash_hint());
   const auto solve = [&] {
-    LpSolution sol = solver.solve(state, params.sink);
+    LpSolution sol = solver.solve(params.sink);
     if (sol.status == LpStatus::IterationLimit && params.sink.metrics)
       params.sink.metrics->count("route.lp_iteration_limits");
     return sol;

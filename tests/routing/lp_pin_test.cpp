@@ -16,8 +16,8 @@
 //    the last one. Pinned per solve: status, iterations, dual iterations,
 //    refactorizations and a digest of the bits of x and the objective.
 //  * the LP property campaign's random problems (tests/routing/random_lp.h):
-//    per problem a cold solve, a crash solve from a random hint and a
-//    three-step warm chain, folded into one digest line.
+//    per problem one solver runs a cold solve, a crash solve from a random
+//    hint and a three-step warm chain, folded into one digest line.
 //
 // On a mismatch the test prints the whole computed table in the form of
 // the expected one.
@@ -224,8 +224,8 @@ std::string route_line(Instance& inst) {
 /// shape route()'s re-solves have) and a cold solve of the last problem.
 void append_chain(const Instance& inst, std::vector<std::string>& lines) {
   RoutingFormulation formulation(inst.topology, inst.requests, inst.params);
-  SimplexState state =
-      crash_state(formulation.problem(), formulation.crash_hint());
+  LpSolver solver(formulation.problem());
+  solver.crash(formulation.crash_hint());
   const auto pin = [&](const char* step, const LpSolution& sol) {
     Digest d;
     add_solution(d, sol);
@@ -235,7 +235,7 @@ void append_chain(const Instance& inst, std::vector<std::string>& lines) {
                                     sol.iterations, sol.dual_iterations,
                                     sol.refactorizations, d.value()}));
   };
-  pin("crash", solve_lp(formulation.problem(), state));
+  pin("crash", solver.solve());
   for (const double scale : {0.7, 0.4}) {
     for (int k = 0; k < formulation.num_requests(); ++k)
       formulation.set_request_limit(
@@ -247,10 +247,9 @@ void append_chain(const Instance& inst, std::vector<std::string>& lines) {
     for (int e = 0; e < inst.topology.num_fibers(); ++e)
       formulation.set_entanglement_capacity(
           e, scale * inst.topology.fiber(e).entanglement_capacity);
-    pin(scale > 0.5 ? "warm1" : "warm2",
-        solve_lp(formulation.problem(), state));
+    pin(scale > 0.5 ? "warm1" : "warm2", solver.solve());
   }
-  pin("cold", solve_lp(formulation.problem()));
+  pin("cold", LpSolver(formulation.problem()).solve());
 }
 
 TEST(LpPin, RouteResultsOnFig6aCellsAndGrids) {
@@ -413,12 +412,13 @@ TEST(LpPin, SolveChainsOnRandomProblems) {
       sum.dual_iterations += sol.dual_iterations;
       sum.refactorizations += sol.refactorizations;
     };
-    add(solve_lp(lp));
-    SimplexState state = crash_state(lp, hint);
-    add(solve_lp(lp, state));
+    LpSolver solver(lp);
+    add(solver.solve());
+    solver.crash(hint);
+    add(solver.solve());
     for (int step = 0; step < 3; ++step) {
       random_lp::perturb(rng, lp);
-      add(solve_lp(lp, state));
+      add(solver.solve());
     }
     const std::string label = "random" + std::to_string(i);
     sum.label = label.c_str();

@@ -465,9 +465,10 @@ TEST(Formulation, CrashHintSpansEveryRequestOnEveryChannel) {
       EXPECT_EQ(placed_a, dual ? placed_b : 0) << "request " << k;
       EXPECT_EQ(cols.count(v.y), 0u);
     }
-    SimplexState state = crash_state(formulation.problem(), hint);
-    const auto crash = solve_lp(formulation.problem(), state);
-    const auto slack = solve_lp(formulation.problem());
+    LpSolver solver(formulation.problem());
+    solver.crash(hint);
+    const auto crash = solver.solve();
+    const auto slack = LpSolver(formulation.problem()).solve();
     ASSERT_EQ(crash.status, LpStatus::Optimal);
     ASSERT_EQ(slack.status, LpStatus::Optimal);
     EXPECT_TRUE(crash.crash_started);
@@ -532,7 +533,7 @@ TEST(Formulation, LpSolutionRespectsYBounds) {
   const auto topo = netsim::make_random_topology(spec_for_tests(), rng);
   const auto requests = netsim::random_requests(topo, 4, 3, rng);
   const RoutingFormulation formulation(topo, requests, params_for_tests());
-  const auto sol = solve_lp(formulation.problem());
+  const auto sol = LpSolver(formulation.problem()).solve();
   ASSERT_EQ(sol.status, LpStatus::Optimal);
   for (int k = 0; k < formulation.num_requests(); ++k) {
     const double y =
@@ -629,7 +630,7 @@ TEST(Formulation, LpFlowsSatisfyConservationAndCoupling) {
   const auto requests = netsim::random_requests(topo, 4, 3, rng);
   const auto params = params_for_tests();
   const RoutingFormulation formulation(topo, requests, params);
-  const auto sol = solve_lp(formulation.problem());
+  const auto sol = LpSolver(formulation.problem()).solve();
   ASSERT_EQ(sol.status, LpStatus::Optimal);
 
   auto flow_sum = [&](const std::vector<int>& vars, auto keep) {

@@ -17,7 +17,7 @@ namespace surfnet::routing {
 namespace {
 
 void expect_equivalent(const LpProblem& lp, const std::string& label) {
-  const LpSolution sparse = solve_lp(lp);
+  const LpSolution sparse = LpSolver(lp).solve();
   const LpSolution dense = solve_lp_dense(lp);
   ASSERT_EQ(sparse.status, dense.status) << label;
   if (sparse.status != LpStatus::Optimal) return;
@@ -106,7 +106,7 @@ TEST(SimplexEquivalence, RandomProblemsWithNegativeCoefficients) {
         }
       if (terms == 0) lp.add_term(0, 1.0);
     }
-    const LpSolution sparse = solve_lp(lp);
+    const LpSolution sparse = LpSolver(lp).solve();
     if (sparse.status == LpStatus::Optimal) ++optimal;
     expect_equivalent(lp, "trial " + std::to_string(trial));
   }
