@@ -92,8 +92,8 @@ class RoutingFormulation {
 
   /// Warm re-solve support: tighten request k's schedulable codes or a
   /// shared capacity to its residual amount. Only bounds and right-hand
-  /// sides change, so the problem keeps its shape and a SimplexState from
-  /// the previous solve remains valid.
+  /// sides change, so the problem keeps its shape and the LpSolver that
+  /// solved it re-solves from the basis it kept.
   void set_request_limit(int k, double codes) {
     SURFNET_EXPECTS(k >= 0 && static_cast<std::size_t>(k) < vars_.size());
     lp_.set_upper_bound(vars_[static_cast<std::size_t>(k)].y, codes);
@@ -115,7 +115,7 @@ class RoutingFormulation {
     return entanglement_row_[static_cast<std::size_t>(fiber)];
   }
 
-  /// Crash-start hint for the first solve (simplex.h crash_state): the
+  /// Crash-start hint for the first solve (LpSolver::crash): the
   /// (column, row) pairs of one spanning flow tree per request. Per
   /// request, a Dijkstra from the source over the arcs that have variables,
   /// with fiber noise — the arc cost of the secondary objective — as the

@@ -200,50 +200,4 @@ void check_reroute_invariants(const netsim::Topology& topology,
                  path.back(), barriers.back());
 }
 
-void check_simplex_state_invariants(const LpProblem& problem,
-                                    const SimplexState& state) {
-  const int rows = problem.num_rows();
-  int slack = 0, artificial = 0;
-  for (int r = 0; r < rows; ++r) {
-    if (problem.row_type(r) == ConstraintType::Equal)
-      ++artificial;
-    else
-      ++slack;
-  }
-  const int cols = problem.num_vars() + slack + artificial;
-
-  SURFNET_ASSERT(state.num_rows == rows && state.num_cols == cols,
-                 "state shape %dx%d, problem needs %dx%d", state.num_rows,
-                 state.num_cols, rows, cols);
-  SURFNET_ASSERT(static_cast<int>(state.basis.size()) == rows,
-                 "basis holds %zu columns for %d rows", state.basis.size(),
-                 rows);
-  SURFNET_ASSERT(static_cast<int>(state.at_upper.size()) == cols,
-                 "at_upper covers %zu of %d columns", state.at_upper.size(),
-                 cols);
-
-  std::vector<char> basic(static_cast<std::size_t>(cols), 0);
-  for (const std::int32_t j : state.basis) {
-    SURFNET_ASSERT(j >= 0 && j < cols, "basic column %d outside [0, %d)", j,
-                   cols);
-    SURFNET_ASSERT(!basic[static_cast<std::size_t>(j)],
-                   "column %d basic in two rows", j);
-    basic[static_cast<std::size_t>(j)] = 1;
-  }
-  for (int j = 0; j < cols; ++j) {
-    if (!state.at_upper[static_cast<std::size_t>(j)]) continue;
-    SURFNET_ASSERT(!basic[static_cast<std::size_t>(j)],
-                   "basic column %d flagged nonbasic-at-upper", j);
-    // Structural columns at-upper need a finite positive bound to rest on.
-    // Auxiliary columns may carry the flag too: an artificial fixed at zero
-    // that leaves the basis at its (zero) upper bound is recorded at-upper,
-    // and warm-start restore treats it as at-lower since both coincide.
-    if (j < problem.num_vars()) {
-      const double ub = problem.upper_bound(j);
-      SURFNET_ASSERT(std::isfinite(ub) && ub > 0.0,
-                     "column %d at-upper with bound %g", j, ub);
-    }
-  }
-}
-
 }  // namespace surfnet::routing

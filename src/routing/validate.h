@@ -3,9 +3,9 @@
 // Debug invariant validators for the routing layer. route() and
 // route_greedy() validate their schedules against the integer program's
 // constraints (paper Eqs. (1)-(6)) before returning when SURFNET_CHECKS is
-// on; every LpSolver solve validates the basis snapshot it hands back.
+// on. (The LP solver checks the basis it keeps itself, in simplex.cpp.)
 // Tests call the validators directly against deliberately corrupted
-// schedules and bases to prove each check fires. A broken invariant
+// schedules to prove each check fires. A broken invariant
 // reports through util/contracts.h (abort by default, ContractViolation
 // under the test handler).
 
@@ -14,7 +14,6 @@
 #include "netsim/schedule.h"
 #include "netsim/topology.h"
 #include "routing/formulation.h"
-#include "routing/simplex.h"
 
 namespace surfnet::routing {
 
@@ -46,13 +45,5 @@ void check_schedule_invariants(const netsim::Topology& topology,
 void check_reroute_invariants(const netsim::Topology& topology,
                               const std::vector<int>& path, int pos,
                               const std::vector<int>& barriers);
-
-/// Validate a simplex basis snapshot against its problem: the shape
-/// matches the problem's internal column layout (structural + slack +
-/// artificial), the basis holds one distinct in-range column per row, and
-/// at-upper flags only sit on nonbasic columns (structural ones must have
-/// a finite positive bound to rest on).
-void check_simplex_state_invariants(const LpProblem& problem,
-                                    const SimplexState& state);
 
 }  // namespace surfnet::routing

@@ -1,7 +1,6 @@
-// Corruption tests for the routing validators: produce a healthy schedule
-// and a healthy simplex basis snapshot, break one invariant at a time, and
-// confirm the matching check fires. Skipped when the build compiles
-// contracts out.
+// Corruption tests for the routing validators: produce a healthy
+// schedule, break one invariant at a time, and confirm the matching check
+// fires. Skipped when the build compiles contracts out.
 
 #include "routing/validate.h"
 
@@ -229,57 +228,6 @@ TEST(ScheduleValidator, RejectsMoreEcServersThanNoiseAllows) {
       << "fixture schedule has no EC server";
   fix.params.ec_reduction = 1e9;
   EXPECT_TRUE(violation_names(fix, "EC servers, noise"));
-}
-
-struct SimplexStateFixture {
-  SimplexStateFixture() : fix(), formulation(fix.topology, fix.requests,
-                                             fix.params) {
-    solution = solve_lp(formulation.problem(), state);
-  }
-
-  ScheduleFixture fix;
-  RoutingFormulation formulation;
-  SimplexState state;
-  LpSolution solution;
-};
-
-TEST(SimplexStateValidator, AcceptsHealthySnapshot) {
-  SimplexStateFixture sf;
-  ASSERT_TRUE(sf.state.valid());
-  ScopedContractHandler scoped(throw_contract_violation);
-  EXPECT_NO_THROW(
-      check_simplex_state_invariants(sf.formulation.problem(), sf.state));
-}
-
-TEST(SimplexStateValidator, RejectsDuplicateBasicColumn) {
-  SimplexStateFixture sf;
-  ASSERT_TRUE(sf.state.valid());
-  ASSERT_GE(sf.state.basis.size(), 2u);
-  sf.state.basis[0] = sf.state.basis[1];
-  ScopedContractHandler scoped(throw_contract_violation);
-  EXPECT_THROW(
-      check_simplex_state_invariants(sf.formulation.problem(), sf.state),
-      ContractViolation);
-}
-
-TEST(SimplexStateValidator, RejectsBasicColumnFlaggedAtUpper) {
-  SimplexStateFixture sf;
-  ASSERT_TRUE(sf.state.valid());
-  sf.state.at_upper[static_cast<std::size_t>(sf.state.basis[0])] = 1;
-  ScopedContractHandler scoped(throw_contract_violation);
-  EXPECT_THROW(
-      check_simplex_state_invariants(sf.formulation.problem(), sf.state),
-      ContractViolation);
-}
-
-TEST(SimplexStateValidator, RejectsShapeMismatch) {
-  SimplexStateFixture sf;
-  ASSERT_TRUE(sf.state.valid());
-  sf.state.num_rows += 1;
-  ScopedContractHandler scoped(throw_contract_violation);
-  EXPECT_THROW(
-      check_simplex_state_invariants(sf.formulation.problem(), sf.state),
-      ContractViolation);
 }
 
 #else  // !SURFNET_CHECKS
