@@ -98,11 +98,12 @@ class MetricsRegistry {
 };
 
 /// RAII wall-clock timer scoped to a block; freely nestable (each scope
-/// accumulates into its own name). A null registry makes it a no-op.
+/// accumulates into its own name). A null registry makes it a no-op that
+/// allocates nothing. `name` must outlive the timer, as a literal does.
 class ScopedTimer {
  public:
-  ScopedTimer(MetricsRegistry* registry, std::string name)
-      : registry_(registry), name_(std::move(name)) {
+  ScopedTimer(MetricsRegistry* registry, const char* name)
+      : registry_(registry), name_(name) {
     if (registry_) start_ = std::chrono::steady_clock::now();
   }
   ~ScopedTimer() {
@@ -117,7 +118,7 @@ class ScopedTimer {
 
  private:
   MetricsRegistry* registry_;
-  std::string name_;
+  const char* name_;
   std::chrono::steady_clock::time_point start_{};
 };
 

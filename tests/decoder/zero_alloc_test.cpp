@@ -2,10 +2,10 @@
 // sample → decode → evaluate pipeline performs ZERO heap allocations per
 // trial, and the network simulator's per-correction decode (rates into the
 // run's noise profile, sample, decode both graphs, evaluate) performs none
-// per correction. Global operator new/delete are overridden with a
-// counting shim; the counter is armed only after a warm-up pass over the
-// SAME counter-seeded sequence, so the replay places identical demands on
-// every buffer.
+// per correction, and an obs::ScopedTimer with no registry performs none.
+// Global operator new/delete are overridden with a counting shim; the
+// counter is armed only after a warm-up pass over the SAME counter-seeded
+// sequence, so the replay places identical demands on every buffer.
 //
 // This test lives in its own binary: the replacement operators are global
 // and would skew allocation behaviour of unrelated tests.
@@ -23,6 +23,7 @@
 #include "decoder/trial_runner.h"
 #include "decoder/union_find.h"
 #include "netsim/sim_internal.h"
+#include "obs/metrics.h"
 #include "qec/core_support.h"
 #include "qec/lattice.h"
 
@@ -169,6 +170,17 @@ TEST(ZeroAlloc, UnionFindPerCorrection) {
 
 TEST(ZeroAlloc, SurfNetDecoderPerCorrection) {
   expect_zero_allocations_per_correction(SurfNetDecoder());
+}
+
+TEST(ZeroAlloc, ScopedTimerWithoutRegistry) {
+  // LpSolver::solve opens a "lp.solve_seconds" timer on every solve, sink
+  // or not. The name is 16 characters, one more than a std::string holds
+  // without a heap buffer, so a timer that copied it allocated each time.
+  g_allocations.store(0);
+  g_armed.store(true);
+  { const obs::ScopedTimer timer(nullptr, "lp.solve_seconds"); }
+  g_armed.store(false);
+  EXPECT_EQ(g_allocations.load(), 0);
 }
 
 TEST(ZeroAlloc, CountingShimIsLive) {
