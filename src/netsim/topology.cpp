@@ -10,12 +10,18 @@ namespace surfnet::netsim {
 
 Topology::Topology(std::vector<Node> nodes, std::vector<Fiber> fibers)
     : nodes_(std::move(nodes)), fibers_(std::move(fibers)) {
+  for (const auto& n : nodes_)
+    if (n.storage_capacity < 0)
+      throw std::invalid_argument("node storage capacity negative");
   for (const auto& f : fibers_) {
     if (f.a < 0 || f.b < 0 || f.a >= num_nodes() || f.b >= num_nodes())
       throw std::invalid_argument("fiber endpoint out of range");
     if (f.a == f.b) throw std::invalid_argument("self-loop fiber");
-    if (f.fidelity < 0.0 || f.fidelity > 1.0)
+    // Every comparison with NaN is false, so NaN fails here too.
+    if (!(f.fidelity >= 0.0 && f.fidelity <= 1.0))
       throw std::invalid_argument("fiber fidelity outside [0, 1]");
+    if (f.entanglement_capacity < 0)
+      throw std::invalid_argument("fiber entanglement capacity negative");
   }
   build_index();
 }
@@ -98,9 +104,14 @@ bool Topology::connected() const {
   return count == num_nodes();
 }
 
-Topology make_random_topology(const TopologySpec& spec, util::Rng& rng) {
-  const auto require = [](bool ok, const char* what) {
-    if (!ok) throw std::invalid_argument(std::string("TopologySpec: ") + what);
+namespace {
+
+/// The fidelity and capacity fields TopologySpec and GridSpec share: throws
+/// std::invalid_argument naming `spec_name` and the first bad field.
+template <typename Spec>
+void check_link_fields(const char* spec_name, const Spec& spec) {
+  const auto require = [spec_name](bool ok, const char* what) {
+    if (!ok) throw std::invalid_argument(std::string(spec_name) + ": " + what);
   };
   // Every comparison with NaN is false, so NaN fails the fidelity checks.
   require(spec.fidelity_lo >= 0.0 && spec.fidelity_lo <= 1.0,
@@ -112,6 +123,12 @@ Topology make_random_topology(const TopologySpec& spec, util::Rng& rng) {
   require(spec.storage_capacity >= 0, "storage_capacity must be >= 0");
   require(spec.entanglement_capacity >= 0,
           "entanglement_capacity must be >= 0");
+}
+
+}  // namespace
+
+Topology make_random_topology(const TopologySpec& spec, util::Rng& rng) {
+  check_link_fields("TopologySpec", spec);
   if (spec.num_nodes < 3)
     throw std::invalid_argument("topology needs at least 3 nodes");
   const int m = std::max(1, spec.attach_edges);
@@ -192,6 +209,7 @@ Topology make_random_topology(const TopologySpec& spec, util::Rng& rng) {
 }
 
 Topology make_grid_topology(const GridSpec& spec, util::Rng& rng) {
+  check_link_fields("GridSpec", spec);
   if (spec.width < 3 || spec.height < 3)
     throw std::invalid_argument("grid topology: need width, height >= 3");
   if (spec.server_stride < 1)

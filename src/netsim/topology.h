@@ -31,6 +31,9 @@ struct Fiber {
 class Topology {
  public:
   Topology() = default;
+  /// Throws std::invalid_argument on a fiber endpoint out of range, a
+  /// self-loop, a fidelity outside [0, 1] (NaN included), or a negative
+  /// storage or entanglement capacity.
   Topology(std::vector<Node> nodes, std::vector<Fiber> fibers);
 
   int num_nodes() const { return static_cast<int>(nodes_.size()); }
@@ -112,6 +115,9 @@ struct GridSpec {
 };
 
 /// Deterministic-shape grid topology; only fidelities draw from `rng`.
+/// Throws std::invalid_argument on width or height below 3, a
+/// server_stride below 1, or (naming the GridSpec field) the fidelity and
+/// capacity ranges make_random_topology requires.
 Topology make_grid_topology(const GridSpec& spec, util::Rng& rng);
 
 }  // namespace surfnet::netsim

@@ -49,6 +49,23 @@ TEST(Topology, RejectsBadFibers) {
   EXPECT_THROW(Topology(nodes, {{0, 1, 1.5, 1}}), std::invalid_argument);
 }
 
+TEST(Topology, RejectsNanFiberFidelity) {
+  // NaN passed the [0, 1] check, and every route over the fiber was NaN.
+  std::vector<Node> nodes(2);
+  EXPECT_THROW(Topology(nodes, {{0, 1, std::nan(""), 1}}),
+               std::invalid_argument);
+}
+
+TEST(Topology, RejectsNegativeCapacities) {
+  std::vector<Node> nodes(2);
+  nodes[1].role = NodeRole::Switch;
+  nodes[1].storage_capacity = -1;
+  EXPECT_THROW(Topology(nodes, {{0, 1, 0.9, 1}}), std::invalid_argument);
+  nodes[1].storage_capacity = 0;
+  EXPECT_THROW(Topology(nodes, {{0, 1, 0.9, -1}}), std::invalid_argument);
+  EXPECT_NO_THROW(Topology(nodes, {{0, 1, 0.9, 0}}));
+}
+
 TEST(Topology, DisconnectedGraphDetected) {
   std::vector<Node> nodes(4);
   const Topology topo(std::move(nodes), {{0, 1, 0.9, 1}, {2, 3, 0.9, 1}});
@@ -129,11 +146,19 @@ TEST(RandomTopology, RejectsImpossibleSpecs) {
   EXPECT_THROW(make_random_topology(spec, rng), std::invalid_argument);
 }
 
-/// make_random_topology rejects `spec` with an error naming `field`.
-void expect_spec_rejected(const TopologySpec& spec, const std::string& field) {
+Topology make(const TopologySpec& spec, util::Rng& rng) {
+  return make_random_topology(spec, rng);
+}
+Topology make(const GridSpec& spec, util::Rng& rng) {
+  return make_grid_topology(spec, rng);
+}
+
+/// The spec's builder rejects `spec` with an error naming `field`.
+template <typename Spec>
+void expect_spec_rejected(const Spec& spec, const std::string& field) {
   util::Rng rng(11);
   try {
-    make_random_topology(spec, rng);
+    make(spec, rng);
     ADD_FAILURE() << field << ": accepted";
   } catch (const std::invalid_argument& err) {
     EXPECT_NE(std::string(err.what()).find(field), std::string::npos)
@@ -239,6 +264,38 @@ TEST(GridTopology, RejectsDegenerateGrids) {
   spec.width = 4;
   spec.server_stride = 0;
   EXPECT_THROW(make_grid_topology(spec, rng), std::invalid_argument);
+}
+
+TEST(GridTopology, RejectsFidelityOutsideUnitInterval) {
+  // A NaN fidelity_lo built NaN fibers, and route() on them scheduled 0
+  // codes without an error.
+  for (const double bad : {std::nan(""), -0.1, 1.5}) {
+    GridSpec spec;
+    spec.fidelity_lo = bad;
+    expect_spec_rejected(spec, "GridSpec: fidelity_lo");
+    spec = GridSpec{};
+    spec.fidelity_hi = bad;
+    expect_spec_rejected(spec, "GridSpec: fidelity_hi");
+  }
+  GridSpec crossed;
+  crossed.fidelity_lo = 0.95;
+  crossed.fidelity_hi = 0.9;
+  expect_spec_rejected(crossed, "fidelity_lo must be <= fidelity_hi");
+}
+
+TEST(GridTopology, RejectsNegativeCapacities) {
+  // A negative entanglement_capacity scheduled 0 codes without an error.
+  GridSpec spec;
+  spec.storage_capacity = -1;
+  expect_spec_rejected(spec, "GridSpec: storage_capacity");
+  spec = GridSpec{};
+  spec.entanglement_capacity = -5;
+  expect_spec_rejected(spec, "GridSpec: entanglement_capacity");
+  spec = GridSpec{};
+  spec.storage_capacity = 0;
+  spec.entanglement_capacity = 0;
+  util::Rng rng(12);
+  EXPECT_NO_THROW(make_grid_topology(spec, rng));
 }
 
 }  // namespace
