@@ -228,26 +228,4 @@ netsim::TrafficResult run_traffic_trial(const TrafficScenario& scenario,
   return netsim::run_traffic(topology, provider, workload, rng);
 }
 
-AggregateTraffic run_trials(const TrafficScenario& scenario, int trials,
-                            const RunOptions& options) {
-  std::vector<netsim::TrafficResult> results(
-      static_cast<std::size_t>(std::max(trials, 0)));
-  run_in_trial_order(
-      trials, options,
-      [&](std::size_t t, std::uint64_t seed, const obs::Sink& sink) {
-        results[t] = run_traffic_trial(scenario, seed, sink);
-      });
-  AggregateTraffic aggregate;
-  for (const auto& r : results) {
-    aggregate.admitted_per_slot.add(r.admitted_per_slot());
-    if (r.measured_arrivals > 0)
-      aggregate.blocking_probability.add(r.blocking_probability());
-    if (r.latency_count > 0) {
-      aggregate.p50_latency.add(r.latency_percentile(0.50));
-      aggregate.p99_latency.add(r.latency_percentile(0.99));
-    }
-  }
-  return aggregate;
-}
-
 }  // namespace surfnet::core

@@ -17,11 +17,11 @@
 // with a sink attached, the exported metrics and the event trace — are
 // bitwise-identical for any thread count.
 //
-// Dynamic traffic: TrafficScenario + run_traffic_trial / run_trials run
-// an open-loop arrival/departure stream (netsim/workload.h) against the
-// greedy-only incremental router (routing/incremental.h) instead of a
-// fixed request batch, with the same seed-derivation and trial-ordered
-// merge discipline.
+// Dynamic traffic: TrafficScenario + run_traffic_trial run one open-loop
+// arrival/departure stream (netsim/workload.h) against the greedy-only
+// incremental router (routing/incremental.h) instead of a fixed request
+// batch; several streams fan out through run_in_trial_order with the same
+// seed-derivation and trial-ordered merge discipline.
 
 #include <cstddef>
 #include <cstdint>
@@ -137,20 +137,5 @@ TrafficScenario make_traffic_scenario(FacilityLevel level,
 netsim::TrafficResult run_traffic_trial(const TrafficScenario& scenario,
                                         std::uint64_t seed,
                                         const obs::Sink& sink = {});
-
-struct AggregateTraffic {
-  util::RunningStat admitted_per_slot;
-  util::RunningStat blocking_probability;
-  util::RunningStat p50_latency;
-  util::RunningStat p99_latency;
-};
-
-/// Traffic batch runner with the ScenarioParams overload's determinism
-/// contract: per-trial seeds derive from options.seed alone and per-trial
-/// observability buffers are merged in trial order, so the aggregate, the
-/// metrics document and the trace are identical for every options.threads
-/// value.
-AggregateTraffic run_trials(const TrafficScenario& scenario, int trials,
-                            const RunOptions& options = {});
 
 }  // namespace surfnet::core

@@ -20,7 +20,8 @@
 // inverse transform when an arrival is processed, never per-slot
 // Bernoulli draws — so empty slots are draw-free and skipped, a
 // (seed, params) pair replays bitwise, and the per-trial buffering of
-// core::run_trials makes multi-trial traffic runs thread-count invariant.
+// core::run_in_trial_order makes multi-trial traffic runs thread-count
+// invariant.
 //
 // The routing side of the stream is abstract: netsim knows only the
 // RouteProvider interface; routing::IncrementalRouter implements it with

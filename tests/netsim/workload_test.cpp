@@ -2,8 +2,8 @@
 //
 // The determinism contract under test: a (seed, params) traffic stream
 // replays bitwise from the same seed, across 1 and 8 worker threads
-// (through core::run_trials' trial-ordered merge), with or without a
-// sink, and against a committed golden trace. Admission-control semantics
+// (through core::run_in_trial_order's trial-ordered merge), with or
+// without a sink, and against a committed golden trace. Admission-control semantics
 // (load cap, fidelity floor, deadline, warmup cutoff) are pinned with a
 // scripted provider so they do not depend on the live router.
 //
@@ -26,6 +26,7 @@
 #include "obs/trace.h"
 #include "routing/incremental.h"
 #include "util/rng.h"
+#include "util/stats.h"
 
 namespace surfnet::netsim {
 namespace {
@@ -297,20 +298,37 @@ struct BatchRun {
   double p99_latency = 0.0;
 };
 
-BatchRun run_batch(int threads, bool observed = true) {
+/// Six traffic trials of `scenario` through core::run_in_trial_order.
+BatchRun run_batch(const core::TrafficScenario& scenario, int threads,
+                   bool observed = true) {
   obs::TraceBuffer trace;
   obs::MetricsRegistry metrics;
   core::RunOptions options;
   options.threads = threads;
   if (observed) options.sink = obs::Sink{&metrics, &trace};
-  const auto aggregate = core::run_trials(small_scenario(), 6, options);
+  std::vector<TrafficResult> results(6);
+  core::run_in_trial_order(
+      6, options,
+      [&](std::size_t t, std::uint64_t seed, const obs::Sink& sink) {
+        results[t] = core::run_traffic_trial(scenario, seed, sink);
+      });
+  util::RunningStat admitted, blocking, p99;
+  for (const auto& r : results) {
+    admitted.add(r.admitted_per_slot());
+    if (r.measured_arrivals > 0) blocking.add(r.blocking_probability());
+    if (r.latency_count > 0) p99.add(r.latency_percentile(0.99));
+  }
   BatchRun run;
   run.trace = jsonl_of(trace);
   run.metrics = without_timers(metrics);
-  run.admitted_per_slot = aggregate.admitted_per_slot.mean();
-  run.blocking = aggregate.blocking_probability.mean();
-  run.p99_latency = aggregate.p99_latency.mean();
+  run.admitted_per_slot = admitted.mean();
+  run.blocking = blocking.mean();
+  run.p99_latency = p99.mean();
   return run;
+}
+
+BatchRun run_batch(int threads, bool observed = true) {
+  return run_batch(small_scenario(), threads, observed);
 }
 
 TEST(Workload, TrafficTrialsAreThreadCountInvariant) {
@@ -479,26 +497,14 @@ TEST(Workload, GoldenAdaptiveTrafficTrace) {
 TEST(Workload, AdaptiveTrafficIsThreadCountInvariant) {
   // The degradation window is a pure function of the event slot, so the
   // adaptive stream stays bitwise identical across worker counts through
-  // core::run_trials' trial-ordered merge.
-  const auto run_adaptive_batch = [](int threads) {
-    obs::TraceBuffer trace;
-    obs::MetricsRegistry metrics;
-    core::RunOptions options;
-    options.threads = threads;
-    options.sink = obs::Sink{&metrics, &trace};
-    auto scenario = small_scenario();
-    scenario.routing.adaptive_code_distance = true;
-    scenario.workload.degrade_from_slot = 100;
-    scenario.workload.degrade_until_slot = 200;
-    scenario.workload.degrade_noise_scale = 1.5;
-    core::run_trials(scenario, 6, options);
-    BatchRun run;
-    run.trace = jsonl_of(trace);
-    run.metrics = without_timers(metrics);
-    return run;
-  };
-  const auto one = run_adaptive_batch(1);
-  const auto eight = run_adaptive_batch(8);
+  // core::run_in_trial_order's trial-ordered merge.
+  auto scenario = small_scenario();
+  scenario.routing.adaptive_code_distance = true;
+  scenario.workload.degrade_from_slot = 100;
+  scenario.workload.degrade_until_slot = 200;
+  scenario.workload.degrade_noise_scale = 1.5;
+  const auto one = run_batch(scenario, 1);
+  const auto eight = run_batch(scenario, 8);
   EXPECT_EQ(one.trace, eight.trace);
   EXPECT_EQ(one.metrics, eight.metrics);
   EXPECT_FALSE(one.trace.empty());
