@@ -14,9 +14,10 @@
 //                       the layer root has a cycle
 //   rng-ownership       a function that borrows an Rng& also constructs a
 //                       local engine or forks a second stream; in the
-//                       event/workload engines, a draw whose execution is
-//                       conditional (if/&&/||/?: with no matching
-//                       else-draw) is a draw-order hazard
+//                       event/workload engines and the slot loop
+//                       (simulator.cpp, sim_internal.h), a draw whose
+//                       execution is conditional (if/&&/||/?: with no
+//                       matching else-draw) is a draw-order hazard
 //   unordered-state     iteration over a std::unordered_* container
 //                       declared anywhere in the file (member or local)
 //   trace-schema        trace-event kinds/keys emitted by src/obs/trace.cpp

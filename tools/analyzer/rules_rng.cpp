@@ -146,9 +146,12 @@ bool short_circuit_guarded(const std::vector<Token>& toks, std::size_t draw,
   return false;
 }
 
+/// The engines whose draw order the draw-count check guards: the traffic
+/// engine and the slot loop every design runs on.
 bool event_core_file(const std::string& rel) {
   return rel.rfind("src/netsim/event", 0) == 0 ||
-         rel.rfind("src/netsim/workload", 0) == 0;
+         rel.rfind("src/netsim/workload", 0) == 0 ||
+         rel == "src/netsim/simulator.cpp" || rel == "src/netsim/sim_internal.h";
 }
 
 }  // namespace
@@ -206,9 +209,9 @@ void rule_rng(const AnalyzerContext& ctx, std::vector<Finding>& out) {
         }
       }
 
-      // (c) Draw-order hazards in the event/workload engines: a draw that
-      // executes only on some control paths shifts the shared RNG stream
-      // between engine implementations.
+      // (c) Draw-order hazards in the event/workload engines and the slot
+      // loop: a draw that executes only on some control paths shifts the
+      // shared RNG stream between engine implementations.
       if (!event_core_file(f.rel_path)) continue;
       const std::vector<std::size_t> draws = find_draws(toks, begin, end, rngs);
       if (draws.empty()) continue;
@@ -248,10 +251,10 @@ void rule_rng(const AnalyzerContext& ctx, std::vector<Finding>& out) {
                         ? toks[d + 2].text
                         : "call"),
                "conditional draw " + std::string(how) + " in '" +
-                   fn.qualified + "': the event/workload engines must keep "
-                   "the RNG stream identical across engines and thread "
-                   "counts; hoist the draw or draw in both branches "
-                   "(DESIGN.md §9)"});
+                   fn.qualified + "': the event/workload engines and the "
+                   "slot loop must keep the RNG stream identical across "
+                   "engines and thread counts; hoist the draw or draw in "
+                   "both branches (DESIGN.md §9)"});
         }
       }
     }
