@@ -2,7 +2,10 @@
 // for bit. A change to the solver's kernels that keeps every pivot and
 // every floating-point operation (how the eta file is built or applied,
 // how long a solver lives) must keep these values; a change that moves
-// results on purpose re-records them and says why.
+// results on purpose re-records them and says why. The same file pins the
+// two routers that solve no LP, route_greedy() and route_purification(),
+// so that a change to the capacity bookkeeping or the planner they share
+// with route() shows in their schedules too.
 //
 // Corpus:
 //  * route() on the twelve Fig. 6(a) cells (three facility levels, two
@@ -18,6 +21,10 @@
 //  * the LP property campaign's random problems (tests/routing/random_lp.h):
 //    per problem one solver runs a cold solve, a crash solve from a random
 //    hint and a three-step warm chain, folded into one digest line.
+//  * route_greedy() on the Fig. 6(a) cells at seeds 1-3, with fixed and
+//    adaptive code distances, and route_purification() at N = 1, 2 and 9
+//    on the four Fig. 7 scenarios at seeds 1-3. Pinned: the scheduled
+//    codes, the number of schedule entries and the schedule digest.
 //
 // On a mismatch the test prints the whole computed table in the form of
 // the expected one.
@@ -38,6 +45,8 @@
 #include "core/surfnet.h"
 #include "random_lp.h"
 #include "routing/formulation.h"
+#include "routing/greedy.h"
+#include "routing/purification.h"
 #include "routing/router.h"
 #include "routing/simplex.h"
 #include "util/rng.h"
@@ -475,6 +484,184 @@ TEST(LpPin, SolveChainsOnRandomProblems) {
     {"random45", 341, 6, 0, 5, 0x0870B94B6E4F1045ULL},
     {"random46", 341, 2, 0, 6, 0xDEDA74A1FD750D66ULL},
     {"random47", 682, 10, 0, 5, 0xCB6FC71B77223084ULL},
+  };
+  // clang-format on
+  expect_table(got, format_all(want));
+}
+
+struct SchedulePin {
+  const char* label;
+  int scheduled_codes;
+  int entries;
+  std::uint64_t schedule;
+};
+
+std::string format(const SchedulePin& p) {
+  return "{\"" + std::string(p.label) + "\", " +
+         std::to_string(p.scheduled_codes) + ", " +
+         std::to_string(p.entries) + ", " + hex(p.schedule) + "},";
+}
+
+std::string schedule_line(const std::string& label,
+                          const netsim::Schedule& schedule) {
+  return format(SchedulePin{label.c_str(), schedule.scheduled_codes(),
+                            static_cast<int>(schedule.scheduled.size()),
+                            schedule_digest(schedule)});
+}
+
+TEST(RouterPin, GreedyOnFig6aCells) {
+  std::vector<std::string> got;
+  for (const bool adaptive : {false, true}) {
+    for (Instance& inst : fig6a_corpus({1, 2, 3})) {
+      inst.params.adaptive_code_distance = adaptive;
+      const netsim::Schedule schedule =
+          route_greedy(inst.topology, inst.requests, inst.params, inst.rng);
+      got.push_back(schedule_line(
+          inst.label + (adaptive ? "/adaptive" : "/fixed"), schedule));
+    }
+  }
+  // clang-format off
+  const std::vector<SchedulePin> want = {
+    {"abundant/good/SurfNet/s1/fixed", 8, 6, 0xD6B11606E332236BULL},
+    {"abundant/good/Raw/s1/fixed", 8, 6, 0xFE89A4311C8E8B05ULL},
+    {"abundant/poor/SurfNet/s1/fixed", 8, 6, 0x5244D2D3A7FA342EULL},
+    {"abundant/poor/Raw/s1/fixed", 8, 6, 0xBE0AD3DF70977D69ULL},
+    {"sufficient/good/SurfNet/s1/fixed", 6, 4, 0x6D80A73DC4F7020BULL},
+    {"sufficient/good/Raw/s1/fixed", 7, 4, 0x72A6D5A90DAE806EULL},
+    {"sufficient/poor/SurfNet/s1/fixed", 6, 4, 0x07E061F0A08177E0ULL},
+    {"sufficient/poor/Raw/s1/fixed", 10, 5, 0x57376633AC43D2A2ULL},
+    {"insufficient/good/SurfNet/s1/fixed", 4, 2, 0x2C1EDFC0EC488A2EULL},
+    {"insufficient/good/Raw/s1/fixed", 6, 3, 0x67064870D4ED1F28ULL},
+    {"insufficient/poor/SurfNet/s1/fixed", 6, 3, 0x02F9CB3337046FECULL},
+    {"insufficient/poor/Raw/s1/fixed", 7, 5, 0x824A9293AA637A25ULL},
+    {"abundant/good/SurfNet/s2/fixed", 10, 5, 0x989B99AF479E51C9ULL},
+    {"abundant/good/Raw/s2/fixed", 12, 6, 0x7733F4756A67FDA7ULL},
+    {"abundant/poor/SurfNet/s2/fixed", 10, 5, 0x989B99AF479E51C9ULL},
+    {"abundant/poor/Raw/s2/fixed", 13, 6, 0x34CC55220C2F1DA0ULL},
+    {"sufficient/good/SurfNet/s2/fixed", 5, 3, 0xF7BB7EF86FCC2CF5ULL},
+    {"sufficient/good/Raw/s2/fixed", 7, 3, 0xCBAF11B64E5BC87CULL},
+    {"sufficient/poor/SurfNet/s2/fixed", 5, 3, 0xDA49A7F1545CE9D5ULL},
+    {"sufficient/poor/Raw/s2/fixed", 7, 3, 0x83A9DFBF96B48AFCULL},
+    {"insufficient/good/SurfNet/s2/fixed", 4, 2, 0xEA5D0FDD309A3F72ULL},
+    {"insufficient/good/Raw/s2/fixed", 4, 2, 0x670176A8EFC1193EULL},
+    {"insufficient/poor/SurfNet/s2/fixed", 4, 2, 0xEA5D0FDD309A3F72ULL},
+    {"insufficient/poor/Raw/s2/fixed", 4, 2, 0x670176A8EFC1193EULL},
+    {"abundant/good/SurfNet/s3/fixed", 11, 6, 0x79E51063C143A10EULL},
+    {"abundant/good/Raw/s3/fixed", 11, 6, 0x0CCA7CE25F5CA6FAULL},
+    {"abundant/poor/SurfNet/s3/fixed", 10, 5, 0xEB4803502FA4B88BULL},
+    {"abundant/poor/Raw/s3/fixed", 11, 6, 0x079BF4AB7BF86ABFULL},
+    {"sufficient/good/SurfNet/s3/fixed", 4, 2, 0xFBC35126F9E4EBEBULL},
+    {"sufficient/good/Raw/s3/fixed", 6, 4, 0x5E9CB6EC79BFB4CBULL},
+    {"sufficient/poor/SurfNet/s3/fixed", 5, 3, 0x5D941DA3B900610BULL},
+    {"sufficient/poor/Raw/s3/fixed", 6, 4, 0x7157CF760D1EBD4AULL},
+    {"insufficient/good/SurfNet/s3/fixed", 2, 1, 0x4A77FF987EFB656CULL},
+    {"insufficient/good/Raw/s3/fixed", 3, 2, 0xE8E2A573E2B795A7ULL},
+    {"insufficient/poor/SurfNet/s3/fixed", 2, 1, 0x4A77FF987EFB656CULL},
+    {"insufficient/poor/Raw/s3/fixed", 4, 3, 0x08F27F1B8D956CF6ULL},
+    {"abundant/good/SurfNet/s1/adaptive", 8, 6, 0x8F4772BAA9D6956BULL},
+    {"abundant/good/Raw/s1/adaptive", 8, 6, 0x68B61B103485B245ULL},
+    {"abundant/poor/SurfNet/s1/adaptive", 8, 6, 0x6FB0D2D440DEC50EULL},
+    {"abundant/poor/Raw/s1/adaptive", 8, 6, 0x95A84BBB0F4A8A6FULL},
+    {"sufficient/good/SurfNet/s1/adaptive", 2, 2, 0x33A001BB20FD60A9ULL},
+    {"sufficient/good/Raw/s1/adaptive", 7, 4, 0xFF3ED6B003C10589ULL},
+    {"sufficient/poor/SurfNet/s1/adaptive", 9, 5, 0xA5F42886FF8548E0ULL},
+    {"sufficient/poor/Raw/s1/adaptive", 10, 5, 0x36505FDC8C040D20ULL},
+    {"insufficient/good/SurfNet/s1/adaptive", 3, 2, 0xB96D4FB36C8E0AACULL},
+    {"insufficient/good/Raw/s1/adaptive", 9, 5, 0x58DB4C846D7305E9ULL},
+    {"insufficient/poor/SurfNet/s1/adaptive", 6, 4, 0x98C45AE79A26788DULL},
+    {"insufficient/poor/Raw/s1/adaptive", 5, 5, 0xF94D4E75DC31C1B1ULL},
+    {"abundant/good/SurfNet/s2/adaptive", 12, 5, 0x833991DB74BCC56FULL},
+    {"abundant/good/Raw/s2/adaptive", 13, 6, 0xF221F8AC5140D563ULL},
+    {"abundant/poor/SurfNet/s2/adaptive", 13, 6, 0x7F25E4976D20F2ACULL},
+    {"abundant/poor/Raw/s2/adaptive", 13, 6, 0xCE65282FE433B161ULL},
+    {"sufficient/good/SurfNet/s2/adaptive", 7, 3, 0x8736A5A330548494ULL},
+    {"sufficient/good/Raw/s2/adaptive", 10, 5, 0x9CDCBADBC2AFC5F7ULL},
+    {"sufficient/poor/SurfNet/s2/adaptive", 7, 4, 0x6727B046845063B5ULL},
+    {"sufficient/poor/Raw/s2/adaptive", 8, 4, 0x1A7FA79464F59E0BULL},
+    {"insufficient/good/SurfNet/s2/adaptive", 2, 1, 0xBD0AFEB39F1CCB17ULL},
+    {"insufficient/good/Raw/s2/adaptive", 7, 4, 0xC285B7603F21CCBDULL},
+    {"insufficient/poor/SurfNet/s2/adaptive", 3, 2, 0xB291DBE906EDDFF0ULL},
+    {"insufficient/poor/Raw/s2/adaptive", 4, 3, 0xB4F25BF32BF742C1ULL},
+    {"abundant/good/SurfNet/s3/adaptive", 9, 5, 0xDE629494DE22E3C8ULL},
+    {"abundant/good/Raw/s3/adaptive", 11, 6, 0x5AB0CF156C535F3EULL},
+    {"abundant/poor/SurfNet/s3/adaptive", 9, 4, 0xC886F7C56E2566AFULL},
+    {"abundant/poor/Raw/s3/adaptive", 11, 6, 0x68BA4550646F9538ULL},
+    {"sufficient/good/SurfNet/s3/adaptive", 5, 3, 0x59C58CD0586D9E29ULL},
+    {"sufficient/good/Raw/s3/adaptive", 7, 4, 0x8D7AC65F42D7468FULL},
+    {"sufficient/poor/SurfNet/s3/adaptive", 3, 2, 0xAFD81132189F83AAULL},
+    {"sufficient/poor/Raw/s3/adaptive", 7, 4, 0x2DDAB99AF12DD005ULL},
+    {"insufficient/good/SurfNet/s3/adaptive", 2, 1, 0xCE8CE374533E3CE8ULL},
+    {"insufficient/good/Raw/s3/adaptive", 3, 2, 0x8321BC2F314821A7ULL},
+    {"insufficient/poor/SurfNet/s3/adaptive", 3, 3, 0x26A8540F20692E4EULL},
+    {"insufficient/poor/Raw/s3/adaptive", 2, 2, 0x4F0A4776120CAE64ULL},
+  };
+  // clang-format on
+  expect_table(got, format_all(want));
+}
+
+TEST(RouterPin, PurificationOnFig7Scenarios) {
+  std::vector<std::string> got;
+  for (const std::uint64_t seed : {1, 2, 3})
+    for (const auto level :
+         {core::FacilityLevel::Abundant, core::FacilityLevel::Insufficient})
+      for (const auto quality :
+           {core::ConnectionQuality::Good, core::ConnectionQuality::Poor})
+        for (const int extra_pairs : {1, 2, 9}) {
+          // Built the way core::run_trial builds a Purification N trial.
+          const core::ScenarioParams scenario =
+              core::make_scenario(level, quality);
+          util::Rng rng(seed);
+          const auto topology =
+              netsim::make_random_topology(scenario.topology, rng);
+          const auto requests = netsim::random_requests(
+              topology, scenario.num_requests,
+              scenario.max_codes_per_request, rng);
+          const netsim::Schedule schedule = route_purification(
+              topology, requests, PurificationParams{extra_pairs}, rng);
+          got.push_back(schedule_line(
+              std::string(core::to_string(level)) + "/" +
+                  std::string(core::to_string(quality)) + "/N" +
+                  std::to_string(extra_pairs) + "/s" + std::to_string(seed),
+              schedule));
+        }
+  // clang-format off
+  const std::vector<SchedulePin> want = {
+    {"abundant/good/N1/s1", 8, 6, 0xC7FC0509B658D16EULL},
+    {"abundant/good/N2/s1", 8, 6, 0xC7FC0509B658D16EULL},
+    {"abundant/good/N9/s1", 8, 6, 0xC7FC0509B658D16EULL},
+    {"abundant/poor/N1/s1", 8, 6, 0xD155B95DEABA5A0EULL},
+    {"abundant/poor/N2/s1", 8, 6, 0xD155B95DEABA5A0EULL},
+    {"abundant/poor/N9/s1", 8, 6, 0xD155B95DEABA5A0EULL},
+    {"insufficient/good/N1/s1", 11, 6, 0xEDF31FB3BC3DF28EULL},
+    {"insufficient/good/N2/s1", 11, 6, 0xEDF31FB3BC3DF28EULL},
+    {"insufficient/good/N9/s1", 5, 5, 0x33CD2E68820D970CULL},
+    {"insufficient/poor/N1/s1", 11, 6, 0xEDF31FB3BC3DF28EULL},
+    {"insufficient/poor/N2/s1", 11, 6, 0xEDF31FB3BC3DF28EULL},
+    {"insufficient/poor/N9/s1", 5, 5, 0x33CD2E68820D970CULL},
+    {"abundant/good/N1/s2", 13, 6, 0x083B0488BD6075A8ULL},
+    {"abundant/good/N2/s2", 13, 6, 0x083B0488BD6075A8ULL},
+    {"abundant/good/N9/s2", 13, 6, 0x59FC434AEBABF248ULL},
+    {"abundant/poor/N1/s2", 13, 6, 0x083B0488BD6075A8ULL},
+    {"abundant/poor/N2/s2", 13, 6, 0x083B0488BD6075A8ULL},
+    {"abundant/poor/N9/s2", 13, 6, 0x59FC434AEBABF248ULL},
+    {"insufficient/good/N1/s2", 14, 6, 0x277726FBE6DE52B1ULL},
+    {"insufficient/good/N2/s2", 14, 6, 0xE2B7EECBC77C5875ULL},
+    {"insufficient/good/N9/s2", 6, 6, 0xCDC9963E2BBC3C55ULL},
+    {"insufficient/poor/N1/s2", 14, 6, 0x277726FBE6DE52B1ULL},
+    {"insufficient/poor/N2/s2", 14, 6, 0xE2B7EECBC77C5875ULL},
+    {"insufficient/poor/N9/s2", 6, 6, 0xCDC9963E2BBC3C55ULL},
+    {"abundant/good/N1/s3", 11, 6, 0xD42E403012AF1F4EULL},
+    {"abundant/good/N2/s3", 11, 6, 0xD42E403012AF1F4EULL},
+    {"abundant/good/N9/s3", 11, 6, 0xD42E403012AF1F4EULL},
+    {"abundant/poor/N1/s3", 11, 6, 0xD42E403012AF1F4EULL},
+    {"abundant/poor/N2/s3", 11, 6, 0xD42E403012AF1F4EULL},
+    {"abundant/poor/N9/s3", 11, 6, 0xD42E403012AF1F4EULL},
+    {"insufficient/good/N1/s3", 11, 6, 0xA69AFE7F00DB5B4EULL},
+    {"insufficient/good/N2/s3", 11, 6, 0xA69AFE7F00DB5B4EULL},
+    {"insufficient/good/N9/s3", 5, 5, 0xAFE1F60ED27472A9ULL},
+    {"insufficient/poor/N1/s3", 11, 6, 0xA69AFE7F00DB5B4EULL},
+    {"insufficient/poor/N2/s3", 11, 6, 0xA69AFE7F00DB5B4EULL},
+    {"insufficient/poor/N9/s3", 5, 5, 0xAFE1F60ED27472A9ULL},
   };
   // clang-format on
   expect_table(got, format_all(want));
