@@ -27,6 +27,24 @@ std::vector<Request> random_requests(const Topology& topology, int count,
   return requests;
 }
 
+void Schedule::add_code(int request_index, const std::vector<int>& core_path,
+                        const std::vector<int>& support_path,
+                        const std::vector<int>& ec_servers,
+                        int code_distance) {
+  if (!scheduled.empty()) {
+    ScheduledRequest& last = scheduled.back();
+    if (last.request_index == request_index &&
+        last.code_distance == code_distance && last.core_path == core_path &&
+        last.support_path == support_path && last.ec_servers == ec_servers) {
+      ++last.codes;
+      return;
+    }
+  }
+  scheduled.push_back(ScheduledRequest{request_index, 1, core_path,
+                                       support_path, ec_servers,
+                                       code_distance});
+}
+
 int requested_codes(const std::vector<Request>& requests) {
   int total = 0;
   for (const auto& r : requests) {

@@ -49,6 +49,15 @@ struct Schedule {
   std::vector<ScheduledRequest> scheduled;
   int requested_codes = 0;  ///< sum over all requests of i_k
 
+  /// Schedule one more code of request `request_index`: it joins the last
+  /// entry when that entry is the same request on the same paths, EC
+  /// servers and distance, and starts a new entry otherwise. (The slot
+  /// loop runs one entry's codes one after another, so merging decides
+  /// the order codes launch in.)
+  void add_code(int request_index, const std::vector<int>& core_path,
+                const std::vector<int>& support_path,
+                const std::vector<int>& ec_servers, int code_distance = 0);
+
   int scheduled_codes() const {
     int total = 0;
     for (const auto& s : scheduled) total += s.codes;

@@ -24,6 +24,19 @@ void RoutingParams::validate() const {
   require(total_noise_threshold, "total_noise_threshold");
 }
 
+CodeDemand RoutingParams::demand(int distance) const {
+  const int core = distance > 0 ? core_qubits_for(distance) : core_qubits;
+  const int total = distance > 0 ? total_qubits_for(distance) : total_qubits();
+  if (!dual_channel) return {static_cast<double>(total), 0.0, 0.0};
+  return {static_cast<double>(total - core), static_cast<double>(core),
+          static_cast<double>(core)};
+}
+
+int RoutingParams::max_corrections(double mu) const {
+  return ec_reduction > 0.0 ? static_cast<int>(std::floor(mu / ec_reduction))
+                            : 0;
+}
+
 RoutingFormulation::RoutingFormulation(const Topology& topology,
                                        const std::vector<Request>& requests,
                                        const RoutingParams& params)

@@ -38,6 +38,15 @@ inline constexpr double kRawCapacityBonus = 1.2;
 /// Small enough never to sacrifice a whole code for noise.
 inline constexpr double kNoiseObjectiveWeight = 0.02;
 
+/// One code's Eq. (5) demand on the capacity ledger (CapacityTracker):
+/// storage at every transit node of the paths its two parts travel, and
+/// entangled pairs on every fiber of its Core path.
+struct CodeDemand {
+  double support_storage = 0.0;  ///< per transit node of the Support path
+  double core_storage = 0.0;     ///< per transit node of the Core path
+  double pairs = 0.0;            ///< per fiber of the Core path
+};
+
 struct RoutingParams {
   int core_qubits = 7;      ///< n (distance-4 code, paper example)
   int support_qubits = 18;  ///< m
@@ -62,6 +71,14 @@ struct RoutingParams {
   }
 
   int total_qubits() const { return core_qubits + support_qubits; }
+  /// Eq. (5) demand of one code of `distance` (0 = the configured code):
+  /// its m Support and n Core qubits of storage where each part travels
+  /// and n pairs per Core fiber. The Raw baseline carries all n + m
+  /// qubits on the Support path and takes no pairs.
+  CodeDemand demand(int distance = 0) const;
+  /// Corrections the Eq. (6) lower bound allows on a route of noise `mu`:
+  /// floor(mu / omega), or 0 when omega is 0.
+  int max_corrections(double mu) const;
   /// Throws std::invalid_argument naming the first field outside its
   /// range: ec_reduction, core_noise_threshold and total_noise_threshold
   /// must be finite and >= 0. RoutingFormulation and CapacityTracker call

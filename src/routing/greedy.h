@@ -1,6 +1,13 @@
 #pragma once
 
-// Greedy, capacity-aware scheduling used three ways:
+// The capacity ledger and the greedy planner every router shares. Each
+// router charges a code's Eq. (5) demand (RoutingParams::demand) to one
+// CapacityTracker through feasible/commit/release: the LP rounding and its
+// greedy top-up (routing/router.h), route_greedy below, the online
+// IncrementalRouter and the Purification N baselines, whose messages take
+// a pairs-only demand along min_noise_route.
+//
+// Greedy, capacity-aware scheduling is used three ways:
 //   * as the rounding top-up after the LP relaxation (paper Sec. V-A uses
 //     "a relaxed Linear Programming version with rounding"),
 //   * as the standalone hierarchical scheduler (paper Sec. V-B notes
@@ -32,15 +39,21 @@
 
 namespace surfnet::routing {
 
-/// Mutable remaining-resource view of a topology.
+/// The capacity ledger every router charges: the storage each node and the
+/// entangled pairs each fiber have left (Eq. (5)). A code's Support part
+/// takes demand.support_storage at every transit node of support_path, its
+/// Core part demand.core_storage at every transit node of core_path and
+/// demand.pairs on every fiber of core_path; a code that rides one path
+/// passes it as both, and an empty core_path carries nothing. Paths are
+/// simple src..dst walks, as every router's are.
 class CapacityTracker {
  public:
   /// Throws std::invalid_argument when RoutingParams::validate does.
   CapacityTracker(const netsim::Topology& topology,
                   const RoutingParams& params);
 
-  /// Capacity epoch: every commit, release and commit_split bumps it, so
-  /// equal versions of one tracker mean equal remaining capacities.
+  /// Capacity epoch: every commit and release bumps it, so equal versions
+  /// of one tracker mean equal remaining capacities.
   std::uint64_t version() const { return version_; }
 
   double node_remaining(int node) const {
@@ -54,38 +67,30 @@ class CapacityTracker {
     return fiber_pairs_[static_cast<std::size_t>(fiber)];
   }
 
-  /// Can one more code travel this path? (storage at every intermediate
-  /// node, pairs on every fiber when dual-channel). The overloads with
-  /// explicit demands serve codes of non-default distance.
-  bool path_feasible(const std::vector<int>& path) const;
-  bool path_feasible(const std::vector<int>& path, double node_demand,
-                     double pair_demand) const;
-
-  /// Commit one code's resources along the path.
-  void commit(const std::vector<int>& path);
-  void commit(const std::vector<int>& path, double node_demand,
-              double pair_demand);
-
-  /// Return one code's resources: the exact inverse of the matching
-  /// commit. The dynamic-traffic path calls this when an admitted request
-  /// departs; releasing a path that was never committed corrupts the
-  /// tracker (capacities overflow their configured ceilings).
-  void release(const std::vector<int>& path);
-  void release(const std::vector<int>& path, double node_demand,
-               double pair_demand);
-
-  /// Variants for codes whose Core and Support parts take different routes
-  /// (LP rounding): Core qubits consume storage and pairs along core_path,
-  /// Support qubits consume storage along support_path. core_path may be
-  /// empty (Raw).
-  bool split_feasible(const std::vector<int>& core_path,
-                      const std::vector<int>& support_path) const;
-  void commit_split(const std::vector<int>& core_path,
-                    const std::vector<int>& support_path);
+  /// Would `codes` codes of `demand` fit on these paths? True exactly when
+  /// commit() would leave no capacity negative: a node on both paths
+  /// stores both parts, and a Core hop without a fiber never fits.
+  bool feasible(const std::vector<int>& core_path,
+                const std::vector<int>& support_path,
+                const CodeDemand& demand, int codes = 1) const;
+  /// Take what feasible() checks.
+  void commit(const std::vector<int>& core_path,
+              const std::vector<int>& support_path, const CodeDemand& demand,
+              int codes = 1);
+  /// Return what the matching commit took: its exact inverse. Releasing
+  /// codes that were never committed corrupts the ledger (capacities
+  /// overflow their configured ceilings).
+  void release(const std::vector<int>& core_path,
+               const std::vector<int>& support_path, const CodeDemand& demand,
+               int codes = 1);
 
  private:
+  /// Subtract `codes` codes of `demand` (a negative count adds them).
+  void charge(const std::vector<int>& core_path,
+              const std::vector<int>& support_path, const CodeDemand& demand,
+              double codes);
+
   const netsim::Topology* topology_;
-  RoutingParams params_;
   std::vector<double> node_capacity_;
   std::vector<double> fiber_pairs_;
   std::uint64_t version_ = 0;
@@ -102,12 +107,12 @@ struct PlannedCode {
 
 /// Reusable planner state, following the decoder::DecodeWorkspace idiom:
 /// one topology's fiber noise and server list, plus the minimum-noise
-/// trees grown for one tracker at one version. plan_code rebinds it when
-/// handed a different topology or tracker object, a new tracker version
-/// or different per-code demands; buffers are reused, never assumed
-/// clean. Identity is by address, so call clear() after changing a bound
-/// topology's fidelities in place, and before reusing a workspace with a
-/// new object at a bound object's address.
+/// trees grown for one tracker at one version and one demand. The planner
+/// rebinds it when handed a different topology or tracker object, a new
+/// tracker version or a different demand; buffers are reused, never
+/// assumed clean. Identity is by address, so call clear() after changing a
+/// bound topology's fidelities in place, and before reusing a workspace
+/// with a new object at a bound object's address.
 class PlanWorkspace {
  public:
   /// Forget the bound topology, tracker and every tree.
@@ -117,16 +122,20 @@ class PlanWorkspace {
   friend std::optional<PlannedCode> plan_code(
       const netsim::Topology& topology, const CapacityTracker& tracker,
       const RoutingParams& params, int src, int dst, PlanWorkspace& ws);
+  friend bool min_noise_route(const netsim::Topology& topology,
+                              const CapacityTracker& tracker,
+                              const CodeDemand& demand, int src, int dst,
+                              PlanWorkspace& ws, std::vector<int>& path);
 
-  /// Bind to (topology, tracker, demands of params), dropping what the
-  /// change invalidates.
+  /// Bind to (topology, tracker, demand), dropping what the change
+  /// invalidates.
   void bind(const netsim::Topology& topology, const CapacityTracker& tracker,
-            const RoutingParams& params);
+            const CodeDemand& demand);
   /// Minimum-noise route from root to target under the bound tracker, or
   /// false when target is unreachable. Equals a point-to-point search
-  /// from root to target: transit nodes need storage for one code,
-  /// fibers (dual channel) need pairs for one, and only target may be a
-  /// user or lack storage.
+  /// from root to target: transit nodes need storage for one code (both
+  /// parts), fibers need pairs for one, and only target may be a user or
+  /// lack storage.
   bool route(int root, int target, std::vector<int>& path);
   /// Slot of root's tree in dist_/parent_, grown on first use.
   std::size_t tree(int root);
@@ -137,9 +146,8 @@ class PlanWorkspace {
   const netsim::Topology* topology_ = nullptr;
   const CapacityTracker* tracker_ = nullptr;
   std::uint64_t version_ = 0;
-  double node_demand_ = 0.0;
+  double node_demand_ = 0.0;  ///< both parts of one code of the demand
   double pair_demand_ = 0.0;
-  bool dual_channel_ = false;
   std::vector<double> fiber_noise_;  ///< per fiber of topology_
   std::vector<int> servers_;         ///< topology_->servers()
   std::vector<int> tree_slot_;       ///< per root node; -1 = not grown
@@ -158,10 +166,19 @@ int adaptive_distance(double residual_noise);
 /// bounds: schedules as many EC stops as the noise budget allows and
 /// returns the planned code, or nullopt when the residual noise exceeds
 /// the thresholds. Capacity is NOT checked here — pair with
-/// CapacityTracker::path_feasible.
+/// CapacityTracker::feasible.
 std::optional<PlannedCode> check_path(const netsim::Topology& topology,
                                       const RoutingParams& params,
                                       const std::vector<int>& path);
+
+/// The minimum-noise route from src to dst on which every transit node
+/// has storage and every fiber pairs for one more code of `demand`, into
+/// `path`; false when there is none. plan_code's direct route, without
+/// the noise thresholds.
+bool min_noise_route(const netsim::Topology& topology,
+                     const CapacityTracker& tracker, const CodeDemand& demand,
+                     int src, int dst, PlanWorkspace& ws,
+                     std::vector<int>& path);
 
 /// Find the minimum-noise feasible path for one code of (src, dst), or
 /// nullopt when no path satisfies capacity and the noise thresholds. The

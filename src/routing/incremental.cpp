@@ -21,11 +21,10 @@ std::optional<AdmittedRoute> IncrementalRouter::admit(int src, int dst,
   const auto plan = plan_code(routing_topology(), tracker_, params_, src, dst,
                               workspace_);
   if (!plan) return std::nullopt;
-  const double node_demand = node_demand_for(plan->distance) * codes;
-  const double pair_demand = pair_demand_for(plan->distance) * codes;
-  if (!tracker_.path_feasible(plan->path, node_demand, pair_demand))
+  const CodeDemand demand = params_.demand(plan->distance);
+  if (!tracker_.feasible(plan->path, plan->path, demand, codes))
     return std::nullopt;
-  tracker_.commit(plan->path, node_demand, pair_demand);
+  tracker_.commit(plan->path, plan->path, demand, codes);
   ++stats_.greedy_admits;
   if (params_.sink.metrics)
     params_.sink.metrics->count("route.incremental.greedy");
@@ -40,11 +39,11 @@ std::optional<AdmittedRoute> IncrementalRouter::admit(int src, int dst,
 }
 
 void IncrementalRouter::release(const AdmittedRoute& route) {
-  // Demands keyed by the distance recorded at admit time: the exact
+  // Demand keyed by the distance recorded at admit time: the exact
   // inverse of the matching commit even when the adaptive planner chose a
   // non-default code size or the noise profile changed since.
-  tracker_.release(route.path, node_demand_for(route.distance) * route.codes,
-                   pair_demand_for(route.distance) * route.codes);
+  tracker_.release(route.path, route.path, params_.demand(route.distance),
+                   route.codes);
 }
 
 void IncrementalRouter::set_noise_scale(double scale) {
@@ -69,14 +68,16 @@ void IncrementalRouter::set_noise_scale(double scale) {
 }
 
 double IncrementalRouter::reoptimize() {
+  const CodeDemand demand = params_.demand();
+  const double per_node = demand.support_storage + demand.core_storage;
   double storage = 0.0;
   for (int v = 0; v < topology_->num_nodes(); ++v)
     if (topology_->is_switch_or_server(v))
-      storage += tracker_.node_remaining(v) / params_.total_qubits();
-  if (!params_.dual_channel) return storage;
+      storage += tracker_.node_remaining(v) / per_node;
+  if (demand.pairs == 0.0) return storage;
   double pairs = 0.0;
   for (int e = 0; e < topology_->num_fibers(); ++e)
-    pairs += tracker_.fiber_pairs_remaining(e) / params_.core_qubits;
+    pairs += tracker_.fiber_pairs_remaining(e) / demand.pairs;
   return std::min(storage, pairs);
 }
 

@@ -9,7 +9,7 @@
 //
 // Admission is greedy-only, the paper's per-code hierarchical scheduler
 // (Sec. V-B): admit() runs plan_code over the live CapacityTracker, checks
-// that the plan's codes fit (path_feasible) and commits them. No LP is
+// that the plan's codes fit (feasible) and commits them. No LP is
 // solved on the online path; the LP stays where the paper puts it, in
 // batch planning (Sec. V-A). The router owns one PlanWorkspace, so
 // arrivals that meet an unchanged tracker — every arrival after a blocked
@@ -24,8 +24,7 @@
 // Adaptive code selection. With RoutingParams::adaptive_code_distance the
 // planner picks a distance (3/4/5) per route from its measured residual
 // noise; the router then commits capacity for codes of exactly that
-// distance — total_qubits_for(d) storage per transit node and
-// core_qubits_for(d) pairs per fiber — and records the distance on the
+// distance — RoutingParams::demand(d) — and records the distance on the
 // AdmittedRoute so release() returns exactly what admit() took even if
 // the noise profile changed in between.
 //
@@ -85,16 +84,6 @@ class IncrementalRouter final : public netsim::RouteProvider {
   const netsim::Topology& routing_topology() const {
     return noise_scale_ == 1.0 ? *topology_ : scaled_;
   }
-  /// Per-code demands of a planned distance (0 = configuration default).
-  double node_demand_for(int distance) const {
-    return distance > 0 ? RoutingParams::total_qubits_for(distance)
-                        : params_.total_qubits();
-  }
-  double pair_demand_for(int distance) const {
-    return distance > 0 ? RoutingParams::core_qubits_for(distance)
-                        : params_.core_qubits;
-  }
-
   const netsim::Topology* topology_;
   RoutingParams params_;
   CapacityTracker tracker_;

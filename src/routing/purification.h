@@ -4,8 +4,10 @@
 // (Sec. VI-B): mainstream entanglement-based networks that teleport each
 // message qubit hop by hop and spend N extra entangled pairs per fiber on
 // recurrence purification. Scheduling greedily routes each message along
-// the maximum-fidelity (minimum-noise) path while per-fiber pair budgets
-// last; each message consumes (1 + N) pairs on every fiber it crosses.
+// the maximum-fidelity (minimum-noise) path while the fibers' pairs last:
+// each message charges (1 + N) pairs on every fiber it crosses, and no
+// storage, to the capacity ledger the other routers share
+// (routing/greedy.h), and takes the planner's min_noise_route.
 
 #include "netsim/schedule.h"
 #include "netsim/topology.h"
