@@ -151,7 +151,7 @@ class LogicalErrorTable {
     const decoder::SurfNetDecoder dec;
     util::Rng rng(0x9B5EEDULL + 131 * distance + bucket);
     const double rate = decoder::logical_error_rate(
-        lattice, profile, qec::PauliChannel::IndependentXZ, dec, 400, rng);
+        lattice, profile, dec, 400, rng);
     table_.emplace(key, rate);
     return rate;
   }

@@ -35,8 +35,7 @@ int main(int argc, char** argv) {
   for (const double r : {2.0, 1.0, 2.0 / 3.0, 0.5, 1.0 / 3.0, 0.2, 0.1}) {
     const decoder::SurfNetDecoder decoder(r);
     const auto report = decoder::run_logical_error_trials(
-        lattice, profile, qec::PauliChannel::IndependentXZ, decoder, trials,
-        args.options());
+        lattice, profile, decoder, trials, args.options());
     // Per-decode latency from summed worker busy time; each trial decodes
     // both graphs.
     table.add_row({util::Table::fmt(r, 3),

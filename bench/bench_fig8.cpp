@@ -54,8 +54,7 @@ int main(int argc, char** argv) {
       opts.seed += 1000 * di + pi;
       // Paired: each trial samples once and both decoders decode it.
       const auto reports = decoder::run_paired_logical_error_trials(
-          lattice, profile, qec::PauliChannel::IndependentXZ, decoders,
-          trials, opts);
+          lattice, profile, decoders, trials, opts);
       for (std::size_t dec = 0; dec < decoders.size(); ++dec)
         rates[dec][di][pi] = reports[dec].error_rate();
     }

@@ -42,8 +42,7 @@ int main(int argc, char** argv) {
     for (const auto* d : decoders) {
       util::Rng rng(7777);  // same error stream for every decoder
       const double ler = decoder::logical_error_rate(
-          lattice, profile, qec::PauliChannel::IndependentXZ, *d, trials,
-          rng);
+          lattice, profile, *d, trials, rng);
       std::printf("%-16.4f", ler);
     }
     std::printf("\n");

@@ -37,8 +37,7 @@ int main(int argc, char** argv) {
   // 3. Sample one error configuration and decode it on both graphs.
   util::Rng rng(2024);
   const decoder::SurfNetDecoder decoder;
-  const auto sample =
-      qec::sample_errors(profile, qec::PauliChannel::IndependentXZ, rng);
+  const auto sample = qec::sample_errors(profile, rng);
   int pauli_errors = 0, erasures = 0;
   for (std::size_t q = 0; q < sample.error.size(); ++q) {
     if (sample.erased[q]) ++erasures;
@@ -51,8 +50,7 @@ int main(int argc, char** argv) {
   std::printf("errors (#=erased, letters=Pauli) and Z-syndromes (*):\n%s\n",
               qec::render_errors(lattice, qec::GraphKind::Z, sample).c_str());
 
-  const auto prior =
-      profile.component_error_prob(qec::PauliChannel::IndependentXZ);
+  const auto prior = profile.component_error_prob();
   const auto outcome =
       decoder::decode_sample(lattice, sample, prior, decoder);
   std::printf("Z-graph (X-type errors): %s\n",
@@ -62,7 +60,7 @@ int main(int argc, char** argv) {
 
   // 4. Monte-Carlo logical error rate at these settings.
   const double ler = decoder::logical_error_rate(
-      lattice, profile, qec::PauliChannel::IndependentXZ, decoder, 2000, rng);
+      lattice, profile, decoder, 2000, rng);
   std::printf("logical error rate over 2000 trials: %.4f\n", ler);
   return 0;
 }

@@ -204,8 +204,7 @@ int run_decode(const Args& args) {
                 "%s\n",
                 args.distance, lattice.num_data_qubits(), partition.num_core,
                 qec::render_core(lattice).c_str());
-    const auto sample =
-        qec::sample_errors(profile, qec::PauliChannel::IndependentXZ, rng);
+    const auto sample = qec::sample_errors(profile, rng);
     std::printf("sampled errors + Z-graph syndromes (*):\n\n%s\n",
                 qec::render_errors(lattice, qec::GraphKind::Z, sample)
                     .c_str());
@@ -213,7 +212,7 @@ int run_decode(const Args& args) {
 
   obs::FileSession session(args.metrics_out, args.trace_out);
   const auto report = decoder::run_logical_error_trials(
-      lattice, profile, qec::PauliChannel::IndependentXZ, *dec, args.trials,
+      lattice, profile, *dec, args.trials,
       {.seed = args.seed, .threads = args.threads, .sink = session.sink()});
   session.finish();
   std::printf("%s decoder, d=%d, pauli=%.3f, erasure=%.3f: logical error "

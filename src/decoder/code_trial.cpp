@@ -58,14 +58,13 @@ CodeTrialResult decode_sample(const qec::CodeLattice& lattice,
 
 double logical_error_rate(const qec::CodeLattice& lattice,
                           const qec::NoiseProfile& profile,
-                          qec::PauliChannel channel, const Decoder& decoder,
-                          int trials, util::Rng& rng) {
+                          const Decoder& decoder, int trials, util::Rng& rng) {
   // The prior depends only on the profile — computed once, not per trial.
-  const auto prior = profile.component_error_prob(channel);
+  const auto prior = profile.component_error_prob();
   CodeTrialWorkspace ws;
   int failures = 0;
   for (int t = 0; t < trials; ++t) {
-    qec::sample_errors(profile, channel, rng, ws.sample);
+    qec::sample_errors(profile, rng, ws.sample);
     if (!decode_sample(lattice, ws.sample, prior, decoder, ws).success())
       ++failures;
   }

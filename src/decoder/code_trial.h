@@ -55,7 +55,6 @@ CodeTrialResult decode_sample(const qec::CodeLattice& lattice,
 /// Monte-Carlo logical error rate over `trials` samples.
 double logical_error_rate(const qec::CodeLattice& lattice,
                           const qec::NoiseProfile& profile,
-                          qec::PauliChannel channel, const Decoder& decoder,
-                          int trials, util::Rng& rng);
+                          const Decoder& decoder, int trials, util::Rng& rng);
 
 }  // namespace surfnet::decoder

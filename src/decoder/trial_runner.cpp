@@ -132,13 +132,12 @@ TrialReport run_trials(std::int64_t trials,
 
 TrialReport run_logical_error_trials(const qec::CodeLattice& lattice,
                                      const qec::NoiseProfile& profile,
-                                     qec::PauliChannel channel,
                                      const Decoder& decoder,
                                      std::int64_t trials,
                                      const RunOptions& options) {
-  return run_logical_error_trials(lattice, profile, channel,
-                                  profile.component_error_prob(channel),
-                                  decoder, trials, options);
+  return run_logical_error_trials(lattice, profile,
+                                  profile.component_error_prob(), decoder,
+                                  trials, options);
 }
 
 namespace {
@@ -147,16 +146,16 @@ namespace {
 /// every decoder decodes it.
 std::vector<TrialReport> run_code_trials(
     const qec::CodeLattice& lattice, const qec::NoiseProfile& profile,
-    qec::PauliChannel channel, const std::vector<double>& prior,
+    const std::vector<double>& prior,
     const std::vector<const Decoder*>& decoders, std::int64_t trials,
     const RunOptions& options) {
   auto make_worker = [&]() -> LaneTrialFn {
     // One workspace per worker thread; shared_ptr because std::function
     // requires a copyable callable. All per-trial buffers live inside.
     auto ws = std::make_shared<CodeTrialWorkspace>();
-    return [&lattice, &profile, channel, &prior, &decoders, ws](
+    return [&lattice, &profile, &prior, &decoders, ws](
                std::int64_t, util::Rng& rng, TrialOutcome* out) {
-      qec::sample_errors(profile, channel, rng, ws->sample);
+      qec::sample_errors(profile, rng, ws->sample);
       for (std::size_t i = 0; i < decoders.size(); ++i)
         out[i] = TrialOutcome::from(
             decode_sample(lattice, ws->sample, prior, *decoders[i], *ws));
@@ -169,23 +168,20 @@ std::vector<TrialReport> run_code_trials(
 
 TrialReport run_logical_error_trials(const qec::CodeLattice& lattice,
                                      const qec::NoiseProfile& profile,
-                                     qec::PauliChannel channel,
                                      const std::vector<double>& prior,
                                      const Decoder& decoder,
                                      std::int64_t trials,
                                      const RunOptions& options) {
-  return run_code_trials(lattice, profile, channel, prior, {&decoder}, trials,
-                         options)
+  return run_code_trials(lattice, profile, prior, {&decoder}, trials, options)
       .front();
 }
 
 std::vector<TrialReport> run_paired_logical_error_trials(
     const qec::CodeLattice& lattice, const qec::NoiseProfile& profile,
-    qec::PauliChannel channel, const std::vector<const Decoder*>& decoders,
-    std::int64_t trials, const RunOptions& options) {
-  return run_code_trials(lattice, profile, channel,
-                         profile.component_error_prob(channel), decoders,
-                         trials, options);
+    const std::vector<const Decoder*>& decoders, std::int64_t trials,
+    const RunOptions& options) {
+  return run_code_trials(lattice, profile, profile.component_error_prob(),
+                         decoders, trials, options);
 }
 
 }  // namespace surfnet::decoder

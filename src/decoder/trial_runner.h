@@ -92,7 +92,6 @@ TrialReport run_trials(std::int64_t trials, const RunOptions& options,
 /// state. The per-qubit prior is computed once up front.
 TrialReport run_logical_error_trials(const qec::CodeLattice& lattice,
                                      const qec::NoiseProfile& profile,
-                                     qec::PauliChannel channel,
                                      const Decoder& decoder,
                                      std::int64_t trials,
                                      const RunOptions& options);
@@ -101,7 +100,6 @@ TrialReport run_logical_error_trials(const qec::CodeLattice& lattice,
 /// decoder instead of the profile's own (e.g. the split-blind ablation).
 TrialReport run_logical_error_trials(const qec::CodeLattice& lattice,
                                      const qec::NoiseProfile& profile,
-                                     qec::PauliChannel channel,
                                      const std::vector<double>& prior,
                                      const Decoder& decoder,
                                      std::int64_t trials,
@@ -114,7 +112,7 @@ TrialReport run_logical_error_trials(const qec::CodeLattice& lattice,
 /// the timings are the paired run's.
 std::vector<TrialReport> run_paired_logical_error_trials(
     const qec::CodeLattice& lattice, const qec::NoiseProfile& profile,
-    qec::PauliChannel channel, const std::vector<const Decoder*>& decoders,
-    std::int64_t trials, const RunOptions& options);
+    const std::vector<const Decoder*>& decoders, std::int64_t trials,
+    const RunOptions& options);
 
 }  // namespace surfnet::decoder

@@ -1,7 +1,10 @@
 #include "netsim/recovery.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <queue>
+
+#include "util/contracts.h"
 
 namespace surfnet::netsim {
 
@@ -30,13 +33,13 @@ RecoveryPolicy RecoveryPolicy::aggressive() {
   return policy;
 }
 
-namespace {
-
 int find_on_path(const std::vector<int>& path, int node, int from) {
   for (std::size_t i = static_cast<std::size_t>(from); i < path.size(); ++i)
     if (path[i] == node) return static_cast<int>(i);
   return -1;
 }
+
+namespace {
 
 /// BFS from `start` to `target` over live fibers, visiting only live
 /// switches/servers (the target itself may additionally be a user).
@@ -107,6 +110,46 @@ bool replan_route(const Topology& topology, const FaultInjector& injector,
   path.resize(static_cast<std::size_t>(pos));
   path.insert(path.end(), fresh.begin(), fresh.end());
   return true;
+}
+
+void check_reroute_invariants(const Topology& topology,
+                              const std::vector<int>& path, int pos,
+                              const std::vector<int>& barriers) {
+  SURFNET_ASSERT(path.size() >= 2, "rerouted path has %zu nodes",
+                 path.size());
+  SURFNET_ASSERT(pos >= 0 && pos < static_cast<int>(path.size()),
+                 "reroute position %d outside path of %zu nodes", pos,
+                 path.size());
+  SURFNET_ASSERT(!barriers.empty(), "rerouted code has no barriers left");
+  for (const int v : path)
+    SURFNET_ASSERT(v >= 0 && v < topology.num_nodes(),
+                   "rerouted path node %d outside [0, %d)", v,
+                   topology.num_nodes());
+  for (std::size_t i = 0; i + 1 < path.size(); ++i)
+    SURFNET_ASSERT(topology.fiber_between(path[i], path[i + 1]) >= 0,
+                   "rerouted path hop %d-%d has no fiber", path[i],
+                   path[i + 1]);
+  // The stretch still ahead of the code uses forwarding hardware only; a
+  // user endpoint may appear solely as the final barrier (Eq. (3)
+  // termination).
+  for (std::size_t i = static_cast<std::size_t>(pos) + 1;
+       i + 1 < path.size(); ++i)
+    SURFNET_ASSERT(topology.is_switch_or_server(path[i]),
+                   "rerouted path routes through user %d", path[i]);
+  // Remaining barriers (EC servers, then the destination) in path order
+  // from the code's current position (Eq. (4) coupling).
+  int cursor = pos;
+  for (const int barrier : barriers) {
+    const int at = find_on_path(path, barrier, cursor);
+    SURFNET_ASSERT(at >= 0,
+                   "barrier node %d missing from the rerouted path (in "
+                   "order)",
+                   barrier);
+    cursor = at + 1;
+  }
+  SURFNET_ASSERT(path.back() == barriers.back(),
+                 "rerouted path ends at %d, destination barrier is %d",
+                 path.back(), barriers.back());
 }
 
 }  // namespace surfnet::netsim

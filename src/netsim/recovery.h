@@ -11,8 +11,9 @@
 //     re-route: re-plan the whole remaining route through every remaining
 //     EC barrier to the destination. The replanned route keeps the
 //     scheduled EC servers, so it still satisfies the structural routing
-//     constraints (Eqs. (3)-(4)); routing/validate's
-//     check_reroute_invariants asserts this under SURFNET_CHECKS.
+//     constraints (Eqs. (3)-(4)); under SURFNET_CHECKS the slot loop runs
+//     check_reroute_invariants after every successful local reroute and
+//     escalation.
 //   * Bounded retries with exponential backoff — a failed entanglement
 //     swap on a segment jump backs the code off for
 //     min(backoff_cap_slots, backoff_base_slots << (attempt - 1)) slots
@@ -83,5 +84,20 @@ bool local_reroute(const Topology& topology, const FaultInjector& injector,
 bool replan_route(const Topology& topology, const FaultInjector& injector,
                   int slot, std::vector<int>& path, int pos,
                   const std::vector<int>& waypoints);
+
+/// First index i >= from with path[i] == node, or -1.
+int find_on_path(const std::vector<int>& path, int node, int from);
+
+/// Validate one channel path after an online re-route (local_reroute or
+/// replan_route) against the structural routing constraints: the walk
+/// still runs over existing in-range fibers (Eq. (3) structure) and visits
+/// the barrier nodes the code has not passed — remaining EC servers in
+/// order, destination last — from position `pos` on (Eqs. (4) coupling
+/// and (3) termination). Interior nodes past `pos` must be switches or
+/// servers; only the final barrier may be a user. A broken invariant
+/// reports through util/contracts.h.
+void check_reroute_invariants(const Topology& topology,
+                              const std::vector<int>& path, int pos,
+                              const std::vector<int>& barriers);
 
 }  // namespace surfnet::netsim

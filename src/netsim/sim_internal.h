@@ -35,9 +35,6 @@ namespace surfnet::netsim::detail {
 /// infidelity roughly quadratically, so the executed channel does better.
 inline constexpr double kPurificationFactor = 0.25;
 
-/// The Pauli channel every correction samples its errors from.
-inline constexpr qec::PauliChannel kChannel = qec::PauliChannel::IndependentXZ;
-
 /// Lattice + Core/Support partition for one code distance, shared across
 /// all codes of that distance in a run.
 struct CodeGeometry {
@@ -122,12 +119,6 @@ struct ActiveCode {
   bool corrupted = false;
 };
 
-inline int find_on_path(const std::vector<int>& path, int node, int from) {
-  for (std::size_t i = static_cast<std::size_t>(from); i < path.size(); ++i)
-    if (path[i] == node) return static_cast<int>(i);
-  return -1;
-}
-
 /// Point the code's per-channel cursors at the current barrier node.
 inline void retarget(const RequestPlan& plan, ActiveCode& code) {
   const int node = plan.barriers[static_cast<std::size_t>(code.barrier)].node;
@@ -141,6 +132,17 @@ inline void retarget(const RequestPlan& plan, ActiveCode& code) {
   }
 }
 
+/// The barrier nodes the code has not passed yet: remaining EC servers in
+/// order, then the destination.
+inline std::vector<int> remaining_barriers(const RequestPlan& plan,
+                                           const ActiveCode& code) {
+  std::vector<int> nodes;
+  for (std::size_t b = static_cast<std::size_t>(code.barrier);
+       b < plan.barriers.size(); ++b)
+    nodes.push_back(plan.barriers[b].node);
+  return nodes;
+}
+
 /// Escalation: replace the remainder of one channel's route with a fresh
 /// plan through every remaining EC barrier to the destination
 /// (netsim/recovery.h). Emits an escalate event whether or not a live
@@ -148,10 +150,7 @@ inline void retarget(const RequestPlan& plan, ActiveCode& code) {
 inline void escalate(const Topology& topology, const FaultInjector& injector,
                      const obs::Sink& sink, const RequestPlan& plan,
                      ActiveCode& code, bool core_channel, int slot) {
-  std::vector<int> waypoints;
-  for (std::size_t b = static_cast<std::size_t>(code.barrier);
-       b < plan.barriers.size(); ++b)
-    waypoints.push_back(plan.barriers[b].node);
+  const std::vector<int> waypoints = remaining_barriers(plan, code);
   auto& path = core_channel ? code.c_path : code.s_path;
   const int pos = core_channel ? code.c_pos : code.s_pos;
   const bool ok = replan_route(topology, injector, slot, path, pos, waypoints);
@@ -159,7 +158,11 @@ inline void escalate(const Topology& topology, const FaultInjector& injector,
   if (sink.trace)
     sink.trace->record(obs::Event::escalate(slot, plan.sched->request_index,
                                             core_channel, ok));
-  if (ok) retarget(plan, code);
+  if (!ok) return;
+#if SURFNET_CHECKS
+  check_reroute_invariants(topology, path, pos, waypoints);
+#endif
+  retarget(plan, code);
 }
 
 /// A channel blocked by a failed fiber or a dead next node: detour locally
@@ -174,6 +177,10 @@ inline void recover(const Topology& topology, const FaultInjector& injector,
   auto& path = core_channel ? code.c_path : code.s_path;
   const int pos = core_channel ? code.c_pos : code.s_pos;
   if (local_reroute(topology, injector, slot, path, pos, node)) {
+#if SURFNET_CHECKS
+    check_reroute_invariants(topology, path, pos,
+                             remaining_barriers(plan, code));
+#endif
     (core_channel ? code.c_target : code.s_target) =
         find_on_path(path, node, pos);
     code.failed_reroutes = 0;
@@ -235,8 +242,8 @@ inline void run_correction(const RequestPlan& plan, ActiveCode& code, int slot,
                               ? qec::QubitNoise{core_pauli, 0.0}
                               : qec::QubitNoise{support_pauli, support_erasure};
   }
-  ws.profile.component_error_prob(kChannel, ws.prior);
-  qec::sample_errors(ws.profile, kChannel, rng, ws.trial.sample);
+  ws.profile.component_error_prob(ws.prior);
+  qec::sample_errors(ws.profile, rng, ws.trial.sample);
   const auto outcome = decoder::decode_sample(
       geometry.lattice, ws.trial.sample, ws.prior, decoder, ws.trial);
   const bool success = outcome.success();

@@ -26,33 +26,26 @@ void NoiseProfile::resize(int num_qubits) {
   per_qubit_.resize(static_cast<std::size_t>(num_qubits));
 }
 
-std::vector<double> NoiseProfile::component_error_prob(
-    PauliChannel channel) const {
+std::vector<double> NoiseProfile::component_error_prob() const {
   std::vector<double> prob;
-  component_error_prob(channel, prob);
+  component_error_prob(prob);
   return prob;
 }
 
-void NoiseProfile::component_error_prob(PauliChannel channel,
-                                        std::vector<double>& out) const {
+void NoiseProfile::component_error_prob(std::vector<double>& out) const {
   out.resize(per_qubit_.size());
-  for (std::size_t q = 0; q < per_qubit_.size(); ++q) {
-    const double p = per_qubit_[q].pauli;
-    // IndependentXZ flips each component with probability p; depolarizing
-    // flips a given component for 2 of the 3 equally likely Paulis.
-    out[q] = (channel == PauliChannel::IndependentXZ) ? p : 2.0 * p / 3.0;
-  }
+  for (std::size_t q = 0; q < per_qubit_.size(); ++q)
+    out[q] = per_qubit_[q].pauli;
 }
 
-ErrorSample sample_errors(const NoiseProfile& profile, PauliChannel channel,
-                          util::Rng& rng) {
+ErrorSample sample_errors(const NoiseProfile& profile, util::Rng& rng) {
   ErrorSample sample;
-  sample_errors(profile, channel, rng, sample);
+  sample_errors(profile, rng, sample);
   return sample;
 }
 
-void sample_errors(const NoiseProfile& profile, PauliChannel channel,
-                   util::Rng& rng, ErrorSample& sample) {
+void sample_errors(const NoiseProfile& profile, util::Rng& rng,
+                   ErrorSample& sample) {
   const auto n = static_cast<std::size_t>(profile.num_qubits());
   sample.error.assign(n, Pauli::I);
   sample.erased.assign(n, 0);
@@ -63,16 +56,9 @@ void sample_errors(const NoiseProfile& profile, PauliChannel channel,
       sample.error[q] = static_cast<Pauli>(rng.below(4));
       continue;
     }
-    if (channel == PauliChannel::IndependentXZ) {
-      const bool x = rng.bernoulli(noise.pauli);
-      const bool z = rng.bernoulli(noise.pauli);
-      sample.error[q] = make_pauli(x, z);
-    } else {
-      if (rng.bernoulli(noise.pauli)) {
-        // Uniform over {X, Y, Z}: enum values 1..3.
-        sample.error[q] = static_cast<Pauli>(1 + rng.below(3));
-      }
-    }
+    const bool x = rng.bernoulli(noise.pauli);
+    const bool z = rng.bernoulli(noise.pauli);
+    sample.error[q] = make_pauli(x, z);
   }
 }
 

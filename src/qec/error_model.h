@@ -1,7 +1,9 @@
 #pragma once
 
 // Error model of SurfNet (paper Sec. IV): i.i.d. Pauli errors plus erasure
-// errors, with per-qubit rates. Measurements are error-free and decoherence
+// errors, with per-qubit rates. Pauli noise of rate p flips a qubit's X and
+// Z components independently, each with probability p (the channel of the
+// Fig. 8 threshold study). Measurements are error-free and decoherence
 // is handled by error-mitigation at nodes, so neither is modelled here.
 //
 // An erased data qubit is substituted by a maximally mixed state: it is
@@ -18,15 +20,6 @@
 #include "util/rng.h"
 
 namespace surfnet::qec {
-
-/// How Pauli noise of rate p is distributed over {X, Y, Z}.
-enum class PauliChannel {
-  /// X and Z components flip independently, each with probability p.
-  /// This is the channel used for the Fig. 8 threshold study.
-  IndependentXZ,
-  /// With probability p, apply one of {X, Y, Z} uniformly.
-  Depolarizing,
-};
 
 struct QubitNoise {
   double pauli = 0.0;    ///< Pauli noise rate p for this qubit
@@ -65,12 +58,11 @@ class NoiseProfile {
   /// Probability that one tracked error component (X-type or Z-type) is
   /// flipped by the *Pauli* noise alone (erasures excluded), per qubit.
   /// This is what decoders use as prior error probability 1 - rho.
-  std::vector<double> component_error_prob(PauliChannel channel) const;
+  std::vector<double> component_error_prob() const;
 
   /// Allocation-free variant: writes into `out` (resized to the qubit
   /// count).
-  void component_error_prob(PauliChannel channel,
-                            std::vector<double>& out) const;
+  void component_error_prob(std::vector<double>& out) const;
 
  private:
   std::vector<QubitNoise> per_qubit_;
@@ -84,12 +76,11 @@ struct ErrorSample {
 
 /// Draw an error configuration. Erasure is sampled first; an erased qubit's
 /// error is uniform over {I, X, Y, Z} regardless of its Pauli rate.
-ErrorSample sample_errors(const NoiseProfile& profile, PauliChannel channel,
-                          util::Rng& rng);
+ErrorSample sample_errors(const NoiseProfile& profile, util::Rng& rng);
 
 /// Allocation-free variant: fills `out`, reusing its buffers. Draws the
 /// same random-variate sequence as the allocating overload.
-void sample_errors(const NoiseProfile& profile, PauliChannel channel,
-                   util::Rng& rng, ErrorSample& out);
+void sample_errors(const NoiseProfile& profile, util::Rng& rng,
+                   ErrorSample& out);
 
 }  // namespace surfnet::qec

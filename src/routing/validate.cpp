@@ -154,50 +154,4 @@ void check_schedule_invariants(const netsim::Topology& topology,
                    topology.fiber(e).entanglement_capacity);
 }
 
-void check_reroute_invariants(const netsim::Topology& topology,
-                              const std::vector<int>& path, int pos,
-                              const std::vector<int>& barriers) {
-  SURFNET_ASSERT(path.size() >= 2, "rerouted path has %zu nodes",
-                 path.size());
-  SURFNET_ASSERT(pos >= 0 && pos < static_cast<int>(path.size()),
-                 "reroute position %d outside path of %zu nodes", pos,
-                 path.size());
-  SURFNET_ASSERT(!barriers.empty(), "rerouted code has no barriers left");
-  for (const int v : path)
-    SURFNET_ASSERT(v >= 0 && v < topology.num_nodes(),
-                   "rerouted path node %d outside [0, %d)", v,
-                   topology.num_nodes());
-  for (std::size_t i = 0; i + 1 < path.size(); ++i)
-    SURFNET_ASSERT(topology.fiber_between(path[i], path[i + 1]) >= 0,
-                   "rerouted path hop %d-%d has no fiber", path[i],
-                   path[i + 1]);
-  // The stretch still ahead of the code uses forwarding hardware only; a
-  // user endpoint may appear solely as the final barrier (Eq. (3)
-  // termination).
-  for (std::size_t i = static_cast<std::size_t>(pos) + 1;
-       i + 1 < path.size(); ++i)
-    SURFNET_ASSERT(topology.is_switch_or_server(path[i]),
-                   "rerouted path routes through user %d", path[i]);
-  // Remaining barriers (EC servers, then the destination) in path order
-  // from the code's current position (Eq. (4) coupling).
-  int cursor = pos;
-  for (const int barrier : barriers) {
-    bool found = false;
-    for (std::size_t i = static_cast<std::size_t>(cursor); i < path.size();
-         ++i)
-      if (path[i] == barrier) {
-        cursor = static_cast<int>(i) + 1;
-        found = true;
-        break;
-      }
-    SURFNET_ASSERT(found,
-                   "barrier node %d missing from the rerouted path (in "
-                   "order)",
-                   barrier);
-  }
-  SURFNET_ASSERT(path.back() == barriers.back(),
-                 "rerouted path ends at %d, destination barrier is %d",
-                 path.back(), barriers.back());
-}
-
 }  // namespace surfnet::routing

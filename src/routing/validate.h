@@ -3,7 +3,9 @@
 // Debug invariant validators for the routing layer. route() and
 // route_greedy() validate their schedules against the integer program's
 // constraints (paper Eqs. (1)-(6)) before returning when SURFNET_CHECKS is
-// on. (The LP solver checks the basis it keeps itself, in simplex.cpp.)
+// on. (The LP solver checks the basis it keeps itself, in simplex.cpp; the
+// slot loop checks online re-routes with netsim/recovery.h's
+// check_reroute_invariants.)
 // Tests call the validators directly against deliberately corrupted
 // schedules to prove each check fires. A broken invariant
 // reports through util/contracts.h (abort by default, ContractViolation
@@ -33,17 +35,5 @@ void check_schedule_invariants(const netsim::Topology& topology,
                                const std::vector<netsim::Request>& requests,
                                const RoutingParams& params,
                                const netsim::Schedule& schedule);
-
-/// Validate one channel path after an online re-route (local recovery or
-/// full-re-route escalation, netsim/recovery.h) against the structural
-/// routing constraints: the walk still runs over existing in-range fibers
-/// from its original source (Eq. (3) structure) and visits the
-/// not-yet-passed barrier nodes — remaining
-/// EC servers in order, destination last — from position `pos` on
-/// (Eqs. (4) coupling and (3) termination). Interior nodes past `pos`
-/// must be switches or servers; only the final barrier may be a user.
-void check_reroute_invariants(const netsim::Topology& topology,
-                              const std::vector<int>& path, int pos,
-                              const std::vector<int>& barriers);
 
 }  // namespace surfnet::routing

@@ -120,8 +120,7 @@ TEST(ClusterGrowth, RegionParityInvariant) {
   const auto profile =
       qec::NoiseProfile::uniform(lattice.num_data_qubits(), 0.10, 0.10);
   for (int trial = 0; trial < 100; ++trial) {
-    const auto sample =
-        qec::sample_errors(profile, qec::PauliChannel::IndependentXZ, rng);
+    const auto sample = qec::sample_errors(profile, rng);
     for (auto kind : {GraphKind::Z, GraphKind::X}) {
       const auto& graph = lattice.graph(kind);
       const auto flips = qec::edge_flips(lattice, kind, sample.error);

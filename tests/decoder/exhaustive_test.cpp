@@ -88,12 +88,10 @@ TEST(ExhaustiveMl, DecisionInvariantsOnRandomNoise) {
   const SurfaceCodeLattice lattice(3);
   const auto profile =
       qec::NoiseProfile::uniform(lattice.num_data_qubits(), 0.10, 0.15);
-  const auto prior =
-      profile.component_error_prob(qec::PauliChannel::IndependentXZ);
+  const auto prior = profile.component_error_prob();
   util::Rng rng(4242);
   for (int t = 0; t < 300; ++t) {
-    const auto sample =
-        qec::sample_errors(profile, qec::PauliChannel::IndependentXZ, rng);
+    const auto sample = qec::sample_errors(profile, rng);
     for (const auto kind : {GraphKind::Z, GraphKind::X}) {
       const auto input = make_decode_input(lattice, kind, sample, prior);
       const auto decision = decode_ml(lattice, kind, input);
@@ -128,16 +126,14 @@ TEST(ExhaustiveMl, ApproximateDecodersNeverBeatMl) {
 
   const auto profile =
       qec::NoiseProfile::uniform(lattice.num_data_qubits(), 0.08, 0.10);
-  const auto prior =
-      profile.component_error_prob(qec::PauliChannel::IndependentXZ);
+  const auto prior = profile.component_error_prob();
 
   const int trials = 1000;
   util::Rng rng(12021);
   int ml_successes = 0;
   std::vector<int> rival_successes(rivals.size(), 0);
   for (int t = 0; t < trials; ++t) {
-    const auto sample =
-        qec::sample_errors(profile, qec::PauliChannel::IndependentXZ, rng);
+    const auto sample = qec::sample_errors(profile, rng);
     const auto ml_result = decode_sample(lattice, sample, prior, ml);
     ASSERT_TRUE(ml_result.z_graph.valid && ml_result.x_graph.valid)
         << "trial " << t;
@@ -162,14 +158,12 @@ TEST(ExhaustiveMl, PeelingMatchesMlOnPureErasure) {
   const ErasureDecoder peeling;
   const auto profile =
       qec::NoiseProfile::uniform(lattice.num_data_qubits(), 0.0, 0.30);
-  const auto prior =
-      profile.component_error_prob(qec::PauliChannel::IndependentXZ);
+  const auto prior = profile.component_error_prob();
 
   util::Rng rng(777);
   int ties = 0;
   for (int t = 0; t < 1000; ++t) {
-    const auto sample =
-        qec::sample_errors(profile, qec::PauliChannel::IndependentXZ, rng);
+    const auto sample = qec::sample_errors(profile, rng);
     for (const auto kind : {GraphKind::Z, GraphKind::X}) {
       const auto input = make_decode_input(lattice, kind, sample, prior);
       const auto peel = peeling.decode(input);
@@ -205,12 +199,11 @@ TEST(ExhaustiveMl, AdapterResolvesBothGraphs) {
   EXPECT_EQ(ml.name(), "ExhaustiveML");
   const auto profile =
       qec::NoiseProfile::uniform(lattice.num_data_qubits(), 0.12, 0.20);
-  const auto channel = qec::PauliChannel::IndependentXZ;
-  const auto prior = profile.component_error_prob(channel);
+  const auto prior = profile.component_error_prob();
   util::Rng rng(99);
   for (int t = 0; t < 200; ++t) {
     const auto result = decode_sample(
-        lattice, qec::sample_errors(profile, channel, rng), prior, ml);
+        lattice, qec::sample_errors(profile, rng), prior, ml);
     EXPECT_TRUE(result.z_graph.valid) << "trial " << t;
     EXPECT_TRUE(result.x_graph.valid) << "trial " << t;
   }

@@ -59,8 +59,7 @@ TEST_P(PeelingPropertyTest, ErasureOnlyDecodingIsAlwaysValid) {
   const auto profile =
       qec::NoiseProfile::uniform(lattice.num_data_qubits(), 0.0, 0.3);
   for (int trial = 0; trial < 200; ++trial) {
-    const auto sample =
-        qec::sample_errors(profile, qec::PauliChannel::IndependentXZ, rng);
+    const auto sample = qec::sample_errors(profile, rng);
     for (auto kind : {GraphKind::Z, GraphKind::X}) {
       const auto& graph = lattice.graph(kind);
       const auto flips = qec::edge_flips(lattice, kind, sample.error);

@@ -89,13 +89,12 @@ TEST(LogicalErrorTrials, ThreadCountInvariant) {
   opts.seed = 2024;
   opts.threads = 1;
   const auto ref = run_logical_error_trials(
-      lattice, profile, qec::PauliChannel::IndependentXZ, decoder, 600, opts);
+      lattice, profile, decoder, 600, opts);
   EXPECT_EQ(ref.trials, 600);
   for (int threads : {2, 8}) {
     opts.threads = threads;
     const auto report = run_logical_error_trials(
-        lattice, profile, qec::PauliChannel::IndependentXZ, decoder, 600,
-        opts);
+        lattice, profile, decoder, 600, opts);
     EXPECT_EQ(report.failures, ref.failures) << "threads=" << threads;
     EXPECT_EQ(report.invalid, ref.invalid) << "threads=" << threads;
     EXPECT_EQ(report.valid_but_wrong, ref.valid_but_wrong)
@@ -110,22 +109,21 @@ TEST(LogicalErrorTrials, MatchesHandRolledSerialLoop) {
   const qec::SurfaceCodeLattice lattice(5);
   const auto profile =
       qec::NoiseProfile::uniform(lattice.num_data_qubits(), 0.06, 0.15);
-  const auto channel = qec::PauliChannel::IndependentXZ;
   const UnionFindDecoder decoder;
   const std::int64_t trials = 400;
 
   RunOptions opts;
   opts.seed = 4242;
   opts.threads = 2;
-  const auto report = run_logical_error_trials(lattice, profile, channel,
-                                               decoder, trials, opts);
+  const auto report =
+      run_logical_error_trials(lattice, profile, decoder, trials, opts);
 
-  const auto prior = profile.component_error_prob(channel);
+  const auto prior = profile.component_error_prob();
   std::int64_t failures = 0;
   for (std::int64_t t = 0; t < trials; ++t) {
     util::Rng rng(trial_seed(opts.seed, static_cast<std::uint64_t>(t)));
     const auto result = decode_sample(
-        lattice, qec::sample_errors(profile, channel, rng), prior, decoder);
+        lattice, qec::sample_errors(profile, rng), prior, decoder);
     if (!result.success()) ++failures;
   }
   EXPECT_EQ(report.failures, failures);
@@ -141,7 +139,6 @@ TEST(LogicalErrorTrials, PairedRunMatchesOneRunPerDecoder) {
   const UnionFindDecoder union_find;
   const SurfNetDecoder surfnet;
   const std::vector<const Decoder*> decoders{&union_find, &surfnet};
-  const auto channel = qec::PauliChannel::IndependentXZ;
 
   RunOptions opts;
   opts.seed = 77;
@@ -149,14 +146,14 @@ TEST(LogicalErrorTrials, PairedRunMatchesOneRunPerDecoder) {
   opts.sink.metrics = &separate_metrics;
   std::vector<TrialReport> separate;
   for (const Decoder* decoder : decoders)
-    separate.push_back(run_logical_error_trials(lattice, profile, channel,
-                                                *decoder, 500, opts));
+    separate.push_back(
+        run_logical_error_trials(lattice, profile, *decoder, 500, opts));
   for (int threads : {1, 4}) {
     opts.threads = threads;
     obs::MetricsRegistry paired_metrics;
     opts.sink.metrics = &paired_metrics;
     const auto paired = run_paired_logical_error_trials(
-        lattice, profile, channel, decoders, 500, opts);
+        lattice, profile, decoders, 500, opts);
     ASSERT_EQ(paired.size(), decoders.size());
     for (std::size_t i = 0; i < decoders.size(); ++i) {
       SCOPED_TRACE(testing::Message() << decoders[i]->name() << " threads="
@@ -193,13 +190,11 @@ void expect_workspace_equivalence(const qec::CodeLattice& lattice,
                                   const Decoder& decoder,
                                   const qec::NoiseProfile& profile,
                                   std::uint64_t seed) {
-  const auto prior =
-      profile.component_error_prob(qec::PauliChannel::IndependentXZ);
+  const auto prior = profile.component_error_prob();
   util::Rng rng(seed);
   DecodeWorkspace ws;  // deliberately reused (dirty) across all iterations
   for (int t = 0; t < 100; ++t) {
-    const auto sample =
-        qec::sample_errors(profile, qec::PauliChannel::IndependentXZ, rng);
+    const auto sample = qec::sample_errors(profile, rng);
     for (const auto kind : {qec::GraphKind::Z, qec::GraphKind::X}) {
       const auto input = make_decode_input(lattice, kind, sample, prior);
       const auto fresh = decoder.decode(input);
@@ -252,10 +247,8 @@ TEST(WorkspaceEquivalence, DirtyWorkspaceSharedAcrossDecoders) {
                      : static_cast<const Decoder&>(surfnet);
     const auto profile =
         qec::NoiseProfile::uniform(lattice.num_data_qubits(), 0.08, 0.15);
-    const auto prior =
-        profile.component_error_prob(qec::PauliChannel::IndependentXZ);
-    const auto sample =
-        qec::sample_errors(profile, qec::PauliChannel::IndependentXZ, rng);
+    const auto prior = profile.component_error_prob();
+    const auto sample = qec::sample_errors(profile, rng);
     const auto input =
         make_decode_input(lattice, qec::GraphKind::Z, sample, prior);
     ASSERT_EQ(decoder.decode(input), decoder.decode(input, ws))
@@ -279,14 +272,12 @@ TEST(DecodeSampleWorkspace, MatchesAllocatingDecodeSample) {
   const qec::SurfaceCodeLattice lattice(7);
   const auto partition = qec::make_core_support(lattice);
   const auto profile = qec::NoiseProfile::core_support(partition, 0.07, 0.15);
-  const auto prior =
-      profile.component_error_prob(qec::PauliChannel::IndependentXZ);
+  const auto prior = profile.component_error_prob();
   const SurfNetDecoder decoder;
   util::Rng rng(61);
   CodeTrialWorkspace ws;
   for (int t = 0; t < 100; ++t) {
-    const auto sample =
-        qec::sample_errors(profile, qec::PauliChannel::IndependentXZ, rng);
+    const auto sample = qec::sample_errors(profile, rng);
     const auto fresh = decode_sample(lattice, sample, prior, decoder);
     const auto reused = decode_sample(lattice, sample, prior, decoder, ws);
     ASSERT_EQ(fresh.z_graph.valid, reused.z_graph.valid) << t;

@@ -15,7 +15,6 @@
 #include "netsim/simulator.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "routing/validate.h"
 #include "util/contracts.h"
 #include "util/rng.h"
 
@@ -146,8 +145,7 @@ TEST(RerouteValidator, AcceptsSplicedRecoveryPaths) {
   std::vector<int> path{0, 1, 2, 3, 4};
   ASSERT_TRUE(local_reroute(topo, injector, 0, path, 1, 2));
   util::ScopedContractHandler scoped(util::throw_contract_violation);
-  EXPECT_NO_THROW(
-      routing::check_reroute_invariants(topo, path, 1, {2, 4}));
+  EXPECT_NO_THROW(check_reroute_invariants(topo, path, 1, {2, 4}));
 }
 
 TEST(RerouteValidator, RejectsPathsMissingABarrier) {
@@ -155,7 +153,7 @@ TEST(RerouteValidator, RejectsPathsMissingABarrier) {
   // Path that skips the scheduled EC server 2 entirely.
   const std::vector<int> path{0, 1, 5, 3, 4};
   util::ScopedContractHandler scoped(util::throw_contract_violation);
-  EXPECT_THROW(routing::check_reroute_invariants(topo, path, 1, {2, 4}),
+  EXPECT_THROW(check_reroute_invariants(topo, path, 1, {2, 4}),
                util::ContractViolation);
 }
 
@@ -164,7 +162,7 @@ TEST(RerouteValidator, RejectsUsersInsideTheRemainingStretch) {
   // User 0 sits strictly between pos and the destination.
   const std::vector<int> path{1, 0, 1, 2, 3, 4};
   util::ScopedContractHandler scoped(util::throw_contract_violation);
-  EXPECT_THROW(routing::check_reroute_invariants(topo, path, 0, {2, 4}),
+  EXPECT_THROW(check_reroute_invariants(topo, path, 0, {2, 4}),
                util::ContractViolation);
 }
 

@@ -139,10 +139,9 @@ TEST(Property, DecoderCorrectionsReproduceTheSyndrome) {
         lattice.num_data_qubits(), proptest::real_in(rng, 0.0, 0.15),
         proptest::real_in(rng, 0.0, 0.30));
     const auto* dec = proptest::pick(rng, decoders);
-    const auto channel = qec::PauliChannel::IndependentXZ;
     const auto result = decoder::decode_sample(
-        lattice, qec::sample_errors(profile, channel, rng),
-        profile.component_error_prob(channel), *dec);
+        lattice, qec::sample_errors(profile, rng),
+        profile.component_error_prob(), *dec);
     EXPECT_TRUE(result.z_graph.valid) << dec->name() << " d=" << d;
     EXPECT_TRUE(result.x_graph.valid) << dec->name() << " d=" << d;
   });
@@ -335,13 +334,13 @@ TEST(Property, ReroutesSatisfyTheStructuralInvariants) {
     const int pos = proptest::int_in(rng, 0, 2);
     if (proptest::chance(rng, 0.5)) {
       if (local_reroute(topo, injector, 0, path, pos, 2)) {
-        EXPECT_NO_THROW(routing::check_reroute_invariants(topo, path, pos,
-                                                          barriers));
+        EXPECT_NO_THROW(netsim::check_reroute_invariants(topo, path, pos,
+                                                         barriers));
       }
     } else {
       if (replan_route(topo, injector, 0, path, pos, barriers)) {
-        EXPECT_NO_THROW(routing::check_reroute_invariants(topo, path, pos,
-                                                          barriers));
+        EXPECT_NO_THROW(netsim::check_reroute_invariants(topo, path, pos,
+                                                         barriers));
       }
     }
   });

@@ -29,14 +29,8 @@ TEST(ErrorModel, CoreSupportHalvesCoreRates) {
 
 TEST(ErrorModel, ComponentPriorIndependentXZ) {
   const auto profile = NoiseProfile::uniform(4, 0.05, 0.0);
-  const auto prior = profile.component_error_prob(PauliChannel::IndependentXZ);
+  const auto prior = profile.component_error_prob();
   for (double p : prior) EXPECT_DOUBLE_EQ(p, 0.05);
-}
-
-TEST(ErrorModel, ComponentPriorDepolarizing) {
-  const auto profile = NoiseProfile::uniform(4, 0.09, 0.0);
-  const auto prior = profile.component_error_prob(PauliChannel::Depolarizing);
-  for (double p : prior) EXPECT_DOUBLE_EQ(p, 0.06);
 }
 
 TEST(ErrorModel, SampledRatesMatchConfiguredRates) {
@@ -45,8 +39,7 @@ TEST(ErrorModel, SampledRatesMatchConfiguredRates) {
   int pauli_flips = 0, erasures = 0;
   const int trials = 200;
   for (int t = 0; t < trials; ++t) {
-    const auto sample = sample_errors(profile, PauliChannel::IndependentXZ,
-                                      rng);
+    const auto sample = sample_errors(profile, rng);
     for (std::size_t q = 0; q < sample.error.size(); ++q) {
       if (sample.erased[q]) {
         ++erasures;
@@ -65,7 +58,7 @@ TEST(ErrorModel, ErasedQubitsAreMaximallyMixed) {
   // Among erased qubits, the four Paulis should be roughly uniform.
   const auto profile = NoiseProfile::uniform(2000, 0.0, 1.0);
   util::Rng rng(9);
-  const auto sample = sample_errors(profile, PauliChannel::IndependentXZ, rng);
+  const auto sample = sample_errors(profile, rng);
   int counts[4] = {0, 0, 0, 0};
   for (std::size_t q = 0; q < sample.error.size(); ++q) {
     ASSERT_TRUE(sample.erased[q]);
@@ -74,21 +67,11 @@ TEST(ErrorModel, ErasedQubitsAreMaximallyMixed) {
   for (int c : counts) EXPECT_NEAR(c / 2000.0, 0.25, 0.05);
 }
 
-TEST(ErrorModel, DepolarizingNeverEmitsIdentityAsError) {
-  const auto profile = NoiseProfile::uniform(500, 1.0, 0.0);
-  util::Rng rng(11);
-  const auto sample = sample_errors(profile, PauliChannel::Depolarizing, rng);
-  int counts[4] = {0, 0, 0, 0};
-  for (auto p : sample.error) ++counts[static_cast<int>(p)];
-  EXPECT_EQ(counts[0], 0);  // Pauli rate 1.0 always applies X, Y, or Z
-  for (int i = 1; i < 4; ++i) EXPECT_NEAR(counts[i] / 500.0, 1.0 / 3.0, 0.08);
-}
-
 TEST(ErrorModel, DeterministicUnderSameSeed) {
   const auto profile = NoiseProfile::uniform(50, 0.1, 0.1);
   util::Rng rng1(123), rng2(123);
-  const auto s1 = sample_errors(profile, PauliChannel::IndependentXZ, rng1);
-  const auto s2 = sample_errors(profile, PauliChannel::IndependentXZ, rng2);
+  const auto s1 = sample_errors(profile, rng1);
+  const auto s2 = sample_errors(profile, rng2);
   EXPECT_EQ(s1.error, s2.error);
   EXPECT_EQ(s1.erased, s2.erased);
 }

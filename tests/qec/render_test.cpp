@@ -100,8 +100,7 @@ TEST_P(RenderTest, MarksLandOnTheirQubitsAndStabilizers) {
       NoiseProfile::uniform(lattice.num_data_qubits(), 0.2, 0.1);
   util::Rng rng(900 + static_cast<unsigned>(d));
   for (int t = 0; t < 20; ++t) {
-    const auto sample =
-        sample_errors(profile, PauliChannel::IndependentXZ, rng);
+    const auto sample = sample_errors(profile, rng);
     std::vector<char> correction(sample.error.size(), 0);
     for (std::size_t q = 0; q < correction.size(); q += 3) correction[q] = 1;
     for (auto kind : {GraphKind::Z, GraphKind::X}) {

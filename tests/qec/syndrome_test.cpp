@@ -87,8 +87,8 @@ TEST(Syndrome, SyndromeIsLinearInErrors) {
   const auto profile = NoiseProfile::uniform(lattice.num_data_qubits(), 0.2,
                                              0.0);
   for (int trial = 0; trial < 20; ++trial) {
-    const auto s1 = sample_errors(profile, PauliChannel::IndependentXZ, rng);
-    const auto s2 = sample_errors(profile, PauliChannel::IndependentXZ, rng);
+    const auto s1 = sample_errors(profile, rng);
+    const auto s2 = sample_errors(profile, rng);
     std::vector<Pauli> combined(s1.error.size());
     for (std::size_t q = 0; q < combined.size(); ++q)
       combined[q] = s1.error[q] * s2.error[q];
