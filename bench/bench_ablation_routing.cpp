@@ -16,8 +16,11 @@
 //   {"grid", "requests", "lp_rows", "lp_cols", "lp_nonzeros",
 //    "sparse_ms", "sparse_iterations", "warm_ms", "warm_iterations",
 //    "cold_resolve_iterations", "objective"}
-// so saved outputs can be diffed (scripts/bench_compare.py) to track the
-// perf trajectory.
+// To compare two builds, diff the deterministic fields (the *_iterations
+// counts, objective, lp_rows, lp_cols, lp_nonzeros) and time the *_ms
+// fields over at least 5 alternating runs per build: single runs of one
+// build spread by up to 2x on a shared host, far past the 10% that
+// scripts/bench_compare.py flags.
 
 #include <chrono>
 #include <cstdio>

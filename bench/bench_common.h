@@ -172,6 +172,15 @@ class ArgParser {
            " unsupported: this bench runs on the calling thread only");
   }
 
+  /// For a bench whose workload is fixed: exits 2 on --full or on a
+  /// nonzero --trials (0 means the bench default).
+  void require_fixed_workload() const {
+    if (trials_ != 0)
+      fail("--trials " + std::to_string(trials_) +
+           " unsupported: this bench runs a fixed workload");
+    if (full_) fail("--full unsupported: this bench runs a fixed workload");
+  }
+
   /// {--seed, --threads, sink()}: the options both trial runners take.
   core::RunOptions options() {
     return {.seed = seed_, .threads = threads_, .sink = sink()};

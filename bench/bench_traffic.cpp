@@ -2,27 +2,19 @@
 // the greedy-only incremental router (netsim/workload.h +
 // routing/incremental.h), swept over arrival rate x network size, plus a
 // sustained-load cell that pushes one million requests through a single
-// stream. Every traffic row reports steady-state metrics (blocking
-// probability, p50/p99 delivery latency, admitted codes per slot) next to
-// the engine throughput in simulated requests per wall-clock second. The
-// traffic sweep solves no LP: admission is plan_code over the live
-// capacity tracker, and the headroom probe reads the tracker.
-//
-// The second section measures the warm restarts of the batch LP router:
-// route() keeps one LpSolver, and the basis each solve ends with, across
-// its rounding re-solves, each of which changes request limits and
-// capacities but not the formulation's shape. For each delta size
-// (requests per re-solve) it solves the identical routing LP cold (a fresh
-// solver every call) and warm (one solver kept across calls, as route()
-// keeps it) and asserts the warm solve needs strictly fewer simplex
-// iterations at EVERY delta size — the bench exits nonzero otherwise, and
+// stream. Every row reports steady-state metrics (blocking probability,
+// p50/p99 delivery latency, admitted codes per slot) next to the engine
+// throughput in simulated requests per wall-clock second. The traffic
+// sweep solves no LP: admission is plan_code over the live capacity
+// tracker, and the headroom probe reads the tracker. The bench exits
+// nonzero when the sustained cell falls short of one million requests, and
 // CI gates the committed Release baseline
 // (bench/baselines/traffic_release.json) with scripts/bench_compare.py
 // --key cell --metric requests_per_sec.
 //
-// All rows are single-stream by construction (an open-loop stream is one
-// causal chain), so --threads accepts only 1; --trials scales the
-// warm/cold timing repetitions.
+// The rows are fixed single streams (an open-loop stream is one causal
+// chain), so --threads accepts only 1, and --trials and --full are
+// refused.
 
 #include <chrono>
 #include <cstdio>
@@ -32,11 +24,7 @@
 
 #include "bench_common.h"
 #include "core/surfnet.h"
-#include "netsim/schedule.h"
-#include "netsim/topology.h"
 #include "netsim/workload.h"
-#include "routing/router.h"
-#include "util/rng.h"
 #include "util/table.h"
 
 namespace {
@@ -49,9 +37,6 @@ double ms_since(std::chrono::steady_clock::time_point begin) {
              .count() /
          1e6;
 }
-
-// ---------------------------------------------------------------------------
-// Traffic sweep.
 
 struct TrafficCell {
   std::string name;
@@ -117,78 +102,14 @@ TrafficRow run_cell(const TrafficCell& cell, std::uint64_t seed,
   return row;
 }
 
-// ---------------------------------------------------------------------------
-// Warm-started vs cold LP re-solve.
-
-struct WarmRow {
-  int delta = 1;  ///< requests per re-solve
-  long cold_iterations = 0;
-  long warm_iterations = 0;
-  double cold_ms = 0.0;  ///< per solve
-  double warm_ms = 0.0;  ///< per solve
-  double requests_per_sec = 0.0;  ///< warm-path requests routed per second
-};
-
-/// One re-solve step at delta size d: toggle one request's admitted
-/// limit (a shape-stable bound mutation, like route()'s residual
-/// re-solves) and re-solve the d-commodity formulation. The cold pass
-/// solves every step with a fresh solver, the warm pass keeps one solver
-/// and its basis across steps — both see the identical mutation sequence.
-WarmRow run_delta(int delta, std::uint64_t seed, int reps) {
-  util::Rng setup(seed);
-  netsim::TopologySpec spec;
-  spec.storage_capacity = 120;
-  spec.entanglement_capacity = 40;
-  const auto topology = netsim::make_random_topology(spec, setup);
-  const auto requests = netsim::random_requests(topology, delta, 1, setup);
-  const routing::RoutingParams params;
-
-  WarmRow row;
-  row.delta = delta;
-
-  const auto mutate = [&](routing::RoutingFormulation& f, int step) {
-    f.set_request_limit(step % delta, step % 2 == 0 ? 0.0 : 1.0);
-  };
-
-  // Cold: every re-solve starts from scratch.
-  {
-    routing::RoutingFormulation formulation(topology, requests, params);
-    const auto begin = std::chrono::steady_clock::now();
-    for (int step = 0; step < reps; ++step) {
-      mutate(formulation, step);
-      const auto solution = routing::LpSolver(formulation.problem()).solve();
-      row.cold_iterations += solution.iterations;
-    }
-    row.cold_ms = ms_since(begin) / reps;
-  }
-
-  // Warm: one solver keeps its basis across re-solves, as in route().
-  {
-    routing::RoutingFormulation formulation(topology, requests, params);
-    routing::LpSolver solver(formulation.problem());
-    solver.solve();  // prime
-    const auto begin = std::chrono::steady_clock::now();
-    for (int step = 0; step < reps; ++step) {
-      mutate(formulation, step);
-      const auto solution = solver.solve();
-      row.warm_iterations += solution.iterations;
-    }
-    row.warm_ms = ms_since(begin) / reps;
-  }
-
-  if (row.warm_ms > 0.0)
-    row.requests_per_sec = delta / (row.warm_ms / 1e3);
-  return row;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   bench::ArgParser args("traffic", argc, argv, {.json = true});
   // Each row is a timed stream, and CI's traffic gate times the rows one
-  // at a time: there are no trials to fan out.
+  // at a time: there are no trials to fan out or to count.
   args.require_one_thread();
-  const int reps = args.resolve_trials(5, 20);
+  args.require_fixed_workload();
 
   if (!args.json())
     std::printf("Dynamic-traffic engine: open-loop streams over the "
@@ -196,37 +117,21 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(args.seed()));
 
   // --metrics-out/--trace-out attach a live sink; note a trace sink
-  // records every arrival/admit/blocked/depart, so prefer small
-  // --trials runs when tracing the sustained cell.
+  // records every arrival/admit/blocked/depart, over a million lines for
+  // the sustained cell.
   std::vector<TrafficRow> traffic;
   for (const auto& cell : traffic_cells())
     traffic.push_back(run_cell(cell, args.seed(), args.sink()));
 
-  std::vector<WarmRow> warm;
-  for (const int delta : {1, 2, 4, 8, 16, 32})
-    warm.push_back(run_delta(delta, args.seed(), reps));
-
-  // Acceptance assertions — the bench is its own gate.
-  bool failed = false;
+  // Acceptance assertion — the bench is its own gate.
   const auto& big = traffic.back();
   if (big.result.arrivals < 1000000) {
     std::fprintf(stderr,
                  "FATAL: sustained cell processed %lld requests "
                  "(needs >= 1000000)\n",
                  big.result.arrivals);
-    failed = true;
+    return 1;
   }
-  for (const auto& row : warm) {
-    if (row.warm_iterations >= row.cold_iterations) {
-      std::fprintf(stderr,
-                   "FATAL: delta=%d warm solve took %ld iterations, cold "
-                   "%ld — warm start must strictly beat cold at every "
-                   "delta size\n",
-                   row.delta, row.warm_iterations, row.cold_iterations);
-      failed = true;
-    }
-  }
-  if (failed) return 1;
 
   args.finish_observability();
   if (args.json()) {
@@ -245,22 +150,6 @@ int main(int argc, char** argv) {
           r.result.blocking_probability(), r.result.latency_percentile(0.5),
           r.result.latency_percentile(0.99), r.result.admitted_per_slot(),
           r.wall_ms, r.requests_per_sec);
-      records.emplace_back(record);
-    }
-    for (const auto& r : warm) {
-      char record[384];
-      std::snprintf(
-          record, sizeof(record),
-          "{\"cell\": \"delta_%d\", \"delta\": %d, "
-          "\"cold_iterations\": %ld, \"warm_iterations\": %ld, "
-          "\"cold_ms\": %.3f, \"warm_ms\": %.3f, "
-          "\"iteration_ratio\": %.2f, \"requests_per_sec\": %.1f}",
-          r.delta, r.delta, r.cold_iterations, r.warm_iterations, r.cold_ms,
-          r.warm_ms,
-          r.warm_iterations > 0 ? static_cast<double>(r.cold_iterations) /
-                                      static_cast<double>(r.warm_iterations)
-                                : static_cast<double>(r.cold_iterations),
-          r.requests_per_sec);
       records.emplace_back(record);
     }
     args.print_json_envelope(records);
@@ -282,24 +171,8 @@ int main(int argc, char** argv) {
                    util::Table::fmt(r.requests_per_sec, 0)});
   sweep.print(std::cout);
 
-  std::printf("\nWarm-started vs cold LP re-solve (%d reps):\n",
-              reps);
-  util::Table resolve({"delta", "cold iters", "warm iters", "cold ms",
-                       "warm ms", "iter ratio"});
-  for (const auto& r : warm)
-    resolve.add_row(
-        {std::to_string(r.delta), std::to_string(r.cold_iterations),
-         std::to_string(r.warm_iterations), util::Table::fmt(r.cold_ms, 3),
-         util::Table::fmt(r.warm_ms, 3),
-         util::Table::fmt(r.warm_iterations > 0
-                              ? static_cast<double>(r.cold_iterations) /
-                                    static_cast<double>(r.warm_iterations)
-                              : static_cast<double>(r.cold_iterations),
-                          1)});
-  resolve.print(std::cout);
-  std::printf("\nWarm start strictly beats cold at every delta size "
-              "(asserted above); the sustained cell pushed %lld requests "
-              "through one stream.\n",
+  std::printf("\nThe sustained cell pushed %lld requests through one "
+              "stream.\n",
               big.result.arrivals);
   return 0;
 }

@@ -4,9 +4,10 @@
 #   scripts/reproduce.sh            # default Monte-Carlo budgets (~15 min)
 #   scripts/reproduce.sh --full     # paper-scale budgets (hours)
 #
-# Extra arguments go to every bench but bench_decoder_speed, so pass only
-# flags every bench accepts (--full, --seed S, --trials N, --threads T);
-# a bench exits 2 on an output format it does not print (--csv, --json).
+# Extra arguments go to every bench but bench_decoder_speed and
+# bench_traffic (fixed single-stream rows), so pass only flags every other
+# bench accepts (--full, --seed S, --trials N, --threads T); a bench exits
+# 2 on an output format it does not print (--csv, --json).
 #
 # Output lands in reproduction/: one text file per bench, plus the ctest
 # log. Compare against EXPERIMENTS.md.
@@ -26,7 +27,7 @@ for bench in build/bench/bench_*; do
   [[ -f "$bench" && -x "$bench" ]] || continue
   name=$(basename "$bench")
   echo "== $name =="
-  if [[ "$name" == "bench_decoder_speed" ]]; then
+  if [[ "$name" == "bench_decoder_speed" || "$name" == "bench_traffic" ]]; then
     "$bench" 2>&1 | tee "$OUT/$name.txt"
   else
     "$bench" "${EXTRA[@]}" 2>&1 | tee "$OUT/$name.txt"
