@@ -109,13 +109,28 @@ void PlanWorkspace::clear() {
 void PlanWorkspace::bind(const Topology& topology,
                          const CapacityTracker& tracker,
                          const CodeDemand& demand) {
+  bool stale = false;
   if (&topology != topology_) {
     topology_ = &topology;
-    fiber_noise_.resize(static_cast<std::size_t>(topology.num_fibers()));
-    for (int e = 0; e < topology.num_fibers(); ++e)
-      fiber_noise_[static_cast<std::size_t>(e)] = topology.fiber_noise(e);
+    const auto m = static_cast<std::size_t>(topology.num_fibers());
+    fiber_noise_.resize(m);
+    hop_noise_.resize(m);
+    fiber_ends_.resize(m);
+    for (std::size_t e = 0; e < m; ++e) {
+      const netsim::Fiber& f = topology.fiber(static_cast<int>(e));
+      fiber_noise_[e] = topology.fiber_noise(static_cast<int>(e));
+      // The lowest-id fiber between f's ends is e or an earlier twin.
+      const int lowest = topology.fiber_between(f.a, f.b);
+      hop_noise_[e] = fiber_noise_[static_cast<std::size_t>(lowest)];
+      fiber_ends_[e] = f.a ^ f.b;
+    }
     servers_ = topology.servers();
-    tracker_ = nullptr;  // trees of another topology are meaningless
+    const auto n = static_cast<std::size_t>(topology.num_nodes());
+    node_open_.assign(n, 0);
+    fiber_open_.assign(m, 0);
+    mark_.assign(n, 0);
+    tracker_ = nullptr;  // read the predicates afresh
+    stale = true;
   }
   const double node_demand = demand.support_storage + demand.core_storage;
   if (&tracker != tracker_ || tracker.version() != version_ ||
@@ -124,99 +139,124 @@ void PlanWorkspace::bind(const Topology& topology,
     version_ = tracker.version();
     node_demand_ = node_demand;
     pair_demand_ = demand.pairs;
+    // The trees read capacity only through these two predicates, so a
+    // commit or release that flips none of them keeps every tree.
+    for (int v = 0; v < topology.num_nodes(); ++v) {
+      const char open = topology.is_switch_or_server(v) &&
+                        !(tracker.node_remaining(v) < node_demand);
+      char& old = node_open_[static_cast<std::size_t>(v)];
+      stale |= open != old;
+      old = open;
+    }
+    for (int e = 0; e < topology.num_fibers(); ++e) {
+      const char open = !(tracker.fiber_pairs_remaining(e) < demand.pairs);
+      char& old = fiber_open_[static_cast<std::size_t>(e)];
+      stale |= open != old;
+      old = open;
+    }
+  }
+  if (stale) {
     tree_slot_.assign(static_cast<std::size_t>(topology.num_nodes()), -1);
     trees_ = 0;
   }
 }
 
-std::size_t PlanWorkspace::tree(int root) {
+const PlanWorkspace::Label* PlanWorkspace::tree(int root) {
   SURFNET_EXPECTS(root >= 0 &&
                   static_cast<std::size_t>(root) < tree_slot_.size());
+  const Topology& topology = *topology_;
+  const auto n = static_cast<std::size_t>(topology.num_nodes());
   int& slot = tree_slot_[static_cast<std::size_t>(root)];
-  if (slot >= 0) return static_cast<std::size_t>(slot);
+  if (slot >= 0) return labels_.data() + static_cast<std::size_t>(slot) * n;
   slot = static_cast<int>(trees_++);
 
   // Dijkstra from root over the whole network, minimizing accumulated
   // noise. Relaxation order, the strict < test and the (noise, node) heap
   // order are those of a point-to-point search, and a node that may not
-  // carry a code onward is labelled but never expanded, so every label
-  // and parent chain equals the point-to-point search to that target.
-  const Topology& topology = *topology_;
-  const auto n = static_cast<std::size_t>(topology.num_nodes());
+  // carry a code onward is labelled but never expanded, so every parent
+  // chain equals the point-to-point search to that target.
   const std::size_t base = static_cast<std::size_t>(slot) * n;
-  if (dist_.size() < base + n) {
-    dist_.resize(base + n);
-    parent_.resize(base + n);
-  }
-  double* dist = dist_.data() + base;
-  int* parent = parent_.data() + base;
-  std::fill(dist, dist + n, std::numeric_limits<double>::infinity());
-  std::fill(parent, parent + n, -1);
-  dist[root] = 0.0;
+  if (labels_.size() < base + n) labels_.resize(base + n);
+  Label* label = labels_.data() + base;
+  std::fill(label, label + n, Label{});
+  dist_.assign(n, std::numeric_limits<double>::infinity());
+  dist_[static_cast<std::size_t>(root)] = 0.0;
   heap_.clear();
   heap_.emplace_back(0.0, root);
   while (!heap_.empty()) {
     std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
     const auto [d, u] = heap_.back();
     heap_.pop_back();
-    if (d > dist[u]) continue;
+    if (d > dist_[static_cast<std::size_t>(u)]) continue;
     // Users and nodes without storage for one code end a route.
-    if (u != root && (!topology.is_switch_or_server(u) ||
-                      tracker_->node_remaining(u) < node_demand_))
-      continue;
+    if (u != root && !node_open_[static_cast<std::size_t>(u)]) continue;
     for (int e : topology.incident(u)) {
-      if (tracker_->fiber_pairs_remaining(e) < pair_demand_) continue;
-      const int v = topology.other_end(e, u);
-      const double nd = d + fiber_noise_[static_cast<std::size_t>(e)];
-      if (nd < dist[v]) {
-        dist[v] = nd;
-        parent[v] = u;
+      const auto fe = static_cast<std::size_t>(e);
+      if (!fiber_open_[fe]) continue;
+      const int v = fiber_ends_[fe] ^ u;  // Topology::other_end(e, u)
+      const double nd = d + fiber_noise_[fe];
+      if (nd < dist_[static_cast<std::size_t>(v)]) {
+        dist_[static_cast<std::size_t>(v)] = nd;
+        label[v] = {hop_noise_[fe], u};
         heap_.emplace_back(nd, v);
         std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
       }
     }
   }
-  return static_cast<std::size_t>(slot);
+  return label;
 }
 
-bool PlanWorkspace::route(int root, int target, std::vector<int>& path) {
+const PlanWorkspace::Label* PlanWorkspace::walk(int root, int target) {
   SURFNET_EXPECTS(target >= 0 &&
                   static_cast<std::size_t>(target) < tree_slot_.size());
-  const std::size_t base =
-      tree(root) * static_cast<std::size_t>(topology_->num_nodes());
-  if (dist_[base + static_cast<std::size_t>(target)] ==
-      std::numeric_limits<double>::infinity())
-    return false;
-  path.clear();
-  for (int v = target; v != -1; v = parent_[base + static_cast<std::size_t>(v)])
-    path.push_back(v);
-  std::reverse(path.begin(), path.end());
+  const Label* label = tree(root);
+  if (target != root && label[target].parent < 0) return nullptr;
+  leg_.clear();
+  for (int v = target; v != root; v = label[v].parent) leg_.push_back(v);
+  return label;
+}
+
+bool PlanWorkspace::extend(int root, int target, std::uint64_t seen,
+                           std::uint64_t stamp, double limit,
+                           Prefix& prefix) {
+  const Label* label = walk(root, target);
+  if (!label) return false;
+  // Fiber noise is never negative, so once a prefix reaches `limit` the
+  // whole composite does.
+  for (std::size_t i = leg_.size(); i-- > 0;) {
+    const int v = leg_[i];
+    std::uint64_t& mark = mark_[static_cast<std::size_t>(v)];
+    if (mark == seen || mark == stamp) return false;
+    mark = stamp;
+    prefix.mu += label[v].hop;
+    if (prefix.mu >= limit) return false;
+    if (v != target && topology_->is_server(v)) ++prefix.servers;
+  }
   return true;
 }
 
-double PlanWorkspace::path_noise(const std::vector<int>& path) const {
-  double mu = 0.0;
-  for (std::size_t i = 0; i + 1 < path.size(); ++i)
-    mu += fiber_noise_[static_cast<std::size_t>(
-        topology_->fiber_between(path[i], path[i + 1]))];
-  return mu;
+void PlanWorkspace::append(int root, int target, std::vector<int>& path) {
+  const Label* label = walk(root, target);
+  SURFNET_ASSERT(label, "append: leg %d..%d unreachable", root, target);
+  path.insert(path.end(), leg_.rbegin(), leg_.rend());
 }
 
 namespace {
 
-/// check_path with the path's noise already summed.
-std::optional<PlannedCode> check_path(const Topology& topology,
-                                      const RoutingParams& params,
-                                      const std::vector<int>& path,
-                                      double mu_total) {
-  std::vector<int> servers_on_path;
-  for (std::size_t i = 1; i + 1 < path.size(); ++i)
-    if (topology.is_server(path[i])) servers_on_path.push_back(path[i]);
+/// What Eq. (6) grants a route: its corrections and code distance.
+struct Grant {
+  int corrections = 0;
+  int distance = 0;  ///< 0 = the configured code
+};
 
+/// The normalized Eq. (6) bounds on a route of noise mu_total that passes
+/// `servers` servers: schedule as many corrections as the noise budget
+/// allows, or nullopt when the residual noise exceeds the thresholds.
+std::optional<Grant> grant(const RoutingParams& params, double mu_total,
+                           int servers) {
   // Schedule as many corrections as the lower noise bound allows
   // (Eq. 6: core noise after corrections must stay >= 0).
-  const int ec_count = std::min<int>(static_cast<int>(servers_on_path.size()),
-                                     params.max_corrections(mu_total));
+  const int ec_count = std::min(servers, params.max_corrections(mu_total));
 
   // Threshold checks, mirroring the normalized Eq. (6). With adaptive
   // code sizes, the thresholds scale with the code's error tolerance:
@@ -243,20 +283,22 @@ std::optional<PlannedCode> check_path(const Topology& topology,
     if (whole > threshold_scale * params.total_noise_threshold)
       return std::nullopt;
   }
-
-  PlannedCode plan;
-  plan.path = path;
-  plan.ec_servers.assign(servers_on_path.begin(),
-                         servers_on_path.begin() + ec_count);
-  plan.distance = distance;
-  return plan;
+  return Grant{ec_count, distance};
 }
 
-bool is_simple(const std::vector<int>& path) {
-  for (std::size_t i = 0; i < path.size(); ++i)
-    for (std::size_t j = i + 1; j < path.size(); ++j)
-      if (path[i] == path[j]) return false;
-  return true;
+/// The planned code on `path`: its first `g.corrections` transit servers
+/// correct.
+PlannedCode planned(const Topology& topology, std::vector<int> path,
+                    const Grant& g) {
+  PlannedCode plan;
+  for (std::size_t i = 1; i + 1 < path.size() &&
+                          static_cast<int>(plan.ec_servers.size()) <
+                              g.corrections;
+       ++i)
+    if (topology.is_server(path[i])) plan.ec_servers.push_back(path[i]);
+  plan.path = std::move(path);
+  plan.distance = g.distance;
+  return plan;
 }
 
 }  // namespace
@@ -264,62 +306,86 @@ bool is_simple(const std::vector<int>& path) {
 std::optional<PlannedCode> check_path(const Topology& topology,
                                       const RoutingParams& params,
                                       const std::vector<int>& path) {
-  return check_path(topology, params, path,
-                    netsim::path_noise(topology, path));
+  int servers = 0;
+  for (std::size_t i = 1; i + 1 < path.size(); ++i)
+    servers += topology.is_server(path[i]) ? 1 : 0;
+  const auto g = grant(params, netsim::path_noise(topology, path), servers);
+  if (!g) return std::nullopt;
+  return planned(topology, path, *g);
 }
 
 bool min_noise_route(const Topology& topology, const CapacityTracker& tracker,
                      const CodeDemand& demand, int src, int dst,
                      PlanWorkspace& ws, std::vector<int>& path) {
   ws.bind(topology, tracker, demand);
-  return ws.route(src, dst, path);
+  if (!ws.walk(src, dst)) return false;
+  path.assign(1, src);
+  path.insert(path.end(), ws.leg_.rbegin(), ws.leg_.rend());
+  return true;
 }
 
 std::optional<PlannedCode> plan_code(const Topology& topology,
                                      const CapacityTracker& tracker,
                                      const RoutingParams& params, int src,
                                      int dst, PlanWorkspace& ws) {
-  std::vector<int> path;
-  if (min_noise_route(topology, tracker, params.demand(), src, dst, ws,
-                      path)) {
-    if (auto plan = check_path(topology, params, path, ws.path_noise(path)))
-      return plan;
+  SURFNET_EXPECTS(src >= 0 && src < topology.num_nodes() && dst >= 0 &&
+                      dst < topology.num_nodes(),
+                  "plan_code: endpoints %d, %d outside [0, %d)", src, dst,
+                  topology.num_nodes());
+  ws.bind(topology, tracker, params.demand());
+  // The route src..server..other..dst from the trees; -1 skips a stop.
+  const auto route = [&](int server, int other) {
+    std::vector<int> path{src};
+    int from = src;
+    for (const int to : {server, other, dst}) {
+      if (to < 0) continue;
+      ws.append(from, to, path);
+      from = to;
+    }
+    return path;
+  };
+
+  const double inf = std::numeric_limits<double>::infinity();
+  PlanWorkspace::Prefix direct;
+  const std::uint64_t stamp = ++ws.stamp_;
+  if (ws.extend(src, dst, stamp, stamp, inf, direct)) {
+    if (const auto g = grant(params, direct.mu, direct.servers))
+      return planned(topology, route(-1, -1), *g);
   }
   // The minimum-noise route may fail the thresholds simply because it
   // passes too few servers: detour through one server — or an ordered pair
   // of servers — (the hierarchical equivalent of the LP routing its flow
-  // through EC sites) and keep the lowest-noise feasible composite.
+  // through EC sites) and keep the lowest-noise feasible composite. The
+  // composites are folded from the trees leg by leg, per-node stamps
+  // reject a repeated node, and only a new best is built.
   std::optional<PlannedCode> best;
-  double best_mu = std::numeric_limits<double>::infinity();
-  auto consider = [&](const std::vector<int>& composite) {
-    if (!is_simple(composite)) return;
-    const double mu = ws.path_noise(composite);
-    if (mu >= best_mu) return;
-    if (auto plan = check_path(topology, params, composite, mu)) {
-      best = std::move(plan);
-      best_mu = mu;
+  double best_mu = inf;
+  const auto consider = [&](const PlanWorkspace::Prefix& whole, int server,
+                            int other) {
+    if (const auto g = grant(params, whole.mu, whole.servers)) {
+      best = planned(topology, route(server, other), *g);
+      best_mu = whole.mu;
     }
-  };
-
-  // Composites are built in `path`, one leg (without its first node) at
-  // a time.
-  std::vector<int> leg;
-  const auto append = [&](int root, int target) {
-    if (!ws.route(root, target, leg)) return false;
-    path.insert(path.end(), leg.begin() + 1, leg.end());
-    return true;
   };
   for (const int server : ws.servers_) {
     if (server == src || server == dst) continue;
-    path.assign(1, src);
-    if (!append(src, server)) continue;
-    const std::size_t first = path.size();
-    if (append(server, dst)) consider(path);
+    // src and the first leg carry `first`; each continuation its own stamp.
+    const std::uint64_t first = ++ws.stamp_;
+    ws.mark_[static_cast<std::size_t>(src)] = first;
+    PlanWorkspace::Prefix to_server;
+    if (!ws.extend(src, server, first, first, best_mu, to_server)) continue;
+    ++to_server.servers;  // a junction server is a transit node
+    PlanWorkspace::Prefix whole = to_server;
+    if (ws.extend(server, dst, first, ++ws.stamp_, best_mu, whole))
+      consider(whole, server, -1);
     for (const int other : ws.servers_) {
       if (other == server || other == src || other == dst) continue;
-      path.resize(first);
-      if (!append(server, other)) continue;
-      if (append(other, dst)) consider(path);
+      const std::uint64_t second = ++ws.stamp_;
+      whole = to_server;
+      if (!ws.extend(server, other, first, second, best_mu, whole)) continue;
+      ++whole.servers;
+      if (ws.extend(other, dst, first, second, best_mu, whole))
+        consider(whole, server, other);
     }
   }
   return best;

@@ -22,9 +22,14 @@
 //
 // Planning reads minimum-noise trees: one from the request's source and
 // one from each server, which answer the direct route and every
-// server-detour leg. A PlanWorkspace keeps those trees for as long as the
-// CapacityTracker's version holds, so consecutive plans over an unchanged
-// tracker (a blocked arrival commits nothing) share them.
+// server-detour leg. The trees read capacity only through two predicates:
+// which switches and servers have storage for one more code, and which
+// fibers have pairs for one. A PlanWorkspace re-reads the predicates when
+// the CapacityTracker's version moves and keeps its trees while none
+// flips, so plans over an unchanged tracker (a blocked arrival commits
+// nothing), and plans after a commit or release that crosses no threshold,
+// share them. A detour's noise, servers and repeated nodes are read off
+// the trees' labels leg by leg; only a new best is built as a path.
 
 #include <cstdint>
 #include <optional>
@@ -107,12 +112,15 @@ struct PlannedCode {
 
 /// Reusable planner state, following the decoder::DecodeWorkspace idiom:
 /// one topology's fiber noise and server list, plus the minimum-noise
-/// trees grown for one tracker at one version and one demand. The planner
-/// rebinds it when handed a different topology or tracker object, a new
-/// tracker version or a different demand; buffers are reused, never
-/// assumed clean. Identity is by address, so call clear() after changing a
-/// bound topology's fidelities in place, and before reusing a workspace
-/// with a new object at a bound object's address.
+/// trees grown under one pair of capacity predicates (which switches and
+/// servers have storage for one more code of the demand, and which fibers
+/// have pairs for one). The planner re-reads the predicates when handed a
+/// different topology or tracker object, a new tracker version or a
+/// different demand, and drops the trees only when a predicate flipped;
+/// buffers are reused, never assumed clean. Identity is by address, so
+/// call clear() after changing a bound topology's fidelities in place, and
+/// before reusing a workspace with a new object at a bound object's
+/// address.
 class PlanWorkspace {
  public:
   /// Forget the bound topology, tracker and every tree.
@@ -127,21 +135,40 @@ class PlanWorkspace {
                               const CodeDemand& demand, int src, int dst,
                               PlanWorkspace& ws, std::vector<int>& path);
 
+  /// A node of one tree: its parent, -1 for the root and for a node the
+  /// tree does not reach, and the noise of the hop into it (hop_noise_).
+  struct Label {
+    double hop = 0.0;
+    int parent = -1;
+  };
+  /// A composite route grown leg by leg from its source: its noise so far
+  /// (netsim::path_noise's left fold) and the servers among its nodes.
+  struct Prefix {
+    double mu = 0.0;
+    int servers = 0;
+  };
+
   /// Bind to (topology, tracker, demand), dropping what the change
   /// invalidates.
   void bind(const netsim::Topology& topology, const CapacityTracker& tracker,
             const CodeDemand& demand);
-  /// Minimum-noise route from root to target under the bound tracker, or
-  /// false when target is unreachable. Equals a point-to-point search
-  /// from root to target: transit nodes need storage for one code (both
-  /// parts), fibers need pairs for one, and only target may be a user or
-  /// lack storage.
-  bool route(int root, int target, std::vector<int>& path);
-  /// Slot of root's tree in dist_/parent_, grown on first use.
-  std::size_t tree(int root);
-  /// netsim::path_noise over the bound topology, bit for bit, from the
-  /// cached fiber noise.
-  double path_noise(const std::vector<int>& path) const;
+  /// root's tree, grown on first use: num_nodes labels.
+  const Label* tree(int root);
+  /// Walk the minimum-noise leg root..target into leg_, target first and
+  /// root left out, and return root's tree; nullptr when target is
+  /// unreachable. The leg equals a point-to-point search from root to
+  /// target: transit nodes need storage for one code (both parts), fibers
+  /// need pairs for one, and only target may be a user or lack storage.
+  const Label* walk(int root, int target);
+  /// Extend `prefix` by the leg root..target: fold the leg's hop noise
+  /// onto prefix.mu in path order, count its servers before target, and
+  /// stamp its nodes with `stamp`. False, leaving prefix partly extended,
+  /// when target is unreachable, a node already carries `seen` or `stamp`,
+  /// or the noise reaches `limit`.
+  bool extend(int root, int target, std::uint64_t seen, std::uint64_t stamp,
+              double limit, Prefix& prefix);
+  /// Append the leg root..target (root left out) to path.
+  void append(int root, int target, std::vector<int>& path);
 
   const netsim::Topology* topology_ = nullptr;
   const CapacityTracker* tracker_ = nullptr;
@@ -149,12 +176,21 @@ class PlanWorkspace {
   double node_demand_ = 0.0;  ///< both parts of one code of the demand
   double pair_demand_ = 0.0;
   std::vector<double> fiber_noise_;  ///< per fiber of topology_
-  std::vector<int> servers_;         ///< topology_->servers()
-  std::vector<int> tree_slot_;       ///< per root node; -1 = not grown
-  std::size_t trees_ = 0;            ///< trees grown at this binding
-  std::vector<double> dist_;         ///< trees_ x num_nodes noise labels
-  std::vector<int> parent_;          ///< trees_ x num_nodes, -1 = none
+  /// Per fiber: the noise of the lowest-id fiber between its two ends,
+  /// the one netsim::path_noise sums (Topology::fiber_between).
+  std::vector<double> hop_noise_;
+  std::vector<int> fiber_ends_;    ///< per fiber: a ^ b (other end: ^ v)
+  std::vector<int> servers_;       ///< topology_->servers()
+  std::vector<char> node_open_;    ///< switch or server with room for one
+  std::vector<char> fiber_open_;   ///< fiber with pairs for one
+  std::vector<int> tree_slot_;     ///< per root node; -1 = not grown
+  std::size_t trees_ = 0;          ///< trees grown since the last drop
+  std::vector<Label> labels_;      ///< trees_ x num_nodes
+  std::vector<double> dist_;       ///< Dijkstra labels of the tree growing
   std::vector<std::pair<double, int>> heap_;  ///< Dijkstra frontier
+  std::vector<int> leg_;           ///< the last walk(), target first
+  std::vector<std::uint64_t> mark_;  ///< per node: last stamp it got
+  std::uint64_t stamp_ = 0;        ///< last stamp handed out
 };
 
 /// Distance selection for the adaptive-code-size extension: the residual

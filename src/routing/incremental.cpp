@@ -20,10 +20,17 @@ std::optional<AdmittedRoute> IncrementalRouter::admit(int src, int dst,
                                                       int codes) {
   const auto plan = plan_code(routing_topology(), tracker_, params_, src, dst,
                               workspace_);
-  if (!plan) return std::nullopt;
-  const CodeDemand demand = params_.demand(plan->distance);
-  if (!tracker_.feasible(plan->path, plan->path, demand, codes))
+  if (!plan) {
+    if (params_.sink.metrics)
+      params_.sink.metrics->count("route.incremental.no_plan");
     return std::nullopt;
+  }
+  const CodeDemand demand = params_.demand(plan->distance);
+  if (!tracker_.feasible(plan->path, plan->path, demand, codes)) {
+    if (params_.sink.metrics)
+      params_.sink.metrics->count("route.incremental.infeasible_plan");
+    return std::nullopt;
+  }
   tracker_.commit(plan->path, plan->path, demand, codes);
   ++stats_.greedy_admits;
   if (params_.sink.metrics)

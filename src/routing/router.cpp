@@ -209,20 +209,23 @@ RouteResult route(const Topology& topology,
 
   // Greedy top-up: reclaim codes the rounding dropped, while capacities and
   // noise thresholds still allow. Each code is its own entry (merging
-  // would change the order the slot loop launches them in).
+  // would change the order the slot loop launches them in) and is charged
+  // and recorded at the distance its plan chose, as route_greedy does.
   PlanWorkspace ws;
   for (std::size_t k : order) {
     const Request& req = requests[k];
     while (scheduled_codes[k] < req.codes) {
       const auto plan =
           plan_code(topology, tracker, params, req.src, req.dst, ws);
-      if (!plan || !tracker.feasible(plan->path, plan->path, demand)) break;
-      tracker.commit(plan->path, plan->path, demand);
+      if (!plan) break;
+      const CodeDemand code_demand = params.demand(plan->distance);
+      if (!tracker.feasible(plan->path, plan->path, code_demand)) break;
+      tracker.commit(plan->path, plan->path, code_demand);
       ++scheduled_codes[k];
       result.schedule.scheduled.push_back(ScheduledRequest{
           static_cast<int>(k), 1,
           params.dual_channel ? plan->path : std::vector<int>{}, plan->path,
-          plan->ec_servers});
+          plan->ec_servers, plan->distance});
     }
   }
 

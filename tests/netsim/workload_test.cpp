@@ -355,6 +355,37 @@ TEST(Workload, TrafficTrialsAreSinkInvariant) {
   EXPECT_GT(bare.blocking, 0.0);
 }
 
+TEST(Workload, RouterCountersSayWhyEachArrivalFoundNoCapacity) {
+  // With no warm-up and no load cap every arrival reaches the router, which
+  // counts each admit() as admitted ("greedy"), planless ("no_plan": no
+  // route passes Eq. (6)) or too big for its plan ("infeasible_plan": the
+  // codes do not fit the planned route). The last two are exactly the
+  // capacity blocks, and counting them changes nothing.
+  auto scenario = core::make_traffic_scenario(core::FacilityLevel::Sufficient,
+                                              core::ConnectionQuality::Good);
+  scenario.workload.arrival_rate = 2.0;
+  scenario.workload.horizon_slots = 500;
+  scenario.workload.warmup_slots = 0;
+  scenario.workload.max_active_codes = 0;
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    obs::MetricsRegistry metrics;
+    const TrafficResult observed =
+        core::run_traffic_trial(scenario, seed, obs::Sink{&metrics, nullptr});
+    expect_results_equal(observed, core::run_traffic_trial(scenario, seed));
+
+    const auto greedy = metrics.counter("route.incremental.greedy");
+    const auto no_plan = metrics.counter("route.incremental.no_plan");
+    const auto infeasible =
+        metrics.counter("route.incremental.infeasible_plan");
+    EXPECT_GT(no_plan, 0);
+    EXPECT_GT(infeasible, 0);
+    EXPECT_EQ(greedy + no_plan + infeasible, observed.arrivals);
+    EXPECT_EQ(no_plan + infeasible,
+              observed.blocked_by[static_cast<int>(BlockReason::Capacity)]);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Golden steady-state trace.
 

@@ -5,15 +5,20 @@
 //
 // One tracker walks through random commits and releases (one-path and
 // split forms) while one long-lived PlanWorkspace serves every plan, so a
-// workspace that kept trees across a capacity change would plan over
-// stale capacities. Noise scales 1 -> 2 -> 3 -> 1 go through one scaled
-// copy whose fidelities change in place, with the workspace cleared on
-// each change as the incremental router does.
+// workspace that kept trees across a change of which nodes and fibers
+// have room for one more code would plan over stale capacities. Some
+// topologies have parallel fibers whose lower-id twin is the noisier one,
+// so a tree that took a hop's noise from the fiber it relaxed, not from
+// the fiber path_noise sums, would misjudge the thresholds. Noise scales
+// 1 -> 2 -> 3 -> 1 go through one scaled copy whose fidelities change in
+// place, with the workspace cleared on each change as the incremental
+// router does.
 //
 // Scale with SURFNET_PROP_ITERS; replay a case with SURFNET_PROP_SEED.
 
 #include <cmath>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -71,6 +76,31 @@ Topology random_topology(util::Rng& rng) {
   return topology;
 }
 
+/// random_topology with parallel fibers: about a third of its fibers get
+/// a twin between the same two nodes (ends swapped half the time). The
+/// twin has the higher id and mostly the lower noise, so the trees relax
+/// through a fiber other than the lowest-id one that netsim::path_noise
+/// sums and CapacityTracker charges.
+Topology multigraph_topology(util::Rng& rng) {
+  const Topology simple = random_topology(rng);
+  std::vector<Node> nodes;
+  for (int v = 0; v < simple.num_nodes(); ++v) nodes.push_back(simple.node(v));
+  std::vector<Fiber> fibers;
+  for (int e = 0; e < simple.num_fibers(); ++e)
+    fibers.push_back(simple.fiber(e));
+  for (int e = 0; e < simple.num_fibers(); ++e) {
+    if (!proptest::chance(rng, 0.35)) continue;
+    Fiber twin = simple.fiber(e);
+    if (proptest::chance(rng, 0.5)) std::swap(twin.a, twin.b);
+    twin.fidelity = proptest::chance(rng, 0.8)
+                        ? proptest::real_in(rng, twin.fidelity, 1.0)
+                        : proptest::real_in(rng, 0.6, twin.fidelity);
+    twin.entanglement_capacity = proptest::int_in(rng, 0, 40);
+    fibers.push_back(twin);
+  }
+  return Topology(std::move(nodes), std::move(fibers));
+}
+
 void expect_same_plan(const std::optional<PlannedCode>& got,
                       const std::optional<PlannedCode>& want, int src,
                       int dst) {
@@ -94,6 +124,8 @@ TEST(PlannerOracle, TreesPlanExactlyLikePointToPointSearches) {
   proptest::check("planner_oracle", {}, [](util::Rng& rng) {
     const Topology topology = proptest::chance(rng, 0.15)
                                   ? disconnected_topology(rng)
+                              : proptest::chance(rng, 0.3)
+                                  ? multigraph_topology(rng)
                                   : random_topology(rng);
     RoutingParams params;
     params.dual_channel = proptest::chance(rng, 0.5);

@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/surfnet.h"
 #include "netsim/channel.h"
 #include "obs/metrics.h"
 #include "routing/formulation.h"
@@ -768,6 +769,42 @@ TEST(AdaptiveDistance, GreedySchedulerAssignsDistances) {
     EXPECT_GE(s.code_distance, 3);
     EXPECT_LE(s.code_distance, 5);
   }
+}
+
+TEST(AdaptiveDistance, LpTopUpChargesAndRecordsThePlannedDistance) {
+  // route()'s greedy top-up takes each code from plan_code, which under
+  // adaptive_code_distance picks the code's distance and judges the route
+  // by that distance's thresholds. The entry must carry that distance, as
+  // route_greedy's do, so that the ledger and the simulator size the code
+  // the thresholds assumed. The LP rounding records 0, the configured code.
+  int sized = 0;
+  for (const auto level :
+       {core::FacilityLevel::Abundant, core::FacilityLevel::Sufficient,
+        core::FacilityLevel::Insufficient})
+    for (const auto quality :
+         {core::ConnectionQuality::Good, core::ConnectionQuality::Poor})
+      for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+        const core::ScenarioParams scenario =
+            core::make_scenario(level, quality);
+        util::Rng rng(seed);
+        const auto topology =
+            netsim::make_random_topology(scenario.topology, rng);
+        const auto requests = netsim::random_requests(
+            topology, scenario.num_requests, scenario.max_codes_per_request,
+            rng);
+        RoutingParams params = scenario.routing;
+        params.dual_channel = true;
+        params.adaptive_code_distance = true;
+        const auto result = route(topology, requests, params, rng);
+        for (const auto& s : result.schedule.scheduled) {
+          if (s.code_distance == 0) continue;
+          ++sized;
+          const auto plan = check_path(topology, params, s.support_path);
+          ASSERT_TRUE(plan.has_value());
+          EXPECT_EQ(s.code_distance, plan->distance);
+        }
+      }
+  EXPECT_GT(sized, 0);
 }
 
 TEST(AdaptiveDistance, AdaptiveExecutesAtLeastAsMuchAsFixed) {
