@@ -12,8 +12,13 @@
 //    fiber qualities, SurfNet and Raw) at seeds 1-3, each trial built the
 //    way core::run_trial builds it, plus 4x4 and 6x6 grids from
 //    bench_ablation_routing's generator, where refactorization bumps are
-//    large. Pinned: the first solve's and the re-solves' iterations, the
-//    re-solve count, the bits of lp_objective and a digest of the schedule.
+//    large, and the Sufficient/Good SurfNet cell at code distance 13 with
+//    perfbench large_code_batch's scaled capacities. Pinned: the first
+//    solve's and the re-solves' iterations, the re-solve count, the bits of
+//    lp_objective and a digest of the schedule.
+//  * the RoutingFormulation of every instance above: each row's type,
+//    right-hand side, columns and coefficients in emission order, each
+//    variable's objective and upper bound, and the crash_hint() pairs.
 //  * direct solve chains on the same formulations: a crash-started solve,
 //    two warm re-solves of tightened residual problems and a cold solve of
 //    the last one. Pinned per solve: status, iterations, dual iterations,
@@ -145,6 +150,37 @@ Instance grid_instance(int grid, int num_requests) {
   return {label, std::move(topology), std::move(requests), params, rng};
 }
 
+/// perfbench large_code_batch's cell: Sufficient/Good SurfNet at code
+/// distance 13, storage and pair capacities scaled by the code's qubit
+/// counts, up to 8 codes per request.
+Instance large_code_instance(std::uint64_t seed) {
+  constexpr int kDistance = 13;
+  core::ScenarioParams scenario = core::make_scenario(
+      core::FacilityLevel::Sufficient, core::ConnectionQuality::Good);
+  const int base = scenario.simulation.code_distance;
+  const double node_scale =
+      static_cast<double>(RoutingParams::total_qubits_for(kDistance)) /
+      RoutingParams::total_qubits_for(base);
+  const double pair_scale =
+      static_cast<double>(RoutingParams::core_qubits_for(kDistance)) /
+      RoutingParams::core_qubits_for(base);
+  scenario.topology.storage_capacity = static_cast<int>(
+      std::lround(scenario.topology.storage_capacity * node_scale));
+  scenario.topology.entanglement_capacity = static_cast<int>(
+      std::lround(scenario.topology.entanglement_capacity * pair_scale));
+  util::Rng rng(seed);
+  auto topology = netsim::make_random_topology(scenario.topology, rng);
+  auto requests =
+      netsim::random_requests(topology, scenario.num_requests, 8, rng);
+  RoutingParams params = scenario.routing;
+  params.dual_channel = true;
+  params.core_qubits = RoutingParams::core_qubits_for(kDistance);
+  params.support_qubits =
+      RoutingParams::total_qubits_for(kDistance) - params.core_qubits;
+  return {"sufficient/good/SurfNet/d13/s" + std::to_string(seed),
+          std::move(topology), std::move(requests), params, rng};
+}
+
 std::vector<Instance> fig6a_corpus(std::initializer_list<std::uint64_t> seeds) {
   std::vector<Instance> corpus;
   for (const std::uint64_t seed : seeds)
@@ -261,12 +297,21 @@ void append_chain(const Instance& inst, std::vector<std::string>& lines) {
   pin("cold", LpSolver(formulation.problem()).solve());
 }
 
-TEST(LpPin, RouteResultsOnFig6aCellsAndGrids) {
+/// route()'s corpus: the Fig. 6(a) cells at seeds 1-3, four grids and the
+/// distance-13 cell at seeds 1-3.
+std::vector<Instance> route_corpus() {
   std::vector<Instance> corpus = fig6a_corpus({1, 2, 3});
   corpus.push_back(grid_instance(4, 8));
   corpus.push_back(grid_instance(4, 16));
   corpus.push_back(grid_instance(6, 8));
   corpus.push_back(grid_instance(6, 16));
+  for (const std::uint64_t seed : {1, 2, 3})
+    corpus.push_back(large_code_instance(seed));
+  return corpus;
+}
+
+TEST(LpPin, RouteResultsOnFig6aCellsAndGrids) {
+  std::vector<Instance> corpus = route_corpus();
   std::vector<std::string> got;
   for (Instance& inst : corpus) got.push_back(route_line(inst));
   // clang-format off
@@ -311,6 +356,109 @@ TEST(LpPin, RouteResultsOnFig6aCellsAndGrids) {
     {"grid4x4x16", 18, 0, 1, 0x401EBE2BE2BE2BE3ULL, 0xD43785145403CD58ULL},
     {"grid6x6x8", 72, 0, 1, 0x401124924924924AULL, 0x72B944E2D052E46DULL},
     {"grid6x6x16", 201, 220, 1, 0x40255F15F15F15F2ULL, 0x85345173E806DCE8ULL},
+    {"sufficient/good/SurfNet/d13/s1", 16, 1, 1, 0x401F31E43112CFBFULL, 0xD7F3C584215C7712ULL},
+    {"sufficient/good/SurfNet/d13/s2", 12, 0, 1, 0x402331E43112CFBEULL, 0x74DA6B133C7B7FEEULL},
+    {"sufficient/good/SurfNet/d13/s3", 0, 0, 1, 0x0000000000000000ULL, 0x34B459504102FC59ULL},
+  };
+  // clang-format on
+  expect_table(got, format_all(want));
+}
+
+struct FormulationPin {
+  const char* label;
+  int rows;
+  int vars;
+  int nonzeros;
+  int hint_pairs;
+  std::uint64_t digest;
+};
+
+std::string format(const FormulationPin& p) {
+  return "{\"" + std::string(p.label) + "\", " + std::to_string(p.rows) +
+         ", " + std::to_string(p.vars) + ", " + std::to_string(p.nonzeros) +
+         ", " + std::to_string(p.hint_pairs) + ", " + hex(p.digest) + "},";
+}
+
+/// Digest of the LP route() builds and of its crash hint, in emission order.
+std::string formulation_line(const Instance& inst) {
+  const RoutingFormulation formulation(inst.topology, inst.requests,
+                                       inst.params);
+  const LpProblem& lp = formulation.problem();
+  Digest d;
+  for (int r = 0; r < lp.num_rows(); ++r) {
+    d.add(static_cast<int>(lp.row_type(r)));
+    d.add(lp.rhs(r));
+    const auto cols = lp.row_cols(r);
+    const auto coeffs = lp.row_coeffs(r);
+    d.add(static_cast<int>(cols.size()));
+    for (std::size_t t = 0; t < cols.size(); ++t) {
+      d.add(cols[t]);
+      d.add(coeffs[t]);
+    }
+  }
+  for (int v = 0; v < lp.num_vars(); ++v) {
+    d.add(lp.objective(v));
+    d.add(lp.upper_bound(v));
+  }
+  const auto hint = formulation.crash_hint();
+  for (const auto& [col, row] : hint) {
+    d.add(col);
+    d.add(row);
+  }
+  return format(FormulationPin{inst.label.c_str(), lp.num_rows(),
+                               lp.num_vars(), lp.num_nonzeros(),
+                               static_cast<int>(hint.size()), d.value()});
+}
+
+TEST(LpPin, FormulationsOnFig6aCellsAndGrids) {
+  std::vector<std::string> got;
+  for (const Instance& inst : route_corpus())
+    got.push_back(formulation_line(inst));
+  // clang-format off
+  const std::vector<FormulationPin> want = {
+    {"abundant/good/SurfNet/s1", 340, 732, 4350, 222, 0x549B7D06AC389771ULL},
+    {"abundant/good/Raw/s1", 153, 384, 1638, 126, 0x1C4D54D5B5329E9DULL},
+    {"abundant/poor/SurfNet/s1", 340, 732, 4350, 222, 0x04A9A9DC07585E6DULL},
+    {"abundant/poor/Raw/s1", 153, 384, 1638, 126, 0xA1C338B770B60256ULL},
+    {"sufficient/good/SurfNet/s1", 259, 504, 2926, 162, 0xA851E18EF120B319ULL},
+    {"sufficient/good/Raw/s1", 113, 264, 1094, 90, 0x8534E93226D334ABULL},
+    {"sufficient/poor/SurfNet/s1", 259, 504, 2926, 162, 0x2374875CC58310E9ULL},
+    {"sufficient/poor/Raw/s1", 113, 264, 1094, 90, 0x99D2252D78F7237FULL},
+    {"insufficient/good/SurfNet/s1", 196, 326, 1902, 120, 0xDA294AAD7549DDE0ULL},
+    {"insufficient/good/Raw/s1", 86, 172, 714, 66, 0xD5D95C604CDEE87EULL},
+    {"insufficient/poor/SurfNet/s1", 196, 326, 1902, 120, 0xFEE60F4BB52C0A50ULL},
+    {"insufficient/poor/Raw/s1", 86, 172, 714, 66, 0xD5B0729CA82875B6ULL},
+    {"abundant/good/SurfNet/s2", 338, 732, 4330, 222, 0xA8B2B38068FBC519ULL},
+    {"abundant/good/Raw/s2", 153, 384, 1628, 126, 0xCAB26ED7B20B1B1DULL},
+    {"abundant/poor/SurfNet/s2", 338, 732, 4330, 222, 0x73301305CFB2E08DULL},
+    {"abundant/poor/Raw/s2", 153, 384, 1628, 126, 0xBEE20A2F9F781F5DULL},
+    {"sufficient/good/SurfNet/s2", 257, 526, 3103, 162, 0xC80C0612733D6F4CULL},
+    {"sufficient/good/Raw/s2", 113, 275, 1166, 90, 0xE770D6E6B5FEDDC6ULL},
+    {"sufficient/poor/SurfNet/s2", 257, 526, 3103, 162, 0x3E04DE4478C5BA33ULL},
+    {"sufficient/poor/Raw/s2", 113, 275, 1166, 90, 0x0D55559D2FB930ACULL},
+    {"insufficient/good/SurfNet/s2", 197, 374, 2172, 100, 0xF2DD698385949C84ULL},
+    {"insufficient/good/Raw/s2", 86, 196, 813, 55, 0xF50943BB008CB011ULL},
+    {"insufficient/poor/SurfNet/s2", 197, 374, 2172, 100, 0x7A42A1FDDF6A3B14ULL},
+    {"insufficient/poor/Raw/s2", 86, 196, 813, 55, 0x081C4CAB37D74B55ULL},
+    {"abundant/good/SurfNet/s3", 342, 732, 4346, 222, 0x779CF2E77CA9CE9FULL},
+    {"abundant/good/Raw/s3", 153, 384, 1636, 126, 0x7E60956064FDFDD7ULL},
+    {"abundant/poor/SurfNet/s3", 342, 732, 4346, 222, 0x44CFB1766EDF3F53ULL},
+    {"abundant/poor/Raw/s3", 153, 384, 1636, 126, 0x7349EFC566AFF137ULL},
+    {"sufficient/good/SurfNet/s3", 256, 522, 3037, 162, 0x870B32F1242CAAABULL},
+    {"sufficient/good/Raw/s3", 113, 273, 1136, 90, 0x625A688FF3DAEF15ULL},
+    {"sufficient/poor/SurfNet/s3", 256, 522, 3037, 162, 0xE061AD30A0724C9BULL},
+    {"sufficient/poor/Raw/s3", 113, 273, 1136, 90, 0x6335A6667C85663BULL},
+    {"insufficient/good/SurfNet/s3", 201, 374, 2146, 120, 0xE817BB26C7CAF183ULL},
+    {"insufficient/good/Raw/s3", 86, 196, 800, 66, 0x5D635968E66CA2C4ULL},
+    {"insufficient/poor/SurfNet/s3", 201, 374, 2146, 120, 0xF3181DCF0A5D5CB7ULL},
+    {"insufficient/poor/Raw/s3", 86, 196, 800, 66, 0x9BF941047E136776ULL},
+    {"grid4x4x8", 169, 180, 1040, 72, 0x5DDC5295034D3C09ULL},
+    {"grid4x4x16", 322, 354, 2059, 148, 0xD66DD9FE1B76F7C5ULL},
+    {"grid6x6x8", 457, 846, 4881, 196, 0xC64A89D1D45E2A72ULL},
+    {"grid6x6x16", 871, 1700, 9802, 476, 0x75E8F8EE17E14A1AULL},
+    {"sufficient/good/SurfNet/d13/s1", 259, 504, 2926, 162, 0x2891F303A52DDFD4ULL},
+    {"sufficient/good/SurfNet/d13/s2", 257, 526, 3103, 162, 0x64DF3580CDEDE711ULL},
+    {"sufficient/good/SurfNet/d13/s3", 256, 522, 3037, 162, 0xC7FD337DF5B8900BULL},
   };
   // clang-format on
   expect_table(got, format_all(want));
