@@ -57,9 +57,10 @@ std::vector<TrafficCell> traffic_cells() {
       cell.rate = rate;
       cells.push_back(std::move(cell));
     }
-  // The sustained-load headline: one million requests through one stream,
-  // overload shed by a realistic admission cap (the load gate is O(1), so
-  // the stream's cost tracks admissions, not offered load).
+  // The sustained-load headline: one million requests through one stream
+  // at 4 arrivals per slot. Its admission cap of 60 active codes never
+  // binds at the default seed (every arrival reaches the router), so the
+  // cell times the planner at that rate, not the O(1) load gate.
   TrafficCell big;
   big.name = "sustained_1m";
   big.nodes = 24;

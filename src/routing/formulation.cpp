@@ -109,7 +109,8 @@ std::vector<std::pair<int, int>> RoutingFormulation::crash_hint() const {
       for (const int de : out_arcs(u)) {
         if (v.b[static_cast<std::size_t>(de)] < 0) continue;
         const auto w = static_cast<std::size_t>(edge_head(de));
-        const double nd = d + topo.fiber_noise(edge_fiber(de));
+        const double nd =
+            d + fiber_noise_[static_cast<std::size_t>(edge_fiber(de))];
         if (nd < dist[w]) {
           dist[w] = nd;
           in_arc[w] = de;
@@ -144,6 +145,22 @@ void RoutingFormulation::build(const std::vector<Request>& requests) {
 
   storage_row_.assign(static_cast<std::size_t>(topo.num_nodes()), -1);
   entanglement_row_.assign(static_cast<std::size_t>(topo.num_fibers()), -1);
+  // Each fiber's noise is one std::log; the penalties, the Eq. (6) rows and
+  // crash_hint() read it from here.
+  fiber_noise_.resize(static_cast<std::size_t>(topo.num_fibers()));
+  for (int e = 0; e < topo.num_fibers(); ++e)
+    fiber_noise_[static_cast<std::size_t>(e)] = topo.fiber_noise(e);
+  const std::vector<int> transit = topo.switches_and_servers();
+
+  // Room for every variable, row and term without regrowing: per request a
+  // Y, one variable per channel and directed edge at most and one x per
+  // server; rows and terms are bounded once the variables are known.
+  const int channels = params_.dual_channel ? 2 : 1;
+  const auto num_requests = static_cast<int>(requests.size());
+  const auto num_transit = static_cast<int>(transit.size());
+  const auto num_servers = static_cast<int>(servers_.size());
+  lp_.reserve_variables(num_requests *
+                        (1 + channels * de_count + num_servers));
 
   // --- Variables (Eq. 2 bounds become variable upper bounds). ---
   vars_.resize(requests.size());
@@ -168,7 +185,8 @@ void RoutingFormulation::build(const std::vector<Request>& requests) {
       // maximum-throughput solutions the LP then picks minimum-noise
       // routes (and aligned Core/Support paths).
       const double penalty =
-          -kNoiseObjectiveWeight * topo.fiber_noise(edge_fiber(de));
+          -kNoiseObjectiveWeight *
+          fiber_noise_[static_cast<std::size_t>(edge_fiber(de))];
       if (params_.dual_channel)
         v.a[static_cast<std::size_t>(de)] = lp_.add_variable(penalty);
       v.b[static_cast<std::size_t>(de)] = lp_.add_variable(penalty);
@@ -177,6 +195,17 @@ void RoutingFormulation::build(const std::vector<Request>& requests) {
     for (std::size_t r = 0; r < servers_.size(); ++r)
       v.x[r] = lp_.add_variable(0.0, req.codes);
   }
+
+  // Per request: two flow equations and one noise row per channel (two
+  // for Core), a conservation row per channel and transit node and a
+  // coupling row per channel and server; then a storage row per transit
+  // node and a pair row per fiber. A variable takes at most 8 terms: a
+  // Core flow sits in two flow or conservation rows, one coupling, three
+  // noise, one storage and one pair row.
+  lp_.reserve_rows(num_requests * channels * (2 + num_transit + num_servers) +
+                       num_requests * (params_.dual_channel ? 3 : 1) +
+                       num_transit + topo.num_fibers(),
+                   8 * lp_.num_vars());
 
   // --- Per-request constraints: Eqs. (3), (4), (6). Rows stream straight
   // into the problem's compressed form; nothing is buffered per row. ---
@@ -219,7 +248,7 @@ void RoutingFormulation::build(const std::vector<Request>& requests) {
     }
 
     // Eq. 4: conservation at switches and servers; server EC coupling.
-    for (int node : topo.switches_and_servers()) {
+    for (int node : transit) {
       const auto in = in_arcs(node);
       const auto out = out_arcs(node);
       auto add_conservation = [&](const std::vector<int>& var_of_edge,
@@ -273,7 +302,8 @@ void RoutingFormulation::build(const std::vector<Request>& requests) {
       for (int de = 0; de < de_count; ++de) {
         const int var = var_of_edge[static_cast<std::size_t>(de)];
         if (var < 0) continue;
-        const double mu = topo.fiber_noise(edge_fiber(de));
+        const double mu =
+            fiber_noise_[static_cast<std::size_t>(edge_fiber(de))];
         if (mu > 0.0) lp_.add_term(var, scale * mu);
       }
     };
@@ -305,7 +335,7 @@ void RoutingFormulation::build(const std::vector<Request>& requests) {
 
   // --- Shared capacity constraints: Eq. (5). ---
   const double capacity_scale = params_.storage_scale();
-  for (int node : topo.switches_and_servers()) {
+  for (int node : transit) {
     const auto in = in_arcs(node);
     bool any = false;
     for (int de : in) {

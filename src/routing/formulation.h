@@ -15,6 +15,12 @@
 // baseline: no Core variables, every qubit on the plain channel, EC still
 // available in servers, and switches get a capacity bonus because they no
 // longer prepare entanglement.
+//
+// A formulation reads each fiber's noise (Topology::fiber_noise, one
+// std::log) once, when it is built, into its own table: the flow penalties,
+// the Eq. (6) rows and crash_hint() all use that table, so a fiber changed
+// on the topology afterwards is not seen. It sizes the problem's arrays
+// before emitting into them.
 
 #include <span>
 #include <utility>
@@ -141,6 +147,7 @@ class RoutingFormulation {
   /// on its own row — its conservation row, or the in(dst) flow equation
   /// for the destination — on each channel, and every reached server gets
   /// its EC variable on its coupling row (the Core row when dual-channel).
+  /// The noise is the formulation's table, read at construction.
   std::vector<std::pair<int, int>> crash_hint() const;
 
   int num_requests() const { return static_cast<int>(vars_.size()); }
@@ -173,6 +180,7 @@ class RoutingFormulation {
   const netsim::Topology* topology_;
   RoutingParams params_;
   std::vector<int> servers_;
+  std::vector<double> fiber_noise_;  ///< Topology::fiber_noise at build()
   std::vector<VarIndex> vars_;
   std::vector<RowIndex> rows_;
   std::vector<int> storage_row_;       ///< per node; -1 = no row

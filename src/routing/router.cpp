@@ -174,7 +174,8 @@ RouteResult route(const Topology& topology,
     return committed;
   };
 
-  round_solution(lp);
+  const int rounded = round_solution(lp);
+  int resolved = 0;
 
   // Warm re-solves: shrink the LP to the residual problem (codes still
   // unscheduled, capacity the committed codes left behind) and round
@@ -204,7 +205,9 @@ RouteResult route(const Topology& topology,
     result.warm_iterations += relp.iterations;
     if (relp.status != LpStatus::Optimal) break;
     if (throughput(relp) < 0.5) break;  // no whole code left to gain
-    if (round_solution(relp) == 0) break;
+    const int committed = round_solution(relp);
+    if (committed == 0) break;
+    resolved += committed;
   }
 
   // Greedy top-up: reclaim codes the rounding dropped, while capacities and
@@ -212,6 +215,7 @@ RouteResult route(const Topology& topology,
   // would change the order the slot loop launches them in) and is charged
   // and recorded at the distance its plan chose, as route_greedy does.
   PlanWorkspace ws;
+  int topped_up = 0;
   for (std::size_t k : order) {
     const Request& req = requests[k];
     while (scheduled_codes[k] < req.codes) {
@@ -222,11 +226,18 @@ RouteResult route(const Topology& topology,
       if (!tracker.feasible(plan->path, plan->path, code_demand)) break;
       tracker.commit(plan->path, plan->path, code_demand);
       ++scheduled_codes[k];
+      ++topped_up;
       result.schedule.scheduled.push_back(ScheduledRequest{
           static_cast<int>(k), 1,
           params.dual_channel ? plan->path : std::vector<int>{}, plan->path,
           plan->ec_servers, plan->distance});
     }
+  }
+
+  if (params.sink.metrics) {
+    params.sink.metrics->count("route.codes_rounded", rounded);
+    params.sink.metrics->count("route.codes_resolved", resolved);
+    params.sink.metrics->count("route.codes_topped_up", topped_up);
   }
 
 #if SURFNET_CHECKS

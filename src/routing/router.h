@@ -48,8 +48,13 @@ struct RouteResult {
 /// Route `requests` over `topology` with LP relaxation + rounding.
 /// `params.dual_channel` selects the SurfNet formulation or the Raw
 /// baseline formulation. With a metrics sink attached, every solve that
-/// ends at the iteration limit counts "route.lp_iteration_limits". Throws
-/// std::invalid_argument on a negative Request::codes.
+/// ends at the iteration limit counts "route.lp_iteration_limits", and a
+/// call that does not fall back to greedy says where its scheduled codes
+/// came from: "route.codes_rounded" (the first solve's rounding),
+/// "route.codes_resolved" (the warm re-solves' roundings) and
+/// "route.codes_topped_up" (the greedy top-up), which sum to
+/// Schedule::scheduled_codes(). Throws std::invalid_argument on a negative
+/// Request::codes.
 RouteResult route(const netsim::Topology& topology,
                   const std::vector<netsim::Request>& requests,
                   const RoutingParams& params, util::Rng& rng);

@@ -13,15 +13,6 @@
 
 namespace surfnet::routing {
 
-void LpProblem::add_term(int var, double coeff) {
-  if (var < 0 || var >= num_vars())
-    throw std::invalid_argument("simplex: variable index out of range");
-  if (row_start_.empty())
-    throw std::logic_error("simplex: add_term before begin_constraint");
-  cols_.push_back(var);
-  coeffs_.push_back(coeff);
-}
-
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -66,6 +57,8 @@ class RevisedSimplex {
   /// The basis the next solve starts from.
   enum class Start { Cold, Kept, Crash };
 
+  void aggregate_columns();  ///< fills agg_*; see factor_columns()
+
   /// Nonbasic and not fixed at zero: the column can enter the basis.
   bool movable(std::size_t j) const {
     return vstat_[j] != kBasic && upper_[j] > 0.0;
@@ -86,6 +79,23 @@ class RevisedSimplex {
          k < col_start_[static_cast<std::size_t>(j) + 1]; ++k)
       v[static_cast<std::size_t>(col_row_[static_cast<std::size_t>(k)])] +=
           col_val_[static_cast<std::size_t>(k)];
+  }
+
+  /// refactorize()'s view of the columns: duplicate rows summed in CSC
+  /// order, entries with |v| <= kDropTol dropped. That depends only on the
+  /// column, so the constructor computes it once (agg_*), and only when
+  /// some column has a duplicate row or an entry to drop; otherwise the
+  /// raw columns already are it. Pricing, load_column and bump_column keep
+  /// reading the raw columns: summing first would change their rounding.
+  struct FactorColumns {
+    const int* start;
+    const int* row;
+    const double* val;
+  };
+  FactorColumns factor_columns() const {
+    if (agg_start_.empty())
+      return {col_start_.data(), col_row_.data(), col_val_.data()};
+    return {agg_start_.data(), agg_row_.data(), agg_val_.data()};
   }
 
   /// v <- B^{-1} v via the eta file, in application order.
@@ -221,9 +231,9 @@ class RevisedSimplex {
     return pr;
   }
 
-  /// Rebuild the eta file for the current basis from scratch. A triangular
-  /// ordering phase goes first: repeatedly take a row touched by exactly
-  /// one remaining basis column and pivot that column there. Such a column
+  /// Rebuild the eta file for the current basis. A triangular ordering
+  /// phase goes first: repeatedly take a row touched by exactly one
+  /// remaining basis column and pivot that column there. Such a column
   /// provably has no entries in earlier pivot rows, so its eta is the raw
   /// column — zero fill, no FTRAN. The columns it leaves, the "bump", are
   /// pivoted by Gauss-Jordan product form with partial pivoting, in basis
@@ -233,67 +243,67 @@ class RevisedSimplex {
   /// works on the rows it reaches instead of all of them. Basis columns
   /// may get reassigned to different rows; false = numerically singular.
   /// Allocation-free once the buffers have grown to the problem's size.
+  ///
+  /// The triangular phase reads only which columns are basic, never their
+  /// positions: its singleton counts run over the set, a row whose count
+  /// is one names its column whatever position holds it, and each eta is
+  /// that column's factor entries. So when no pivot has touched the basis
+  /// since the last successful rebuild (basis_unchanged_), its triangular
+  /// etas still lead the eta file and are exactly what the phase would
+  /// produce again; the rebuild keeps them, frees the bump's rows and
+  /// reruns only the bump, in the current position order. That is the
+  /// install rebuild of every warm re-solve.
   bool refactorize() {
     ++refactor_count_;
+    const bool reuse = basis_unchanged_;
+    basis_unchanged_ = false;  // until the bump succeeds
+    if (reuse) {
+      ++factor_reuse_count_;
+      keep_triangular_etas();
+    } else {
+      triangular_phase();
+    }
+    if (!bump_phase()) return false;
+    basis_unchanged_ = true;
+    if (reuse) check_factor_reuse();
+    return true;
+  }
+
+  /// Clears the eta file and pivots the triangular part of the basis. Marks
+  /// the columns it leaves in fac_in_bump_ and records the length of its
+  /// eta prefix.
+  void triangular_phase() {
     eta_pivot_row_.clear();
     eta_pivot_val_.clear();
     eta_row_.clear();
     eta_val_.clear();
     eta_start_.assign(1, 0);
-
-    // Aggregate each basis column's entries by row (duplicates summed).
     const auto sm = static_cast<std::size_t>(m_);
-    fac_col_start_.assign(sm + 1, 0);
-    fac_row_.clear();
-    fac_val_.clear();
-    fac_stamp_.assign(sm, -1);
-    fac_slot_.resize(sm);
-    for (int k = 0; k < m_; ++k) {
+    const FactorColumns fc = factor_columns();
+    // Basis position k's factor entries are [first, last).
+    const auto entries = [&](int k) {
       const int j = basis_[static_cast<std::size_t>(k)];
-      const auto base = fac_row_.size();
-      for (int t = col_start_[static_cast<std::size_t>(j)];
-           t < col_start_[static_cast<std::size_t>(j) + 1]; ++t) {
-        const int r = col_row_[static_cast<std::size_t>(t)];
-        const double v = col_val_[static_cast<std::size_t>(t)];
-        if (fac_stamp_[static_cast<std::size_t>(r)] == k) {
-          fac_val_[fac_slot_[static_cast<std::size_t>(r)]] += v;
-        } else {
-          fac_stamp_[static_cast<std::size_t>(r)] = k;
-          fac_slot_[static_cast<std::size_t>(r)] = fac_row_.size();
-          fac_row_.push_back(r);
-          fac_val_.push_back(v);
-        }
-      }
-      // Drop cancelled entries in place.
-      std::size_t w = base;
-      for (std::size_t t = base; t < fac_row_.size(); ++t)
-        if (std::abs(fac_val_[t]) > kDropTol) {
-          fac_row_[w] = fac_row_[t];
-          fac_val_[w] = fac_val_[t];
-          ++w;
-        }
-      fac_row_.resize(w);
-      fac_val_.resize(w);
-      fac_col_start_[static_cast<std::size_t>(k) + 1] =
-          static_cast<int>(w);
-    }
+      return std::pair<int, int>(fc.start[j], fc.start[j + 1]);
+    };
 
     // Row -> basis-position index for singleton detection.
     fac_rowpos_start_.assign(sm + 1, 0);
-    for (const int r : fac_row_)
-      ++fac_rowpos_start_[static_cast<std::size_t>(r) + 1];
+    for (int k = 0; k < m_; ++k) {
+      const auto [first, last] = entries(k);
+      for (int t = first; t < last; ++t)
+        ++fac_rowpos_start_[static_cast<std::size_t>(fc.row[t]) + 1];
+    }
     for (int r = 0; r < m_; ++r)
       fac_rowpos_start_[static_cast<std::size_t>(r) + 1] +=
           fac_rowpos_start_[static_cast<std::size_t>(r)];
-    fac_rowpos_col_.resize(fac_row_.size());
-    {
-      fac_fill_.assign(fac_rowpos_start_.begin(), fac_rowpos_start_.end() - 1);
-      for (int k = 0; k < m_; ++k)
-        for (int t = fac_col_start_[static_cast<std::size_t>(k)];
-             t < fac_col_start_[static_cast<std::size_t>(k) + 1]; ++t)
-          fac_rowpos_col_[static_cast<std::size_t>(
-              fac_fill_[static_cast<std::size_t>(
-                  fac_row_[static_cast<std::size_t>(t)])]++)] = k;
+    fac_rowpos_col_.resize(
+        static_cast<std::size_t>(fac_rowpos_start_[sm]));
+    fac_fill_.assign(fac_rowpos_start_.begin(), fac_rowpos_start_.end() - 1);
+    for (int k = 0; k < m_; ++k) {
+      const auto [first, last] = entries(k);
+      for (int t = first; t < last; ++t)
+        fac_rowpos_col_[static_cast<std::size_t>(
+            fac_fill_[static_cast<std::size_t>(fc.row[t])]++)] = k;
     }
 
     fac_row_live_.assign(sm, 0);
@@ -306,7 +316,6 @@ class RevisedSimplex {
     fac_new_basis_.assign(sm, -1);
     fac_eta_of_row_.assign(sm, -1);
 
-    // --- Triangular phase. ---
     fac_queue_.clear();
     for (int r = 0; r < m_; ++r)
       if (fac_row_live_[static_cast<std::size_t>(r)] == 1)
@@ -326,23 +335,21 @@ class RevisedSimplex {
           break;
         }
       if (k < 0) continue;
+      const auto [first, last] = entries(k);
       double pivot = 0.0;
-      for (int t = fac_col_start_[static_cast<std::size_t>(k)];
-           t < fac_col_start_[static_cast<std::size_t>(k) + 1]; ++t)
-        if (fac_row_[static_cast<std::size_t>(t)] == r)
-          pivot = fac_val_[static_cast<std::size_t>(t)];
+      for (int t = first; t < last; ++t)
+        if (fc.row[t] == r) pivot = fc.val[t];
       if (std::abs(pivot) <= 1e-10) continue;  // leave it for the bump
 
       fac_eta_of_row_[static_cast<std::size_t>(r)] =
           static_cast<int>(eta_pivot_row_.size());
       eta_pivot_row_.push_back(r);
       eta_pivot_val_.push_back(pivot);
-      for (int t = fac_col_start_[static_cast<std::size_t>(k)];
-           t < fac_col_start_[static_cast<std::size_t>(k) + 1]; ++t) {
-        const int r2 = fac_row_[static_cast<std::size_t>(t)];
+      for (int t = first; t < last; ++t) {
+        const int r2 = fc.row[t];
         if (r2 == r) continue;
         eta_row_.push_back(r2);
-        eta_val_.push_back(fac_val_[static_cast<std::size_t>(t)]);
+        eta_val_.push_back(fc.val[t]);
         if (!fac_taken_[static_cast<std::size_t>(r2)] &&
             --fac_row_live_[static_cast<std::size_t>(r2)] == 1)
           fac_queue_.push_back(r2);
@@ -354,11 +361,44 @@ class RevisedSimplex {
           basis_[static_cast<std::size_t>(k)];
     }
 
-    // --- Bump phase: Gauss-Jordan over whatever the ordering left. ---
-    std::fill(work_.begin(), work_.end(), 0.0);
+    for (const int j : fac_bump_cols_)
+      fac_in_bump_[static_cast<std::size_t>(j)] = 0;
+    fac_bump_cols_.clear();
     for (int k = 0; k < m_; ++k) {
       if (!fac_col_alive_[static_cast<std::size_t>(k)]) continue;
       const int j = basis_[static_cast<std::size_t>(k)];
+      fac_in_bump_[static_cast<std::size_t>(j)] = 1;
+      fac_bump_cols_.push_back(j);
+    }
+    fac_triangular_etas_ = eta_pivot_row_.size();
+  }
+
+  /// The triangular phase's state, from the last rebuild: the basis is
+  /// still the order that rebuild gave it (row r holds the column pivoted
+  /// there), and its eta file is the triangular prefix followed by one bump
+  /// eta per remaining row. Drops the bump etas and frees their rows.
+  void keep_triangular_etas() {
+    const std::size_t tri = fac_triangular_etas_;
+    for (std::size_t e = tri; e < eta_pivot_row_.size(); ++e) {
+      const auto r = static_cast<std::size_t>(eta_pivot_row_[e]);
+      fac_taken_[r] = 0;
+      fac_eta_of_row_[r] = -1;
+    }
+    eta_pivot_row_.resize(tri);
+    eta_pivot_val_.resize(tri);
+    eta_start_.resize(tri + 1);
+    eta_row_.resize(static_cast<std::size_t>(eta_start_.back()));
+    eta_val_.resize(eta_row_.size());
+    fac_new_basis_.assign(basis_.begin(), basis_.end());
+  }
+
+  /// Gauss-Jordan over the bump's columns in basis position order, then
+  /// the basis takes the pivot-row order.
+  bool bump_phase() {
+    std::fill(work_.begin(), work_.end(), 0.0);
+    for (int k = 0; k < m_; ++k) {
+      const int j = basis_[static_cast<std::size_t>(k)];
+      if (!fac_in_bump_[static_cast<std::size_t>(j)]) continue;
       const int pr = bump_column(j);
       if (pr < 0) return false;
       fac_taken_[static_cast<std::size_t>(pr)] = 1;
@@ -387,6 +427,7 @@ class RevisedSimplex {
   }
 
   void cold_basis() {
+    basis_unchanged_ = false;
     vstat_.assign(static_cast<std::size_t>(ncols_), kAtLower);
     basis_.resize(static_cast<std::size_t>(m_));
     for (int r = 0; r < m_; ++r) {
@@ -515,6 +556,7 @@ class RevisedSimplex {
       vstat_[static_cast<std::size_t>(leaving)] =
           to_upper && target > 0.0 ? kAtUpper : kAtLower;
       basis_[sr] = entering;
+      basis_unchanged_ = false;
       vstat_[se] = kBasic;
       x_basic_[sr] = entering_value;
       append_eta(work_, r);
@@ -564,6 +606,39 @@ class RevisedSimplex {
     }
     SURFNET_ASSERT(basic_count == m_, "%d basic flags for %d rows",
                    basic_count, m_);
+#endif
+  }
+
+  /// Debug validator (SURFNET_CHECKS): a refactorization that kept the
+  /// triangular etas must equal a rebuild from scratch. Keeps its eta file
+  /// and basis order aside, rebuilds the basis it started from (the order
+  /// bump_phase swapped into fac_new_basis_) with the full triangular
+  /// phase, and asserts both bit for bit. Compiled to nothing when checks
+  /// are off.
+  void check_factor_reuse() {
+#if SURFNET_CHECKS
+    const std::vector<int> order = basis_, pivot_row = eta_pivot_row_,
+                           start = eta_start_, row = eta_row_;
+    const std::vector<double> pivot_val = eta_pivot_val_, val = eta_val_;
+    basis_ = fac_new_basis_;
+    triangular_phase();
+    const bool rebuilt = bump_phase();
+    const auto same_bits = [](const std::vector<double>& a,
+                              const std::vector<double>& b) {
+      return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                        [](double x, double y) {
+                          return std::bit_cast<std::uint64_t>(x) ==
+                                 std::bit_cast<std::uint64_t>(y);
+                        });
+    };
+    SURFNET_ASSERT(rebuilt && basis_ == order &&
+                       eta_pivot_row_ == pivot_row && eta_start_ == start &&
+                       eta_row_ == row &&
+                       same_bits(eta_pivot_val_, pivot_val) &&
+                       same_bits(eta_val_, val),
+                   "refactorization %d kept triangular etas that a rebuild "
+                   "does not reproduce",
+                   refactor_count_);
 #endif
   }
 
@@ -645,6 +720,10 @@ class RevisedSimplex {
   std::vector<double> eta_val_;
   int pivots_since_refactor_ = 0;
   int refactor_count_ = 0;  ///< total basis rebuilds this solve
+  int factor_reuse_count_ = 0;  ///< of those, how many kept triangular etas
+  /// No pivot, crash or cold reset has changed the basis since the last
+  /// successful refactorize(), so its triangular etas lead the eta file.
+  bool basis_unchanged_ = false;
 
   std::vector<double> work_;  ///< dense row-sized scratch (FTRAN target)
   std::vector<double> y_;     ///< dense row-sized scratch (BTRAN target)
@@ -655,14 +734,22 @@ class RevisedSimplex {
   std::vector<double> reduced_;
   std::vector<double> row_alpha_;
 
+  // The factor columns (factor_columns()); empty when the raw columns
+  // serve.
+  std::vector<int> agg_start_, agg_row_;
+  std::vector<double> agg_val_;
+
   // Refactorization scratch (rebuilt each refactorize; kept as members so
   // the buffers only grow).
-  std::vector<int> fac_col_start_, fac_row_, fac_stamp_, fac_rowpos_start_,
-      fac_rowpos_col_, fac_row_live_, fac_queue_, fac_fill_, fac_new_basis_;
-  std::vector<std::size_t> fac_slot_;
-  std::vector<double> fac_val_;
+  std::vector<int> fac_rowpos_start_, fac_rowpos_col_, fac_row_live_,
+      fac_queue_, fac_fill_, fac_new_basis_;
   std::vector<char> fac_col_alive_, fac_taken_;
   std::vector<int> fac_eta_of_row_;  ///< eta pivoting on each row, or -1
+  // What the last triangular phase left: its eta count, and the columns
+  // of the bump as a per-column flag and a list.
+  std::size_t fac_triangular_etas_ = 0;
+  std::vector<char> fac_in_bump_;
+  std::vector<int> fac_bump_cols_;
   // bump_column's reached rows and eta frontier; all zero between calls.
   std::vector<std::uint64_t> fac_row_bits_, fac_eta_bits_;
 
@@ -705,14 +792,22 @@ RevisedSimplex::RevisedSimplex(const LpProblem& problem) : problem_(&problem) {
   col_row_.resize(static_cast<std::size_t>(nnz) + static_cast<std::size_t>(m_));
   col_val_.resize(col_row_.size());
   std::vector<int> fill(col_start_.begin(), col_start_.end() - 1);
+  // Whether some column has a repeated row or an entry to drop (see
+  // factor_columns()), from the row each column last took.
+  std::vector<int> last_row(static_cast<std::size_t>(nstruct_), -1);
+  bool aggregate = false;
   for (int r = 0; r < m_; ++r) {
     const auto cols = problem.row_cols(r);
     const auto coeffs = problem.row_coeffs(r);
     for (std::size_t t = 0; t < cols.size(); ++t) {
-      const auto slot =
-          static_cast<std::size_t>(fill[static_cast<std::size_t>(cols[t])]++);
+      const auto c = static_cast<std::size_t>(cols[t]);
+      const auto slot = static_cast<std::size_t>(fill[c]++);
       col_row_[slot] = r;
       col_val_[slot] = coeffs[t];
+      const bool repeated = last_row[c] == r;
+      const bool droppable = !(std::abs(coeffs[t]) > kDropTol);
+      aggregate = aggregate | repeated | droppable;
+      last_row[c] = r;
     }
   }
 
@@ -743,6 +838,8 @@ RevisedSimplex::RevisedSimplex(const LpProblem& problem) : problem_(&problem) {
     col_val_[slot] = coeff;
   }
 
+  if (aggregate) aggregate_columns();
+
   x_basic_.resize(static_cast<std::size_t>(m_));
   work_.resize(static_cast<std::size_t>(m_));
   y_.resize(static_cast<std::size_t>(m_));
@@ -754,13 +851,51 @@ RevisedSimplex::RevisedSimplex(const LpProblem& problem) : problem_(&problem) {
   fac_row_bits_.assign(words, 0);
   fac_eta_bits_.assign(words, 0);  // at most one eta per row
   banned_.assign(static_cast<std::size_t>(ncols_), 0);
+  fac_in_bump_.assign(static_cast<std::size_t>(ncols_), 0);
+}
+
+void RevisedSimplex::aggregate_columns() {
+  const auto sm = static_cast<std::size_t>(m_);
+  agg_start_.assign(static_cast<std::size_t>(ncols_) + 1, 0);
+  agg_row_.clear();
+  agg_val_.clear();
+  std::vector<int> stamp(sm, -1);
+  std::vector<std::size_t> slot(sm);
+  for (int j = 0; j < ncols_; ++j) {
+    const auto base = agg_row_.size();
+    for (int t = col_start_[static_cast<std::size_t>(j)];
+         t < col_start_[static_cast<std::size_t>(j) + 1]; ++t) {
+      const auto r =
+          static_cast<std::size_t>(col_row_[static_cast<std::size_t>(t)]);
+      const double v = col_val_[static_cast<std::size_t>(t)];
+      if (stamp[r] == j) {
+        agg_val_[slot[r]] += v;
+      } else {
+        stamp[r] = j;
+        slot[r] = agg_row_.size();
+        agg_row_.push_back(static_cast<int>(r));
+        agg_val_.push_back(v);
+      }
+    }
+    // Drop cancelled entries in place.
+    std::size_t w = base;
+    for (std::size_t t = base; t < agg_row_.size(); ++t)
+      if (std::abs(agg_val_[t]) > kDropTol) {
+        agg_row_[w] = agg_row_[t];
+        agg_val_[w] = agg_val_[t];
+        ++w;
+      }
+    agg_row_.resize(w);
+    agg_val_.resize(w);
+    agg_start_[static_cast<std::size_t>(j) + 1] = static_cast<int>(w);
+  }
 }
 
 void RevisedSimplex::crash(std::span<const std::pair<int, int>> column_rows) {
   for (const auto& [col, row] : column_rows)
     if (col < 0 || col >= nstruct_ || row < 0 || row >= m_)
       throw std::invalid_argument("simplex: crash column or row out of range");
-  cold_basis();
+  cold_basis();  // clears basis_unchanged_
   for (const auto& [col, row] : column_rows) {
     const auto sr = static_cast<std::size_t>(row);
     // Skip a column already placed and a row already taken.
@@ -784,6 +919,7 @@ LpSolution RevisedSimplex::solve() {
     upper_[static_cast<std::size_t>(j)] = problem.upper_bound(j);
   for (int r = 0; r < m_; ++r) b_[static_cast<std::size_t>(r)] = problem.rhs(r);
   refactor_count_ = 0;
+  factor_reuse_count_ = 0;
   for (const int j : banned_list_) banned_[static_cast<std::size_t>(j)] = 0;
   banned_list_.clear();
 
@@ -976,6 +1112,7 @@ LpSolution RevisedSimplex::solve() {
           dir > 0 ? best_t
                   : upper_[static_cast<std::size_t>(entering)] - best_t;
       basis_[static_cast<std::size_t>(block_row)] = entering;
+      basis_unchanged_ = false;
       vstat_[static_cast<std::size_t>(entering)] = kBasic;
       append_eta(work_, block_row);
       if (++pivots_since_refactor_ >= kRefactorInterval) {
@@ -1000,6 +1137,7 @@ LpSolution RevisedSimplex::solve() {
 
   solution.iterations = static_cast<int>(iterations);
   solution.refactorizations = refactor_count_;
+  solution.factor_reuses = factor_reuse_count_;
   check_basis_invariants();  // the basis the next solve starts from
   if (solution.status != LpStatus::Optimal) return solution;
 
@@ -1009,6 +1147,7 @@ LpSolution RevisedSimplex::solve() {
   check_primal_residual();
   check_exit_feasibility();
   solution.refactorizations = refactor_count_;
+  solution.factor_reuses = factor_reuse_count_;
 
   solution.x.assign(static_cast<std::size_t>(nstruct_), 0.0);
   for (int j = 0; j < nstruct_; ++j)
@@ -1046,6 +1185,7 @@ LpSolution LpSolver::solve(const obs::Sink& sink) {
     sink.metrics->count("lp.iterations", solution.iterations);
     sink.metrics->count("lp.dual_iterations", solution.dual_iterations);
     sink.metrics->count("lp.refactorizations", solution.refactorizations);
+    sink.metrics->count("lp.factor_reuses", solution.factor_reuses);
     if (solution.warm_started) sink.metrics->count("lp.warm_starts");
     if (solution.crash_started) sink.metrics->count("lp.crash_starts");
   }

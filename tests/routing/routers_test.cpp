@@ -372,6 +372,143 @@ TEST(LpRouter, CountsCrashStartsAndDualPivots) {
   EXPECT_EQ(metrics.counter("route.lp_iteration_limits"), 0);
 }
 
+/// A Fig. 6(a) trial's topology, requests and routing parameters, built
+/// the way core::run_trial builds them; `rng` is left where route() takes
+/// over.
+struct Fig6aTrial {
+  netsim::Topology topology;
+  std::vector<netsim::Request> requests;
+  RoutingParams params;
+};
+Fig6aTrial fig6a_trial(core::FacilityLevel level,
+                       core::ConnectionQuality quality, bool surfnet,
+                       util::Rng& rng) {
+  const core::ScenarioParams scenario = core::make_scenario(level, quality);
+  auto topology = netsim::make_random_topology(scenario.topology, rng);
+  auto requests = netsim::random_requests(
+      topology, scenario.num_requests, scenario.max_codes_per_request, rng);
+  RoutingParams params = scenario.routing;
+  params.dual_channel = surfnet;
+  return {std::move(topology), std::move(requests), params};
+}
+
+TEST(LpRouter, CodeCountersSayWhereEveryScheduledCodeCameFrom) {
+  // With a metrics sink, route() counts the codes its first rounding, its
+  // warm re-solves' roundings and its greedy top-up scheduled. A call that
+  // falls back to greedy counts none of them. The three must add up to the
+  // schedule, and the sink must change neither the result nor the draws.
+  std::int64_t rounded = 0, resolved = 0, topped_up = 0;
+  int routed = 0;
+  for (const auto level :
+       {core::FacilityLevel::Abundant, core::FacilityLevel::Sufficient,
+        core::FacilityLevel::Insufficient})
+    for (const auto quality :
+         {core::ConnectionQuality::Good, core::ConnectionQuality::Poor})
+      for (const bool surfnet : {true, false})
+        for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+          util::Rng rng(seed);
+          const Fig6aTrial trial = fig6a_trial(level, quality, surfnet, rng);
+          util::Rng plain_rng = rng;
+          util::Rng observed_rng = rng;
+          const RouteResult plain =
+              route(trial.topology, trial.requests, trial.params, plain_rng);
+          obs::MetricsRegistry metrics;
+          RoutingParams observed_params = trial.params;
+          observed_params.sink.metrics = &metrics;
+          const RouteResult observed = route(trial.topology, trial.requests,
+                                             observed_params, observed_rng);
+          const std::string label =
+              std::string(core::to_string(level)) + "/" +
+              std::string(core::to_string(quality)) +
+              (surfnet ? "/SurfNet" : "/Raw") + "/s" + std::to_string(seed);
+
+          EXPECT_EQ(plain.status, observed.status) << label;
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(plain.lp_objective),
+                    std::bit_cast<std::uint64_t>(observed.lp_objective))
+              << label;
+          EXPECT_EQ(plain.resolves, observed.resolves) << label;
+          EXPECT_EQ(plain.cold_iterations, observed.cold_iterations) << label;
+          EXPECT_EQ(plain.warm_iterations, observed.warm_iterations) << label;
+          EXPECT_EQ(plain.greedy_fallback, observed.greedy_fallback) << label;
+          EXPECT_EQ(plain.schedule.requested_codes,
+                    observed.schedule.requested_codes)
+              << label;
+          ASSERT_EQ(plain.schedule.scheduled.size(),
+                    observed.schedule.scheduled.size())
+              << label;
+          for (std::size_t i = 0; i < plain.schedule.scheduled.size(); ++i) {
+            const auto& a = plain.schedule.scheduled[i];
+            const auto& b = observed.schedule.scheduled[i];
+            EXPECT_EQ(a.request_index, b.request_index) << label;
+            EXPECT_EQ(a.codes, b.codes) << label;
+            EXPECT_EQ(a.core_path, b.core_path) << label;
+            EXPECT_EQ(a.support_path, b.support_path) << label;
+            EXPECT_EQ(a.ec_servers, b.ec_servers) << label;
+            EXPECT_EQ(a.code_distance, b.code_distance) << label;
+          }
+          EXPECT_EQ(plain_rng(), observed_rng()) << label;
+
+          const std::int64_t r = metrics.counter("route.codes_rounded");
+          const std::int64_t s = metrics.counter("route.codes_resolved");
+          const std::int64_t t = metrics.counter("route.codes_topped_up");
+          if (observed.greedy_fallback) {
+            EXPECT_EQ(r + s + t, 0) << label;
+            EXPECT_EQ(metrics.counter("route.greedy_fallbacks"), 1) << label;
+            continue;
+          }
+          ++routed;
+          EXPECT_EQ(r + s + t, observed.schedule.scheduled_codes()) << label;
+          rounded += r;
+          resolved += s;
+          topped_up += t;
+        }
+  // Every source of codes shows up somewhere in the campaign.
+  EXPECT_GT(routed, 0);
+  EXPECT_GT(rounded, 0);
+  EXPECT_GT(resolved, 0);
+  EXPECT_GT(topped_up, 0);
+}
+
+TEST(LpSolverFactor, WarmResolvesKeepTheTriangularEtas) {
+  // A warm re-solve starts from the basis the previous solve left factored,
+  // so its install rebuild keeps that rebuild's triangular etas and reruns
+  // only the bump. Checks-on builds compare every such rebuild with one
+  // from scratch (RevisedSimplex::check_factor_reuse).
+  util::Rng rng(1);
+  const Fig6aTrial trial =
+      fig6a_trial(core::FacilityLevel::Sufficient,
+                  core::ConnectionQuality::Good, true, rng);
+  RoutingFormulation formulation(trial.topology, trial.requests,
+                                 trial.params);
+  obs::MetricsRegistry metrics;
+  const obs::Sink sink{&metrics, nullptr};
+  LpSolver solver(formulation.problem());
+  solver.crash(formulation.crash_hint());
+  int reuses = 0, refactorizations = 0;
+  const auto solve = [&] {
+    const LpSolution sol = solver.solve(sink);
+    EXPECT_EQ(sol.status, LpStatus::Optimal);
+    EXPECT_LE(sol.factor_reuses, sol.refactorizations);
+    reuses += sol.factor_reuses;
+    refactorizations += sol.refactorizations;
+    return sol;
+  };
+  EXPECT_EQ(solve().factor_reuses, 0);  // a crash basis is new
+  for (const double scale : {0.7, 0.4}) {
+    for (int k = 0; k < formulation.num_requests(); ++k)
+      formulation.set_request_limit(
+          k, std::floor(scale *
+                        trial.requests[static_cast<std::size_t>(k)].codes));
+    for (int v = 0; v < trial.topology.num_nodes(); ++v)
+      formulation.set_storage_capacity(
+          v, scale * trial.topology.node(v).storage_capacity);
+    solve();
+  }
+  EXPECT_GE(reuses, 1);
+  EXPECT_EQ(metrics.counter("lp.factor_reuses"), reuses);
+  EXPECT_EQ(metrics.counter("lp.refactorizations"), refactorizations);
+}
+
 TEST(LpRouter, KeptBasisBeatsColdSolvesAtEveryDeltaSize) {
   // route()'s re-solves change request limits, never the formulation's
   // shape, so one LpSolver keeps its basis across them. Over the same
