@@ -64,6 +64,25 @@ class RevisedSimplex {
     return vstat_[j] != kBasic && upper_[j] > 0.0;
   }
 
+  /// Rebuilds movable_ from the start basis and the bounds of this solve.
+  void collect_movable() {
+    movable_.clear();
+    for (std::size_t j = 0; j < static_cast<std::size_t>(ncols_); ++j)
+      if (movable(j)) movable_.push_back(static_cast<int>(j));
+  }
+
+  /// A basis change: `entering` leaves movable_, and `leaving` (already
+  /// nonbasic) joins it when its upper bound is positive. A bound flip
+  /// changes neither.
+  void swap_movable(int entering, int leaving) {
+    movable_.erase(
+        std::lower_bound(movable_.begin(), movable_.end(), entering));
+    if (upper_[static_cast<std::size_t>(leaving)] > 0.0)
+      movable_.insert(
+          std::lower_bound(movable_.begin(), movable_.end(), leaving),
+          leaving);
+  }
+
   /// d - a_j . y, subtracting term by term (pricing and reduced costs).
   double minus_column_dot(std::size_t j, double d,
                           const std::vector<double>& y) const {
@@ -199,35 +218,47 @@ class RevisedSimplex {
         }
       }
 
-    // Visits the reached rows in ascending order.
-    const auto for_each_row = [&](auto&& body) {
-      for (std::size_t w = row_lo; w < row_end; ++w)
-        for (std::uint64_t bits = rows[w]; bits != 0; bits &= bits - 1)
-          body(static_cast<int>(w * 64) + std::countr_zero(bits));
-    };
+    // One pass over the reached rows, ascending: clear each, append every
+    // entry above kDropTol, and track the first largest entry among the
+    // rows not yet taken. The pivot's entry exceeds the pivot threshold, so
+    // it was appended too; cutting it out leaves the off-pivot entries in
+    // ascending row order, as append_eta writes them.
+    const std::size_t first = eta_row_.size();
     int pr = -1;
     double best = 1e-10;
-    for_each_row([&](int i) {
-      if (!fac_taken_[static_cast<std::size_t>(i)] && std::abs(v[i]) > best) {
-        best = std::abs(v[i]);
-        pr = i;
-      }
-    });
-    if (pr >= 0) {
-      fac_eta_of_row_[static_cast<std::size_t>(pr)] =
-          static_cast<int>(eta_pivot_row_.size());
-      eta_pivot_row_.push_back(pr);
-      eta_pivot_val_.push_back(v[pr]);
-      for_each_row([&](int i) {
-        if (i != pr && std::abs(v[i]) > kDropTol) {
+    double pivot = 0.0;
+    std::size_t pivot_slot = first;
+    for (std::size_t w = row_lo; w < row_end; ++w) {
+      for (std::uint64_t bits = rows[w]; bits != 0; bits &= bits - 1) {
+        const int i = static_cast<int>(w * 64) + std::countr_zero(bits);
+        const double vi = v[i];
+        v[i] = 0.0;
+        if (std::abs(vi) > kDropTol) {
+          if (!fac_taken_[static_cast<std::size_t>(i)] &&
+              std::abs(vi) > best) {
+            best = std::abs(vi);
+            pr = i;
+            pivot = vi;
+            pivot_slot = eta_row_.size();
+          }
           eta_row_.push_back(i);
-          eta_val_.push_back(v[i]);
+          eta_val_.push_back(vi);
         }
-      });
-      eta_start_.push_back(static_cast<int>(eta_row_.size()));
+      }
+      rows[w] = 0;
     }
-    for_each_row([&](int i) { v[i] = 0.0; });
-    for (std::size_t w = row_lo; w < row_end; ++w) rows[w] = 0;
+    if (pr < 0) {
+      eta_row_.resize(first);
+      eta_val_.resize(first);
+      return -1;
+    }
+    eta_row_.erase(eta_row_.begin() + static_cast<std::ptrdiff_t>(pivot_slot));
+    eta_val_.erase(eta_val_.begin() + static_cast<std::ptrdiff_t>(pivot_slot));
+    fac_eta_of_row_[static_cast<std::size_t>(pr)] =
+        static_cast<int>(eta_pivot_row_.size());
+    eta_pivot_row_.push_back(pr);
+    eta_pivot_val_.push_back(pivot);
+    eta_start_.push_back(static_cast<int>(eta_row_.size()));
     return pr;
   }
 
@@ -445,8 +476,10 @@ class RevisedSimplex {
       y_[static_cast<std::size_t>(r)] =
           cost_[static_cast<std::size_t>(basis_[static_cast<std::size_t>(r)])];
     btran(y_);
-    for (std::size_t j = 0; j < static_cast<std::size_t>(ncols_); ++j)
-      if (movable(j)) reduced_[j] = minus_column_dot(j, cost_[j], y_);
+    for (const int j : movable_) {
+      const auto sj = static_cast<std::size_t>(j);
+      reduced_[sj] = minus_column_dot(sj, cost_[sj], y_);
+    }
   }
 
   /// Row of the largest bound violation among the basic variables, or -1
@@ -486,10 +519,12 @@ class RevisedSimplex {
     bool to_upper = false;
     if (worst_violation(to_upper) < 0) return true;
     compute_reduced_costs();
-    for (std::size_t j = 0; j < static_cast<std::size_t>(ncols_); ++j)
-      if (movable(j) && (vstat_[j] == kAtLower ? reduced_[j] > kOptTol
-                                               : reduced_[j] < -kOptTol))
+    for (const int j : movable_) {
+      const auto sj = static_cast<std::size_t>(j);
+      if (vstat_[sj] == kAtLower ? reduced_[sj] > kOptTol
+                                 : reduced_[sj] < -kOptTol)
         return true;  // not dual feasible: the primal loop takes it all
+    }
 
     int degenerate_streak = 0;
     while (iterations < max_iterations) {
@@ -508,9 +543,8 @@ class RevisedSimplex {
       int entering = -1;
       double best_ratio = kInf;
       double best_alpha = 0.0;
-      for (int j = 0; j < ncols_; ++j) {
+      for (const int j : movable_) {
         const auto sj = static_cast<std::size_t>(j);
-        if (!movable(sj)) continue;
         const double alpha = -minus_column_dot(sj, 0.0, y_);
         row_alpha_[sj] = alpha;
         const bool at_lower = vstat_[sj] == kAtLower;
@@ -548,8 +582,9 @@ class RevisedSimplex {
       // Dual step: d_j -= theta * alpha_rj keeps every movable column's
       // reduced cost on its optimal side; the leaving column gets -theta.
       const double theta = reduced_[se] / best_alpha;
-      for (std::size_t j = 0; j < static_cast<std::size_t>(ncols_); ++j)
-        if (movable(j)) reduced_[j] -= theta * row_alpha_[j];
+      for (const int j : movable_)
+        reduced_[static_cast<std::size_t>(j)] -=
+            theta * row_alpha_[static_cast<std::size_t>(j)];
       reduced_[static_cast<std::size_t>(leaving)] = -theta;
 
       // A column fixed at zero leaves at lower: both bounds coincide.
@@ -558,6 +593,7 @@ class RevisedSimplex {
       basis_[sr] = entering;
       basis_unchanged_ = false;
       vstat_[se] = kBasic;
+      swap_movable(entering, leaving);
       x_basic_[sr] = entering_value;
       append_eta(work_, r);
       ++iterations;
@@ -578,9 +614,10 @@ class RevisedSimplex {
   }
 
   /// Debug validator (SURFNET_CHECKS): structural sanity of the basis and
-  /// the variable-status flags: one distinct in-range column per row, and
-  /// an at-upper column rests on a finite bound, a positive one when it is
-  /// structural. Compiled to nothing when checks are off.
+  /// the variable-status flags: one distinct in-range column per row, an
+  /// at-upper column rests on a finite bound, a positive one when it is
+  /// structural, and movable_ lists exactly the movable() columns, in
+  /// ascending order. Compiled to nothing when checks are off.
   void check_basis_invariants() const {
 #if SURFNET_CHECKS
     std::vector<char> seen(static_cast<std::size_t>(ncols_), 0);
@@ -606,6 +643,16 @@ class RevisedSimplex {
     }
     SURFNET_ASSERT(basic_count == m_, "%d basic flags for %d rows",
                    basic_count, m_);
+    std::size_t listed = 0;
+    for (int j = 0; j < ncols_; ++j) {
+      if (!movable(static_cast<std::size_t>(j))) continue;
+      SURFNET_ASSERT(listed < movable_.size() && movable_[listed] == j,
+                     "movable column %d is not next in the movable set", j);
+      ++listed;
+    }
+    SURFNET_ASSERT(listed == movable_.size(),
+                   "movable set holds %zu columns, %zu are movable",
+                   movable_.size(), listed);
 #endif
   }
 
@@ -727,7 +774,6 @@ class RevisedSimplex {
 
   std::vector<double> work_;  ///< dense row-sized scratch (FTRAN target)
   std::vector<double> y_;     ///< dense row-sized scratch (BTRAN target)
-  std::vector<double> cb_;    ///< basic costs of the current phase
 
   // Dual phase, per column: phase-2 reduced cost and the leaving row's
   // entry of B^{-1} A (both only meaningful for movable nonbasic columns).
@@ -752,6 +798,11 @@ class RevisedSimplex {
   std::vector<int> fac_bump_cols_;
   // bump_column's reached rows and eta frontier; all zero between calls.
   std::vector<std::uint64_t> fac_row_bits_, fac_eta_bits_;
+
+  /// The movable() columns in ascending order: rebuilt once per solve,
+  /// then updated at each basis change (swap_movable). Pricing, the dual
+  /// ratio row and every reduced-cost pass walk it instead of all columns.
+  std::vector<int> movable_;
 
   // Primal loop: columns barred from the current pricing round.
   std::vector<char> banned_;
@@ -843,7 +894,7 @@ RevisedSimplex::RevisedSimplex(const LpProblem& problem) : problem_(&problem) {
   x_basic_.resize(static_cast<std::size_t>(m_));
   work_.resize(static_cast<std::size_t>(m_));
   y_.resize(static_cast<std::size_t>(m_));
-  cb_.resize(static_cast<std::size_t>(m_));
+  movable_.reserve(static_cast<std::size_t>(ncols_));
   reduced_.resize(static_cast<std::size_t>(ncols_));
   row_alpha_.resize(static_cast<std::size_t>(ncols_));
   eta_start_.assign(1, 0);
@@ -949,6 +1000,7 @@ LpSolution RevisedSimplex::solve() {
     cold_basis();
     refactorize();  // singleton basis columns: cannot fail
   }
+  collect_movable();
   solution.warm_started = installed && start_ == Start::Kept;
   solution.crash_started = installed && start_ == Start::Crash;
   start_ = Start::Kept;
@@ -971,36 +1023,32 @@ LpSolution RevisedSimplex::solve() {
 
     // Phase detection: any basic variable outside its bounds puts the
     // iteration in phase 1, whose costs point each violator back inside.
+    // One pass writes the phase-2 basic costs and looks for a violator;
+    // only a phase-1 iteration rewrites them.
     bool phase1 = false;
     for (int r = 0; r < m_; ++r) {
-      const double v = x_basic_[static_cast<std::size_t>(r)];
-      const double u =
-          upper_[static_cast<std::size_t>(basis_[static_cast<std::size_t>(r)])];
-      double c = 0.0;
-      if (v < -kFeasTol) {
-        c = 1.0;
-        phase1 = true;
-      } else if (v > u + kFeasTol) {
-        c = -1.0;
-        phase1 = true;
-      }
-      cb_[static_cast<std::size_t>(r)] = c;
+      const auto sr = static_cast<std::size_t>(r);
+      const auto j = static_cast<std::size_t>(basis_[sr]);
+      const double v = x_basic_[sr];
+      y_[sr] = cost_[j];
+      phase1 = phase1 || v < -kFeasTol || v > upper_[j] + kFeasTol;
     }
-    if (!phase1)
-      for (int r = 0; r < m_; ++r)
-        cb_[static_cast<std::size_t>(r)] = cost_[static_cast<std::size_t>(
-            basis_[static_cast<std::size_t>(r)])];
-
-    std::copy(cb_.begin(), cb_.end(), y_.begin());
+    if (phase1)
+      for (int r = 0; r < m_; ++r) {
+        const auto sr = static_cast<std::size_t>(r);
+        const double v = x_basic_[sr];
+        const double u = upper_[static_cast<std::size_t>(basis_[sr])];
+        y_[sr] = v < -kFeasTol ? 1.0 : v > u + kFeasTol ? -1.0 : 0.0;
+      }
     btran(y_);
 
     // Pricing: Dantzig (largest reduced cost) normally, Bland (first
     // eligible index) while a degenerate streak threatens to cycle.
     int entering = -1;
     double best_score = 0.0;
-    for (int j = 0; j < ncols_; ++j) {
+    for (const int j : movable_) {
       const auto sj = static_cast<std::size_t>(j);
-      if (!movable(sj) || banned_[sj]) continue;
+      if (banned_[sj]) continue;
       const double d = minus_column_dot(sj, phase1 ? 0.0 : cost_[sj], y_);
       const bool improving =
           vstat_[sj] == kAtLower ? (d > kOptTol) : (d < -kOptTol);
@@ -1114,6 +1162,7 @@ LpSolution RevisedSimplex::solve() {
       basis_[static_cast<std::size_t>(block_row)] = entering;
       basis_unchanged_ = false;
       vstat_[static_cast<std::size_t>(entering)] = kBasic;
+      swap_movable(entering, leaving);
       append_eta(work_, block_row);
       if (++pivots_since_refactor_ >= kRefactorInterval) {
         if (!refactorize()) {

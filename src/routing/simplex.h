@@ -44,6 +44,15 @@
 // of a warm re-solve — keeps that rebuild's triangular etas and reruns only
 // the Gauss-Jordan bump. Either way the eta file is the one a full rebuild
 // gives, bit for bit; checks-on builds compare every reuse against one.
+//
+// Per-pivot scans. A solve keeps the columns that can enter the basis
+// (nonbasic, upper bound positive) in one ascending list, rebuilt when the
+// solve starts and updated at each basis change; pricing, the dual ratio
+// row and the reduced-cost passes walk it instead of every column, and in
+// the same ascending order, so every pick is the one a full scan makes.
+// Each bump column clears, searches and writes its reached rows in one
+// pass, and the primal phase test writes the basic costs as it looks for a
+// violation. None of these changes a pivot or a bit of a result.
 
 #include <limits>
 #include <memory>
