@@ -10,12 +10,12 @@
 //   node_outages     switches/servers drop out and heal.
 //
 // Expected shape: with recovery disabled, broken routes hold in place until
-// the fault heals and starved codes pin their requests, so the fraction of
-// scheduled codes that arrive intact collapses; the aggressive policy
-// (local detours, bounded retries with backoff, escalation, per-code
-// budgets) keeps delivery and success strictly higher under every regime —
-// most visibly under correlated cuts, where a single conduit event severs
-// the planned route outright.
+// the fault heals, and a code still held at the 2000-slot cap times out. The
+// aggressive policy (local detours plus a 1500-slot per-code budget)
+// delivers strictly more codes intact under correlated cuts, where a
+// single conduit event severs the planned route outright, and cuts latency
+// under node outages, which heal on their own. Source degradation starves
+// pools without breaking routes, so there the two postures coincide.
 
 #include <iostream>
 #include <string>

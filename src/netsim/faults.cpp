@@ -15,7 +15,6 @@ std::string_view to_string(FaultKind kind) {
     case FaultKind::FiberCut: return "fiber_cut";
     case FaultKind::NodeOutage: return "node_outage";
     case FaultKind::EntanglementDegradation: return "degradation";
-    case FaultKind::DecodeStall: return "decode_stall";
   }
   return "?";
 }
@@ -44,12 +43,11 @@ int window_end(int slot, int duration) {
 void validate_spec(const StochasticFaults& s) {
   for (const double rate :
        {s.fiber_cut_rate, s.correlated_cut_rate, s.node_outage_rate,
-        s.degradation_rate, s.decode_stall_rate})
+        s.degradation_rate})
     if (rate < 0.0 || rate > 1.0) bad_plan("stochastic rate outside [0, 1]");
   for (const int d :
        {s.fiber_cut_duration, s.correlated_cut_duration,
-        s.node_outage_duration, s.degradation_duration,
-        s.decode_stall_duration})
+        s.node_outage_duration, s.degradation_duration})
     if (d <= 0) bad_plan("stochastic fault duration must be positive");
   if (s.correlated_group_size < 1)
     bad_plan("correlated group size must be >= 1");
@@ -83,8 +81,6 @@ FaultInjector::FaultInjector(const Topology& topology, const FaultPlan& plan)
           bad_plan("scripted event targets node " +
                    std::to_string(event.target) + " outside [0, " +
                    std::to_string(topology.num_nodes()) + ")");
-        break;
-      case FaultKind::DecodeStall:
         break;
     }
     if (event.kind == FaultKind::EntanglementDegradation &&
@@ -139,12 +135,6 @@ void FaultInjector::apply(const FaultEvent& event, int slot,
                                                 event.magnitude));
       break;
     }
-    case FaultKind::DecodeStall:
-      stall_until_ = std::max(stall_until_, window_end(slot, event.duration));
-      if (sink.metrics) sink.metrics->count("sim.decode_stalls");
-      if (sink.trace)
-        sink.trace->record(obs::Event::decode_stall(slot, stall_until_));
-      break;
   }
 }
 
@@ -210,15 +200,6 @@ void FaultInjector::begin_slot(int slot, util::Rng& rng,
       sink.trace->record(obs::Event::degraded(
           slot, static_cast<int>(e), degrade_until_[e],
           s.degradation_factor));
-  }
-
-  // Network-wide decode-latency spikes.
-  if (s.decode_stall_rate > 0.0 && !decode_stalled(slot) &&
-      rng.bernoulli(s.decode_stall_rate)) {
-    stall_until_ = window_end(slot, s.decode_stall_duration);
-    if (sink.metrics) sink.metrics->count("sim.decode_stalls");
-    if (sink.trace)
-      sink.trace->record(obs::Event::decode_stall(slot, stall_until_));
   }
 }
 

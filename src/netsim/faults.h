@@ -8,8 +8,8 @@
 // down/degraded state of every fiber and node, draws stochastic faults from
 // the simulation's RNG in a fixed order (so a (seed, plan) pair replays to
 // a bitwise-identical run on any thread count), and reports every injected
-// fault through the obs::Sink (fiber_down / node_down / degraded /
-// decode_stall events and "sim.*" counters).
+// fault through the obs::Sink (fiber_down / node_down / degraded events
+// and "sim.*" counters).
 //
 // Fault kinds (all windows are half-open [slot, until_slot)):
 //   * FiberCut                  — the fiber carries no traffic; prepared
@@ -18,9 +18,7 @@
 //   * NodeOutage                — a switch/server drops out: nothing moves
 //                                 through it and corrections at it wait;
 //   * EntanglementDegradation   — the fiber's pair-generation rate is
-//                                 multiplied by `magnitude` in [0, 1];
-//   * DecodeStall               — a decode-latency spike: corrections
-//                                 stall network-wide for the window.
+//                                 multiplied by `magnitude` in [0, 1].
 //
 // The stochastic processes reproduce — and extend — the paper's Sec. V-B
 // failure model: FaultPlan::fiber_noise is that model, independent
@@ -41,7 +39,6 @@ enum class FaultKind : std::uint8_t {
   FiberCut,
   NodeOutage,
   EntanglementDegradation,
-  DecodeStall,
 };
 
 std::string_view to_string(FaultKind kind);
@@ -50,8 +47,7 @@ std::string_view to_string(FaultKind kind);
 struct FaultEvent {
   FaultKind kind = FaultKind::FiberCut;
   int slot = 0;      ///< simulation slot the fault starts (0-based)
-  int target = -1;   ///< fiber id (cut/degradation), node id (outage);
-                     ///< ignored for DecodeStall
+  int target = -1;   ///< fiber id (cut/degradation), node id (outage)
   int duration = 1;  ///< slots the condition lasts (>= 1)
   double magnitude = 1.0;  ///< degradation rate multiplier in [0, 1]
 };
@@ -86,15 +82,9 @@ struct StochasticFaults {
   double degradation_factor = 0.25;
   int degradation_duration = 20;
 
-  /// Decode-latency spikes: with this per-slot probability every
-  /// correction in the network stalls for the window.
-  double decode_stall_rate = 0.0;
-  int decode_stall_duration = 5;
-
   bool any() const {
     return fiber_cut_rate > 0.0 || correlated_cut_rate > 0.0 ||
-           node_outage_rate > 0.0 || degradation_rate > 0.0 ||
-           decode_stall_rate > 0.0;
+           node_outage_rate > 0.0 || degradation_rate > 0.0;
   }
 };
 
@@ -137,8 +127,6 @@ class FaultInjector {
                ? degrade_factor_[static_cast<std::size_t>(fiber)]
                : 1.0;
   }
-  /// True while a decode-latency spike stalls all corrections.
-  bool decode_stalled(int slot) const { return slot < stall_until_; }
 
   /// True when the plan can never take anything down (lets the simulator
   /// skip per-slot injector work on fault-free runs).
@@ -160,7 +148,6 @@ class FaultInjector {
   std::vector<int> node_down_until_;
   std::vector<int> degrade_until_;
   std::vector<double> degrade_factor_;
-  int stall_until_ = 0;
   bool inert_ = false;
 };
 

@@ -8,14 +8,6 @@
 
 namespace surfnet::netsim {
 
-int RecoveryPolicy::backoff_slots(int attempt) const {
-  if (attempt < 1) attempt = 1;
-  long long slots = backoff_base_slots;
-  for (int i = 1; i < attempt && slots < backoff_cap_slots; ++i) slots <<= 1;
-  return static_cast<int>(
-      std::min<long long>(slots, backoff_cap_slots));
-}
-
 RecoveryPolicy RecoveryPolicy::disabled() {
   RecoveryPolicy policy;
   policy.local_reroute = false;
@@ -25,10 +17,6 @@ RecoveryPolicy RecoveryPolicy::disabled() {
 RecoveryPolicy RecoveryPolicy::aggressive() {
   RecoveryPolicy policy;
   policy.local_reroute = true;
-  policy.max_swap_retries = 4;
-  policy.backoff_base_slots = 2;
-  policy.backoff_cap_slots = 16;
-  policy.escalate_after_reroutes = 2;
   policy.code_timeout_slots = 1500;
   return policy;
 }
@@ -90,25 +78,6 @@ bool local_reroute(const Topology& topology, const FaultInjector& injector,
   path.resize(static_cast<std::size_t>(pos));
   path.insert(path.end(), detour.begin(), detour.end());
   path.insert(path.end(), tail.begin(), tail.end());
-  return true;
-}
-
-bool replan_route(const Topology& topology, const FaultInjector& injector,
-                  int slot, std::vector<int>& path, int pos,
-                  const std::vector<int>& waypoints) {
-  if (waypoints.empty()) return false;
-  std::vector<int> fresh;
-  int at = path[static_cast<std::size_t>(pos)];
-  fresh.push_back(at);
-  for (const int waypoint : waypoints) {
-    if (waypoint == at) continue;
-    const auto leg = live_bfs(topology, injector, slot, at, waypoint);
-    if (leg.empty()) return false;
-    fresh.insert(fresh.end(), leg.begin() + 1, leg.end());
-    at = waypoint;
-  }
-  path.resize(static_cast<std::size_t>(pos));
-  path.insert(path.end(), fresh.begin(), fresh.end());
   return true;
 }
 

@@ -1,31 +1,25 @@
 #pragma once
 
-// Recovery policy of the online execution (paper Sec. V-B, extended): what
-// the control plane does when a route breaks or starves mid-run.
+// Recovery policy of the online execution (paper Sec. V-B): what the
+// control plane does when a route breaks or starves mid-run.
 //
 //   * Local recovery — replace the remainder of a route to the *next*
 //     designated node with a detour over live fibers/nodes (the paper's
-//     "recovery path leading to the next designated node").
-//   * Escalation — after `escalate_after_reroutes` consecutive failed
-//     local recoveries (or a retry budget exhausted), attempt a full
-//     re-route: re-plan the whole remaining route through every remaining
-//     EC barrier to the destination. The replanned route keeps the
-//     scheduled EC servers, so it still satisfies the structural routing
-//     constraints (Eqs. (3)-(4)); under SURFNET_CHECKS the slot loop runs
-//     check_reroute_invariants after every successful local reroute and
-//     escalation.
-//   * Bounded retries with exponential backoff — a failed entanglement
-//     swap on a segment jump backs the code off for
-//     min(backoff_cap_slots, backoff_base_slots << (attempt - 1)) slots
-//     instead of hammering the starved pools every slot.
+//     "recovery path leading to the next designated node"). The detour
+//     keeps the scheduled EC servers, so it still satisfies the structural
+//     routing constraints (Eqs. (3)-(4)); under SURFNET_CHECKS the slot
+//     loop runs check_reroute_invariants after every successful local
+//     reroute. When no live detour exists the code holds in place and
+//     tries again next slot.
 //   * Per-code timeout budget — a code still in flight after
 //     code_timeout_slots is abandoned as a timeout, freeing its request
 //     slot for the next code instead of starving the whole run against
 //     max_slots.
 //
-// The default-constructed policy reproduces the pre-plan simulator
-// behavior exactly: local reroutes on, no backoff, no escalation, no
-// per-code budget.
+// A failed entanglement swap wastes its pairs, and the code tries the
+// segment again the next slot.
+//
+// The default-constructed policy: local reroutes on, no per-code budget.
 
 #include <vector>
 
@@ -39,15 +33,6 @@ struct RecoveryPolicy {
   /// node (false = hold the qubits in error-mitigation circuits until the
   /// route heals).
   bool local_reroute = true;
-  /// Failed swap attempts on one segment before escalating to a full
-  /// re-route; 0 disables retry accounting (legacy: retry every slot,
-  /// no backoff).
-  int max_swap_retries = 0;
-  int backoff_base_slots = 1;  ///< first retry backoff (doubles per retry)
-  int backoff_cap_slots = 16;
-  /// Consecutive failed local reroutes before escalating to a full
-  /// re-route; 0 = never escalate.
-  int escalate_after_reroutes = 0;
   /// Slots one code may stay in flight before it is abandoned as a
   /// timeout; 0 = bounded only by the run-wide max_slots. A per-code
   /// budget subsumes max_slots for delivery accounting: a starved code
@@ -55,16 +40,11 @@ struct RecoveryPolicy {
   /// the run.
   int code_timeout_slots = 0;
 
-  /// Exponential backoff after the n-th consecutive failed attempt
-  /// (1-based), clamped to the cap.
-  int backoff_slots(int attempt) const;
-
   /// Everything off: broken routes hold in place (the paper's
   /// error-mitigation-circuit fallback).
   static RecoveryPolicy disabled();
-  /// The chaos-bench posture: local reroutes, bounded retries with
-  /// backoff, escalation after 2 failed local recoveries, and a per-code
-  /// budget of 1500 slots.
+  /// The chaos-bench posture: local reroutes and a per-code budget of
+  /// 1500 slots.
   static RecoveryPolicy aggressive();
 };
 
@@ -77,25 +57,16 @@ bool local_reroute(const Topology& topology, const FaultInjector& injector,
                    int slot, std::vector<int>& path, int pos,
                    int target_node);
 
-/// Full re-route escalation: replace path[pos..] with a fresh route that
-/// visits every waypoint in order (the remaining EC barrier nodes, ending
-/// with the destination) over live fibers and nodes. Returns false when
-/// any leg is unroutable (path is left unchanged).
-bool replan_route(const Topology& topology, const FaultInjector& injector,
-                  int slot, std::vector<int>& path, int pos,
-                  const std::vector<int>& waypoints);
-
 /// First index i >= from with path[i] == node, or -1.
 int find_on_path(const std::vector<int>& path, int node, int from);
 
-/// Validate one channel path after an online re-route (local_reroute or
-/// replan_route) against the structural routing constraints: the walk
-/// still runs over existing in-range fibers (Eq. (3) structure) and visits
-/// the barrier nodes the code has not passed — remaining EC servers in
-/// order, destination last — from position `pos` on (Eqs. (4) coupling
-/// and (3) termination). Interior nodes past `pos` must be switches or
-/// servers; only the final barrier may be a user. A broken invariant
-/// reports through util/contracts.h.
+/// Validate one channel path after a local reroute against the structural
+/// routing constraints: the walk still runs over existing in-range fibers
+/// (Eq. (3) structure) and visits the barrier nodes the code has not
+/// passed — remaining EC servers in order, destination last — from
+/// position `pos` on (Eqs. (4) coupling and (3) termination). Interior
+/// nodes past `pos` must be switches or servers; only the final barrier
+/// may be a user. A broken invariant reports through util/contracts.h.
 void check_reroute_invariants(const Topology& topology,
                               const std::vector<int>& path, int pos,
                               const std::vector<int>& barriers);

@@ -114,8 +114,6 @@ struct ActiveCode {
   int start_slot = 0;
   int cooldown = 0;
   int corrections = 0;
-  int swap_attempts = 0;    ///< consecutive failed segment-jump swaps
-  int failed_reroutes = 0;  ///< consecutive failed local recoveries
   bool corrupted = false;
 };
 
@@ -143,32 +141,10 @@ inline std::vector<int> remaining_barriers(const RequestPlan& plan,
   return nodes;
 }
 
-/// Escalation: replace the remainder of one channel's route with a fresh
-/// plan through every remaining EC barrier to the destination
-/// (netsim/recovery.h). Emits an escalate event whether or not a live
-/// route exists; on success both channel targets are recomputed.
-inline void escalate(const Topology& topology, const FaultInjector& injector,
-                     const obs::Sink& sink, const RequestPlan& plan,
-                     ActiveCode& code, bool core_channel, int slot) {
-  const std::vector<int> waypoints = remaining_barriers(plan, code);
-  auto& path = core_channel ? code.c_path : code.s_path;
-  const int pos = core_channel ? code.c_pos : code.s_pos;
-  const bool ok = replan_route(topology, injector, slot, path, pos, waypoints);
-  if (sink.metrics) sink.metrics->count("sim.escalations");
-  if (sink.trace)
-    sink.trace->record(obs::Event::escalate(slot, plan.sched->request_index,
-                                            core_channel, ok));
-  if (!ok) return;
-#if SURFNET_CHECKS
-  check_reroute_invariants(topology, path, pos, waypoints);
-#endif
-  retarget(plan, code);
-}
-
 /// A channel blocked by a failed fiber or a dead next node: detour locally
-/// around it to `node` (netsim/recovery.h); a recovery that finds no live
-/// detour escalates to a full re-route after the policy's threshold of
-/// consecutive failures. Without local reroutes the code holds in place.
+/// around it to `node` (netsim/recovery.h). Without local reroutes, or
+/// when no live detour exists, the code holds in place until the next
+/// slot.
 inline void recover(const Topology& topology, const FaultInjector& injector,
                     const RecoveryPolicy& policy, const obs::Sink& sink,
                     const RequestPlan& plan, ActiveCode& code,
@@ -176,26 +152,17 @@ inline void recover(const Topology& topology, const FaultInjector& injector,
   if (!policy.local_reroute) return;
   auto& path = core_channel ? code.c_path : code.s_path;
   const int pos = core_channel ? code.c_pos : code.s_pos;
-  if (local_reroute(topology, injector, slot, path, pos, node)) {
+  if (!local_reroute(topology, injector, slot, path, pos, node)) return;
 #if SURFNET_CHECKS
-    check_reroute_invariants(topology, path, pos,
-                             remaining_barriers(plan, code));
+  check_reroute_invariants(topology, path, pos,
+                           remaining_barriers(plan, code));
 #endif
-    (core_channel ? code.c_target : code.s_target) =
-        find_on_path(path, node, pos);
-    code.failed_reroutes = 0;
-    if (sink.metrics) sink.metrics->count("sim.recoveries");
-    if (sink.trace)
-      sink.trace->record(obs::Event::recovery(
-          slot, plan.sched->request_index, core_channel));
-    return;
-  }
-  ++code.failed_reroutes;
-  if (policy.escalate_after_reroutes > 0 &&
-      code.failed_reroutes >= policy.escalate_after_reroutes) {
-    escalate(topology, injector, sink, plan, code, core_channel, slot);
-    code.failed_reroutes = 0;
-  }
+  (core_channel ? code.c_target : code.s_target) =
+      find_on_path(path, node, pos);
+  if (sink.metrics) sink.metrics->count("sim.recoveries");
+  if (sink.trace)
+    sink.trace->record(
+        obs::Event::recovery(slot, plan.sched->request_index, core_channel));
 }
 
 /// Decode scratch owned by one simulation run and reused by every
@@ -392,7 +359,8 @@ inline CodeStep process_code(const Topology& topology,
         segment_mu += topology.fiber_noise(e);
       }
       // Entanglement swapping and teleportation are probabilistic; a
-      // failed attempt wastes the consumed pairs.
+      // failed attempt wastes the consumed pairs, and the code tries again
+      // next slot.
       const bool success =
           params.swap_success >= 1.0 ||
           rng.bernoulli(std::pow(params.swap_success, segment));
@@ -410,36 +378,15 @@ inline CodeStep process_code(const Topology& topology,
         code.c_pos += segment;
         code.acc_core_mu += segment_mu;
         ++code.jumps_since_ec;
-        code.swap_attempts = 0;
-      } else if (policy.max_swap_retries > 0) {
-        // Bounded retries: back off exponentially instead of hammering
-        // the starved pools; past the budget, escalate to a full
-        // re-route.
-        ++code.swap_attempts;
-        if (code.swap_attempts > policy.max_swap_retries) {
-          escalate(topology, injector, sink, plan, code,
-                   /*core_channel=*/true, slot);
-          code.swap_attempts = 0;
-        } else {
-          const int backoff = policy.backoff_slots(code.swap_attempts);
-          code.cooldown = backoff;
-          if (sink.metrics) sink.metrics->count("sim.retries");
-          if (sink.trace)
-            sink.trace->record(obs::Event::retry(
-                slot, plan.sched->request_index, /*core_channel=*/true,
-                code.swap_attempts, backoff));
-        }
       }
     }
   }
 
   // Barrier reached by both parts: correct (or finally read out).
-  // Corrections wait while the barrier node is down or a decode-latency
-  // spike stalls the network's decoders.
+  // Corrections wait while the barrier node is down.
   const bool support_done = code.s_pos >= code.s_target;
   const bool core_done = plan.raw || code.c_pos >= code.c_target;
-  if (support_done && core_done && !injector.node_down(barrier.node, slot) &&
-      !injector.decode_stalled(slot)) {
+  if (support_done && core_done && !injector.node_down(barrier.node, slot)) {
     run_correction(plan, code, slot, barrier.node, barrier.is_ec, params,
                    decoder, decode_ws, rng);
     if (code.barrier + 1 == static_cast<int>(plan.barriers.size()))

@@ -42,10 +42,9 @@
 // FaultPlan executed by a FaultInjector (netsim/faults.h) — a fixed
 // (seed, plan) pair replays bitwise on any thread count — and
 // SimulationParams::recovery selects how broken or starved routes are
-// repaired (netsim/recovery.h): local detours, bounded swap retries with
-// exponential backoff, escalation to a full re-route, per-code timeout
-// budgets. Every injected fault and recovery decision is reported through
-// the sink.
+// handled (netsim/recovery.h): local detours around a failure and a
+// per-code timeout budget. Every injected fault, local recovery and
+// timeout is reported through the sink.
 
 #include <cstdint>
 #include <memory>
@@ -102,14 +101,14 @@ struct SimulationParams {
   double swap_success = 1.0;
   /// Online-execution fault schedule (netsim/faults.h): scripted events
   /// plus stochastic fiber cuts, correlated multi-link failures, node
-  /// outages, entanglement-rate degradation windows and decode-latency
-  /// spikes. An empty plan costs one branch per slot.
+  /// outages and entanglement-rate degradation windows. An empty plan
+  /// costs one branch per slot.
   FaultPlan faults;
   /// What the control plane does when a route breaks or starves
-  /// (netsim/recovery.h). The default policy: local reroutes, no backoff,
-  /// no escalation, no per-code budget. Set `recovery.local_reroute =
-  /// false` to hold qubits in error-mitigation circuits until a failed
-  /// fiber returns instead of detouring around it.
+  /// (netsim/recovery.h). The default policy: local reroutes, no per-code
+  /// budget. Set `recovery.local_reroute = false` to hold qubits in
+  /// error-mitigation circuits until a failed fiber returns instead of
+  /// detouring around it.
   RecoveryPolicy recovery;
   int max_slots = 20000;        ///< safety cap; starved codes time out
   /// Observability handle (metrics + trace); null = no instrumentation.

@@ -20,7 +20,6 @@ struct ActiveRequest {
   AdmittedRoute route;
   int arrival_slot = 0;
   int request_id = -1;
-  bool live = false;
 };
 
 /// Inverse-transform exponential interarrival gap in whole slots. Drawing
@@ -193,7 +192,6 @@ TrafficResult run_traffic(const Topology& topology, RouteProvider& provider,
     slot_entry.route = std::move(*route);
     slot_entry.arrival_slot = slot;
     slot_entry.request_id = static_cast<int>(request);
-    slot_entry.live = true;
     active_codes += slot_entry.route.codes;
     queue.push(slot + service, EventClass::Departure, entry);
 
@@ -215,7 +213,6 @@ TrafficResult run_traffic(const Topology& topology, RouteProvider& provider,
     auto& request = active[static_cast<std::size_t>(entry)];
     provider.release(request.route);
     active_codes -= request.route.codes;
-    request.live = false;
     free_slots.push_back(entry);
 
     const int latency = slot - request.arrival_slot;

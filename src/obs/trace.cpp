@@ -16,9 +16,6 @@ std::string_view to_string(EventKind kind) {
     case EventKind::Timeout: return "timeout";
     case EventKind::NodeDown: return "node_down";
     case EventKind::Degraded: return "degraded";
-    case EventKind::DecodeStall: return "decode_stall";
-    case EventKind::Retry: return "retry";
-    case EventKind::Escalate: return "escalate";
     case EventKind::LpSolve: return "lp_solve";
     case EventKind::Arrival: return "arrival";
     case EventKind::Admit: return "admit";
@@ -113,20 +110,6 @@ std::string to_jsonl(const Event& event) {
       append_int(out, "until_slot", event.b);
       append_double(out, "factor", event.value);
       break;
-    case EventKind::DecodeStall:
-      append_int(out, "until_slot", event.a);
-      break;
-    case EventKind::Retry:
-      append_int(out, "request", event.a);
-      append_str(out, "channel", event.b ? "core" : "support");
-      append_int(out, "attempt", event.c);
-      append_int(out, "backoff", event.d);
-      break;
-    case EventKind::Escalate:
-      append_int(out, "request", event.a);
-      append_str(out, "channel", event.b ? "core" : "support");
-      append_str(out, "action", event.flag ? "reroute" : "hold");
-      break;
     case EventKind::LpSolve:
       append_int(out, "iterations", event.a);
       append_int(out, "refactorizations", event.b);
@@ -197,7 +180,6 @@ void JsonlTraceWriter::record(const Event& event) {
   const std::string line = to_jsonl(event);
   std::fwrite(line.data(), 1, line.size(), stream_);
   std::fputc('\n', stream_);
-  ++events_written_;
 }
 
 }  // namespace surfnet::obs

@@ -35,17 +35,6 @@
 //                an entanglement-source degradation window: the fiber's
 //                pair-generation rate is multiplied by factor until
 //                until_slot
-//   decode_stall {"ev","trial","slot","until_slot"}
-//                a decode-latency spike: corrections stall network-wide
-//                until until_slot
-//   retry        {"ev","trial","slot","request","channel","attempt",
-//                 "backoff"}
-//                a bounded recovery retry after a failed segment jump;
-//                backoff is the exponential-backoff cooldown in slots
-//   escalate     {"ev","trial","slot","request","channel","action"}
-//                recovery escalated past local repair; action is
-//                "reroute" (full re-route through the remaining barriers
-//                succeeded) or "hold" (no live route; wait in place)
 //   lp_solve     {"ev","trial","iterations","refactorizations",
 //                 "warm_start","status","objective"}
 //                status encodes routing::LpStatus: 0 optimal,
@@ -95,9 +84,6 @@ enum class EventKind : std::uint8_t {
   Timeout,
   NodeDown,
   Degraded,
-  DecodeStall,
-  Retry,
-  Escalate,
   LpSolve,
   Arrival,
   Admit,
@@ -162,20 +148,6 @@ struct Event {
   static Event degraded(int slot, int fiber, int until_slot, double factor) {
     return {EventKind::Degraded, -1, slot,   fiber, until_slot,
             0,                   0,  factor, false, false};
-  }
-  static Event decode_stall(int slot, int until_slot) {
-    return {EventKind::DecodeStall, -1, slot,  until_slot, 0,
-            0,                      0,  0.0,   false,      false};
-  }
-  static Event retry(int slot, int request, bool core_channel, int attempt,
-                     int backoff) {
-    return {EventKind::Retry, -1,      slot, request, core_channel ? 1 : 0,
-            attempt,          backoff, 0.0,  false,   false};
-  }
-  static Event escalate(int slot, int request, bool core_channel,
-                        bool rerouted) {
-    return {EventKind::Escalate, -1, slot, request,  core_channel ? 1 : 0,
-            0,                   0,  0.0,  rerouted, false};
   }
   static Event lp_solve(int iterations, int refactorizations, bool warm,
                         int status, double objective) {
@@ -244,12 +216,10 @@ class JsonlTraceWriter final : public TraceSink {
   JsonlTraceWriter& operator=(const JsonlTraceWriter&) = delete;
 
   void record(const Event& event) override;
-  std::int64_t events_written() const { return events_written_; }
 
  private:
   std::FILE* stream_ = nullptr;
   bool owned_ = false;
-  std::int64_t events_written_ = 0;
 };
 
 }  // namespace surfnet::obs

@@ -63,7 +63,7 @@ FaultPlan random_fault_plan(util::Rng& rng, const Topology& topo) {
   const int scripted = proptest::int_in(rng, 0, 6);
   for (int i = 0; i < scripted; ++i) {
     FaultEvent event;
-    event.kind = static_cast<FaultKind>(proptest::int_in(rng, 0, 3));
+    event.kind = static_cast<FaultKind>(proptest::int_in(rng, 0, 2));
     event.slot = proptest::int_in(rng, 0, 400);
     event.duration = proptest::int_in(rng, 1, 300);
     switch (event.kind) {
@@ -73,9 +73,6 @@ FaultPlan random_fault_plan(util::Rng& rng, const Topology& topo) {
         break;
       case FaultKind::NodeOutage:
         event.target = proptest::int_in(rng, 1, topo.num_nodes() - 1);
-        break;
-      case FaultKind::DecodeStall:
-        event.target = -1;
         break;
     }
     // Mix factors that keep the degraded rate integral (0, 1) with ones
@@ -102,8 +99,6 @@ FaultPlan random_fault_plan(util::Rng& rng, const Topology& topo) {
     plan.stochastic.degradation_rate = proptest::real_in(rng, 0.0, 0.05);
     plan.stochastic.degradation_factor = proptest::real_in(rng, 0.0, 1.0);
   }
-  if (proptest::chance(rng, 0.2))
-    plan.stochastic.decode_stall_rate = proptest::real_in(rng, 0.0, 0.02);
   return plan;
 }
 
@@ -114,12 +109,9 @@ netsim::SimulationParams random_sim_params(util::Rng& rng,
   params.entanglement_rate =
       proptest::pick(rng, std::vector<double>{0.0, 1.0, 2.5, 3.0, 6.0});
   params.faults = random_fault_plan(rng, topo);
-  if (proptest::chance(rng, 0.5)) {
-    params.recovery.max_swap_retries = proptest::int_in(rng, 0, 4);
-    params.recovery.escalate_after_reroutes = proptest::int_in(rng, 0, 3);
+  if (proptest::chance(rng, 0.5))
     params.recovery.code_timeout_slots =
         proptest::chance(rng, 0.4) ? proptest::int_in(rng, 40, 600) : 0;
-  }
   if (proptest::chance(rng, 0.25)) params.recovery.local_reroute = false;
   if (proptest::chance(rng, 0.4))
     params.swap_success = proptest::real_in(rng, 0.5, 1.0);

@@ -198,7 +198,6 @@ TEST(EventEngineDifferential, GoldenFaultCampaignBitwise) {
   params.faults.scripted.push_back(
       {FaultKind::EntanglementDegradation, 10, 0, 40, 0.3});
   params.faults.scripted.push_back({FaultKind::FiberCut, 25, 1, 30, 1.0});
-  params.faults.scripted.push_back({FaultKind::DecodeStall, 40, -1, 10, 1.0});
   params.faults.scripted.push_back({FaultKind::NodeOutage, 60, 5, 20, 1.0});
   params.faults.stochastic.fiber_cut_rate = 0.02;
   params.faults.stochastic.fiber_cut_duration = 15;
@@ -221,7 +220,7 @@ TEST(EventEngineDifferential, GoldenRecoveryCampaignBitwise) {
   params.recovery.code_timeout_slots = 120;
   params.faults.scripted.push_back({FaultKind::FiberCut, 5, 1, 5000, 1.0});
   expect_recorded(ring_topology(), one_request(4, true, {2}), params, 424242,
-                  {"4/4/4/222\n0 8 2 0\n0 50 2 0\n0 75 2 0\n0 89 2 0\n",
+                  {"4/4/4/55\n0 7 2 0\n0 12 2 0\n0 17 2 0\n0 19 2 0\n",
                    {10426029398549872882ull, 2612490882418579125ull,
                     2620269412783724888ull, 10926501521174509183ull}},
                   "recovery campaign");
@@ -230,8 +229,7 @@ TEST(EventEngineDifferential, GoldenRecoveryCampaignBitwise) {
 TEST(EventEngineDifferential, ScriptedFaultsBitwise) {
   // One request under scripted faults only, on both channel layouts: a
   // blocked support channel, broken core segments, a fractional
-  // degradation window, a decode stall over the barrier, and recovery
-  // escalation over a long outage.
+  // degradation window, and holds over a long outage.
   SimulationParams params;
   params.max_slots = 2000;
   params.entanglement_rate = 3.0;
@@ -242,7 +240,6 @@ TEST(EventEngineDifferential, ScriptedFaultsBitwise) {
   params.faults.scripted.push_back(
       {FaultKind::EntanglementDegradation, 30, 2, 60, 0.5});
   params.faults.scripted.push_back({FaultKind::NodeOutage, 100, 3, 40, 1.0});
-  params.faults.scripted.push_back({FaultKind::DecodeStall, 150, -1, 25, 1.0});
   struct Case {
     bool dual;
     std::uint64_t seed;
@@ -250,20 +247,20 @@ TEST(EventEngineDifferential, ScriptedFaultsBitwise) {
   };
   const std::vector<Case> cases{
       {true, 7,
-       {"5/5/5/531\n0 219 2 0\n0 124 2 0\n0 111 2 0\n0 23 2 0\n"
-        "0 54 2 0\n",
-        {628777311967898858ull, 17258519359618949965ull,
-         7291546007630348000ull, 6742676969293261801ull}}},
+       {"5/5/5/163\n0 21 2 0\n0 28 2 0\n0 92 2 0\n0 15 2 0\n"
+        "0 7 2 0\n",
+        {11538268776955892506ull, 7986995967089533490ull,
+         11135305275212593782ull, 8107741312106546968ull}}},
       {true, 99,
-       {"5/5/5/365\n0 42 2 0\n0 56 2 0\n0 148 2 0\n0 39 2 0\n"
-        "0 80 2 0\n",
+       {"5/5/5/145\n0 19 2 0\n0 9 2 0\n0 57 2 0\n0 12 2 0\n"
+        "0 48 2 0\n",
         {14909578427141526347ull, 17008812886191635665ull,
          9897218274695193620ull, 14894291986086598264ull}}},
       {true, 20240808,
-       {"5/5/5/197\n0 48 2 0\n0 31 2 0\n0 63 2 0\n0 34 2 0\n"
-        "0 21 2 0\n",
-        {11722539207859074318ull, 8167146217648722540ull,
-         10257916006702392040ull, 14947022082947031214ull}}},
+       {"5/5/5/149\n0 20 2 0\n0 23 2 0\n0 53 2 0\n0 46 2 0\n"
+        "0 7 2 0\n",
+        {8350654422964171497ull, 6149502381514186429ull,
+         12951393409975362749ull, 2384936032628587727ull}}},
       {false, 7,
        {"5/5/2/37\n0 5 2 1\n0 8 2 0\n0 8 2 0\n0 8 2 1\n0 8 2 1\n",
         {11053129439159790335ull, 2095347969925768817ull,

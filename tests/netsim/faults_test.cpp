@@ -139,7 +139,6 @@ TEST(FaultInjection, EmptyPlanIsInert) {
   EXPECT_FALSE(injector.fiber_down(0, 0));
   EXPECT_FALSE(injector.node_down(0, 0));
   EXPECT_DOUBLE_EQ(injector.entanglement_factor(0, 0), 1.0);
-  EXPECT_FALSE(injector.decode_stalled(0));
 }
 
 TEST(FaultInjection, ScriptedWindowsAreHalfOpen) {
@@ -148,7 +147,6 @@ TEST(FaultInjection, ScriptedWindowsAreHalfOpen) {
   plan.scripted.push_back({FaultKind::FiberCut, 3, 1, 4, 1.0});
   plan.scripted.push_back({FaultKind::NodeOutage, 5, 2, 2, 1.0});
   plan.scripted.push_back({FaultKind::EntanglementDegradation, 2, 0, 3, 0.5});
-  plan.scripted.push_back({FaultKind::DecodeStall, 4, -1, 2, 1.0});
   FaultInjector injector(topo, plan);
   EXPECT_FALSE(injector.inert());
 
@@ -165,13 +163,10 @@ TEST(FaultInjection, ScriptedWindowsAreHalfOpen) {
     EXPECT_DOUBLE_EQ(injector.entanglement_factor(0, slot),
                      slot >= 2 && slot < 5 ? 0.5 : 1.0)
         << "slot " << slot;
-    EXPECT_EQ(injector.decode_stalled(slot), slot >= 4 && slot < 6)
-        << "slot " << slot;
   }
   EXPECT_EQ(metrics.counter("sim.fiber_failures"), 1);
   EXPECT_EQ(metrics.counter("sim.node_outages"), 1);
   EXPECT_EQ(metrics.counter("sim.degradations"), 1);
-  EXPECT_EQ(metrics.counter("sim.decode_stalls"), 1);
   // Scripted events consume no randomness.
   util::Rng fresh(7);
   EXPECT_EQ(rng(), fresh());
@@ -215,7 +210,6 @@ TEST(FaultInjection, ReplayIsDeterministic) {
   plan.stochastic.fiber_cut_rate = 0.2;
   plan.stochastic.node_outage_rate = 0.1;
   plan.stochastic.degradation_rate = 0.3;
-  plan.stochastic.decode_stall_rate = 0.05;
 
   auto run = [&]() {
     FaultInjector injector(topo, plan);
@@ -240,7 +234,6 @@ TEST(FaultInjection, ScriptedWindowPastIntMaxLastsTheRun) {
   plan.scripted.push_back({FaultKind::NodeOutage, 5, 2, kForever, 1.0});
   plan.scripted.push_back(
       {FaultKind::EntanglementDegradation, 5, 1, kForever, 0.5});
-  plan.scripted.push_back({FaultKind::DecodeStall, 5, -1, kForever, 1.0});
   FaultInjector injector(topo, plan);
   util::Rng rng(3);
   for (int slot = 0; slot <= 5; ++slot)
@@ -250,7 +243,6 @@ TEST(FaultInjection, ScriptedWindowPastIntMaxLastsTheRun) {
     EXPECT_TRUE(injector.node_down(2, slot)) << "slot " << slot;
     EXPECT_DOUBLE_EQ(injector.entanglement_factor(1, slot), 0.5)
         << "slot " << slot;
-    EXPECT_TRUE(injector.decode_stalled(slot)) << "slot " << slot;
   }
 }
 
@@ -308,8 +300,6 @@ TEST(FaultPlanTest, EveryProcessMakesThePlanNonEmpty) {
        [](FaultPlan& p) { p.stochastic.node_outage_rate = 0.01; }},
       {"degradation", true,
        [](FaultPlan& p) { p.stochastic.degradation_rate = 0.01; }},
-      {"decode_stall", false,
-       [](FaultPlan& p) { p.stochastic.decode_stall_rate = 0.01; }},
       {"scripted_outage", false,
        [](FaultPlan& p) {
          p.scripted.push_back({FaultKind::NodeOutage, 7, 1, 4, 1.0});
@@ -342,7 +332,6 @@ TEST(FaultPlanTest, FiberNoiseIsTheIndependentCutProcessAlone) {
   EXPECT_DOUBLE_EQ(noise.stochastic.correlated_cut_rate, 0.0);
   EXPECT_DOUBLE_EQ(noise.stochastic.node_outage_rate, 0.0);
   EXPECT_DOUBLE_EQ(noise.stochastic.degradation_rate, 0.0);
-  EXPECT_DOUBLE_EQ(noise.stochastic.decode_stall_rate, 0.0);
 
   const auto topo = ring_topology();
   const decoder::SurfNetDecoder dec;
@@ -401,28 +390,6 @@ TEST(FaultSimulation, ScriptedOutageBlocksAndHeals) {
   // The outage of the only switch delays delivery past its window.
   ASSERT_EQ(result.codes.size(), 1u);
   EXPECT_GE(result.codes[0].slots, 50);
-}
-
-TEST(FaultSimulation, DecodeStallDelaysCorrections) {
-  const auto topo = ring_topology();
-  const decoder::SurfNetDecoder dec;
-
-  SimulationParams stalled;
-  stalled.max_slots = 500;
-  stalled.faults.scripted.push_back({FaultKind::DecodeStall, 0, -1, 60, 1.0});
-  SimulationParams clear;
-  clear.max_slots = 500;
-
-  util::Rng rng_a(31), rng_b(31);
-  const auto slow =
-      simulate_surfnet(topo, one_request(1, true), stalled, dec, rng_a);
-  const auto fast =
-      simulate_surfnet(topo, one_request(1, true), clear, dec, rng_b);
-  ASSERT_EQ(slow.codes_delivered, 1);
-  ASSERT_EQ(fast.codes_delivered, 1);
-  // The readout at the destination cannot run before the stall clears.
-  EXPECT_GE(slow.codes[0].slots, 60);
-  EXPECT_LT(fast.codes[0].slots, 60);
 }
 
 TEST(FaultSimulation, DegradationStarvesTheCoreChannel) {

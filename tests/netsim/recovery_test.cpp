@@ -1,7 +1,6 @@
-// Tests of the recovery layer (netsim/recovery.h): backoff arithmetic,
-// local-reroute splicing and full-re-route escalation over live fibers,
-// the structural reroute validator, and the simulator-level retry /
-// escalation / per-code-budget semantics.
+// Tests of the recovery layer (netsim/recovery.h): local-reroute splicing
+// over live fibers, the structural reroute validator, and the
+// simulator-level hold / reroute / per-code-budget semantics.
 
 #include "netsim/recovery.h"
 
@@ -14,7 +13,6 @@
 #include "netsim/faults.h"
 #include "netsim/simulator.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "util/contracts.h"
 #include "util/rng.h"
 
@@ -60,43 +58,19 @@ FaultInjector cut_injector(const Topology& topo, std::vector<int> fibers,
   return injector;
 }
 
-TEST(RecoveryPolicy, BackoffDoublesUpToTheCap) {
-  RecoveryPolicy policy;  // base 1, cap 16
-  const int expected[] = {1, 1, 2, 4, 8, 16, 16, 16};
-  for (int attempt = 0; attempt < 8; ++attempt)
-    EXPECT_EQ(policy.backoff_slots(attempt), expected[attempt])
-        << "attempt " << attempt;
-
-  RecoveryPolicy capped;
-  capped.backoff_base_slots = 3;
-  capped.backoff_cap_slots = 10;
-  EXPECT_EQ(capped.backoff_slots(1), 3);
-  EXPECT_EQ(capped.backoff_slots(2), 6);
-  EXPECT_EQ(capped.backoff_slots(3), 10);  // 12 clamped
-  EXPECT_EQ(capped.backoff_slots(50), 10);
-}
-
 TEST(RecoveryPolicy, FactoriesMatchTheirDocumentedPostures) {
   const auto off = RecoveryPolicy::disabled();
   EXPECT_FALSE(off.local_reroute);
-  EXPECT_EQ(off.max_swap_retries, 0);
-  EXPECT_EQ(off.escalate_after_reroutes, 0);
   EXPECT_EQ(off.code_timeout_slots, 0);
 
   const auto hot = RecoveryPolicy::aggressive();
   EXPECT_TRUE(hot.local_reroute);
-  EXPECT_EQ(hot.max_swap_retries, 4);
-  EXPECT_EQ(hot.backoff_base_slots, 2);
-  EXPECT_EQ(hot.backoff_cap_slots, 16);
-  EXPECT_EQ(hot.escalate_after_reroutes, 2);
   EXPECT_EQ(hot.code_timeout_slots, 1500);
 
-  // The default policy reproduces the pre-plan simulator behavior.
-  const RecoveryPolicy legacy;
-  EXPECT_TRUE(legacy.local_reroute);
-  EXPECT_EQ(legacy.max_swap_retries, 0);
-  EXPECT_EQ(legacy.escalate_after_reroutes, 0);
-  EXPECT_EQ(legacy.code_timeout_slots, 0);
+  // The default policy: local reroutes, no per-code budget.
+  const RecoveryPolicy standard;
+  EXPECT_TRUE(standard.local_reroute);
+  EXPECT_EQ(standard.code_timeout_slots, 0);
 }
 
 TEST(LocalReroute, SplicesADetourAroundTheCut) {
@@ -116,25 +90,6 @@ TEST(LocalReroute, LeavesThePathUntouchedWhenIsolated) {
   std::vector<int> path{0, 1, 2, 3, 4};
   EXPECT_FALSE(local_reroute(topo, injector, 0, path, 1, 2));
   EXPECT_EQ(path, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(ReplanRoute, RebuildsTheRouteThroughAllWaypoints) {
-  const auto topo = ring_topology();
-  const auto injector = cut_injector(topo, {1});
-  std::vector<int> path{0, 1, 2, 3, 4};
-  ASSERT_TRUE(replan_route(topo, injector, 0, path, 1, {2, 4}));
-  EXPECT_EQ(path, (std::vector<int>{0, 1, 5, 3, 2, 3, 4}));
-}
-
-TEST(ReplanRoute, FailsWhenAnyLegIsUnroutable) {
-  const auto topo = ring_topology();
-  // Leg 1->2 survives (direct fiber), but node 3 loses all fibers so no
-  // leg can reach destination 4.
-  const auto injector = cut_injector(topo, {2, 3, 5});
-  std::vector<int> path{0, 1, 2, 3, 4};
-  EXPECT_FALSE(replan_route(topo, injector, 0, path, 1, {2, 4}));
-  EXPECT_EQ(path, (std::vector<int>{0, 1, 2, 3, 4}));
-  EXPECT_FALSE(replan_route(topo, injector, 0, path, 1, {}));
 }
 
 #if SURFNET_CHECKS
@@ -214,69 +169,6 @@ TEST(RecoverySimulation, PermanentCutNeedsLocalRecovery) {
       simulate_surfnet(topo, one_request(3, true), holding, dec, rng_b);
   EXPECT_EQ(rerouted.codes_delivered, 3);
   EXPECT_EQ(stuck.codes_delivered, 0);
-}
-
-TEST(RecoverySimulation, SwapRetriesBackOffExponentially) {
-  const auto topo = ring_topology();
-  const decoder::SurfNetDecoder dec;
-  SimulationParams params;
-  params.swap_success = 0.5;
-  params.max_slots = 20000;
-  params.recovery = RecoveryPolicy::aggressive();
-  obs::MetricsRegistry metrics;
-  obs::TraceBuffer trace;
-  params.sink = obs::Sink{&metrics, &trace};
-
-  util::Rng rng(47);
-  const auto result =
-      simulate_surfnet(topo, one_request(10, true), params, dec, rng);
-  EXPECT_EQ(result.codes_delivered, 10);
-  EXPECT_GT(metrics.counter("sim.retries"), 0);
-
-  std::int64_t retries = 0;
-  for (const auto& event : trace.events()) {
-    if (event.kind != obs::EventKind::Retry) continue;
-    ++retries;
-    EXPECT_GE(event.c, 1);  // attempt stays within the retry budget
-    EXPECT_LE(event.c, params.recovery.max_swap_retries);
-    EXPECT_EQ(event.d, params.recovery.backoff_slots(event.c));
-  }
-  EXPECT_EQ(retries, metrics.counter("sim.retries"));
-}
-
-TEST(RecoverySimulation, EscalationFiresAfterFailedLocalRecoveries) {
-  // A pure line has no detour: every local recovery fails, so escalation
-  // triggers and — with the whole remaining route equally dead — records
-  // a "hold" (rerouted=false) decision until the fiber heals.
-  std::vector<Node> nodes(3);
-  nodes[1] = {NodeRole::Switch, 1000};
-  Topology topo(std::move(nodes), {{0, 1, 0.95, 50}, {1, 2, 0.95, 50}});
-  Schedule schedule;
-  schedule.requested_codes = 1;
-  ScheduledRequest s;
-  s.request_index = 0;
-  s.codes = 1;
-  s.support_path = {0, 1, 2};
-  schedule.scheduled.push_back(s);
-
-  const decoder::SurfNetDecoder dec;
-  SimulationParams params;
-  params.max_slots = 500;
-  params.faults.scripted.push_back({FaultKind::FiberCut, 0, 0, 60, 1.0});
-  params.recovery.escalate_after_reroutes = 1;
-  obs::MetricsRegistry metrics;
-  obs::TraceBuffer trace;
-  params.sink = obs::Sink{&metrics, &trace};
-
-  util::Rng rng(53);
-  const auto result = simulate_surfnet(topo, schedule, params, dec, rng);
-  EXPECT_EQ(result.codes_delivered, 1);
-  EXPECT_GT(metrics.counter("sim.escalations"), 0);
-  bool saw_hold = false;
-  for (const auto& event : trace.events())
-    if (event.kind == obs::EventKind::Escalate && !event.flag)
-      saw_hold = true;
-  EXPECT_TRUE(saw_hold);
 }
 
 TEST(RecoverySimulation, PerCodeBudgetAbandonsStarvedCodes) {

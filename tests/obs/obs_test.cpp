@@ -227,28 +227,6 @@ TEST(Trace, GoldenJsonlDegraded) {
             "\"until_slot\":48,\"factor\":0.25}");
 }
 
-TEST(Trace, GoldenJsonlDecodeStall) {
-  EXPECT_EQ(to_jsonl(Event::decode_stall(30, 35)),
-            "{\"ev\":\"decode_stall\",\"slot\":30,\"until_slot\":35}");
-}
-
-TEST(Trace, GoldenJsonlRetry) {
-  EXPECT_EQ(to_jsonl(Event::retry(6, 2, /*core_channel=*/true, 3, 4)),
-            "{\"ev\":\"retry\",\"slot\":6,\"request\":2,"
-            "\"channel\":\"core\",\"attempt\":3,\"backoff\":4}");
-}
-
-TEST(Trace, GoldenJsonlEscalate) {
-  EXPECT_EQ(to_jsonl(Event::escalate(10, 1, /*core_channel=*/false,
-                                     /*rerouted=*/true)),
-            "{\"ev\":\"escalate\",\"slot\":10,\"request\":1,"
-            "\"channel\":\"support\",\"action\":\"reroute\"}");
-  EXPECT_EQ(to_jsonl(Event::escalate(10, 1, /*core_channel=*/true,
-                                     /*rerouted=*/false)),
-            "{\"ev\":\"escalate\",\"slot\":10,\"request\":1,"
-            "\"channel\":\"core\",\"action\":\"hold\"}");
-}
-
 TEST(Trace, GoldenJsonlLpSolve) {
   EXPECT_EQ(to_jsonl(Event::lp_solve(42, 3, /*warm=*/true, 0, 1.5)),
             "{\"ev\":\"lp_solve\",\"iterations\":42,"
@@ -340,9 +318,6 @@ TEST(Trace, EventKindNamesRoundTrip) {
   EXPECT_EQ(to_string(EventKind::Timeout), "timeout");
   EXPECT_EQ(to_string(EventKind::NodeDown), "node_down");
   EXPECT_EQ(to_string(EventKind::Degraded), "degraded");
-  EXPECT_EQ(to_string(EventKind::DecodeStall), "decode_stall");
-  EXPECT_EQ(to_string(EventKind::Retry), "retry");
-  EXPECT_EQ(to_string(EventKind::Escalate), "escalate");
   EXPECT_EQ(to_string(EventKind::LpSolve), "lp_solve");
 }
 
